@@ -46,88 +46,38 @@ cover:
 	$(GO) tool cover -html=cover.out -o cover.html
 	@echo "wrote cover.html"
 
-# Per-package coverage floor for the protocol engine: the rendezvous
-# conformance/fault/edge batteries (ISSUE 6) and the collective
-# liveness-degradation battery (ISSUE 9) hold internal/mpi at 86%+
-# statement coverage; the floor sits just below so ordinary refactors
-# pass while a PR that lands uncovered protocol paths fails loudly here
-# instead of rotting silently.
-MPI_COVER_FLOOR := 85.0
-# The in-network handler engine (ISSUE 7) carries the same discipline:
-# the spin package's verdict/budget/rollback semantics are what the ring
-# integration and the E12 figures rest on.
-SPIN_COVER_FLOOR := 80.0
-# The observability substrate (ISSUE 8): the trace recorder's sampler /
-# capacity drop split and the metrics registry (including the profiler
-# publishing path) are what MayHaveDroppedMsg's truthfulness and the
-# sweep trajectory rest on. Both sit above 90% today; the floors leave
-# refactoring room.
-TRACE_COVER_FLOOR := 85.0
-METRICS_COVER_FLOOR := 85.0
-# The partition-tolerance machinery (ISSUE 10): the detector's
-# cut-corroborated partition declaration, quorum election, and
-# fence/heal/resync transitions sit in internal/liveness (93% today),
-# and the scripted fault injection they are proven against — including
-# the link cut/splice actions and the build-time schedule validator —
-# in internal/fault (88% today).
-LIVENESS_COVER_FLOOR := 85.0
-FAULT_COVER_FLOOR := 80.0
+# Per-package statement-coverage floors, as internal/<pkg>:<floor %>
+# pairs. Each floor sits just below the package's coverage so ordinary
+# refactors pass while a change that lands uncovered paths fails loudly
+# here instead of rotting silently:
+#   mpi      the rendezvous conformance/fault/edge batteries and the
+#            collective liveness, partition and schedule batteries;
+#   spin     the handler verdict/budget/rollback semantics the ring
+#            integration and the E12 figures rest on;
+#   trace, metrics
+#            the recorder's sampler/capacity drop split and the metrics
+#            registry (with the profiler publishing path), which
+#            MayHaveDroppedMsg and the sweep trajectory rest on;
+#   liveness, fault
+#            the cut-corroborated partition declaration, quorum election
+#            and fence/heal/resync transitions, and the scripted fault
+#            injection (link cut/splice, schedule validation) they are
+#            proven against.
+COVER_FLOORS := mpi:85.0 spin:80.0 trace:85.0 metrics:85.0 liveness:85.0 fault:80.0
 
 covercheck: build
-	@$(GO) test -coverprofile=.cover.mpi.out ./internal/mpi > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.mpi.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.mpi.out; \
-	if awk "BEGIN {exit !($$pct >= $(MPI_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/mpi statement coverage $$pct% (floor $(MPI_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/mpi statement coverage $$pct% fell below the $(MPI_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.spin.out ./internal/spin > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.spin.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.spin.out; \
-	if awk "BEGIN {exit !($$pct >= $(SPIN_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/spin statement coverage $$pct% (floor $(SPIN_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/spin statement coverage $$pct% fell below the $(SPIN_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.trace.out ./internal/trace > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.trace.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.trace.out; \
-	if awk "BEGIN {exit !($$pct >= $(TRACE_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/trace statement coverage $$pct% (floor $(TRACE_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/trace statement coverage $$pct% fell below the $(TRACE_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.metrics.out ./internal/metrics > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.metrics.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.metrics.out; \
-	if awk "BEGIN {exit !($$pct >= $(METRICS_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/metrics statement coverage $$pct% (floor $(METRICS_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/metrics statement coverage $$pct% fell below the $(METRICS_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.liveness.out ./internal/liveness > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.liveness.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.liveness.out; \
-	if awk "BEGIN {exit !($$pct >= $(LIVENESS_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/liveness statement coverage $$pct% (floor $(LIVENESS_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/liveness statement coverage $$pct% fell below the $(LIVENESS_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.fault.out ./internal/fault > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.fault.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.fault.out; \
-	if awk "BEGIN {exit !($$pct >= $(FAULT_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/fault statement coverage $$pct% (floor $(FAULT_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/fault statement coverage $$pct% fell below the $(FAULT_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; floor=$${pf#*:}; \
+		$(GO) test -coverprofile=.cover.$$pkg.out ./internal/$$pkg > /dev/null || exit 1; \
+		pct=$$($(GO) tool cover -func=.cover.$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+		rm -f .cover.$$pkg.out; \
+		if awk "BEGIN {exit !($$pct >= $$floor)}"; then \
+			echo "covercheck green: internal/$$pkg statement coverage $$pct% (floor $$floor%)"; \
+		else \
+			echo "internal/$$pkg statement coverage $$pct% fell below the $$floor% floor"; \
+			exit 1; \
+		fi; \
+	done
 
 verify: lint test race covercheck timeline soak
 	@echo "verify tier green: lint + test + race + covercheck + timeline + soak"
@@ -229,5 +179,5 @@ sweep: build
 	@echo "sweep tier green: matrix matches BENCH_sweep.json; trend gate catches injected drift"
 
 clean:
-	rm -f cover.out cover.html .cover.mpi.out .cover.spin.out .cover.trace.out .cover.metrics.out \
+	rm -f cover.out cover.html .cover.*.out \
 		.bench.tmp.json .sweep.tmp.json .sweep.gate.out .timeline.tmp.out

@@ -199,24 +199,15 @@ func BenchmarkExt_MessageRate_FE_8B(b *testing.B) {
 // Ablation: barrier algorithm choice on an 8-node SCRAMNet cluster —
 // coordinator+mcast vs binomial tree vs dissemination.
 func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
-	measure := func(algo string) float64 {
+	measure := func(algo mpi.Algorithm) float64 {
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 8, algo == "mcast")
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var last sim.Time
 		w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
-			var err error
-			switch algo {
-			case "mcast":
-				err = c.BarrierMcast(p)
-			case "tree":
-				err = c.BarrierTree(p)
-			case "dissemination":
-				err = c.BarrierDissemination(p)
-			}
-			if err != nil {
+			if err := c.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -231,9 +222,9 @@ func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
 	}
 	var mcast, tree, diss float64
 	for i := 0; i < b.N; i++ {
-		mcast = measure("mcast")
-		tree = measure("tree")
-		diss = measure("dissemination")
+		mcast = measure(mpi.Mcast)
+		tree = measure(mpi.Tree)
+		diss = measure(mpi.Dissemination)
 	}
 	b.ReportMetric(mcast, "mcast-vus")
 	b.ReportMetric(tree, "tree-vus")

@@ -22,8 +22,10 @@
 //	k := repro.NewKernel()
 //	tb, _ := repro.NewTestbed(k, repro.SCRAMNet, 4)
 //	...
-//	w, _ := repro.NewMPI(k, repro.SCRAMNet, 4, true)
-//	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) { ... })
+//	w, _ := repro.NewMPI(k, repro.SCRAMNet, 4)
+//	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
+//		c.Barrier(p, mpi.WithAlgorithm(mpi.Mcast))
+//	})
 //	k.Run()
 package repro
 
@@ -61,10 +63,11 @@ func NewTestbed(k *sim.Kernel, net Network, nodes int) (*Testbed, error) {
 	return cluster.New(k, cluster.Options{Nodes: nodes, Net: net})
 }
 
-// NewMPI builds an n-rank MPI world over the given network. When mcast
-// is true (and the network is SCRAMNet), MPI_Bcast and MPI_Barrier use
-// the BillBoard multicast fast path, as in the paper's modified MPICH.
-func NewMPI(k *sim.Kernel, net Network, nodes int, mcast bool) (*mpi.World, error) {
-	_, w, err := cluster.NewMPIWorld(k, net, nodes, mcast)
+// NewMPI builds an n-rank MPI world over the given network. Passing
+// mpi.WithAlgorithm(mpi.Mcast) to Bcast or Barrier selects the
+// BillBoard multicast fast path (SCRAMNet), as in the paper's modified
+// MPICH.
+func NewMPI(k *sim.Kernel, net Network, nodes int) (*mpi.World, error) {
+	_, w, err := cluster.NewMPIWorld(k, net, nodes)
 	return w, err
 }

@@ -27,22 +27,22 @@ func main() {
 	flag.Parse()
 
 	type config struct {
-		name  string
-		net   repro.Network
-		mcast bool
+		name string
+		net  repro.Network
+		algo mpi.Algorithm // of every Bcast and Barrier
 	}
 	configs := []config{
-		{"SCRAMNet + multicast collectives", repro.SCRAMNet, true},
-		{"SCRAMNet + tree collectives", repro.SCRAMNet, false},
-		{"hybrid (BBP + Myrinet) + multicast", repro.Hybrid, true},
-		{"Fast Ethernet (tree)", repro.FastEthernet, false},
+		{"SCRAMNet + multicast collectives", repro.SCRAMNet, mpi.Mcast},
+		{"SCRAMNet + tree collectives", repro.SCRAMNet, mpi.Tree},
+		{"hybrid (BBP + Myrinet) + multicast", repro.Hybrid, mpi.Mcast},
+		{"Fast Ethernet (tree)", repro.FastEthernet, mpi.Tree},
 	}
 	fmt.Printf("master/worker parameter distribution: 4 ranks, %d rounds, %d-byte blocks\n\n",
 		*rounds, *params)
 	fmt.Printf("%-34s  %14s  %14s\n", "configuration", "total", "per round")
 	var base float64
 	for i, cfg := range configs {
-		vt := farm(cfg.net, cfg.mcast, *rounds, *params)
+		vt := farm(cfg.net, cfg.algo, *rounds, *params)
 		ms := float64(vt) / 1e6
 		if i == 0 {
 			base = ms
@@ -55,13 +55,14 @@ func main() {
 	fmt.Println("at application level.")
 }
 
-func farm(net repro.Network, mcast bool, rounds, params int) sim.Duration {
+func farm(net repro.Network, algo mpi.Algorithm, rounds, params int) sim.Duration {
 	const ranks = 4
 	k := repro.NewKernel()
-	w, err := repro.NewMPI(k, net, ranks, mcast)
+	w, err := repro.NewMPI(k, net, ranks)
 	if err != nil {
 		log.Fatal(err)
 	}
+	opt := mpi.WithAlgorithm(algo)
 	var finish sim.Time
 	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
 		block := make([]byte, params)
@@ -74,7 +75,7 @@ func farm(net repro.Network, mcast bool, rounds, params int) sim.Duration {
 					block[i] = byte(r + i)
 				}
 			}
-			if err := c.Bcast(p, 0, block); err != nil {
+			if err := c.Bcast(p, 0, block, opt); err != nil {
 				log.Fatal(err)
 			}
 			// Evaluate: a few microseconds of simulated compute.
@@ -84,7 +85,7 @@ func farm(net repro.Network, mcast bool, rounds, params int) sim.Duration {
 			if err := c.Reduce(p, 0, mpi.MaxF64, score, best); err != nil {
 				log.Fatal(err)
 			}
-			if err := c.Barrier(p); err != nil {
+			if err := c.Barrier(p, opt); err != nil {
 				log.Fatal(err)
 			}
 		}

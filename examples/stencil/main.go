@@ -45,7 +45,7 @@ func main() {
 func solve(net repro.Network, cells, iters int) (sim.Duration, float64) {
 	const ranks = 4
 	k := repro.NewKernel()
-	w, err := repro.NewMPI(k, net, ranks, net == repro.SCRAMNet)
+	w, err := repro.NewMPI(k, net, ranks)
 	if err != nil {
 		log.Fatal(err)
 	}

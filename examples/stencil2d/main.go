@@ -46,7 +46,7 @@ func main() {
 
 func solve(net repro.Network, n, iters int) (sim.Duration, float64) {
 	k := repro.NewKernel()
-	w, err := repro.NewMPI(k, net, ranks, net == repro.SCRAMNet)
+	w, err := repro.NewMPI(k, net, ranks)
 	if err != nil {
 		log.Fatal(err)
 	}

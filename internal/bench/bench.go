@@ -87,7 +87,7 @@ func PingPong(k *sim.Kernel, a, b xport.Endpoint, n int) float64 {
 func OneWayMPI(net cluster.Network, n int) float64 {
 	k := sim.NewKernel()
 	defer k.Close()
-	_, w, err := cluster.NewMPIWorld(k, net, 4, false)
+	_, w, err := cluster.NewMPIWorld(k, net, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -219,7 +219,7 @@ const (
 func MPIBcast(net cluster.Network, impl BcastImpl, nodes, n int) float64 {
 	k := sim.NewKernel()
 	defer k.Close()
-	_, w, err := cluster.NewMPIWorld(k, net, nodes, impl == BcastNative)
+	_, w, err := cluster.NewMPIWorld(k, net, nodes)
 	if err != nil {
 		panic(err)
 	}
@@ -285,7 +285,7 @@ func MPIBarrier(net cluster.Network, impl BarrierImpl, nodes int) float64 {
 		}
 		w = mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
 	} else {
-		_, mw, err := cluster.NewMPIWorld(k, net, nodes, impl == BarrierNative)
+		_, mw, err := cluster.NewMPIWorld(k, net, nodes)
 		if err != nil {
 			panic(err)
 		}

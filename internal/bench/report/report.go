@@ -322,10 +322,11 @@ type RndvPipeline struct {
 
 // StreamAllreduce is the E12 measurement (EXPERIMENTS.md): the
 // completion latency of one Bytes-long 32-bit-lane sum allreduce across
-// Nodes ranks, (a) through Comm.AllreduceW's in-network fast path — the
-// vector circulates the ring once and every transit NIC's spin.Reducer
-// handler folds the local contribution in — and (b) through the
-// rank-side binomial tree over the identical RingOpFunc fold. Both runs
+// Nodes ranks, (a) through Comm.Allreduce's in-network fast path with
+// mpi.SumU32 — the vector circulates the ring once and every transit
+// NIC's spin.Reducer handler folds the local contribution in — and (b)
+// through the rank-side binomial tree (WithAlgorithm(Tree)) over the
+// identical fold. Both runs
 // use the same substrate and cost model; the handler path additionally
 // pays HandlerCycles × scramnet.Config.HandlerCycleCost of in-network
 // compute, so the win is honest. SuspectFallback records the liveness
@@ -697,18 +698,17 @@ func mpiDeadPeerLatency(lcfg liveness.Config) float64 {
 	if err != nil {
 		panic(err)
 	}
-	mcfg := mpi.DefaultConfig()
-	mcfg.McastCollectives = true
-	w := mpi.NewWorld(c.Endpoints, mcfg)
+	w := mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
 	var worst sim.Time
+	mcast := mpi.WithAlgorithm(mpi.Mcast)
 	w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
-		if err := cm.Barrier(p); err != nil {
+		if err := cm.Barrier(p, mcast); err != nil {
 			panic(err) // the pre-death barrier must succeed
 		}
 		if cm.Rank() == victim {
 			return // the machine dies with its process
 		}
-		if err := cm.Barrier(p); err == nil {
+		if err := cm.Barrier(p, mcast); err == nil {
 			panic("barrier with a dead participant completed")
 		}
 		if p.Now() > worst {
@@ -1111,7 +1111,6 @@ func barrierRun(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) (
 	k := sim.NewKernel()
 	defer k.Close()
 	opts := cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, Metrics: m, Trace: rec}
-	mcfg := mpi.DefaultConfig()
 	algo := mpi.Mcast
 	if nic {
 		bbp := core.DefaultConfig()
@@ -1120,13 +1119,12 @@ func barrierRun(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) (
 		algo = mpi.NICCombined
 	} else {
 		opts.PIOOnlyBBP = true
-		mcfg.McastCollectives = true
 	}
 	c, err := cluster.New(k, opts)
 	if err != nil {
 		panic(err)
 	}
-	w := mpi.NewWorld(c.Endpoints, mcfg)
+	w := mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
 	var t0, t1 sim.Time
 	w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
 		if err := cm.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {

@@ -303,14 +303,12 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 
 // NewMPIWorld builds a testbed on net and an MPI world over it. On
 // SCRAMNet the channel device runs the BBP in PIO-only mode, as in the
-// paper's minimal channel implementation; mcast selects the
-// multicast-based collectives (meaningful only on SCRAMNet).
-func NewMPIWorld(k *sim.Kernel, net Network, nodes int, mcast bool) (*Cluster, *mpi.World, error) {
+// paper's minimal channel implementation. Collectives pick the
+// multicast-based implementations per call (mpi.WithAlgorithm).
+func NewMPIWorld(k *sim.Kernel, net Network, nodes int) (*Cluster, *mpi.World, error) {
 	c, err := New(k, Options{Nodes: nodes, Net: net, PIOOnlyBBP: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := mpi.DefaultConfig()
-	cfg.McastCollectives = mcast
-	return c, mpi.NewWorld(c.Endpoints, cfg), nil
+	return c, mpi.NewWorld(c.Endpoints, mpi.DefaultConfig()), nil
 }

@@ -107,7 +107,7 @@ func TestHierarchyClusterEndToEnd(t *testing.T) {
 func TestNewMPIWorldAllNetworks(t *testing.T) {
 	for _, net := range Networks {
 		k := sim.NewKernel()
-		if _, _, err := NewMPIWorld(k, net, 3, true); err != nil {
+		if _, _, err := NewMPIWorld(k, net, 3); err != nil {
 			t.Errorf("%s: %v", net, err)
 		}
 	}

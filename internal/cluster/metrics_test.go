@@ -124,7 +124,7 @@ func TestMetricsMPIWorld(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	m := metrics.New()
-	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4, false)
+	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,10 +217,11 @@ func TestMPIOverHybrid(t *testing.T) {
 	// The full MPI stack, including multicast collectives, runs over
 	// the hybrid transport.
 	k := sim.NewKernel()
-	_, w, err := cluster.NewMPIWorld(k, cluster.Hybrid, 4, true)
+	_, w, err := cluster.NewMPIWorld(k, cluster.Hybrid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mcast := mpi.WithAlgorithm(mpi.Mcast)
 	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
 		buf := make([]byte, 2000)
 		if c.Rank() == 0 {
@@ -228,7 +229,7 @@ func TestMPIOverHybrid(t *testing.T) {
 				buf[i] = byte(i)
 			}
 		}
-		if err := c.Bcast(p, 0, buf); err != nil {
+		if err := c.Bcast(p, 0, buf, mcast); err != nil {
 			t.Error(err)
 			return
 		}
@@ -238,7 +239,7 @@ func TestMPIOverHybrid(t *testing.T) {
 				return
 			}
 		}
-		if err := c.Barrier(p); err != nil {
+		if err := c.Barrier(p, mcast); err != nil {
 			t.Error(err)
 		}
 	})

@@ -134,22 +134,22 @@ func TestMPIBarrierDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	mcfg := mpi.DefaultConfig()
-	mcfg.McastCollectives = true
 	mcfg.WaitTimeout = 100 * sim.Millisecond
 	w := mpi.NewWorld(c.Endpoints, mcfg)
 
 	errAt := make([]sim.Time, nodes)
 	errOf := make([]error, nodes)
+	mcast := mpi.WithAlgorithm(mpi.Mcast)
 	w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
 		// A healthy barrier first, so the death lands mid-protocol.
-		if err := cm.Barrier(p); err != nil {
+		if err := cm.Barrier(p, mcast); err != nil {
 			t.Errorf("rank %d healthy barrier: %v", cm.Rank(), err)
 			return
 		}
 		if cm.Rank() == victim {
 			return // the machine dies with its process
 		}
-		err := cm.Barrier(p)
+		err := cm.Barrier(p, mcast)
 		errAt[cm.Rank()] = p.Now()
 		errOf[cm.Rank()] = err
 		// Point-to-point operations naming the dead peer fail fast too.

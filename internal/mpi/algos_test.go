@@ -2,9 +2,11 @@ package mpi_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/liveness"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -13,7 +15,7 @@ func TestBarrierDisseminationSynchronizes(t *testing.T) {
 	for _, nodes := range []int{3, 4, 7, 8} {
 		nodes := nodes
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +26,7 @@ func TestBarrierDisseminationSynchronizes(t *testing.T) {
 			if p.Now() > lastArrive {
 				lastArrive = p.Now()
 			}
-			if err := c.BarrierDissemination(p); err != nil {
+			if err := c.Barrier(p, mpi.WithAlgorithm(mpi.Dissemination)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -65,7 +67,7 @@ func TestAllreduceRDMatchesTreeAllSizes(t *testing.T) {
 	for _, nodes := range []int{2, 3, 4, 5, 6, 8} {
 		nodes := nodes
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +101,67 @@ func TestAllreduceRDMatchesTreeAllSizes(t *testing.T) {
 	}
 }
 
+// TestAllreduceShortRecvBufTruncates: a recvBuf shorter than sendBuf is
+// rejected with ErrTruncated on every rank before any message moves,
+// whichever algorithm would have run.
+func TestAllreduceShortRecvBufTruncates(t *testing.T) {
+	const cutAt = 2 * sim.Millisecond
+	live := liveness.DefaultConfig()
+	mcfg := mpi.DefaultConfig()
+	mcfg.WaitTimeout = 100 * sim.Millisecond
+	for _, tc := range []struct {
+		name  string
+		algo  mpi.Algorithm
+		world func(t *testing.T) (*sim.Kernel, *mpi.World)
+		enter sim.Duration
+		ranks []int
+	}{
+		{"auto", mpi.Auto, stream4, 0, []int{0, 1, 2, 3}},
+		{"tree", mpi.Tree, stream4, 0, []int{0, 1, 2, 3}},
+		{"dissemination", mpi.Dissemination, stream4, 0, []int{0, 1, 2, 3}},
+		{"nic-combined", mpi.NICCombined, stream4, 0, []int{0, 1, 2, 3}},
+		{"quorum", mpi.Auto, func(t *testing.T) (*sim.Kernel, *mpi.World) {
+			k, _, w := treeCluster(t, 5, &live, doubleCut(cutAt, 80*sim.Millisecond), mcfg)
+			return k, w
+		}, cutAt + 4*sim.Millisecond, []int{0, 1, 4}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			k, w := tc.world(t)
+			defer k.Close()
+			errs := make([]error, w.Size())
+			for _, r := range tc.ranks {
+				errs[r] = errors.New("never returned")
+			}
+			w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
+				if errs[cm.Rank()] == nil {
+					return // not a participant
+				}
+				p.Delay(tc.enter)
+				errs[cm.Rank()] = cm.Allreduce(p, mpi.SumU32, make([]byte, 16), make([]byte, 8), mpi.WithAlgorithm(tc.algo))
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tc.ranks {
+				if !errors.Is(errs[r], mpi.ErrTruncated) {
+					t.Errorf("rank %d: %v, want ErrTruncated", r, errs[r])
+				}
+				if st := w.Engine(r).Stats(); st.EagerSent != 0 || st.StreamAllreduces+st.StreamFallbacks != 0 {
+					t.Errorf("rank %d moved traffic before rejecting: %+v", r, st)
+				}
+			}
+		})
+	}
+}
+
+func stream4(t *testing.T) (*sim.Kernel, *mpi.World) {
+	k, _, w := streamCluster(t, 4, nil, nil)
+	return k, w
+}
+
 func TestReduceScatterBlocks(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		n := c.Size()
 		send := make([]byte, 8*n)
 		for i := 0; i < n; i++ {
@@ -121,7 +182,7 @@ func TestReduceScatterBlocks(t *testing.T) {
 }
 
 func TestReduceScatterValidation(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() != 0 {
 			return
 		}
@@ -138,21 +199,15 @@ func TestDisseminationVsTreeLatency(t *testing.T) {
 	// On a root-bottlenecked medium the dissemination barrier's extra
 	// parallelism can win for larger node counts; at minimum both must
 	// synchronize and stay within a small factor of each other.
-	measure := func(dissem bool, nodes int) float64 {
+	measure := func(algo mpi.Algorithm, nodes int) float64 {
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var last sim.Time
 		w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
-			var err error
-			if dissem {
-				err = c.BarrierDissemination(p)
-			} else {
-				err = c.BarrierTree(p)
-			}
-			if err != nil {
+			if err := c.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -165,7 +220,7 @@ func TestDisseminationVsTreeLatency(t *testing.T) {
 		}
 		return last.Sub(0).Microseconds()
 	}
-	tree, diss := measure(false, 8), measure(true, 8)
+	tree, diss := measure(mpi.Tree, 8), measure(mpi.Dissemination, 8)
 	if ratio := diss / tree; ratio < 0.3 || ratio > 3.0 {
 		t.Errorf("8-node dissemination %.1fµs vs tree %.1fµs: implausible ratio", diss, tree)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/liveness"
 	"repro/internal/sim"
 )
 
@@ -118,9 +119,6 @@ func (c *Comm) othersWorld(not int) []int {
 // partition — a single-step broadcast. It is not synchronizing: the
 // root does not wait for receivers (§4).
 func (c *Comm) bcastMcast(p *sim.Proc, root int, buf []byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
 	seq := uint16(c.seq)
 	c.seq++
 	e := c.eng
@@ -215,39 +213,15 @@ func SumI64(acc, in []byte) {
 }
 
 // Reduce combines sendBuf from every rank with op (assumed commutative
-// and associative) into recvBuf at root, via a binomial tree.
+// and associative) into recvBuf at root, via the binomial gather over
+// the whole group rotated from root.
 func (c *Comm) Reduce(p *sim.Proc, root int, op Op, sendBuf, recvBuf []byte) error {
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	size := c.Size()
-	relrank := (c.rank - root + size) % size
 	acc := append([]byte(nil), sendBuf...)
-	tmp := make([]byte, len(sendBuf))
-	mask := 1
-	for mask < size {
-		if relrank&mask != 0 {
-			parent := c.rank - mask
-			if parent < 0 {
-				parent += size
-			}
-			if err := c.Send(p, parent, tagReduce, acc); err != nil {
-				return err
-			}
-			break
-		}
-		if relrank+mask < size {
-			child := c.rank + mask
-			if child >= size {
-				child -= size
-			}
-			if _, err := c.Recv(p, child, tagReduce, tmp); err != nil {
-				return err
-			}
-			p.Delay(sim.Duration(len(tmp)) * c.eng.cfg.Costs.CopyPerByte)
-			op(acc, tmp)
-		}
-		mask <<= 1
+	if err := c.gather(p, rotated(c.members(liveness.PartitionInfo{}), root), tagReduce, op, acc); err != nil {
+		return err
 	}
 	if c.rank == root {
 		copy(recvBuf, acc)

@@ -21,11 +21,6 @@ type World struct {
 // (one per process, same transport family).
 func NewWorld(eps []xport.Endpoint, cfg Config) *World {
 	w := &World{}
-	if cfg.McastCollectives {
-		// Multicast collectives only make sense on a transport with
-		// hardware replication.
-		cfg.McastCollectives = len(eps) > 0 && eps[0].NativeMcast()
-	}
 	for _, ep := range eps {
 		w.engines = append(w.engines, newEngine(ep, cfg))
 	}
@@ -85,8 +80,9 @@ type Comm struct {
 	group []int // communicator rank -> world rank
 	rank  int   // my communicator rank
 	seq   uint32
-	// Release-tree re-plan state (select.go): the current plan epoch
-	// and, at a collective root, the suspect mask the epoch was cut for.
+	// Plan generation state (plan.go): the current plan epoch and the
+	// mask it was cut for — suspects at a fencing root, the unreachable
+	// arc on every quorum member.
 	planEpoch    uint32
 	lastPlanMask []byte
 }

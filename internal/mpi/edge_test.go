@@ -12,7 +12,7 @@ import (
 )
 
 func TestWaitanyReturnsFirstCompletion(t *testing.T) {
-	run(t, cluster.SCRAMNet, 3, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 3, func(p *sim.Proc, c *mpi.Comm) {
 		switch c.Rank() {
 		case 0:
 			buf1 := make([]byte, 8)
@@ -50,7 +50,7 @@ func TestWaitanyReturnsFirstCompletion(t *testing.T) {
 }
 
 func TestProbeBlocksUntilMessage(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			p.Delay(500 * sim.Microsecond)
 			if err := c.Send(p, 1, 8, []byte{1, 2, 3, 4, 5}); err != nil {
@@ -75,7 +75,7 @@ func TestManySmallIsendsDrainInOrder(t *testing.T) {
 	// A burst of nonblocking sends larger than the BBP slot count
 	// forces sender-side GC inside the MPI stack.
 	const count = 60
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			var reqs []*mpi.Request
 			for i := 0; i < count; i++ {
@@ -130,7 +130,11 @@ func TestCollectivesOnAllTransports(t *testing.T) {
 	for _, net := range cluster.AllNetworks {
 		net := net
 		t.Run(string(net), func(t *testing.T) {
-			run(t, net, 4, net == cluster.SCRAMNet || net == cluster.Hybrid,
+			algo := mpi.WithAlgorithm(mpi.Tree)
+			if net == cluster.SCRAMNet || net == cluster.Hybrid {
+				algo = mpi.WithAlgorithm(mpi.Mcast)
+			}
+			run(t, net, 4,
 				func(p *sim.Proc, c *mpi.Comm) {
 					buf := make([]byte, 64)
 					if c.Rank() == 2 {
@@ -138,7 +142,7 @@ func TestCollectivesOnAllTransports(t *testing.T) {
 							buf[i] = byte(i ^ 0x5a)
 						}
 					}
-					if err := c.Bcast(p, 2, buf); err != nil {
+					if err := c.Bcast(p, 2, buf, algo); err != nil {
 						t.Error(err)
 						return
 					}
@@ -148,7 +152,7 @@ func TestCollectivesOnAllTransports(t *testing.T) {
 							return
 						}
 					}
-					if err := c.Barrier(p); err != nil {
+					if err := c.Barrier(p, algo); err != nil {
 						t.Error(err)
 					}
 				})
@@ -160,7 +164,7 @@ func TestRendezvousBidirectionalExchange(t *testing.T) {
 	// Symmetric large-message Sendrecv: both sides in rendezvous at
 	// once — the pattern that deadlocks naive blocking protocols.
 	const size = 64 << 10
-	run(t, cluster.FastEthernet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.FastEthernet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		peer := 1 - c.Rank()
 		out := bytes.Repeat([]byte{byte(c.Rank() + 1)}, size)
 		in := make([]byte, size)
@@ -179,7 +183,7 @@ func TestStressAllToAllOnSCRAMNet(t *testing.T) {
 	// Sustained all-pairs traffic through the BBP-backed MPI: every
 	// rank exchanges with every other rank repeatedly.
 	const rounds = 8
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		size := c.Size()
 		n := 32
 		for r := 0; r < rounds; r++ {
@@ -205,7 +209,7 @@ func TestStressAllToAllOnSCRAMNet(t *testing.T) {
 }
 
 func TestSplitUndefinedColor(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		color := c.Rank() % 2
 		if c.Rank() == 3 {
 			color = -1 // MPI_UNDEFINED
@@ -234,7 +238,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 func TestLargeWorld(t *testing.T) {
 	// 16 ranks on one ring: deeper trees, more polling, longer ring.
 	const nodes = 16
-	run(t, cluster.SCRAMNet, nodes, true, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, nodes, func(p *sim.Proc, c *mpi.Comm) {
 		// Ring pass: each rank forwards a counter.
 		buf := make([]byte, 4)
 		if c.Rank() == 0 {
@@ -261,14 +265,14 @@ func TestLargeWorld(t *testing.T) {
 				return
 			}
 		}
-		if err := c.Barrier(p); err != nil {
+		if err := c.Barrier(p, mpi.WithAlgorithm(mpi.Mcast)); err != nil {
 			t.Error(err)
 		}
 	})
 }
 
 func TestStatusSourceIsCommRankAfterSplit(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		sub, err := c.Split(p, c.Rank()%2, c.Rank())
 		if err != nil {
 			t.Error(err)
@@ -294,7 +298,7 @@ func TestManySimultaneousWorlds(t *testing.T) {
 	// kernels are not global state.
 	k := sim.NewKernel()
 	for wi := 0; wi < 3; wi++ {
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +323,7 @@ func TestManySimultaneousWorlds(t *testing.T) {
 }
 
 func TestEngineStatsAccounting(t *testing.T) {
-	w := run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	w := run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < 3; i++ {
 				if err := c.Send(p, 1, 0, []byte{byte(i)}); err != nil {

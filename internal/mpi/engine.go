@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/liveness"
@@ -52,7 +53,7 @@ type Engine struct {
 	// stream is the transport's in-network collective extension, set
 	// when the endpoint implements xport.StreamReducer with a non-zero
 	// vector capacity (the BillBoard Protocol with Config.Stream). nil
-	// keeps AllreduceW on the software tree.
+	// keeps Allreduce on the software tree.
 	stream xport.StreamReducer
 
 	// zombies holds the windows of abandoned receives whose borrower
@@ -139,7 +140,7 @@ type EngineStats struct {
 	// into the mpi.rndv_zero_copy / mpi.window_stalls counters.
 	RndvZeroCopy int64
 	WindowStalls int64
-	// StreamAllreduces counts AllreduceW rounds completed by the
+	// StreamAllreduces counts Allreduce rounds completed by the
 	// in-network fast path; StreamFallbacks the rounds that degraded to
 	// the software tree after the transport declined (suspicion, loss,
 	// or timeout). Mirrored into mpi.stream_allreduces /
@@ -807,7 +808,7 @@ func (e *Engine) checkPartition(req *Request) error {
 	// straddled the declaration: its tree spans everyone, so it is
 	// abandoned group-wide — otherwise a rank gathered behind a fenced
 	// peer would sit out WaitTimeout instead of failing fast.
-	if req.src != AnySource && (req.tag >= 0 || bytesEq(c.lastPlanMask, c.partMask(part))) {
+	if req.src != AnySource && (req.tag >= 0 || bytes.Equal(c.lastPlanMask, c.rankMask(part.Unreachable))) {
 		if part.Unreachable(c.group[req.src]) {
 			return e.partitionErr(part)
 		}

@@ -14,9 +14,8 @@
 // Collective operations are built on point-to-point trees, as in stock
 // MPICH — except that, like the paper's modified MPICH, MPI_Bcast and
 // MPI_Barrier can instead use the BillBoard Protocol's single-step
-// multicast directly (Comm.BcastMcast / Comm.BarrierMcast, selected
-// automatically when the transport has native multicast and
-// Config.McastCollectives is set).
+// multicast directly (Comm.Bcast / Comm.Barrier with
+// WithAlgorithm(Mcast), on a transport with native multicast).
 //
 // Protocol notes. Messages at or below Config.EagerMax use the eager
 // protocol: one control packet carrying the envelope, followed by the
@@ -152,9 +151,6 @@ type Config struct {
 	ChunkSize int
 	// CollChunk is the payload per multicast fast-path message.
 	CollChunk int
-	// McastCollectives selects the BBP-multicast implementations of
-	// Bcast and Barrier when the transport supports native multicast.
-	McastCollectives bool
 	// DirectADI models the paper's first §7 future-work direction: an
 	// Abstract Device Interface implemented directly on the BillBoard
 	// API, removing the Channel Interface layer. Per-call binding costs

@@ -15,10 +15,10 @@ import (
 
 // run builds a world on the given network and executes body on every
 // rank to completion.
-func run(t testing.TB, net cluster.Network, nodes int, mcast bool, body func(p *sim.Proc, c *mpi.Comm)) *mpi.World {
+func run(t testing.TB, net cluster.Network, nodes int, body func(p *sim.Proc, c *mpi.Comm)) *mpi.World {
 	t.Helper()
 	k := sim.NewKernel()
-	_, w, err := cluster.NewMPIWorld(k, net, nodes, mcast)
+	_, w, err := cluster.NewMPIWorld(k, net, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSendRecvAllNetworks(t *testing.T) {
 		net := net
 		t.Run(string(net), func(t *testing.T) {
 			msg := []byte("mpi over " + string(net))
-			run(t, net, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+			run(t, net, 2, func(p *sim.Proc, c *mpi.Comm) {
 				switch c.Rank() {
 				case 0:
 					if err := c.Send(p, 1, 7, msg); err != nil {
@@ -57,7 +57,7 @@ func TestSendRecvAllNetworks(t *testing.T) {
 }
 
 func TestZeroByteMessage(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 0, nil); err != nil {
 				t.Error(err)
@@ -74,7 +74,7 @@ func TestZeroByteMessage(t *testing.T) {
 func TestTagMatchingAndOrdering(t *testing.T) {
 	// Two messages with different tags, received in reverse tag order:
 	// matching must pick by tag, not arrival order.
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 1, []byte{1}); err != nil {
 				t.Error(err)
@@ -96,7 +96,7 @@ func TestTagMatchingAndOrdering(t *testing.T) {
 }
 
 func TestAnySourceAnyTag(t *testing.T) {
-	run(t, cluster.SCRAMNet, 3, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 3, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			seen := map[int]bool{}
 			buf := make([]byte, 4)
@@ -125,7 +125,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 
 func TestNonOvertakingSameTag(t *testing.T) {
 	const count = 30
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < count; i++ {
 				if err := c.Send(p, 1, 5, []byte{byte(i)}); err != nil {
@@ -149,7 +149,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 	const size = 100 << 10 // well above EagerMax
 	payload := make([]byte, size)
 	sim.NewRNG(5).Bytes(payload)
-	w := run(t, cluster.FastEthernet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	w := run(t, cluster.FastEthernet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 9, payload); err != nil {
 				t.Error(err)
@@ -169,7 +169,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 }
 
 func TestEagerUnexpectedBuffering(t *testing.T) {
-	w := run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	w := run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 3, []byte("early bird")); err != nil {
 				t.Error(err)
@@ -194,7 +194,7 @@ func TestEagerUnexpectedBuffering(t *testing.T) {
 }
 
 func TestTruncationError(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 1, make([]byte, 100)); err != nil {
 				t.Error(err)
@@ -209,7 +209,7 @@ func TestTruncationError(t *testing.T) {
 }
 
 func TestIsendIrecvWaitTest(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			req, err := c.Isend(p, 1, 11, []byte("async"))
 			if err != nil {
@@ -244,7 +244,7 @@ func TestIsendIrecvWaitTest(t *testing.T) {
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		peer := 1 - c.Rank()
 		out := []byte{byte(10 + c.Rank())}
 		in := make([]byte, 1)
@@ -256,7 +256,7 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestIprobe(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() == 0 {
 			if err := c.Send(p, 1, 21, []byte{1, 2, 3}); err != nil {
 				t.Error(err)
@@ -280,19 +280,19 @@ func TestIprobe(t *testing.T) {
 }
 
 func TestBcastBothImplsAllRoots(t *testing.T) {
-	for _, impl := range []string{"tree", "mcast"} {
+	for _, impl := range []mpi.Algorithm{mpi.Tree, mpi.Mcast} {
 		impl := impl
-		t.Run(impl, func(t *testing.T) {
+		t.Run(impl.String(), func(t *testing.T) {
 			for root := 0; root < 4; root++ {
 				root := root
 				payload := make([]byte, 700)
 				sim.NewRNG(uint64(root)).Bytes(payload)
-				run(t, cluster.SCRAMNet, 4, impl == "mcast", func(p *sim.Proc, c *mpi.Comm) {
+				run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 					buf := make([]byte, len(payload))
 					if c.Rank() == root {
 						copy(buf, payload)
 					}
-					if err := c.Bcast(p, root, buf); err != nil {
+					if err := c.Bcast(p, root, buf, mpi.WithAlgorithm(impl)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -308,12 +308,12 @@ func TestBcastBothImplsAllRoots(t *testing.T) {
 func TestBcastMultiChunk(t *testing.T) {
 	payload := make([]byte, 5000) // > CollChunk: multiple mcast messages
 	sim.NewRNG(9).Bytes(payload)
-	run(t, cluster.SCRAMNet, 4, true, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		buf := make([]byte, len(payload))
 		if c.Rank() == 1 {
 			copy(buf, payload)
 		}
-		if err := c.Bcast(p, 1, buf); err != nil {
+		if err := c.Bcast(p, 1, buf, mpi.WithAlgorithm(mpi.Mcast)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -324,11 +324,11 @@ func TestBcastMultiChunk(t *testing.T) {
 }
 
 func TestBarrierBothImplsSynchronize(t *testing.T) {
-	for _, impl := range []string{"tree", "mcast"} {
+	for _, impl := range []mpi.Algorithm{mpi.Tree, mpi.Mcast} {
 		impl := impl
-		t.Run(impl, func(t *testing.T) {
+		t.Run(impl.String(), func(t *testing.T) {
 			k := sim.NewKernel()
-			_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4, impl == "mcast")
+			_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func TestBarrierBothImplsSynchronize(t *testing.T) {
 				if at := p.Now(); at > lastArrival {
 					lastArrival = at
 				}
-				if err := c.Barrier(p); err != nil {
+				if err := c.Barrier(p, mpi.WithAlgorithm(impl)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -362,9 +362,9 @@ func TestBarrierBothImplsSynchronize(t *testing.T) {
 
 func TestBarrierRepeated(t *testing.T) {
 	// Consecutive barriers must not cross-talk (sequence discipline).
-	run(t, cluster.SCRAMNet, 4, true, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		for i := 0; i < 5; i++ {
-			if err := c.Barrier(p); err != nil {
+			if err := c.Barrier(p, mpi.WithAlgorithm(mpi.Mcast)); err != nil {
 				t.Errorf("barrier %d: %v", i, err)
 				return
 			}
@@ -374,7 +374,7 @@ func TestBarrierRepeated(t *testing.T) {
 
 func TestReduceAndAllreduce(t *testing.T) {
 	const n = 8
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		send := make([]byte, 8*n)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint64(send[8*i:], math.Float64bits(float64(c.Rank()+i)))
@@ -395,7 +395,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 }
 
 func TestReduceMaxToNonzeroRoot(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		send := make([]byte, 8)
 		binary.LittleEndian.PutUint64(send, math.Float64bits(float64(10*c.Rank())))
 		recv := make([]byte, 8)
@@ -413,7 +413,7 @@ func TestReduceMaxToNonzeroRoot(t *testing.T) {
 
 func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 	const n = 4
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		size := c.Size()
 		me := byte(c.Rank())
 
@@ -476,7 +476,7 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 }
 
 func TestCommSplitAndCollectivesInSubcomm(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		sub, err := c.Split(p, c.Rank()%2, c.Rank())
 		if err != nil {
 			t.Error(err)
@@ -507,7 +507,7 @@ func TestCommSplitAndCollectivesInSubcomm(t *testing.T) {
 }
 
 func TestCommDupIsolatesTraffic(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		dup := c.Dup()
 		if c.Rank() == 0 {
 			// Same tag on two communicators: receives must match by
@@ -536,7 +536,7 @@ func TestMPILatencyCalibration(t *testing.T) {
 	// SCRAMNet; the MPI layer adds ~constant overhead to the API layer.
 	lat := func(n int) float64 {
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +577,7 @@ func TestPropertyRandomTrafficDeliveredExactlyOnce(t *testing.T) {
 	f := func(seed uint64) bool {
 		const nodes = 3
 		k := sim.NewKernel()
-		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes, false)
+		_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, nodes)
 		if err != nil {
 			return false
 		}
@@ -634,7 +634,7 @@ func TestPropertyRandomTrafficDeliveredExactlyOnce(t *testing.T) {
 }
 
 func TestBadArguments(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
 		if c.Rank() != 0 {
 			return
 		}
@@ -653,7 +653,7 @@ func TestBadArguments(t *testing.T) {
 func TestManyRanksTree(t *testing.T) {
 	// Collectives on a larger ring exercise deeper binomial trees.
 	const nodes = 7
-	run(t, cluster.SCRAMNet, nodes, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, nodes, func(p *sim.Proc, c *mpi.Comm) {
 		buf := []byte{0}
 		if c.Rank() == 3 {
 			buf[0] = 42
@@ -669,7 +669,7 @@ func TestManyRanksTree(t *testing.T) {
 
 func ExampleComm_Send() {
 	k := sim.NewKernel()
-	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2, false)
+	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2)
 	if err != nil {
 		panic(err)
 	}

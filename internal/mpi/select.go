@@ -2,30 +2,18 @@ package mpi
 
 // This file is the collective selection layer (DESIGN.md §15): one
 // entry point per collective — Barrier, Bcast, Allreduce — with the
-// algorithm chosen per call from an options list. Auto (the default)
-// selects from the membership view, the transport's capabilities, the
-// rank count, and the message size; the variant-suffixed methods the
-// package used to export (BarrierMcast, BcastTree, AllreduceW, ...)
-// survive only as thin deprecated wrappers over WithAlgorithm.
+// algorithm chosen per call from an options list. Each entry point
+// asks membership for a plan first (plan.go): that gate fences the
+// minority side of a declared partition, and a quorum plan always runs
+// the tree. Otherwise Auto (the default) selects from the transport's
+// capabilities and the message size, and WithAlgorithm pins a choice.
 //
-// Two mechanisms live here besides dispatch:
-//
-//   - The NIC-combined paths: Barrier expressed as one spin.Reducer
-//     round over a single all-ones BAND lane, and Allreduce over the
-//     same streaming pass, so gather state accumulates inside the
-//     SCRAMNet cards at each ring transit (the combining counter,
-//     PROTOCOL.md) instead of in rank-side poll trees.
-//
-//   - The membership-aware re-plan: on a transport with a failure
-//     detector, the tree release phase of Bcast/Barrier is re-planned
-//     around *suspected* members — the root fences the collective with
-//     a plan record (epoch + suspect mask) broadcast over the fixed
-//     tree, then the payload flows over a tree in which suspects hang
-//     off the root as leaves and forward to nobody. A falsely
-//     suspected member still receives and the result matches the
-//     all-alive run; a genuinely dead member surfaces as a
-//     DeadPeerError bounded by the detector's confirmation window,
-//     without having stalled any healthy member's subtree.
+// The NIC-combined paths also live here: Barrier expressed as one
+// spin.Reducer round over a single all-ones BAND lane, and Allreduce
+// over the same streaming pass, so gather state accumulates inside the
+// SCRAMNet cards at each ring transit (the combining counter,
+// PROTOCOL.md) instead of in rank-side poll trees. When the transport
+// declines a round, the call degrades to the tree over its plan.
 
 import (
 	"encoding/binary"
@@ -33,7 +21,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/liveness"
 	"repro/internal/sim"
 	"repro/internal/spin"
 	"repro/internal/trace"
@@ -100,12 +87,21 @@ func WithAlgorithm(a Algorithm) CollectiveOption {
 	return func(o *CollectiveOpts) { o.Algorithm = a }
 }
 
-func collectiveOpts(opts []CollectiveOption) CollectiveOpts {
+// algorithm resolves a call's options against its plan: a quorum plan
+// always runs the tree (the only shape that spans a subgroup), and
+// Auto resolves to auto.
+func (pl plan) algorithm(opts []CollectiveOption, auto Algorithm) Algorithm {
+	if pl.quorum {
+		return Tree
+	}
 	var o CollectiveOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
-	return o
+	if o.Algorithm == Auto {
+		return auto
+	}
+	return o.Algorithm
 }
 
 // The streamable 32-bit-lane operators as mpi.Op values. These are the
@@ -166,26 +162,6 @@ func ringOpOf(op Op) spin.RingOp {
 	return ringOpTable[reflect.ValueOf(op).Pointer()]
 }
 
-// opOfRing is the inverse: the named host-side Op computing exactly
-// what the ring operator computes, nil for an invalid operator.
-func opOfRing(r spin.RingOp) Op {
-	switch r {
-	case spin.OpSumU32:
-		return SumU32
-	case spin.OpMaxU32:
-		return MaxU32
-	case spin.OpMinU32:
-		return MinU32
-	case spin.OpBOR:
-		return BorU32
-	case spin.OpBAND:
-		return BandU32
-	case spin.OpBXOR:
-		return BxorU32
-	}
-	return nil
-}
-
 // nicEligible reports whether the NIC combining substrate is usable
 // for this communicator at all: an in-network transport, and the world
 // communicator (the stream region is laid out for world ranks).
@@ -193,65 +169,49 @@ func (c *Comm) nicEligible() bool {
 	return c.eng.stream != nil && c.ctx == 1
 }
 
-// chooseHostBarrier is the host-side half of the barrier policy:
-// native multicast coordination when configured, else the tree.
-func (c *Comm) chooseHostBarrier() Algorithm {
-	if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
-		return Mcast
-	}
-	return Tree
-}
-
 // Barrier blocks until every member arrives. Auto prefers the
 // NIC-combined round (gather state accumulated in the cards, one
-// counter poll at rank 0), degrading to the host mcast/tree path when
-// the stream substrate is absent, the membership view is not
-// all-alive, or a packet was lost mid-round — the degradation verdict
-// is rank-uniform, so every member falls back together.
+// counter poll at rank 0), degrading to the tree when the stream
+// substrate is absent, the membership view is not all-alive, or a
+// packet was lost mid-round — the degradation verdict is rank-uniform,
+// so every member falls back together.
 func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
 	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=quorum size=%d of %d", len(subs), c.Size())
-			e.tracer.PushParent(span)
-			err := c.barrierQuorum(p, part, subs)
-			e.tracer.PopParent()
-			e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier-end", span, 0, "err=%v", err)
-			return err
-		}
+	pl, err := c.membership(p, rootless)
+	if err != nil {
+		return err
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.nicEligible() {
-			algo = NICCombined
-		} else {
-			algo = c.chooseHostBarrier()
-		}
+	auto := Tree
+	if c.nicEligible() {
+		auto = NICCombined
 	}
-	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=%v size=%d", algo, c.Size())
+	algo := pl.algorithm(opts, auto)
+	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=%v size=%d", algo, len(pl.order))
 	e.tracer.PushParent(span)
-	err := c.runBarrier(p, algo)
+	switch algo {
+	case NICCombined:
+		err = c.barrierNIC(p, pl)
+	case Mcast:
+		err = c.barrierMcast(p)
+	case Tree:
+		err = c.barrierTree(p, pl)
+	case Dissemination:
+		err = c.barrierDissemination(p)
+	default:
+		err = fmt.Errorf("%w: %v barrier", ErrBadAlgorithm, algo)
+	}
 	e.tracer.PopParent()
 	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier-end", span, 0, "err=%v", err)
 	return err
 }
 
-func (c *Comm) runBarrier(p *sim.Proc, algo Algorithm) error {
-	switch algo {
-	case NICCombined:
-		return c.barrierNIC(p)
-	case Mcast:
-		return c.barrierMcast(p)
-	case Tree:
-		return c.barrierTree(p)
-	case Dissemination:
-		return c.barrierDissemination(p)
+// barrierTree gathers empty arrival tokens to the plan's root, then
+// releases everyone over the (possibly re-planned) tree.
+func (c *Comm) barrierTree(p *sim.Proc, pl plan) error {
+	if err := c.gather(p, pl, tagBarrier, nil, nil); err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: %v barrier", ErrBadAlgorithm, algo)
+	return c.broadcast(p, pl, nil)
 }
 
 // barrierNIC expresses the barrier as one spin.Reducer round over a
@@ -260,11 +220,11 @@ func (c *Comm) runBarrier(p *sim.Proc, algo Algorithm) error {
 // counter inside the card, and rank 0's one counter poll replaces the
 // rank-side gather tree. The transport declines collectively (same
 // verdict every rank) when the all-alive gate fails or a packet was
-// lost, and the barrier degrades to the host path.
-func (c *Comm) barrierNIC(p *sim.Proc) error {
+// lost, and the barrier degrades to the tree.
+func (c *Comm) barrierNIC(p *sim.Proc, pl plan) error {
 	e := c.eng
 	if !c.nicEligible() {
-		return c.runBarrier(p, c.chooseHostBarrier())
+		return c.barrierTree(p, pl)
 	}
 	var one, out [4]byte
 	binary.LittleEndian.PutUint32(one[:], ^uint32(0))
@@ -280,113 +240,84 @@ func (c *Comm) barrierNIC(p *sim.Proc) error {
 	}
 	e.stats.StreamFallbacks++
 	e.im.streamFalls.Inc()
-	return c.runBarrier(p, c.chooseHostBarrier())
+	return c.barrierTree(p, pl)
 }
 
-// Bcast broadcasts buf (same length on all ranks) from root. Auto uses
-// the transport's single-step native multicast when configured, else
+// Bcast broadcasts buf (same length on all ranks) from root. Auto runs
 // the binomial tree (re-planned around suspected members when a
-// failure detector runs).
+// failure detector runs); WithAlgorithm(Mcast) selects the
+// transport's single-step native multicast.
 func (c *Comm) Bcast(p *sim.Proc, root int, buf []byte, opts ...CollectiveOption) error {
-	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			if err := c.checkRank(root); err != nil {
-				return err
-			}
-			if part.Unreachable(c.group[root]) {
-				// The payload source itself is behind the cut: no quorum
-				// re-plan can produce it.
-				return e.partitionErr(part)
-			}
-			c.notePartitionPlan(p, part, subs, c.rank == root)
-			return c.bcastSub(p, subs, subIndex(subs, root), tagBcast, buf)
-		}
+	pl, err := c.membership(p, root)
+	if err != nil {
+		return err
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
-			algo = Mcast
-		} else {
-			algo = Tree
-		}
-	}
-	switch algo {
+	switch algo := pl.algorithm(opts, Tree); algo {
 	case Mcast:
 		return c.bcastMcast(p, root, buf)
 	case Tree:
-		return c.bcastTree(p, root, buf)
+		return c.broadcast(p, pl, buf)
+	default:
+		return fmt.Errorf("%w: %v bcast", ErrBadAlgorithm, algo)
 	}
-	return fmt.Errorf("%w: %v bcast", ErrBadAlgorithm, algo)
 }
 
 // Allreduce combines sendBuf from every rank with op (assumed
 // commutative and associative) into every rank's recvBuf. Auto
 // offloads to the NIC combining pass when the op is one of the named
 // u32 operators (SumU32, ..., BxorU32), the vector fits the stream
-// region, and the substrate is present; everything else runs the
-// Reduce+Bcast tree. Dissemination selects recursive doubling.
+// region, and the substrate is present; everything else runs the tree
+// (gather with the fold, then release). Dissemination selects
+// recursive doubling. A recvBuf shorter than sendBuf returns
+// ErrTruncated before any traffic, whatever the algorithm.
 func (c *Comm) Allreduce(p *sim.Proc, op Op, sendBuf, recvBuf []byte, opts ...CollectiveOption) error {
-	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			return c.allreduceQuorum(p, part, subs, op, sendBuf, recvBuf)
-		}
+	if len(recvBuf) < len(sendBuf) {
+		return ErrTruncated
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.nicReduceEligible(op, sendBuf, recvBuf) {
-			algo = NICCombined
-		} else {
-			algo = Tree
-		}
+	pl, err := c.membership(p, rootless)
+	if err != nil {
+		return err
 	}
-	switch algo {
+	auto := Tree
+	if c.nicReduceEligible(op, sendBuf) {
+		auto = NICCombined
+	}
+	recv := recvBuf[:len(sendBuf)]
+	switch algo := pl.algorithm(opts, auto); algo {
 	case NICCombined:
-		return c.allreduceNIC(p, op, sendBuf, recvBuf)
+		return c.allreduceNIC(p, pl, op, sendBuf, recv)
 	case Tree:
-		return c.allreduceTree(p, op, sendBuf, recvBuf)
+		return c.allreduceTree(p, pl, op, sendBuf, recv)
 	case Dissemination:
-		return c.allreduceRD(p, op, sendBuf, recvBuf)
+		return c.allreduceRD(p, op, sendBuf, recv)
+	default:
+		return fmt.Errorf("%w: %v allreduce", ErrBadAlgorithm, algo)
 	}
-	return fmt.Errorf("%w: %v allreduce", ErrBadAlgorithm, algo)
 }
 
 // nicReduceEligible reports whether this allreduce call can try the
 // in-network pass. For a well-formed collective call — every rank
 // passing the same op and equally sized buffers — every predicate is
-// rank-uniform except the recvBuf length, which a buggy caller can
-// break per-rank; that rank then declines alone, rank 0's arrival wait
-// expires, and the whole collective degrades to the tree together (see
-// core.StreamAllreduce).
-func (c *Comm) nicReduceEligible(op Op, sendBuf, recvBuf []byte) bool {
+// rank-uniform, so the ranks agree without exchanging a message.
+func (c *Comm) nicReduceEligible(op Op, sendBuf []byte) bool {
 	n := len(sendBuf)
 	return c.nicEligible() && ringOpOf(op).Valid() &&
-		n > 0 && n%4 == 0 && n <= c.eng.stream.StreamMax() && len(recvBuf) >= n
+		n > 0 && n%4 == 0 && n <= c.eng.stream.StreamMax()
 }
 
 // allreduceNIC runs the streaming in-network reduction, degrading to
 // the tree when the transport declines (suspicion, loss, or timeout —
 // same verdict on every rank for the same round).
-func (c *Comm) allreduceNIC(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
-	if !c.nicReduceEligible(op, sendBuf, recvBuf) {
-		return c.allreduceTree(p, op, sendBuf, recvBuf)
+func (c *Comm) allreduceNIC(p *sim.Proc, pl plan, op Op, sendBuf, recv []byte) error {
+	if !c.nicReduceEligible(op, sendBuf) {
+		return c.allreduceTree(p, pl, op, sendBuf, recv)
 	}
 	e := c.eng
 	ring := ringOpOf(op)
-	n := len(sendBuf)
 	p.Delay(e.cfg.Costs.CollOverhead)
-	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "allreduce-stream", 0, e.tracer.Parent(), "op=%v len=%d", ring, n)
+	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "allreduce-stream", 0, e.tracer.Parent(), "op=%v len=%d", ring, len(sendBuf))
 	e.tracer.PushParent(span)
-	done, err := e.stream.StreamAllreduce(p, ring, sendBuf, recvBuf[:n])
+	done, err := e.stream.StreamAllreduce(p, ring, sendBuf, recv)
 	e.tracer.PopParent()
 	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "allreduce-stream-end", span, 0, "done=%v err=%v", done, err)
 	if err != nil {
@@ -399,413 +330,18 @@ func (c *Comm) allreduceNIC(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
 	}
 	e.stats.StreamFallbacks++
 	e.im.streamFalls.Inc()
-	return c.allreduceTree(p, op, sendBuf, recvBuf)
+	return c.allreduceTree(p, pl, op, sendBuf, recv)
 }
 
-// allreduceTree is Reduce to rank 0 followed by the host broadcast
-// (native multicast when configured, else the tree).
-func (c *Comm) allreduceTree(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
-	if err := c.Reduce(p, 0, op, sendBuf, recvBuf); err != nil {
+// allreduceTree folds every contribution to the plan's root over the
+// gather, then releases the result over the (possibly re-planned)
+// tree. Under a quorum plan the unreachable arc's contributions are
+// simply absent: the reduction over the quorum is the only meaningful
+// result a partitioned collective can produce.
+func (c *Comm) allreduceTree(p *sim.Proc, pl plan, op Op, sendBuf, recv []byte) error {
+	copy(recv, sendBuf)
+	if err := c.gather(p, pl, tagReduce, op, recv); err != nil {
 		return err
 	}
-	if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
-		return c.bcastMcast(p, 0, recvBuf)
-	}
-	return c.bcastTree(p, 0, recvBuf)
-}
-
-// --- Membership-aware tree re-plan -----------------------------------
-//
-// A planned release tree (bcastTree and the barrier release) demotes
-// every member the root's failure detector holds in Suspect or Dead to
-// a leaf hanging directly off the root: suspects forward to nobody, so
-// a member that is about to be confirmed dead cannot stall a healthy
-// subtree behind it. The plan is decided by the root alone and fenced
-// in-band — a plan record (epoch + suspect mask) rides the fixed-shape
-// tree ahead of the payload — so divergent per-rank membership views
-// cannot split the collective: every member routes by the carried
-// plan, not by its own view. The epoch increments each time the root's
-// suspect set changes (Engine.Stats().CollReplans, mpi.coll_replans),
-// marking re-plan generations in traces.
-
-// suspectMask returns the comm-rank bitmask of members this rank's
-// membership view holds in a non-Alive state (empty without a
-// detector).
-func (c *Comm) suspectMask() []byte {
-	mask := make([]byte, (c.Size()+7)/8)
-	e := c.eng
-	if e.live == nil {
-		return mask
-	}
-	self := e.ep.Rank()
-	for r, w := range c.group {
-		if w != self && e.live.State(w) != liveness.Alive {
-			mask[r/8] |= 1 << (r % 8)
-		}
-	}
-	return mask
-}
-
-func maskBit(mask []byte, r int) bool { return mask[r/8]&(1<<(r%8)) != 0 }
-
-func maskEmpty(mask []byte) bool {
-	for _, b := range mask {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// planOrder lays out the release tree: root at position 0, healthy
-// members in rank order, suspected members last. Positions [0, h) form
-// the binomial tree (h = healthy count); positions [h, size) hang off
-// the root as direct leaves.
-func planOrder(size, root int, mask []byte) (order []int, healthy int) {
-	order = make([]int, 0, size)
-	order = append(order, root)
-	for r := 0; r < size; r++ {
-		if r != root && !maskBit(mask, r) {
-			order = append(order, r)
-		}
-	}
-	healthy = len(order)
-	for r := 0; r < size; r++ {
-		if r != root && maskBit(mask, r) {
-			order = append(order, r)
-		}
-	}
-	return order, healthy
-}
-
-// bcastTree is the tree broadcast: the stock binomial shape without a
-// failure detector, the fenced re-planned shape with one.
-func (c *Comm) bcastTree(p *sim.Proc, root int, buf []byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if c.eng.live == nil || c.Size() == 1 {
-		return c.bcastFixed(p, root, tagBcast, buf)
-	}
-	mask, err := c.fencePlan(p, root)
-	if err != nil {
-		return err
-	}
-	return c.bcastPlanned(p, root, mask, buf)
-}
-
-// fencePlan is the re-plan fence: the root reads its membership view,
-// bumps the plan epoch if the suspect set changed, and broadcasts the
-// plan record over the fixed-shape tree so every member holds the same
-// plan before any payload moves. Returns the suspect mask to route by.
-func (c *Comm) fencePlan(p *sim.Proc, root int) ([]byte, error) {
-	e := c.eng
-	nb := (c.Size() + 7) / 8
-	rec := make([]byte, 4+nb)
-	if c.rank == root {
-		mask := c.suspectMask()
-		if !bytesEq(mask, c.lastPlanMask) {
-			c.planEpoch++
-			c.lastPlanMask = append([]byte(nil), mask...)
-			if !maskEmpty(mask) {
-				e.stats.CollReplans++
-				e.im.collReplans.Inc()
-				e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x", c.planEpoch, mask)
-			}
-		}
-		binary.LittleEndian.PutUint32(rec, c.planEpoch)
-		copy(rec[4:], mask)
-	}
-	if err := c.bcastFixed(p, root, tagPlan, rec); err != nil {
-		return nil, err
-	}
-	mask := rec[4:]
-	// The root can never be its own suspect; clear defensively so the
-	// order math cannot double-place it.
-	mask[root/8] &^= 1 << (root % 8)
-	if c.rank != root {
-		c.planEpoch = binary.LittleEndian.Uint32(rec)
-	}
-	return mask, nil
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bcastFixed is the stock MPICH binomial-tree broadcast over
-// point-to-point, parameterized by tag so the plan fence and the
-// payload share one shape.
-func (c *Comm) bcastFixed(p *sim.Proc, root, tag int, buf []byte) error {
-	size := c.Size()
-	relrank := (c.rank - root + size) % size
-	mask := 1
-	for mask < size {
-		if relrank&mask != 0 {
-			src := c.rank - mask
-			if src < 0 {
-				src += size
-			}
-			if _, err := c.Recv(p, src, tag, buf); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if relrank+mask < size {
-			dst := c.rank + mask
-			if dst >= size {
-				dst -= size
-			}
-			if err := c.Send(p, dst, tag, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	return nil
-}
-
-// bcastPlanned routes the payload over the re-planned tree: binomial
-// over the healthy positions, suspects fed directly by the root.
-func (c *Comm) bcastPlanned(p *sim.Proc, root int, suspects, buf []byte) error {
-	order, h := planOrder(c.Size(), root, suspects)
-	pos := -1
-	for q, r := range order {
-		if r == c.rank {
-			pos = q
-			break
-		}
-	}
-	if pos >= h {
-		// A suspect (by the root's view — possibly falsely): receive
-		// straight from the root, forward nothing.
-		_, err := c.Recv(p, root, tagBcast, buf)
-		return err
-	}
-	mask := 1
-	for mask < h {
-		if pos&mask != 0 {
-			if _, err := c.Recv(p, order[pos-mask], tagBcast, buf); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if pos+mask < h {
-			if err := c.Send(p, order[pos+mask], tagBcast, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	if pos == 0 {
-		// The root feeds each demoted member last: their payload never
-		// gates a healthy subtree, and a confirmed-dead member surfaces
-		// here (or at its own liveness-aware receive) as DeadPeerError.
-		for q := h; q < len(order); q++ {
-			if err := c.Send(p, order[q], tagBcast, buf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// barrierTree is the point-to-point barrier: binomial gather of
-// arrival tokens to rank 0 (fixed shape — arrivals flow toward the
-// root regardless of suspicion, since only the root owns the re-plan
-// decision), then the release over the planned tree.
-func (c *Comm) barrierTree(p *sim.Proc) error {
-	size := c.Size()
-	relrank := c.rank // root is always 0
-	mask := 1
-	for mask < size {
-		if relrank&mask != 0 {
-			parent := c.rank - mask
-			if err := c.Send(p, parent, tagBarrier, nil); err != nil {
-				return err
-			}
-			break
-		}
-		if relrank+mask < size {
-			child := c.rank + mask
-			if _, err := c.Recv(p, child, tagBarrier, nil); err != nil {
-				return err
-			}
-		}
-		mask <<= 1
-	}
-	return c.bcastTree(p, 0, nil)
-}
-
-// --- Quorum collectives under a declared partition -------------------
-//
-// When the transport declares a ring partition, majority-side
-// collectives re-plan over the quorum: the subgroup of communicator
-// members whose world rank is reachable. Unlike the suspect re-plan
-// above, no fence record is broadcast — the plan is derived by every
-// member independently from its own declared partition, which is safe
-// because the declaration itself is deterministic (hardware cut count
-// plus a contiguous stable suspect arc, converging on the shared
-// heartbeat tick). The minority side never reaches these paths: its
-// members get a PartitionError at the entry gate. Epoch bookkeeping
-// still runs (notePartitionPlan) so re-plan generations stay visible in
-// traces and the post-heal fencePlan sees the mask change.
-
-// quorumRanks returns the comm ranks on this side of the partition, in
-// rank order. The calling rank is always included (it is, by
-// construction, on the near side).
-func (c *Comm) quorumRanks(part liveness.PartitionInfo) []int {
-	subs := make([]int, 0, c.Size())
-	for r, w := range c.group {
-		if !part.Unreachable(w) {
-			subs = append(subs, r)
-		}
-	}
-	return subs
-}
-
-// subIndex returns r's position in subs, -1 when absent.
-func subIndex(subs []int, r int) int {
-	for i, s := range subs {
-		if s == r {
-			return i
-		}
-	}
-	return -1
-}
-
-// partMask renders the partition's unreachable members as a comm-rank
-// bitmask, the same shape fencePlan uses for suspects, so plan
-// generations from both machineries compare with bytesEq.
-func (c *Comm) partMask(part liveness.PartitionInfo) []byte {
-	mask := make([]byte, (c.Size()+7)/8)
-	for r, w := range c.group {
-		if part.Unreachable(w) {
-			mask[r/8] |= 1 << (r % 8)
-		}
-	}
-	return mask
-}
-
-// notePartitionPlan records the quorum as a plan generation: same
-// epoch/mask bookkeeping as fencePlan, but updated symmetrically on
-// every member (there is no record broadcast to sync from). The
-// counter and trace fire only at the collective's root so CollReplans
-// keeps its one-per-replanned-collective meaning.
-func (c *Comm) notePartitionPlan(p *sim.Proc, part liveness.PartitionInfo, subs []int, isRoot bool) {
-	e := c.eng
-	mask := c.partMask(part)
-	if bytesEq(mask, c.lastPlanMask) {
-		return
-	}
-	c.planEpoch++
-	c.lastPlanMask = mask
-	if isRoot {
-		e.stats.CollReplans++
-		e.im.collReplans.Inc()
-		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x quorum=%d", c.planEpoch, mask, len(subs))
-	}
-}
-
-// bcastSub is the binomial broadcast over the quorum subgroup, rooted
-// at position rootPos of subs.
-func (c *Comm) bcastSub(p *sim.Proc, subs []int, rootPos, tag int, buf []byte) error {
-	n := len(subs)
-	rel := (subIndex(subs, c.rank) - rootPos + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := subs[(rel-mask+rootPos)%n]
-			if _, err := c.Recv(p, src, tag, buf); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			dst := subs[(rel+mask+rootPos)%n]
-			if err := c.Send(p, dst, tag, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	return nil
-}
-
-// barrierQuorum gathers arrival tokens to the quorum's first member
-// and releases over the same subgroup tree.
-func (c *Comm) barrierQuorum(p *sim.Proc, part liveness.PartitionInfo, subs []int) error {
-	c.notePartitionPlan(p, part, subs, c.rank == subs[0])
-	n := len(subs)
-	pos := subIndex(subs, c.rank)
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			if err := c.Send(p, subs[pos-mask], tagBarrier, nil); err != nil {
-				return err
-			}
-			break
-		}
-		if pos+mask < n {
-			if _, err := c.Recv(p, subs[pos+mask], tagBarrier, nil); err != nil {
-				return err
-			}
-		}
-		mask <<= 1
-	}
-	return c.bcastSub(p, subs, 0, tagBcast, nil)
-}
-
-// allreduceQuorum folds the quorum's contributions to its first member
-// over the binomial gather, then broadcasts the result back over the
-// subgroup. The unreachable arc's contributions are simply absent —
-// the quorum's result is the reduction over the quorum, which is the
-// only meaningful result a partitioned collective can produce.
-func (c *Comm) allreduceQuorum(p *sim.Proc, part liveness.PartitionInfo, subs []int, op Op, sendBuf, recvBuf []byte) error {
-	if len(recvBuf) < len(sendBuf) {
-		return ErrTruncated
-	}
-	c.notePartitionPlan(p, part, subs, c.rank == subs[0])
-	n := len(subs)
-	pos := subIndex(subs, c.rank)
-	acc := recvBuf[:len(sendBuf)]
-	copy(acc, sendBuf)
-	tmp := make([]byte, len(sendBuf))
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			if err := c.Send(p, subs[pos-mask], tagReduce, acc); err != nil {
-				return err
-			}
-			break
-		}
-		if pos+mask < n {
-			if _, err := c.Recv(p, subs[pos+mask], tagReduce, tmp); err != nil {
-				return err
-			}
-			op(acc, tmp)
-		}
-		mask <<= 1
-	}
-	return c.bcastSub(p, subs, 0, tagBcast, acc)
+	return c.broadcast(p, pl, recv)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/liveness"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/spin"
 )
 
 // streamCluster builds a flat-ring SCRAMNet testbed with the streaming
@@ -43,7 +42,7 @@ func TestAllreduceWFastPath(t *testing.T) {
 			putU32(send[4*lane:], uint32(me+1)<<uint(lane))
 		}
 		recv := make([]byte, 16)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -77,14 +76,19 @@ func TestAllreduceWFastPath(t *testing.T) {
 	}
 }
 
-// TestAllreduceWMatchesTree: the fast path and the software tree must
-// produce byte-identical results for every ring op (the fallback uses
-// RingOpFunc over the same 32-bit lanes).
+// TestAllreduceWMatchesTree: the NIC fast path and the software tree
+// must produce byte-identical results for every named u32 op.
 func TestAllreduceWMatchesTree(t *testing.T) {
 	const nodes = 5
-	for _, op := range []spin.RingOp{spin.OpSumU32, spin.OpMaxU32, spin.OpMinU32, spin.OpBOR, spin.OpBAND, spin.OpBXOR} {
-		op := op
-		t.Run(op.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   mpi.Op
+	}{
+		{"sum-u32", mpi.SumU32}, {"max-u32", mpi.MaxU32}, {"min-u32", mpi.MinU32},
+		{"bor", mpi.BorU32}, {"band", mpi.BandU32}, {"bxor", mpi.BxorU32},
+	} {
+		op := tc.op
+		t.Run(tc.name, func(t *testing.T) {
 			k, _, w := streamCluster(t, nodes, nil, nil)
 			w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
 				me := cm.Rank()
@@ -94,11 +98,11 @@ func TestAllreduceWMatchesTree(t *testing.T) {
 				}
 				fast := make([]byte, 12)
 				tree := make([]byte, 12)
-				if err := cm.AllreduceW(p, op, send, fast); err != nil {
+				if err := cm.Allreduce(p, op, send, fast); err != nil {
 					t.Errorf("rank %d fast: %v", me, err)
 					return
 				}
-				if err := cm.Allreduce(p, mpi.RingOpFunc(op), send, tree); err != nil {
+				if err := cm.Allreduce(p, op, send, tree, mpi.WithAlgorithm(mpi.Tree)); err != nil {
 					t.Errorf("rank %d tree: %v", me, err)
 					return
 				}
@@ -125,7 +129,7 @@ func TestAllreduceWOversizeUsesTree(t *testing.T) {
 			putU32(send[i:], uint32(me+i))
 		}
 		recv := make([]byte, len(send))
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -172,7 +176,7 @@ func TestAllreduceWSuspectDegradesToTree(t *testing.T) {
 		putU32(send, uint32(me+1))
 		putU32(send[4:], uint32(100*me))
 		recv := make([]byte, 8)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -203,7 +207,8 @@ func TestAllreduceWSuspectDegradesToTree(t *testing.T) {
 }
 
 // TestAllreduceWNoStreamSubstrate: on a substrate without the
-// extension (plain BBP config), AllreduceW transparently runs the tree.
+// extension (plain BBP config), Allreduce with a named u32 op
+// transparently runs the tree.
 func TestAllreduceWNoStreamSubstrate(t *testing.T) {
 	const nodes = 3
 	k := sim.NewKernel()
@@ -217,7 +222,7 @@ func TestAllreduceWNoStreamSubstrate(t *testing.T) {
 		send := make([]byte, 4)
 		putU32(send, uint32(me+7))
 		recv := make([]byte, 4)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestScanPrefixSums(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		send := make([]byte, 8)
 		binary.LittleEndian.PutUint64(send, uint64(c.Rank()+1))
 		recv := make([]byte, 8)
@@ -31,7 +31,7 @@ func TestScanPrefixSums(t *testing.T) {
 }
 
 func TestGathervVariableSizes(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		// Rank r contributes r+1 bytes of value r.
 		send := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
 		var recvs [][]byte
@@ -55,7 +55,7 @@ func TestGathervVariableSizes(t *testing.T) {
 }
 
 func TestScattervVariableSizes(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		var sends [][]byte
 		if c.Rank() == 1 {
 			for r := 0; r < 4; r++ {
@@ -76,7 +76,7 @@ func TestScattervVariableSizes(t *testing.T) {
 }
 
 func TestCartCoordsRankRoundtrip(t *testing.T) {
-	run(t, cluster.SCRAMNet, 6, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 6, func(p *sim.Proc, c *mpi.Comm) {
 		ct, err := mpi.CartCreate(c, []int{2, 3}, []bool{false, true})
 		if err != nil {
 			t.Error(err)
@@ -98,7 +98,7 @@ func TestCartCoordsRankRoundtrip(t *testing.T) {
 }
 
 func TestCartShiftPeriodicAndEdge(t *testing.T) {
-	run(t, cluster.SCRAMNet, 6, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 6, func(p *sim.Proc, c *mpi.Comm) {
 		ct, err := mpi.CartCreate(c, []int{2, 3}, []bool{false, true})
 		if err != nil {
 			t.Error(err)
@@ -120,7 +120,7 @@ func TestCartShiftPeriodicAndEdge(t *testing.T) {
 }
 
 func TestCartCreateValidation(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		if _, err := mpi.CartCreate(c, []int{3, 2}, []bool{false, false}); err == nil {
 			t.Error("6-cell grid accepted on 4 ranks")
 		}
@@ -133,7 +133,7 @@ func TestCartCreateValidation(t *testing.T) {
 func TestCartSendrecvShiftRing(t *testing.T) {
 	// A periodic 1-D ring: everyone passes its rank to the right; each
 	// receives its left neighbor's rank.
-	run(t, cluster.SCRAMNet, 4, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		ct, err := mpi.CartCreate(c, []int{4}, []bool{true})
 		if err != nil {
 			t.Error(err)
@@ -154,7 +154,7 @@ func TestCartSendrecvShiftRing(t *testing.T) {
 }
 
 func TestCartSendrecvShiftNonPeriodicEdges(t *testing.T) {
-	run(t, cluster.SCRAMNet, 3, false, func(p *sim.Proc, c *mpi.Comm) {
+	run(t, cluster.SCRAMNet, 3, func(p *sim.Proc, c *mpi.Comm) {
 		ct, err := mpi.CartCreate(c, []int{3}, []bool{false})
 		if err != nil {
 			t.Error(err)
