@@ -125,14 +125,11 @@ figures:
 # review alongside the change that caused it.
 #
 # The run itself also enforces the regression gates before writing
-# anything: cmd/figures -json exits 1 unless burst-read polling cuts
-# the 16-node 0-byte incast sink's full-round-trip poll reads by at
-# least report.MinPollReductionPct (60%) versus per-word polling, the
-# adaptive threshold converges on the 20 B E7 crossover, the E10
-# failover delays stay inside the detector's windows, and the E11
-# windowed pipelined rendezvous beats the sequential path at 64 KiB by
-# at least report.MinRndvImprovementPct — so a regression in any of
-# them cannot silently regenerate itself into a new baseline.
+# anything: cmd/figures -json prints every failing row and exits 1
+# unless each row of the E9–E15 gate table (`experiments` in
+# internal/bench/report/report.go, one bound on one BENCH_figures.json
+# key per row) accepts the run — so a regression in any of them cannot
+# silently regenerate itself into a new baseline.
 bench: build sweep
 	$(GO) run ./cmd/figures -json .bench.tmp.json
 	@if diff -u BENCH_figures.json .bench.tmp.json; then \

@@ -88,7 +88,7 @@ func BenchmarkFig3_ATM_256B(b *testing.B)          { benchOneWayMPI(b, cluster.A
 func BenchmarkFig4_PointToPoint_4B(b *testing.B) {
 	var us float64
 	for i := 0; i < b.N; i++ {
-		us = bench.UnicastAPI(4)
+		us = bench.OneWayAPI(cluster.SCRAMNet, 4)
 	}
 	reportUS(b, us)
 }

@@ -15,7 +15,9 @@
 // -json PATH runs the perf-regression suite (internal/bench/report)
 // instead of the text tables and writes the schema-versioned,
 // byte-stable report to PATH ("-" for stdout); this is what regenerates
-// the checked-in BENCH_figures.json.
+// the checked-in BENCH_figures.json. If any regression gate rejects the
+// run, it writes nothing, prints every failing gate one per line, and
+// exits 1.
 package main
 
 import (
@@ -43,7 +45,8 @@ func main() {
 	if *jsonPath != "" {
 		rep := report.Run(report.DefaultOptions())
 		if err := rep.Check(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			// Check joins one line per failing gate row.
+			fmt.Fprintf(os.Stderr, "regression gates failed:\n%v\n", err)
 			stopProf()
 			os.Exit(1)
 		}

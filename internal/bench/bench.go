@@ -181,19 +181,6 @@ func BroadcastAPI(nodes, n int) float64 {
 	return total.Microseconds() / float64(Iters)
 }
 
-// UnicastAPI is the point-to-point half of Figure 4: the same
-// measurement protocol as BroadcastAPI but with a single receiver, on
-// the same 4-node ring.
-func UnicastAPI(n int) float64 {
-	k := sim.NewKernel()
-	defer k.Close()
-	c, err := cluster.New(k, cluster.Options{Nodes: 4, Net: cluster.SCRAMNet})
-	if err != nil {
-		panic(err)
-	}
-	return PingPong(k, c.Endpoints[0], c.Endpoints[1], n)
-}
-
 func others(nodes, not int) []int {
 	var out []int
 	for i := 0; i < nodes; i++ {

@@ -98,14 +98,14 @@ func TestFig3Crossovers(t *testing.T) {
 func TestFig4BroadcastNearUnicast(t *testing.T) {
 	// Paper: a 4-node broadcast adds very little over point-to-point;
 	// short broadcast ≈ 10.1µs.
-	b0, u0 := BroadcastAPI(4, 0), UnicastAPI(0)
+	b0, u0 := BroadcastAPI(4, 0), OneWayAPI(cluster.SCRAMNet, 0)
 	if b0-u0 > 6 {
 		t.Errorf("0-byte broadcast %.1fµs adds %.1fµs over unicast %.1fµs; want small", b0, b0-u0, u0)
 	}
 	if b0 < 7 || b0 > 14 {
 		t.Errorf("0-byte 4-node broadcast = %.1fµs, paper anchor ≈10.1µs", b0)
 	}
-	b1k, u1k := BroadcastAPI(4, 1000), UnicastAPI(1000)
+	b1k, u1k := BroadcastAPI(4, 1000), OneWayAPI(cluster.SCRAMNet, 1000)
 	if (b1k-u1k)/u1k > 0.15 {
 		t.Errorf("1000-byte broadcast overhead %.0f%% too high (b=%.1f u=%.1f)", 100*(b1k-u1k)/u1k, b1k, u1k)
 	}

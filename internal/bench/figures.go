@@ -91,7 +91,7 @@ func Fig4(sizes []int) []Series {
 	bc := Series{Label: "4-node Broadcast"}
 	for _, n := range sizes {
 		ptp.X = append(ptp.X, n)
-		ptp.Y = append(ptp.Y, UnicastAPI(n))
+		ptp.Y = append(ptp.Y, OneWayAPI(cluster.SCRAMNet, n))
 		bc.X = append(bc.X, n)
 		bc.Y = append(bc.Y, BroadcastAPI(4, n))
 	}

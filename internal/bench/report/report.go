@@ -35,53 +35,8 @@ import (
 
 // Schema is the report format version. Bump it whenever a field is
 // added, removed or reinterpreted, so downstream tooling can refuse
-// documents it does not understand.
-//
-// Schema 2: added poll_aggregation (E9 burst-read poll figure) and
-// adaptive_recv_dma_bytes; the bbp.* rollup gained the burst-poll and
-// adaptive-threshold instruments.
-//
-// Schema 3: added failover_latency (E10): with the heartbeat failure
-// detector on, the delay from a node bypass to MPI surfacing a
-// DeadPeerError mid-Barrier and to the hybrid router's first proactive
-// reroute. Default-path figures and the rollup are unchanged — liveness
-// is off everywhere else, and the disabled layout is byte-identical.
-//
-// Schema 4: added rndv_pipeline (E11): the large-message A/B between
-// the legacy sequential rendezvous and the receiver-posted-window
-// pipelined rendezvous (mpi.Config.RndvZeroCopy). Check() gates the
-// improvement. Also in this schema the retry-protocol extension grew
-// its descriptors from 4 to 5 words (a checksummed destination mask),
-// which moves retry-enabled timings (E10) by a few microseconds;
-// default-path figures are unchanged (retry is off there).
-//
-// Schema 5: added stream_allreduce (E12): the A/B between the in-network
-// handler-engine streaming allreduce (spin.Reducer at every ring transit
-// point) and the rank-side software tree at 16 nodes, plus the degraded
-// round where a suspect member forces the fast path back onto the tree.
-// The rollup gained the always-present (zero off the fast path)
-// bbp.stream_* and mpi.stream_* instruments; default-path figures are
-// unchanged — no handlers are installed there, and the un-handled
-// transit path charges nothing.
-//
-// Schema 6: added barrier_scaling (E14): the NIC-combined barrier (a
-// 1-lane BAND spin.Reducer round, gather state accumulated inside the
-// cards) against the 16-node mcast-coordinator baseline, NIC scaling
-// out to 256 nodes, and span-tree critical-path proofs of the gating
-// rank's bus before and after. In the same schema the Reducer's
-// completion word became a combining counter (round tag | count)
-// instead of a 24-rank bitmask, which leaves packet counts and E12
-// timings unchanged, and the rollup gained the always-present
-// ring.packets_combined instrument.
-//
-// Schema 7: added partition_tolerance (E15): with link-cut faults and
-// the partition detector on, the delay from a scripted double cut to
-// the worst minority rank's PartitionError, the delay from the splice
-// to a fully resynced all-alive membership, and the one-way latency
-// penalty of the dual ring's wrap path under a single cut. Default-path
-// figures and the rollup are unchanged — no segment is ever cut there,
-// and the new ring.wrap_hops/link_cuts/link_splices instruments sit at
-// zero off the fault path.
+// documents it does not understand. EXPERIMENTS.md ("BENCH_figures.json
+// schema history") records what each version added.
 const Schema = 7
 
 // Options selects the sweep resolution. The default runs the figure
@@ -397,33 +352,12 @@ var BarrierNICNodes = []int{4, 16, 64, 256}
 
 const BarrierHostNodes = 16
 
-// MinBarrierImprovementPct and MaxBarrierScaleRatio are the `make
-// bench` regression gates on E14 (this PR): the NIC-combined barrier
-// must cut the 16-node mcast-coordinator barrier (~137 µs) by at least
-// this percentage, and its 16→256 scaling ratio must stay below
-// O(ranks) growth (which would be 256/16 = 16; measured ~13.6 — the
-// ring revolution is inherently O(ranks), the flatter-than-linear win
-// is the combining pass absorbing all gather work into transit).
-const (
-	MinBarrierImprovementPct = 25.0
-	MaxBarrierScaleRatio     = 16.0
-)
-
 // StreamAllreduceNodes / StreamAllreduceBytes are the E12 panel point:
 // the acceptance cluster size and the vector size (16 32-bit lanes).
 const (
 	StreamAllreduceNodes = 16
 	StreamAllreduceBytes = 64
 )
-
-// MinStreamImprovementPct is the `make bench` regression gate on E12
-// (ISSUE 7): the in-network streaming allreduce must cut the 16-node
-// small-vector allreduce latency by at least this percentage versus the
-// rank-side tree. The tree pays log2(16) = 4 serialized rounds of
-// software send/receive overhead (~27.5 µs + ~20 µs per hop); the
-// stream path pays one arrival barrier plus one ring revolution of
-// header+vector+mask packets and the cycle-priced handler work.
-const MinStreamImprovementPct = 25.0
 
 // RndvPipelineBytes / RndvPipelineDepth are the E11 panel point: the
 // acceptance size for "pipelining pays off at or above 64 KiB", at the
@@ -433,134 +367,136 @@ const (
 	RndvPipelineDepth = 2
 )
 
-// MinRndvImprovementPct is the `make bench` regression gate on E11
-// (ISSUE 6): the windowed pipelined rendezvous must cut the 64 KiB
-// one-way latency by at least this percentage versus the sequential
-// path. The 615 ns/word ring wire dominates both paths, so the
-// realistic win is the receiver's bus traffic, not the wire: the
-// sequential path tails off with a ~16k-word polled PIO re-read of the
-// last chunk plus per-chunk billboard bookkeeping, all of which the
-// single end-of-window DMA burst removes. Measured: ~17.4% (13.25 ms →
-// 10.95 ms); the gate sits below it to absorb cost-model
-// recalibration, while still catching any change that degrades the
-// windowed path toward the sequential one.
-const MinRndvImprovementPct = 10.0
-
-// MaxMPIDeadPeerErrorUs and MaxHybridRerouteUs are the `make bench`
-// regression gates on E10: the MPI error must land within the 2500 µs
-// confirmation window plus scan slack, and the hybrid reroute within
-// the 500 µs suspicion window plus the sender's probe spacing. Either
-// drifting upward means death discovery regressed toward the ~51 ms
-// retry-exhaustion path this subsystem replaces.
-const (
-	MaxMPIDeadPeerErrorUs = 3500.0
-	MaxHybridRerouteUs    = 1200.0
-)
-
-// MaxPartitionFenceUs, MaxHealResyncUs and MaxWrapPenaltyUs are the
-// `make bench` regression gates on E15. The fence must land within the
-// confirmation window plus scan slack (like the dead-peer gate above);
-// the heal must reconverge within a few detector periods of the splice
-// — drifting upward means rejoin/resync regressed toward waiting out
-// suspicion from scratch; and the wrap penalty must stay a pure wire
-// cost (a handful of extra hop delays), because the wrap path adds
-// latency only, never protocol work.
-const (
-	MaxPartitionFenceUs = 3500.0
-	MaxHealResyncUs     = 2000.0
-	MaxWrapPenaltyUs    = 5.0
-)
-
-// MinPollReductionPct is the `make bench` regression gate on the burst
-// poll path (ISSUE 4): the sink's poll read transactions at 0 B /
-// PollAggregationNodes nodes must drop by at least this percentage
-// versus per-word polling, and must not silently regress in later PRs.
-const MinPollReductionPct = 60.0
-
 // PollAggregationNodes is the cluster size of the E9 incast.
 const PollAggregationNodes = 16
 
-// Check enforces the report's self-describing regression gates; the
-// cmd/figures -json path exits nonzero when it fails, so `make bench`
-// catches the regression even before the golden-file diff.
-func (r Report) Check() error {
-	p := r.PollAggregation
-	if p.PerWordPollReads <= 0 || p.BurstPollReads <= 0 {
-		return fmt.Errorf("poll aggregation gate: degenerate measurement (per-word %d, burst %d poll reads)",
-			p.PerWordPollReads, p.BurstPollReads)
+// gate is one regression-gate row of an experiment. metric names the
+// BENCH_figures.json key that value reads, or the expression over keys
+// it derives, and the row accepts lo < value ≤ hi. An infinite bound
+// leaves that end open; justBelow(x) as lo closes the lower end at x,
+// and as hi opens the upper end at x.
+type gate struct {
+	metric string
+	value  func(Report) float64
+	lo, hi float64
+}
+
+// experiment is one gated extension measurement: run fills its section
+// of the report, and Check requires every one of its gates to accept.
+type experiment struct {
+	id    string
+	run   func(*Report)
+	gates []gate
+}
+
+var inf = math.Inf(1)
+
+// justBelow is the largest float64 less than x.
+func justBelow(x float64) float64 { return math.Nextafter(x, -inf) }
+
+// one is 1 for true and 0 for false.
+func one(b bool) float64 {
+	if b {
+		return 1
 	}
-	if p.ReductionPct < MinPollReductionPct {
-		return fmt.Errorf("poll aggregation gate: burst polling cut the sink's poll reads by %.1f%% (%d → %d at %d B / %d nodes); the gate requires ≥ %.0f%%",
-			p.ReductionPct, p.PerWordPollReads, p.BurstPollReads, p.Bytes, p.Nodes, MinPollReductionPct)
+	return 0
+}
+
+// experiments is every gated extension (EXPERIMENTS.md E9–E15), in
+// document order. A bound on an improvement sits below the measured
+// value, leaving room for cost-model recalibration while still catching
+// a change that drifts back toward the path the experiment replaced. A
+// row bounded only by lo = 0 rejects a degenerate (empty) measurement.
+var experiments = []experiment{
+	{id: "E9", run: func(r *Report) {
+		r.PollAggregation = pollAggregation()
+		r.AdaptiveRecvDMABytes = adaptiveConverged()
+	}, gates: []gate{
+		{"poll_aggregation.per_word_poll_reads", func(r Report) float64 { return float64(r.PollAggregation.PerWordPollReads) }, 0, inf},
+		{"poll_aggregation.burst_poll_reads", func(r Report) float64 { return float64(r.PollAggregation.BurstPollReads) }, 0, inf},
+		{"poll_aggregation.reduction_pct", func(r Report) float64 { return r.PollAggregation.ReductionPct }, justBelow(60), inf},
+	}},
+	{id: "E10", run: func(r *Report) { r.FailoverLatency = failoverLatency() }, gates: []gate{
+		// The MPI error lands after the confirmation window, within scan
+		// slack; the hybrid reroute after the suspicion window, within the
+		// sender's probe spacing. Drifting up means death discovery
+		// regressed toward the ~51 ms retry-exhaustion path.
+		{"failover_latency.mpi_error_us - confirm_window_us", func(r Report) float64 { return r.FailoverLatency.MPIErrorUs - r.FailoverLatency.ConfirmWindowUs }, 0, inf},
+		{"failover_latency.mpi_error_us", func(r Report) float64 { return r.FailoverLatency.MPIErrorUs }, -inf, 3500},
+		{"failover_latency.hybrid_reroute_us - suspect_window_us", func(r Report) float64 { return r.FailoverLatency.HybridRerouteUs - r.FailoverLatency.SuspectWindowUs }, 0, inf},
+		{"failover_latency.hybrid_reroute_us", func(r Report) float64 { return r.FailoverLatency.HybridRerouteUs }, -inf, 1200},
+	}},
+	{id: "E11", run: func(r *Report) { r.RndvPipeline = rndvPipeline() }, gates: []gate{
+		{"rndv_pipeline.sequential_us", func(r Report) float64 { return r.RndvPipeline.SequentialUs }, 0, inf},
+		{"rndv_pipeline.pipelined_us", func(r Report) float64 { return r.RndvPipeline.PipelinedUs }, 0, inf},
+		// The 615 ns/word wire dominates both paths; the win is the
+		// receiver's removed polled re-read of the last chunk.
+		{"rndv_pipeline.improvement_pct", func(r Report) float64 { return r.RndvPipeline.ImprovementPct }, justBelow(10), inf},
+	}},
+	{id: "E12", run: func(r *Report) { r.StreamAllreduce = streamAllreduce() }, gates: []gate{
+		{"stream_allreduce.tree_us", func(r Report) float64 { return r.StreamAllreduce.TreeUs }, 0, inf},
+		{"stream_allreduce.handler_us", func(r Report) float64 { return r.StreamAllreduce.HandlerUs }, 0, inf},
+		{"stream_allreduce.improvement_pct", func(r Report) float64 { return r.StreamAllreduce.ImprovementPct }, justBelow(25), inf},
+		// No cycles would mean the in-network compute is no longer
+		// priced in virtual time.
+		{"stream_allreduce.handler_cycles", func(r Report) float64 { return float64(r.StreamAllreduce.HandlerCycles) }, 0, inf},
+		{"stream_allreduce.suspect_fallback", func(r Report) float64 { return one(r.StreamAllreduce.SuspectFallback) }, 0, inf},
+	}},
+	{id: "E14", run: func(r *Report) { r.BarrierScaling = barrierScaling() }, gates: []gate{
+		{"barrier_scaling.host_us", func(r Report) float64 { return r.BarrierScaling.HostUs }, 0, inf},
+		{"len(barrier_scaling.nic)", func(r Report) float64 { return float64(len(r.BarrierScaling.NIC)) }, 0, inf},
+		{"barrier_scaling.improvement_pct", func(r Report) float64 { return r.BarrierScaling.ImprovementPct }, justBelow(25), inf},
+		// O(ranks) growth from 16 to 256 ranks would be 16×.
+		{"barrier_scaling.scale_ratio", func(r Report) float64 { return r.BarrierScaling.ScaleRatio }, 0, justBelow(16)},
+		// The span-tree proof must pin the rank-0 coordinator (a rank is
+		// an integer, so (-1, 0] admits 0 alone), and the combining pass
+		// must relieve that rank's bus.
+		{"barrier_scaling.host_path.gating_rank", func(r Report) float64 { return float64(r.BarrierScaling.HostPath.GatingRank) }, -1, 0},
+		{"barrier_scaling.host_path.bus_busy_frac - nic_path.bus_busy_frac", func(r Report) float64 {
+			return r.BarrierScaling.HostPath.BusBusyFrac - r.BarrierScaling.NICPath.BusBusyFrac
+		}, 0, inf},
+	}},
+	{id: "E15", run: func(r *Report) { r.PartitionTolerance = partitionTolerance() }, gates: []gate{
+		// The fence needs a stable suspect arc and lands within the
+		// confirmation window plus scan slack; the heal reconverges
+		// within a few detector periods; the wrap path costs hop delays
+		// and no protocol work.
+		{"partition_tolerance.fence_us - suspect_window_us", func(r Report) float64 { return r.PartitionTolerance.FenceUs - r.PartitionTolerance.SuspectWindowUs }, 0, inf},
+		{"partition_tolerance.fence_us", func(r Report) float64 { return r.PartitionTolerance.FenceUs }, -inf, 3500},
+		{"partition_tolerance.heal_resync_us", func(r Report) float64 { return r.PartitionTolerance.HealResyncUs }, 0, 2000},
+		{"partition_tolerance.wrap_penalty_us", func(r Report) float64 { return r.PartitionTolerance.WrapPenaltyUs }, 0, 5},
+	}},
+}
+
+// Check enforces every experiment's gates; cmd/figures -json exits
+// nonzero when it fails, so `make bench` catches a regression even
+// before the golden-file diff. The error joins one line per failing
+// row, naming the experiment, the metric, its value and the bounds.
+func (r Report) Check() error { return check(r, experiments) }
+
+func check(r Report, es []experiment) error {
+	var errs []error
+	for _, e := range es {
+		for _, g := range e.gates {
+			if v := g.value(r); !(g.lo < v && v <= g.hi) {
+				errs = append(errs, fmt.Errorf("%s gate %s = %g, outside %s", e.id, g.metric, v, g.bounds()))
+			}
+		}
 	}
-	f := r.FailoverLatency
-	if f.MPIErrorUs <= f.ConfirmWindowUs || f.MPIErrorUs > MaxMPIDeadPeerErrorUs {
-		return fmt.Errorf("failover gate: mid-Barrier DeadPeerError took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (confirmation window + scan slack)",
-			f.MPIErrorUs, f.ConfirmWindowUs, MaxMPIDeadPeerErrorUs)
+	return errors.Join(errs...)
+}
+
+// bounds renders the row's interval, writing a justBelow(x) end as the
+// x it stands for: "[60, +Inf]", not "(59.99999999999999, +Inf]".
+func (g gate) bounds() string {
+	lo, hi := fmt.Sprintf("(%g", g.lo), fmt.Sprintf("%g]", g.hi)
+	if x := math.Nextafter(g.lo, inf); len(fmt.Sprint(x)) < len(fmt.Sprint(g.lo)) {
+		lo = fmt.Sprintf("[%g", x)
 	}
-	if f.HybridRerouteUs <= f.SuspectWindowUs || f.HybridRerouteUs > MaxHybridRerouteUs {
-		return fmt.Errorf("failover gate: first proactive hybrid reroute took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (suspicion window + probe spacing)",
-			f.HybridRerouteUs, f.SuspectWindowUs, MaxHybridRerouteUs)
+	if x := math.Nextafter(g.hi, inf); len(fmt.Sprint(x)) < len(fmt.Sprint(g.hi)) {
+		hi = fmt.Sprintf("%g)", x)
 	}
-	pt := r.PartitionTolerance
-	if pt.FenceUs <= pt.SuspectWindowUs || pt.FenceUs > MaxPartitionFenceUs {
-		return fmt.Errorf("partition gate: minority PartitionError took %.1f µs after the double cut; must be within (%.0f, %.0f] µs (suspicion window .. confirmation window + scan slack)",
-			pt.FenceUs, pt.SuspectWindowUs, MaxPartitionFenceUs)
-	}
-	if pt.HealResyncUs <= 0 || pt.HealResyncUs > MaxHealResyncUs {
-		return fmt.Errorf("partition gate: all-alive resync took %.1f µs after the splice; must be within (0, %.0f] µs (a few detector periods)",
-			pt.HealResyncUs, MaxHealResyncUs)
-	}
-	if pt.WrapPenaltyUs <= 0 || pt.WrapPenaltyUs > MaxWrapPenaltyUs {
-		return fmt.Errorf("partition gate: single-cut wrap path added %.3f µs one-way; must be within (0, %.0f] µs (hop delays only — the wrap heal does no protocol work)",
-			pt.WrapPenaltyUs, MaxWrapPenaltyUs)
-	}
-	z := r.RndvPipeline
-	if z.SequentialUs <= 0 || z.PipelinedUs <= 0 {
-		return fmt.Errorf("rendezvous pipeline gate: degenerate measurement (sequential %.1f µs, pipelined %.1f µs)",
-			z.SequentialUs, z.PipelinedUs)
-	}
-	if z.ImprovementPct < MinRndvImprovementPct {
-		return fmt.Errorf("rendezvous pipeline gate: the windowed path cut the %d B one-way latency by %.1f%% (%.1f → %.1f µs at depth %d); the gate requires ≥ %.0f%%",
-			z.Bytes, z.ImprovementPct, z.SequentialUs, z.PipelinedUs, z.PipelineDepth, MinRndvImprovementPct)
-	}
-	s := r.StreamAllreduce
-	if s.TreeUs <= 0 || s.HandlerUs <= 0 {
-		return fmt.Errorf("stream allreduce gate: degenerate measurement (tree %.1f µs, handler %.1f µs)",
-			s.TreeUs, s.HandlerUs)
-	}
-	if s.ImprovementPct < MinStreamImprovementPct {
-		return fmt.Errorf("stream allreduce gate: the handler path cut the %d B / %d-node allreduce by %.1f%% (%.1f → %.1f µs); the gate requires ≥ %.0f%%",
-			s.Bytes, s.Nodes, s.ImprovementPct, s.TreeUs, s.HandlerUs, MinStreamImprovementPct)
-	}
-	if s.HandlerCycles <= 0 {
-		return fmt.Errorf("stream allreduce gate: fast path ran without charging handler cycles — the in-network compute is no longer priced in virtual time")
-	}
-	if !s.SuspectFallback {
-		return fmt.Errorf("stream allreduce gate: a suspect member did not degrade the fast path to the tree")
-	}
-	b := r.BarrierScaling
-	if b.HostUs <= 0 || len(b.NIC) == 0 {
-		return fmt.Errorf("barrier scaling gate: degenerate measurement (host %.1f µs, %d NIC points)",
-			b.HostUs, len(b.NIC))
-	}
-	if b.ImprovementPct < MinBarrierImprovementPct {
-		return fmt.Errorf("barrier scaling gate: the NIC-combined round cut the %d-node coordinator barrier by %.1f%% (%.1f µs baseline); the gate requires ≥ %.0f%%",
-			b.HostNodes, b.ImprovementPct, b.HostUs, MinBarrierImprovementPct)
-	}
-	if b.ScaleRatio <= 0 || b.ScaleRatio >= MaxBarrierScaleRatio {
-		return fmt.Errorf("barrier scaling gate: NIC barrier grew %.1f× from 16 to 256 ranks; O(ranks) would be %.0f× and the gate requires flatter",
-			b.ScaleRatio, MaxBarrierScaleRatio)
-	}
-	if b.HostPath.GatingRank != 0 {
-		return fmt.Errorf("barrier scaling gate: host barrier critical path gated by rank %d, not the rank-0 coordinator — the span-tree proof no longer matches the algorithm",
-			b.HostPath.GatingRank)
-	}
-	if b.NICPath.BusBusyFrac >= b.HostPath.BusBusyFrac {
-		return fmt.Errorf("barrier scaling gate: the gating rank's bus occupancy did not drop (host %.3f → NIC %.3f); the combining pass no longer relieves the coordinator's bus",
-			b.HostPath.BusBusyFrac, b.NICPath.BusBusyFrac)
-	}
-	return nil
+	return lo + ", " + hi
 }
 
 func round3(v float64) float64 {
@@ -686,14 +622,11 @@ func mpiDeadPeerLatency(lcfg liveness.Config) float64 {
 	defer k.Close()
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30 // the paper's PIO-only channel device
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	script := &fault.Script{Seed: 101, Actions: []fault.Action{
 		{At: kill, Kind: fault.NodeFail, Node: victim},
 	}}
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg,
+		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true, Faults: script, Liveness: &lcfg,
 	})
 	if err != nil {
 		panic(err)
@@ -803,11 +736,8 @@ func partitionScript(cut, heal sim.Time) *fault.Script {
 func partitionCluster(k *sim.Kernel, nodes int, script *fault.Script, lcfg *liveness.Config) *cluster.Cluster {
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: lcfg,
+		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true, Faults: script, Liveness: lcfg,
 	})
 	if err != nil {
 		panic(err)
@@ -1285,13 +1215,9 @@ func Run(opts Options) Report {
 		r.BusSweep = append(r.BusSweep, busPoint(n))
 	}
 	r.RecvDMACrossoverBytes = recvDMACrossover(opts.CrossoverLo, opts.CrossoverHi, opts.CrossoverStep)
-	r.PollAggregation = pollAggregation()
-	r.AdaptiveRecvDMABytes = adaptiveConverged()
-	r.FailoverLatency = failoverLatency()
-	r.RndvPipeline = rndvPipeline()
-	r.StreamAllreduce = streamAllreduce()
-	r.BarrierScaling = barrierScaling()
-	r.PartitionTolerance = partitionTolerance()
+	for _, e := range experiments {
+		e.run(&r)
+	}
 	_, snap, _ := instrumented(4, nil)
 	r.Rollup = snap.Rollup()
 	return r

@@ -6,17 +6,25 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/scramnet"
 )
 
+// golden is the checked-in BENCH_figures.json.
+var golden = filepath.Join("..", "..", "..", "BENCH_figures.json")
+
+// reduced is the one reduced-suite run the schema, golden-figure and
+// bus-sweep tests share.
+var reduced = sync.OnceValue(func() Report { return Run(ReducedOptions()) })
+
 // TestReportByteStable is the stability guarantee the `make bench` tier
-// rests on: two full reduced runs must marshal to identical bytes.
+// rests on: two reduced runs must marshal to identical bytes.
 func TestReportByteStable(t *testing.T) {
-	a := Marshal(Run(ReducedOptions()))
-	b := Marshal(Run(ReducedOptions()))
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(Marshal(reduced()), Marshal(Run(ReducedOptions()))) {
 		t.Fatal("two identical report runs produced different bytes")
 	}
 }
@@ -24,7 +32,7 @@ func TestReportByteStable(t *testing.T) {
 // TestReportSchemaAndShape pins the document structure a schema-7
 // consumer relies on.
 func TestReportSchemaAndShape(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	if r.Schema != 7 {
 		t.Fatalf("schema = %d, want 7", r.Schema)
 	}
@@ -62,7 +70,7 @@ func TestReportSchemaAndShape(t *testing.T) {
 // same values the golden figure tests enforce: installing metrics must
 // not move any figure (instruments never charge virtual time).
 func TestReportMatchesGoldenFigures(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	within := func(got, want, tol float64) bool {
 		return math.Abs(got-want) <= tol*want
 	}
@@ -87,7 +95,7 @@ func TestReportMatchesGoldenFigures(t *testing.T) {
 // traffic grows with message size, and for large messages the DMA path
 // is strictly cheaper.
 func TestBusSweepShowsPIOReadDominance(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	small, large := r.BusSweep[0], r.BusSweep[len(r.BusSweep)-1]
 	if large.PIOReadWords <= small.PIOReadWords {
 		t.Errorf("PIO read words did not grow with size: %d -> %d", small.PIOReadWords, large.PIOReadWords)
@@ -103,25 +111,31 @@ func TestBusSweepShowsPIOReadDominance(t *testing.T) {
 	}
 }
 
-// TestPollAggregationGate runs the E9 measurement and enforces the
-// `make bench` regression gate in-tree: the burst-read poll path must
-// cut the 0-byte incast sink's full-round-trip poll reads by at least
-// MinPollReductionPct versus per-word polling, and the adaptive
-// threshold must converge on the measured 20 B crossover (E7) on the
-// default uncontended bus.
+// runGate runs experiment id alone, fails the test on any of its gate
+// rows, and returns the report with that experiment's section filled.
+func runGate(t *testing.T, id string) Report {
+	t.Helper()
+	for _, e := range experiments {
+		if e.id == id {
+			var r Report
+			e.run(&r)
+			if err := check(r, []experiment{e}); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	t.Fatalf("no experiment %s", id)
+	return Report{}
+}
+
+// TestPollAggregationGate runs E9 and enforces its gates in-tree: the
+// burst-read poll path must cut the 0-byte incast sink's full-round-trip
+// poll reads by poll_aggregation.reduction_pct ≥ 60 versus per-word
+// polling, and the adaptive threshold must converge on the measured
+// 20 B crossover (E7) on the default uncontended bus.
 func TestPollAggregationGate(t *testing.T) {
-	r := Report{
-		PollAggregation:      pollAggregation(),
-		AdaptiveRecvDMABytes: adaptiveConverged(),
-		FailoverLatency:      failoverLatency(), // Check gates the whole report
-		RndvPipeline:         rndvPipeline(),
-		StreamAllreduce:      passingStream,
-		BarrierScaling:       passingBarrier,
-		PartitionTolerance:   passingPartition,
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	r := runGate(t, "E9")
 	p := r.PollAggregation
 	if p.BurstPollReads >= p.PerWordPollReads {
 		t.Errorf("burst polling did not reduce poll reads: %d -> %d", p.PerWordPollReads, p.BurstPollReads)
@@ -131,37 +145,29 @@ func TestPollAggregationGate(t *testing.T) {
 	}
 }
 
-// TestFailoverLatencyGate runs the E10 measurement and enforces the
-// `make bench` gate in-tree: a node death mid-Barrier must surface as a
-// DeadPeerError within the detector's confirmation window (plus scan
-// slack), and the hybrid router must reroute within the suspicion
-// window (plus probe spacing) — both orders of magnitude below the
-// ~51 ms retry-exhaustion path the failure detector replaces.
+// TestFailoverLatencyGate runs E10 and enforces its gates in-tree: a
+// node death mid-Barrier must surface as a DeadPeerError within the
+// detector's confirmation window (plus scan slack), and the hybrid
+// router must reroute within the suspicion window (plus probe spacing)
+// — both orders of magnitude below the ~51 ms retry-exhaustion path the
+// failure detector replaces.
 func TestFailoverLatencyGate(t *testing.T) {
-	f := failoverLatency()
-	r := Report{PollAggregation: pollAggregation(), FailoverLatency: f, RndvPipeline: rndvPipeline(), StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	f := runGate(t, "E10").FailoverLatency
 	if f.MPIErrorUs <= f.HybridRerouteUs {
 		t.Errorf("MPI error (%v µs, confirmation-bound) should be slower than the hybrid reroute (%v µs, suspicion-bound)",
 			f.MPIErrorUs, f.HybridRerouteUs)
 	}
 }
 
-// TestRndvPipelineGate runs the E11 measurement and enforces the
-// `make bench` gate in-tree: the receiver-posted-window pipelined
-// rendezvous must beat the sequential path at the 64 KiB panel point
-// by at least MinRndvImprovementPct. The ring wire bounds both paths,
-// so the improvement must also stay below the sequential path's
-// non-wire share — a larger number would mean the windowed path
-// stopped paying for the wire at all, i.e. the model broke.
+// TestRndvPipelineGate runs E11 and enforces its gates in-tree: the
+// receiver-posted-window pipelined rendezvous must beat the sequential
+// path at the 64 KiB panel point by rndv_pipeline.improvement_pct ≥ 10.
+// The ring wire bounds both paths, so the improvement must also stay
+// below the sequential path's non-wire share — a larger number would
+// mean the windowed path stopped paying for the wire at all, i.e. the
+// model broke.
 func TestRndvPipelineGate(t *testing.T) {
-	z := rndvPipeline()
-	r := Report{PollAggregation: pollAggregation(), FailoverLatency: failoverLatency(), RndvPipeline: z, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	z := runGate(t, "E11").RndvPipeline
 	if z.PipelinedUs >= z.SequentialUs {
 		t.Errorf("windowed path (%v µs) not faster than sequential (%v µs)", z.PipelinedUs, z.SequentialUs)
 	}
@@ -182,7 +188,6 @@ func TestGoldenBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure suite in -short mode")
 	}
-	golden := filepath.Join("..", "..", "..", "BENCH_figures.json")
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
@@ -195,54 +200,17 @@ func TestGoldenBenchJSON(t *testing.T) {
 	}
 }
 
-// passingStream is a synthetic E12 row that satisfies Check(), for
-// gate tests aimed at other subsystems; TestStreamAllreduceGate runs
-// the real measurement.
-var passingStream = StreamAllreduce{
-	Nodes: StreamAllreduceNodes, Bytes: StreamAllreduceBytes,
-	TreeUs: 700, HandlerUs: 220, ImprovementPct: 68,
-	HandlerCycles: 540, SuspectFallback: true,
-}
-
-// passingBarrier is the E14 equivalent; TestBarrierScalingGate runs the
-// real measurement.
-var passingBarrier = BarrierScaling{
-	HostNodes: BarrierHostNodes, HostUs: 137,
-	NIC:            []BarrierPoint{{Nodes: 16, Us: 56}, {Nodes: 256, Us: 770}},
-	ImprovementPct: 58, ScaleRatio: 13.6,
-	HostPath: BarrierPath{GatingRank: 0, PathUs: 100, PathFrac: 0.8, BusBusyFrac: 0.5},
-	NICPath:  BarrierPath{GatingRank: 0, PathUs: 30, PathFrac: 0.5, BusBusyFrac: 0.1},
-}
-
-// passingPartition is the E15 equivalent; TestPartitionToleranceGate
-// runs the real measurement.
-var passingPartition = PartitionTolerance{
-	Nodes: 5, SuspectWindowUs: 500, ConfirmWindowUs: 2500,
-	FenceUs: 605, HealResyncUs: 100, WrapPenaltyUs: 0.5,
-}
-
-// TestBarrierScalingGate runs the E14 measurement and enforces the
-// `make bench` gate in-tree: the NIC-combined barrier must beat the
-// 16-node mcast-coordinator baseline by MinBarrierImprovementPct, its
-// 16→256 scaling must stay flatter than O(ranks), the host baseline's
-// critical path must pin the rank-0 coordinator as the gating rank,
-// and the combining pass must relieve that rank's bus.
+// TestBarrierScalingGate runs E14 and enforces its gates in-tree: the
+// NIC-combined barrier must beat the 16-node mcast-coordinator baseline
+// by barrier_scaling.improvement_pct ≥ 25, its 16→256 scaling must stay
+// flatter than O(ranks), the host baseline's critical path must pin the
+// rank-0 coordinator as the gating rank, and the combining pass must
+// relieve that rank's bus.
 func TestBarrierScalingGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-rank barrier sweep in -short mode")
 	}
-	b := barrierScaling()
-	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
-		StreamAllreduce:    passingStream,
-		BarrierScaling:     b,
-		PartitionTolerance: passingPartition,
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	b := runGate(t, "E14").BarrierScaling
 	// One ring revolution of wire and hop delay bounds the NIC barrier
 	// from below at every rank count.
 	for _, pt := range b.NIC {
@@ -265,24 +233,13 @@ func TestBarrierScalingGate(t *testing.T) {
 	}
 }
 
-// TestStreamAllreduceGate runs the E12 measurement and enforces the
-// `make bench` gate in-tree: the in-network handler allreduce must
-// beat the rank-side tree at 16 nodes by at least
-// MinStreamImprovementPct, must charge handler cycles in virtual time,
-// and must degrade to the tree when a member is suspect.
+// TestStreamAllreduceGate runs E12 and enforces its gates in-tree: the
+// in-network handler allreduce must beat the rank-side tree at 16 nodes
+// by stream_allreduce.improvement_pct ≥ 25, must charge handler cycles
+// in virtual time, and must degrade to the tree when a member is
+// suspect.
 func TestStreamAllreduceGate(t *testing.T) {
-	s := streamAllreduce()
-	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
-		StreamAllreduce:    s,
-		BarrierScaling:     passingBarrier,
-		PartitionTolerance: passingPartition,
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	s := runGate(t, "E12").StreamAllreduce
 	if s.HandlerUs >= s.TreeUs {
 		t.Errorf("handler path (%v µs) not faster than the tree (%v µs)", s.HandlerUs, s.TreeUs)
 	}
@@ -295,26 +252,14 @@ func TestStreamAllreduceGate(t *testing.T) {
 	}
 }
 
-// TestPartitionToleranceGate runs the E15 measurement and enforces the
-// `make bench` gate in-tree: the double cut must surface as a minority
-// PartitionError within the confirmation window (plus scan slack) but
-// not before suspicion can stabilize; the splice must reconverge to an
-// all-alive resynced membership within a few detector periods; and the
-// dual ring's single-cut wrap path must cost latency — some, but only
-// wire time.
+// TestPartitionToleranceGate runs E15 and enforces its gates in-tree:
+// the double cut must surface as a minority PartitionError within the
+// confirmation window (plus scan slack) but not before suspicion can
+// stabilize; the splice must reconverge to an all-alive resynced
+// membership within a few detector periods; and the dual ring's
+// single-cut wrap path must cost latency — some, but only wire time.
 func TestPartitionToleranceGate(t *testing.T) {
-	pt := partitionTolerance()
-	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
-		StreamAllreduce:    passingStream,
-		BarrierScaling:     passingBarrier,
-		PartitionTolerance: pt,
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
+	pt := runGate(t, "E15").PartitionTolerance
 	// Fencing rides the partition declaration, not dead-peer
 	// confirmation: it must land well before the per-peer confirmation
 	// window would have expired.
@@ -326,5 +271,128 @@ func TestPartitionToleranceGate(t *testing.T) {
 	hopUs := float64(scramnet.DefaultConfig(4).HopDelay) / 1000.0
 	if rem := math.Mod(pt.WrapPenaltyUs, hopUs); rem > 1e-9 && hopUs-rem > 1e-9 {
 		t.Errorf("wrap penalty %v µs is not a whole number of %v µs hop delays — the wrap path charges more than wire time", pt.WrapPenaltyUs, hopUs)
+	}
+}
+
+// gateProbe moves one gate row's value and lists, per finite bound,
+// the value at that bound and its first neighbour past it: pass must be
+// accepted and fail rejected, exactly as the bounds of the hand-written
+// branches the gate table replaced. A derived row's setter moves the
+// first key against the golden value of the key it subtracts, and
+// passes a little above 0, where a float sum cannot land exactly.
+type gateProbe struct {
+	set        func(r *Report, v float64)
+	pass, fail []float64
+}
+
+const tiny = math.SmallestNonzeroFloat64
+
+// above is the smallest float64 greater than x.
+func above(x float64) float64 { return math.Nextafter(x, inf) }
+
+// gateProbes holds one probe per gate row, keyed by the row's metric.
+var gateProbes = map[string]gateProbe{
+	"poll_aggregation.per_word_poll_reads": {func(r *Report, v float64) { r.PollAggregation.PerWordPollReads = int64(v) }, []float64{1}, []float64{0}},
+	"poll_aggregation.burst_poll_reads":    {func(r *Report, v float64) { r.PollAggregation.BurstPollReads = int64(v) }, []float64{1}, []float64{0}},
+	"poll_aggregation.reduction_pct":       {func(r *Report, v float64) { r.PollAggregation.ReductionPct = v }, []float64{60}, []float64{justBelow(60)}},
+	"failover_latency.mpi_error_us - confirm_window_us": {func(r *Report, v float64) {
+		r.FailoverLatency.MPIErrorUs = r.FailoverLatency.ConfirmWindowUs + v
+	}, []float64{1e-3}, []float64{0}},
+	"failover_latency.mpi_error_us": {func(r *Report, v float64) { r.FailoverLatency.MPIErrorUs = v }, []float64{3500}, []float64{above(3500)}},
+	"failover_latency.hybrid_reroute_us - suspect_window_us": {func(r *Report, v float64) {
+		r.FailoverLatency.HybridRerouteUs = r.FailoverLatency.SuspectWindowUs + v
+	}, []float64{1e-3}, []float64{0}},
+	"failover_latency.hybrid_reroute_us": {func(r *Report, v float64) { r.FailoverLatency.HybridRerouteUs = v }, []float64{1200}, []float64{above(1200)}},
+	"rndv_pipeline.sequential_us":        {func(r *Report, v float64) { r.RndvPipeline.SequentialUs = v }, []float64{tiny}, []float64{0}},
+	"rndv_pipeline.pipelined_us":         {func(r *Report, v float64) { r.RndvPipeline.PipelinedUs = v }, []float64{tiny}, []float64{0}},
+	"rndv_pipeline.improvement_pct":      {func(r *Report, v float64) { r.RndvPipeline.ImprovementPct = v }, []float64{10}, []float64{justBelow(10)}},
+	"stream_allreduce.tree_us":           {func(r *Report, v float64) { r.StreamAllreduce.TreeUs = v }, []float64{tiny}, []float64{0}},
+	"stream_allreduce.handler_us":        {func(r *Report, v float64) { r.StreamAllreduce.HandlerUs = v }, []float64{tiny}, []float64{0}},
+	"stream_allreduce.improvement_pct":   {func(r *Report, v float64) { r.StreamAllreduce.ImprovementPct = v }, []float64{25}, []float64{justBelow(25)}},
+	"stream_allreduce.handler_cycles":    {func(r *Report, v float64) { r.StreamAllreduce.HandlerCycles = int64(v) }, []float64{1}, []float64{0}},
+	"stream_allreduce.suspect_fallback":  {func(r *Report, v float64) { r.StreamAllreduce.SuspectFallback = v == 1 }, []float64{1}, []float64{0}},
+	"barrier_scaling.host_us":            {func(r *Report, v float64) { r.BarrierScaling.HostUs = v }, []float64{tiny}, []float64{0}},
+	"len(barrier_scaling.nic)":           {func(r *Report, v float64) { r.BarrierScaling.NIC = make([]BarrierPoint, int(v)) }, []float64{1}, []float64{0}},
+	"barrier_scaling.improvement_pct":    {func(r *Report, v float64) { r.BarrierScaling.ImprovementPct = v }, []float64{25}, []float64{justBelow(25)}},
+	"barrier_scaling.scale_ratio":        {func(r *Report, v float64) { r.BarrierScaling.ScaleRatio = v }, []float64{tiny, justBelow(16)}, []float64{0, 16}},
+	"barrier_scaling.host_path.gating_rank": {func(r *Report, v float64) {
+		r.BarrierScaling.HostPath.GatingRank = int(v)
+	}, []float64{0}, []float64{-1, 1}},
+	"barrier_scaling.host_path.bus_busy_frac - nic_path.bus_busy_frac": {func(r *Report, v float64) {
+		r.BarrierScaling.HostPath.BusBusyFrac = r.BarrierScaling.NICPath.BusBusyFrac + v
+	}, []float64{1e-3}, []float64{0}},
+	"partition_tolerance.fence_us - suspect_window_us": {func(r *Report, v float64) {
+		r.PartitionTolerance.FenceUs = r.PartitionTolerance.SuspectWindowUs + v
+	}, []float64{1e-3}, []float64{0}},
+	"partition_tolerance.fence_us":        {func(r *Report, v float64) { r.PartitionTolerance.FenceUs = v }, []float64{3500}, []float64{above(3500)}},
+	"partition_tolerance.heal_resync_us":  {func(r *Report, v float64) { r.PartitionTolerance.HealResyncUs = v }, []float64{tiny, 2000}, []float64{0, above(2000)}},
+	"partition_tolerance.wrap_penalty_us": {func(r *Report, v float64) { r.PartitionTolerance.WrapPenaltyUs = v }, []float64{tiny, 5}, []float64{0, above(5)}},
+}
+
+// TestGateNegativeBattery holds every gate row to its bounds without
+// running a simulation. The checked-in BENCH_figures.json must pass
+// Check. Moving any one row's value onto a bound it accepts must still
+// pass, and moving it to the first value past that bound must fail
+// Check with exactly that row named. Moving two rows at once must name
+// both, one per line.
+func TestGateNegativeBattery(t *testing.T) {
+	b, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	var base Report
+	if err := json.Unmarshal(b, &base); err != nil {
+		t.Fatalf("golden does not parse: %v", err)
+	}
+	if err := base.Check(); err != nil {
+		t.Fatalf("checked-in BENCH_figures.json fails its gates:\n%v", err)
+	}
+	rows := 0
+	for _, e := range experiments {
+		for _, g := range e.gates {
+			rows++
+			probe, ok := gateProbes[g.metric]
+			if !ok {
+				t.Errorf("%s %s: no probe", e.id, g.metric)
+				continue
+			}
+			for _, v := range probe.pass {
+				r := base
+				probe.set(&r, v)
+				if err := r.Check(); err != nil {
+					t.Errorf("%s %s = %g failed Check: %v", e.id, g.metric, v, err)
+				}
+			}
+			for _, v := range probe.fail {
+				r := base
+				probe.set(&r, v)
+				err := r.Check()
+				if err == nil {
+					t.Errorf("%s %s = %g passed Check", e.id, g.metric, v)
+					continue
+				}
+				if msg := err.Error(); !strings.HasPrefix(msg, e.id+" gate "+g.metric+" = ") || strings.Contains(msg, "\n") {
+					t.Errorf("%s %s = %g: Check reported %q, want exactly this row", e.id, g.metric, v, msg)
+				}
+			}
+		}
+	}
+	if rows != len(gateProbes) {
+		t.Errorf("%d gate rows but %d probes", rows, len(gateProbes))
+	}
+
+	r := base
+	gateProbes["poll_aggregation.reduction_pct"].set(&r, 59)
+	gateProbes["partition_tolerance.wrap_penalty_us"].set(&r, 6)
+	err = r.Check()
+	if err == nil {
+		t.Fatal("two failing rows passed Check")
+	}
+	want := []string{
+		"E9 gate poll_aggregation.reduction_pct = 59, outside [60, +Inf]",
+		"E15 gate partition_tolerance.wrap_penalty_us = 6, outside (0, 5]",
+	}
+	if got := strings.Split(err.Error(), "\n"); !slices.Equal(got, want) {
+		t.Errorf("Check reported %q, want %q", got, want)
 	}
 }
