@@ -1,16 +1,30 @@
+// The go1.23 constraint raises this file's language version to one with
+// iter.Pull. go.mod itself stays at go 1.22: the benchmark module
+// requires this one through a replace directive and declares go 1.22,
+// and raising the dependency's go line breaks that module's build.
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a coroutine scheduled by the kernel. At
-// most one process executes at any instant; a running process owns the
-// simulation until it blocks (Delay, Cond.Wait, ...), so process code may
-// freely read and write shared model state without synchronization.
+// Proc is a simulated process: a runtime coroutine (iter.Pull) scheduled
+// by the kernel. At most one process executes at any instant; a running
+// process owns the simulation until it blocks (Delay, Cond.Wait, ...),
+// so process code may freely read and write shared model state without
+// synchronization.
 type Proc struct {
-	k      *Kernel
-	name   string
-	id     int
-	resume chan struct{}
+	k    *Kernel
+	name string
+	// wake runs the process until it blocks or returns (a no-op once it
+	// has returned); it is the one closure every Delay, Yield and Cond
+	// wake-up schedules. yield, called from inside the process, suspends
+	// it back to the caller of wake.
+	wake   func()
+	yield  func(struct{}) bool
 	done   bool
 	killed bool
 	daemon bool
@@ -19,18 +33,20 @@ type Proc struct {
 	blockedOn string
 }
 
-// killedPanic unwinds a process goroutine that the kernel terminated.
+// killedPanic unwinds a process that the kernel terminated.
 type killedPanic struct{ name string }
 
 // Spawn starts a new process at the current virtual time. fn runs as a
 // coroutine; it must perform all waiting through p (never real time or
-// real channels).
+// real channels). A panic in fn other than the kernel's own kill
+// reaches the caller of Run, RunUntil or Close, annotated with the
+// process name.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, id: len(k.procs), resume: make(chan struct{})}
-	k.procs = append(k.procs, p)
-	k.live++
-	go func() {
-		<-p.resume
+	p := &Proc{k: k, name: name}
+	// stop is never needed: Close unwinds a live process by resuming it
+	// with killed set, which runs its defers.
+	next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			if !p.daemon {
@@ -38,16 +54,16 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			r := recover()
 			if _, ok := r.(killedPanic); ok || r == nil {
-				k.park <- struct{}{}
 				return
 			}
-			// A model bug: re-panic on the kernel goroutine would hang
-			// the handoff, so annotate and crash here.
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}()
 		fn(p)
-	}()
-	k.AtKind(k.now, "proc", func() { k.handoff(p) })
+	})
+	p.wake = func() { next() }
+	k.procs = append(k.procs, p)
+	k.live++
+	k.AtKind(k.now, "proc", p.wake)
 	return p
 }
 
@@ -61,23 +77,10 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// handoff transfers control to p until it blocks or terminates.
-func (k *Kernel) handoff(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := k.running
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.park
-	k.running = prev
-}
-
-// block parks the calling process until the kernel dispatches it again.
+// block suspends the calling process until the kernel resumes it.
 func (p *Proc) block(what string) {
 	p.blockedOn = what
-	p.k.park <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.blockedOn = ""
 	if p.killed {
 		panic(killedPanic{p.name})
@@ -102,14 +105,14 @@ func (p *Proc) Delay(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.k.AfterKind(d, "proc", func() { p.k.handoff(p) })
+	p.k.AfterKind(d, "proc", p.wake)
 	p.block("delay")
 }
 
 // Yield reschedules the process at the current time behind already-queued
 // events, letting same-timestamp events run first.
 func (p *Proc) Yield() {
-	p.k.AfterKind(0, "proc", func() { p.k.handoff(p) })
+	p.k.AfterKind(0, "proc", p.wake)
 	p.block("yield")
 }
 
@@ -138,7 +141,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	timer := c.k.AfterKind(d, "proc", func() {
 		fired = true
 		c.remove(p)
-		c.k.handoff(p)
+		p.wake()
 	})
 	c.waiters = append(c.waiters, p)
 	p.block("cond-timeout")
@@ -164,8 +167,9 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
+	c.waiters[0] = nil
 	c.waiters = c.waiters[1:]
-	c.k.AfterKind(0, "proc", func() { c.k.handoff(p) })
+	c.k.AfterKind(0, "proc", p.wake)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
@@ -173,7 +177,6 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
 	for _, p := range ws {
-		w := p
-		c.k.AfterKind(0, "proc", func() { c.k.handoff(w) })
+		c.k.AfterKind(0, "proc", p.wake)
 	}
 }

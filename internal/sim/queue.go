@@ -29,6 +29,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 		return zero, false
 	}
 	v := q.items[0]
+	q.items[0] = zero
 	q.items = q.items[1:]
 	return v, true
 }

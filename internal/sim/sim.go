@@ -5,11 +5,12 @@
 //
 //   - plain events: closures scheduled at an absolute virtual time with
 //     Kernel.At or Kernel.After, executed on the kernel goroutine; and
-//   - processes: coroutines (see Proc) that model software running on a
-//     simulated CPU. A process runs exclusively — the kernel hands it a
-//     token and waits until the process blocks again — so all simulation
-//     state is accessed by at most one goroutine at a time and no locking
-//     is needed anywhere in the models.
+//   - processes: runtime coroutines (iter.Pull; see Proc) that model
+//     software running on a simulated CPU. A process runs exclusively:
+//     resuming it switches directly from the kernel to the coroutine,
+//     and the process switches back when it blocks again. All simulation
+//     state is therefore accessed by one execution at a time and no
+//     locking is needed anywhere in the models.
 //
 // Events with equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), which makes every run of a
@@ -62,12 +63,14 @@ func (d Duration) String() string {
 	}
 }
 
-type event struct {
+// Timer is a scheduled event, returned by At and its variants so the
+// caller can cancel it before it fires.
+type Timer struct {
 	t   Time
 	seq uint64
-	fn  func()
-	// canceled events stay in the heap but are skipped when popped.
-	canceled bool
+	// fn is nil once the event fired or was canceled; canceled events
+	// stay in the heap and are skipped when popped.
+	fn func()
 	// observer events (periodic monitors: metrics streams, heartbeat
 	// tickers) are invisible to Pending, so several observers never keep
 	// each other — or a finished simulation — alive.
@@ -77,8 +80,18 @@ type event struct {
 	kind string
 }
 
+// Stop cancels the timer. It reports whether the event had not yet
+// fired or been canceled.
+func (t *Timer) Stop() bool {
+	if t == nil || t.fn == nil {
+		return false
+	}
+	t.fn = nil
+	return true
+}
+
 // kindOf returns the profiling label of an event.
-func kindOf(ev *event) string {
+func kindOf(ev *Timer) string {
 	if ev.kind != "" {
 		return ev.kind
 	}
@@ -88,7 +101,7 @@ func kindOf(ev *event) string {
 	return "event"
 }
 
-type eventHeap []*event
+type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -98,7 +111,7 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
 func (h *eventHeap) Pop() (popped any) {
 	old := *h
 	n := len(old)
@@ -108,27 +121,12 @@ func (h *eventHeap) Pop() (popped any) {
 	return
 }
 
-// Timer is a handle to a scheduled event that can be canceled before it
-// fires. Canceling a timer that already fired is a no-op.
-type Timer struct{ ev *event }
-
-// Stop cancels the timer. It reports whether the event had not yet fired.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.canceled {
-		return false
-	}
-	t.ev.canceled = true
-	return true
-}
-
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; call NewKernel.
 type Kernel struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
-	park     chan struct{}
-	running  *Proc
 	procs    []*Proc
 	live     int
 	closed   bool
@@ -138,7 +136,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{park: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -150,10 +148,10 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
-	ev := &event{t: t, seq: k.seq, fn: fn}
+	ev := &Timer{t: t, seq: k.seq, fn: fn}
 	k.seq++
 	heap.Push(&k.events, ev)
-	return &Timer{ev: ev}
+	return ev
 }
 
 // After schedules fn to run d from now.
@@ -171,14 +169,14 @@ func (k *Kernel) After(d Duration, fn func()) *Timer {
 // remain — the workload is done", even when several observers coexist.
 func (k *Kernel) AtObserver(t Time, fn func()) *Timer {
 	tm := k.At(t, fn)
-	tm.ev.observer = true
+	tm.observer = true
 	return tm
 }
 
 // AfterObserver schedules fn like After, as an observer event.
 func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
 	tm := k.After(d, fn)
-	tm.ev.observer = true
+	tm.observer = true
 	return tm
 }
 
@@ -188,14 +186,14 @@ func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
 // else — ordering, Pending and the virtual clock are untouched.
 func (k *Kernel) AtKind(t Time, kind string, fn func()) *Timer {
 	tm := k.At(t, fn)
-	tm.ev.kind = kind
+	tm.kind = kind
 	return tm
 }
 
 // AfterKind schedules fn like After, labeled for the profiler.
 func (k *Kernel) AfterKind(d Duration, kind string, fn func()) *Timer {
 	tm := k.After(d, fn)
-	tm.ev.kind = kind
+	tm.kind = kind
 	return tm
 }
 
@@ -217,18 +215,20 @@ func (k *Kernel) Executed() int64 { return k.executed }
 // remain.
 func (k *Kernel) step() bool {
 	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*event)
-		if ev.canceled {
+		ev := heap.Pop(&k.events).(*Timer)
+		fn := ev.fn
+		if fn == nil {
 			continue
 		}
+		ev.fn = nil
 		k.now = ev.t
 		k.executed++
 		if k.prof != nil {
 			t0 := time.Now()
-			ev.fn()
+			fn()
 			k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
 		} else {
-			ev.fn()
+			fn()
 		}
 		return true
 	}
@@ -274,9 +274,9 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor runs the simulation for d virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
-func (k *Kernel) peek() *event {
+func (k *Kernel) peek() *Timer {
 	for len(k.events) > 0 {
-		if k.events[0].canceled {
+		if k.events[0].fn == nil {
 			heap.Pop(&k.events)
 			continue
 		}
@@ -295,7 +295,7 @@ func (k *Kernel) peek() *event {
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, ev := range k.events {
-		if !ev.canceled && !ev.observer {
+		if ev.fn != nil && !ev.observer {
 			n++
 		}
 	}
@@ -316,9 +316,10 @@ func (k *Kernel) checkDeadlock() error {
 	return &DeadlockError{Time: k.now, Blocked: blocked}
 }
 
-// Close terminates every still-live process (their goroutines unwind via
-// an internal panic) so that a test or tool can abandon a simulation
-// without leaking goroutines. The kernel must not be used afterwards.
+// Close terminates every still-live process (each coroutine unwinds via
+// an internal panic, running its defers) so that a test or tool can
+// abandon a simulation without leaking goroutines. The kernel must not
+// be used afterwards.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
@@ -327,7 +328,7 @@ func (k *Kernel) Close() {
 	for _, p := range k.procs {
 		if !p.done {
 			p.killed = true
-			k.handoff(p)
+			p.wake()
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +76,14 @@ func TestTimerStop(t *testing.T) {
 	}
 	if fired {
 		t.Fatal("canceled timer fired")
+	}
+
+	done := k.At(20, func() {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done.Stop() {
+		t.Error("Stop returned true for a timer that already fired")
 	}
 }
 
@@ -218,6 +227,38 @@ func TestCloseUnwindsProcesses(t *testing.T) {
 	k.Close()
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run on Close")
+	}
+}
+
+func TestProcPanicReachesRun(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("faulty", func(p *Proc) {
+		p.Delay(5)
+		panic("boom")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `process "faulty" panicked: boom`) {
+			t.Fatalf("recovered %q, want the annotated process panic", msg)
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned normally after a process panicked")
+}
+
+// TestDelayAllocs pins the cost of one Delay round trip: the Timer the
+// kernel schedules is its only allocation.
+func TestDelayAllocs(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	k.SpawnDaemon("sleeper", func(p *Proc) {
+		for {
+			p.Delay(1)
+		}
+	})
+	k.RunUntil(0)
+	if allocs := testing.AllocsPerRun(100, func() { k.RunFor(1) }); allocs > 1 {
+		t.Fatalf("Delay round trip allocates %v objects, want at most 1", allocs)
 	}
 }
 
