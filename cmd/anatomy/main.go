@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	anatomy [-size 4] [-nodes 4] [-mcast] [-earlyack] [-profile]
+//	anatomy [-size 4] [-nodes 4] [-mcast] [-recvany] [-tracecap 4096] [-profile]
 //
 // -profile installs the kernel self-profiler for the run and renders
 // its per-event-kind real-time attribution. Profiling reads only the
@@ -40,7 +40,6 @@ func main() {
 	nodes := flag.Int("nodes", 4, "ring size")
 	mcast := flag.Bool("mcast", false, "broadcast to all nodes instead of unicast")
 	recvany := flag.Bool("recvany", false, "receivers use RecvAny (exercises the burst-read poll sweep)")
-	earlyack := flag.Bool("earlyack", false, "acknowledge posts at ring transit (in-network handler) instead of at host consume")
 	tcap := flag.Int("tracecap", 4096, "trace ring-buffer capacity (0 = unbounded)")
 	profile := flag.Bool("profile", false, "attach the kernel self-profiler and render the per-kind cost table")
 	flag.Parse()
@@ -62,7 +61,6 @@ func main() {
 	}
 	m := metrics.New()
 	bcfg := core.DefaultConfig()
-	bcfg.EarlyAck = *earlyack
 	sys, err := core.New(ring, bcfg, core.WithTracer(rec), core.WithMetrics(m))
 	if err != nil {
 		log.Fatal(err)
@@ -359,12 +357,6 @@ func crossCheck(rec *trace.Recorder, m *metrics.Registry, ring *scramnet.Network
 	}
 	drain := buscfg.PIOWriteWord // ACK toggle write
 	drainModel := fmt.Sprintf("1 wr × %s", buscfg.PIOWriteWord)
-	if bcfg.EarlyAck {
-		// The transit handler acknowledged the post; the host consume
-		// performs no ACK write.
-		drain = 0
-		drainModel = "early-ack (no host ACK write)"
-	}
 	if dmaRecv {
 		drain += buscfg.DMASetup + sim.Duration(size)*buscfg.DMAPerByte + buscfg.DMACompletionCheck
 		drainModel = "DMA " + fmt.Sprint(size) + " B + " + drainModel

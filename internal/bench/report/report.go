@@ -606,7 +606,7 @@ func pollAggregation() PollAggregation {
 // bbp.recv_dma_threshold_bytes gauge on the pong side.
 func adaptiveConverged() int64 {
 	_, snap, _ := instrumented(4, func(cfg *core.Config) {
-		cfg.Thresholds.Adaptive.Enabled = true
+		cfg.Thresholds.Adaptive = true
 	})
 	g, _ := snap.Gauge("bbp.recv_dma_threshold_bytes", 1)
 	return g.Value

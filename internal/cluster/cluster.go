@@ -209,7 +209,7 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 		if opts.PIOOnlyBBP {
 			bbpCfg.Thresholds.SendDMA = 1 << 30
 			bbpCfg.Thresholds.RecvDMA = 1 << 30
-			bbpCfg.Thresholds.Adaptive = core.AdaptiveConfig{}
+			bbpCfg.Thresholds.Adaptive = false
 		}
 		if opts.Liveness != nil {
 			bbpCfg.Liveness = *opts.Liveness

@@ -18,45 +18,36 @@ import (
 //	w = EWMA of observed per-word PIO read cost (ns/word)
 //	F = EWMA of observed DMA fixed overhead (drain elapsed − n·DMAPerByte)
 //
-// Every windowObs observations it recomputes the crossover length at
+// Every adaptWindow observations it recomputes the crossover length at
 // which DMA becomes cheaper than word-at-a-time PIO:
 //
 //	n* : F + n·b = n·(w/4)  ⇒  n* = 4F / (w − 4b)
 //
-// with b = DMAPerByte from the bus config, rounded up to a whole word
-// and clamped to [Floor, Ceil]. On the default uncontended bus
-// (w = 650 ns, F = 2.75 µs, b = 12 ns/B) this yields 20 B — the E7
-// measurement — and under contention the inflated w pulls the threshold
-// down. The current value is published as the
-// bbp.recv_dma_threshold_bytes gauge; recomputations that change it
-// count bbp.threshold_adaptations.
+// with b = DMAPerByte from the bus config, rounded up to a whole word.
+// On the default uncontended bus (w = 650 ns, F = 2.75 µs, b = 12 ns/B)
+// this yields 20 B — the E7 measurement — and under contention the
+// inflated w pulls the threshold down. The current value is published
+// as the bbp.recv_dma_threshold_bytes gauge; recomputations that change
+// it count bbp.threshold_adaptations.
 type adaptiveState struct {
-	enabled     bool
-	windowObs   int
-	floor, ceil int // ceil 0 = unclamped above
-	wordNs      int64
-	fixedNs     int64
-	obs         int
-	threshold   int
+	enabled   bool
+	wordNs    int64
+	fixedNs   int64
+	obs       int
+	threshold int
 }
 
-const ewmaShift = 3 // EWMA weight 1/8
+const (
+	ewmaShift   = 3  // EWMA weight 1/8
+	adaptWindow = 16 // cost observations between threshold recomputations
+)
 
 // initAdaptive seeds the estimator from the bus cost model and the
 // static threshold (the documented starting point and disabled-mode
 // fallback).
 func (e *Endpoint) initAdaptive() {
 	t := e.sys.cfg.Thresholds
-	e.adapt = adaptiveState{
-		enabled:   t.Adaptive.Enabled,
-		windowObs: t.Adaptive.Window,
-		floor:     t.Adaptive.Floor,
-		ceil:      t.Adaptive.Ceil,
-		threshold: t.RecvDMA,
-	}
-	if e.adapt.windowObs == 0 {
-		e.adapt.windowObs = DefaultAdaptiveWindow
-	}
+	e.adapt = adaptiveState{enabled: t.Adaptive, threshold: t.RecvDMA}
 	bc := e.nic.Bus().Config()
 	e.adapt.wordNs = int64(bc.PIOReadWord)
 	e.adapt.fixedNs = int64(bc.DMASetup + bc.DMACompletionCheck)
@@ -101,7 +92,7 @@ func (e *Endpoint) observeDMARead(n int, elapsed sim.Duration) {
 
 func (e *Endpoint) adaptTick() {
 	e.adapt.obs++
-	if e.adapt.obs < e.adapt.windowObs {
+	if e.adapt.obs < adaptWindow {
 		return
 	}
 	e.adapt.obs = 0
@@ -111,23 +102,12 @@ func (e *Endpoint) adaptTick() {
 func (e *Endpoint) recomputeThreshold() {
 	a := &e.adapt
 	b4 := 4 * int64(e.nic.Bus().Config().DMAPerByte)
-	var t int
-	if a.wordNs <= b4 {
-		// PIO reads observed no dearer per byte than the DMA stream
-		// rate: DMA can never win, push the threshold to the ceiling.
-		t = a.ceil
-		if t == 0 {
-			t = 1 << 30
-		}
-	} else {
+	// PIO reads observed no dearer per byte than the DMA stream rate:
+	// DMA can never win.
+	t := 1 << 30
+	if a.wordNs > b4 {
 		n := (4*a.fixedNs + (a.wordNs - b4) - 1) / (a.wordNs - b4) // ceil(4F / (w−4b))
 		t = int(n+3) &^ 3                                          // whole words
-	}
-	if t < a.floor {
-		t = a.floor
-	}
-	if a.ceil != 0 && t > a.ceil {
-		t = a.ceil
 	}
 	if t != a.threshold {
 		a.threshold = t

@@ -135,15 +135,6 @@ type Config struct {
 	// being shuffled through a software tree (DESIGN.md §13). Requires a
 	// flat ring (handlers do not cross hierarchy bridges).
 	Stream StreamConfig
-	// EarlyAck installs a spin.EarlyAck transit handler per (receiver,
-	// sender) pair: the receiver's NIC acknowledges a MESSAGE-flag
-	// packet the moment it transits, one revolution after the post,
-	// instead of waiting for the host's poll-consume-ack cycle. The
-	// host-side ACK write is suppressed. ACK semantics weaken from
-	// "consumed" to "arrived at the receiver's bank", so it is
-	// incompatible with the retry extension, whose per-slot sequence
-	// ACKs must prove consumption (DESIGN.md §13).
-	EarlyAck bool
 	// Costs are the software path costs.
 	Costs Costs
 }
@@ -155,14 +146,11 @@ type StreamConfig struct {
 	// shrinks every data partition, which would shift the calibrated
 	// figures.
 	Enabled bool
-	// MaxBytes caps the vector one streaming round can carry; it must
-	// be a positive multiple of 4 (the ring combines 32-bit lanes).
-	// 0 means DefaultStreamMax.
-	MaxBytes int
 }
 
-// DefaultStreamMax is the stream-region vector capacity when
-// StreamConfig.MaxBytes is zero.
+// DefaultStreamMax is the stream-region vector capacity: the largest
+// vector one streaming round can carry (a multiple of 4, since the ring
+// combines 32-bit lanes).
 const DefaultStreamMax = 256
 
 // Thresholds are the message lengths at or above which data crosses the
@@ -174,61 +162,20 @@ const DefaultStreamMax = 256
 type Thresholds struct {
 	SendDMA int
 	RecvDMA int
-	// Adaptive, when enabled, drives the receive threshold from live
-	// bus-cost observations instead of the RecvDMA constant; RecvDMA
-	// then remains the starting point and the fallback for endpoints
-	// that have not accumulated observations yet.
-	Adaptive AdaptiveConfig
+	// Adaptive drives the receive threshold from live bus-cost
+	// observations (the endpoint's own poll reads and payload drains)
+	// instead of the RecvDMA constant, which remains the starting
+	// point. On an uncontended default-cost bus it converges on the
+	// measured 20 B crossover (E7); under bus contention the inflated
+	// read cost pulls it down. The current value is published as the
+	// bbp.recv_dma_threshold_bytes gauge (adaptive.go).
+	Adaptive bool
 }
 
-// AdaptiveConfig tunes the adaptive receive-DMA threshold: each
-// endpoint treats its own poll reads and payload drains as live probes
-// of the per-word PIO read cost and the DMA fixed overhead (the same
-// quantities the pci.busy_ns counter aggregates, plus queueing behind
-// concurrent DMA), folds them into EWMAs, and periodically recomputes
-// the crossover size at which DMA becomes cheaper. On an uncontended
-// default-cost bus this converges on the measured 20 B crossover (E7);
-// under bus contention the inflated read cost pulls the threshold down.
-// The current value is published as the bbp.recv_dma_threshold_bytes
-// gauge.
-type AdaptiveConfig struct {
-	// Enabled turns adaptation on.
-	Enabled bool
-	// Window is the number of cost observations between threshold
-	// recomputations; 0 means DefaultAdaptiveWindow.
-	Window int
-	// Floor and Ceil clamp the adapted threshold in bytes; Ceil 0 means
-	// unclamped above.
-	Floor, Ceil int
-}
-
-// DefaultAdaptiveWindow is the observation count between threshold
-// recomputations when AdaptiveConfig.Window is zero.
-const DefaultAdaptiveWindow = 16
-
-// Validate rejects nonsense threshold configurations: negative
-// thresholds, malformed adaptive clamps, adaptive knobs set while
-// adaptation is off, or a static override pinned outside the adaptive
-// clamp range (the caller asked for two contradictory behaviors).
+// Validate rejects negative thresholds.
 func (t Thresholds) Validate() error {
 	if t.SendDMA < 0 || t.RecvDMA < 0 {
 		return fmt.Errorf("bbp: negative DMA threshold (send %d, recv %d)", t.SendDMA, t.RecvDMA)
-	}
-	a := t.Adaptive
-	if !a.Enabled {
-		if a.Window != 0 || a.Floor != 0 || a.Ceil != 0 {
-			return fmt.Errorf("bbp: adaptive threshold knobs set (window %d, floor %d, ceil %d) but Adaptive.Enabled is false", a.Window, a.Floor, a.Ceil)
-		}
-		return nil
-	}
-	if a.Window < 0 || a.Floor < 0 || a.Ceil < 0 {
-		return fmt.Errorf("bbp: negative adaptive parameter (window %d, floor %d, ceil %d)", a.Window, a.Floor, a.Ceil)
-	}
-	if a.Ceil != 0 && a.Ceil < a.Floor {
-		return fmt.Errorf("bbp: adaptive clamp ceiling %d below floor %d", a.Ceil, a.Floor)
-	}
-	if t.RecvDMA < a.Floor || (a.Ceil != 0 && t.RecvDMA > a.Ceil) {
-		return fmt.Errorf("bbp: adaptive+override conflict: static RecvDMA %d outside the adaptive clamp [%d, %d]", t.RecvDMA, a.Floor, a.Ceil)
 	}
 	return nil
 }
@@ -463,18 +410,9 @@ func New(net RingNetwork, cfg Config, opts ...Option) (*System, error) {
 	if err := cfg.Liveness.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.EarlyAck && cfg.Retry.Enabled {
-		return nil, fmt.Errorf("bbp: EarlyAck is incompatible with the retry extension (a transit handler cannot prove consumption, which per-slot sequence ACKs must)")
-	}
 	strMax := 0
 	if cfg.Stream.Enabled {
-		strMax = cfg.Stream.MaxBytes
-		if strMax == 0 {
-			strMax = DefaultStreamMax
-		}
-		if strMax < 4 || strMax%4 != 0 || strMax > 0xffffff {
-			return nil, fmt.Errorf("bbp: Stream.MaxBytes %d must be a positive multiple of 4 below 2^24", cfg.Stream.MaxBytes)
-		}
+		strMax = DefaultStreamMax
 		// The combining-counter word carries a participation count in
 		// its low 24 bits and the round tag in the high 8
 		// (spin.CounterWord): every rank the ring can address fits, so
@@ -482,15 +420,11 @@ func New(net RingNetwork, cfg Config, opts ...Option) (*System, error) {
 		if n >= spin.CounterRanks {
 			return nil, fmt.Errorf("bbp: Stream supports fewer than %d processes (the combining counter shares a word with the round tag), got %d", spin.CounterRanks, n)
 		}
-	} else if cfg.Stream.MaxBytes != 0 {
-		return nil, fmt.Errorf("bbp: Stream.MaxBytes %d set but Stream.Enabled is false", cfg.Stream.MaxBytes)
-	}
-	if cfg.Stream.Enabled || cfg.EarlyAck {
 		// In-network handlers run at one ring's transit points; a
 		// hierarchy bridge re-injects packets with a new origin, which
 		// would re-run handlers and break the one-revolution semantics.
 		if _, flat := net.(*scramnet.Network); !flat {
-			return nil, fmt.Errorf("bbp: in-network handlers (Stream/EarlyAck) require a flat ring, not %T", net)
+			return nil, fmt.Errorf("bbp: Stream requires a flat ring, not %T", net)
 		}
 	}
 	ackWords := 1
@@ -562,9 +496,6 @@ func (s *System) Attach(rank int) (*Endpoint, error) {
 	}
 	if s.cfg.Stream.Enabled {
 		e.initStream()
-	}
-	if s.cfg.EarlyAck {
-		e.initEarlyAck()
 	}
 	if s.cfg.Retry.Enabled {
 		s.net.Kernel().SpawnDaemon(fmt.Sprintf("bbp-retry-%d", rank), e.retryLoop)

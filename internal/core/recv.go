@@ -334,13 +334,6 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 // slot b" can only ever under-report; a lost ACK write is healed by
 // the re-ack path in scanSender.
 func (e *Endpoint) ackWrite(p *sim.Proc, s int, m message) {
-	if e.sys.cfg.EarlyAck {
-		// The transit handler (spin.EarlyAck) already injected this
-		// toggle when the MESSAGE-flag packet crossed our NIC; writing
-		// it again here would re-toggle the word and un-acknowledge the
-		// slot.
-		return
-	}
 	if e.sys.cfg.Retry.Enabled {
 		e.nic.WriteWord(p, e.sys.lay.ackSlot(s, e.me, m.slot), m.seq)
 		return

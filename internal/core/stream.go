@@ -82,22 +82,6 @@ func (e *Endpoint) initStream() {
 	e.nic.InstallHandler(lay.strHdr(), 8+lay.strMax, e.stream.reducer)
 }
 
-// initEarlyAck installs one spin.EarlyAck per sender over this
-// receiver's MESSAGE-flag word for that sender. The handler injects the
-// ACK toggle at transit; the host-side ackWrite is suppressed.
-func (e *Endpoint) initEarlyAck() {
-	lay := e.sys.lay
-	for s := 0; s < e.Procs(); s++ {
-		if s == e.me {
-			continue
-		}
-		e.nic.InstallHandler(lay.msgFlags(e.me, s), 4, &spin.EarlyAck{
-			FlagsOff: lay.msgFlags(e.me, s),
-			AckOff:   lay.ackFlags(s, e.me),
-		})
-	}
-}
-
 // StreamMax returns the largest vector StreamAllreduce can carry on the
 // fast path (0 when Config.Stream is disabled). Part of
 // xport.StreamReducer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/liveness"
@@ -315,65 +316,6 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestEarlyAckReclaims: with EarlyAck the transit handler acknowledges
-// posts at arrival, so a sender can cycle many messages through a tiny
-// slot pool without the receiver ever consuming — impossible in the
-// base protocol, where the ACK comes only from the receiver's consume.
-func TestEarlyAckReclaims(t *testing.T) {
-	const sends = 10
-	k, _, _, eps := streamWorld(t, 2, func(c *Config) {
-		c.Stream.Enabled = false
-		c.EarlyAck = true
-		c.Buffers = 2
-		c.RecvTimeout = 50 * sim.Millisecond
-	})
-	k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < sends; i++ {
-			if err := eps[0].Send(p, 1, []byte{byte(i)}); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEarlyAckRoundtrip: delivery semantics are unchanged — the
-// receiver still detects, consumes and returns the payload; only the
-// ACK write moved from the host to the transit point.
-func TestEarlyAckRoundtrip(t *testing.T) {
-	k, _, _, eps := streamWorld(t, 3, func(c *Config) {
-		c.Stream.Enabled = false
-		c.EarlyAck = true
-	})
-	msgs := [][]byte{[]byte("early"), []byte("ack"), []byte("ring")}
-	k.Spawn("sender", func(p *sim.Proc) {
-		for _, m := range msgs {
-			if err := eps[0].Send(p, 2, m); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	k.Spawn("receiver", func(p *sim.Proc) {
-		buf := make([]byte, 64)
-		for _, want := range msgs {
-			n, err := eps[2].Recv(p, 0, buf)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !bytes.Equal(buf[:n], want) {
-				t.Errorf("got %q want %q", buf[:n], want)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamWideRing: the combining counter lifts the old 24-rank
 // completion-bitmask cap — a 28-rank ring (wider than any single mask
 // word could cover) must run a full in-network round on the fast path,
@@ -480,24 +422,40 @@ func TestStreamTrapFallback(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the new construction-time checks.
+// TestStreamConfigValidation covers the construction-time Stream
+// checks: the in-network handlers need a flat ring, because a
+// hierarchy bridge re-injects packets with a new origin and would
+// re-run them.
 func TestStreamConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
-	net, err := scramnet.New(k, scramnet.DefaultConfig(2))
+	defer k.Close()
+	ring, err := scramnet.New(k, scramnet.DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Stream.Enabled = true; c.Stream.MaxBytes = 7 },
-		func(c *Config) { c.Stream.Enabled = true; c.Stream.MaxBytes = -4 },
-		func(c *Config) { c.Stream.MaxBytes = 64 }, // set while disabled
-		func(c *Config) { c.EarlyAck = true; c.Retry = DefaultRetryConfig() },
+	hier, err := scramnet.NewHierarchy(k, scramnet.DefaultHierarchyConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, m := range bad {
+	cases := []struct {
+		name   string
+		net    RingNetwork
+		stream bool
+		ok     bool
+	}{
+		{"stream on flat ring", ring, true, true},
+		{"stream off on hierarchy", hier, false, true},
+		{"stream on hierarchy", hier, true, false},
+	}
+	for _, c := range cases {
 		cfg := DefaultConfig()
-		m(&cfg)
-		if _, err := New(net, cfg); err == nil {
-			t.Errorf("case %d: config accepted, want error", i)
+		cfg.Stream.Enabled = c.stream
+		_, err := New(c.net, cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: New() = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if !c.ok && err != nil && !strings.Contains(err.Error(), "flat ring") {
+			t.Errorf("%s: error %q does not name the flat-ring rule", c.name, err)
 		}
 	}
 }

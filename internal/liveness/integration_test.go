@@ -123,12 +123,9 @@ func TestMPIBarrierDeadPeer(t *testing.T) {
 	}}
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30 // the paper's PIO-only channel device
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	lcfg := liveness.DefaultConfig()
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg,
+		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true, Faults: script, Liveness: &lcfg,
 	})
 	if err != nil {
 		t.Fatal(err)

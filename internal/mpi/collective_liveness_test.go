@@ -29,15 +29,13 @@ func treeCluster(t testing.TB, nodes int, live *liveness.Config, faults *fault.S
 	k := sim.NewKernel()
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	c, err := cluster.New(k, cluster.Options{
-		Nodes:    nodes,
-		Net:      cluster.SCRAMNet,
-		BBP:      &bbp,
-		Liveness: live,
-		Faults:   faults,
+		Nodes:      nodes,
+		Net:        cluster.SCRAMNet,
+		BBP:        &bbp,
+		PIOOnlyBBP: true,
+		Liveness:   live,
+		Faults:     faults,
 	})
 	if err != nil {
 		t.Fatal(err)

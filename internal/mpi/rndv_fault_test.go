@@ -42,12 +42,9 @@ func windowedWorldTimeout(t testing.TB, k *sim.Kernel, n int, script *fault.Scri
 	t.Helper()
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	lcfg := liveness.DefaultConfig()
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: n, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg,
+		Nodes: n, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true, Faults: script, Liveness: &lcfg,
 	})
 	if err != nil {
 		t.Fatal(err)

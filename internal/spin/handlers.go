@@ -253,51 +253,3 @@ func (f *TopicFilter) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
 	}
 	return Steer
 }
-
-// EarlyAck acknowledges BillBoard posts at ring transit instead of at
-// host consumption: when a sender's MESSAGE-flag packet transits the
-// addressed receiver's NIC, the handler diffs it against the bank's
-// previous value and injects the matching ACK-toggle write on the
-// spot. The sender's garbage collector then sees the acknowledgment
-// one ring revolution after the post, without waiting for the
-// receiver's poll-consume-ack cycle. The semantics weaken from
-// "consumed" to "arrived at the receiver's bank" — see DESIGN.md §13
-// for the slot-reuse hazard window this opens and why the base
-// protocol's flow control must come from buffer depth instead.
-// EarlyAck implements TrapAware: its ACK-toggle accumulator reverts on
-// a budget-overrun trap, matching the engine's discard of the staged
-// ACK injection — otherwise the next genuine toggle would inject an
-// ACK word one flip ahead of what the sender's GC has observed.
-type EarlyAck struct {
-	// FlagsOff is the bank offset of this receiver's MESSAGE-flag word
-	// for the sender this instance watches; AckOff the ACK-toggle word
-	// this receiver owns in that sender's control partition.
-	FlagsOff, AckOff int
-
-	ackOut  uint32
-	prevAck uint32 // pre-transit snapshot, restored by OnTrap
-}
-
-// OnTransit implements Handler.
-func (a *EarlyAck) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
-	a.prevAck = a.ackOut
-	if pkt.Off != a.FlagsOff || len(pkt.Data) < 4 {
-		return Forward
-	}
-	ctx.Charge(3)
-	if ctx.Overrun() {
-		return Forward
-	}
-	diff := word(pkt.Data) ^ word(ctx.Bank(a.FlagsOff, 4))
-	if diff == 0 {
-		return Forward
-	}
-	a.ackOut ^= diff
-	var ack [4]byte
-	putWord(ack[:], a.ackOut)
-	ctx.Inject(a.AckOff, ack[:])
-	return Forward
-}
-
-// OnTrap implements TrapAware.
-func (a *EarlyAck) OnTrap(Packet) { a.ackOut = a.prevAck }

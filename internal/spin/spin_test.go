@@ -360,17 +360,36 @@ func TestReducerSelfOverrunCommitsNothing(t *testing.T) {
 	}
 }
 
+// countInjector injects its running transit count on every transit.
+// It implements TrapAware: the count reverts on a budget-overrun trap,
+// matching the engine's discard of the staged injection.
+type countInjector struct {
+	off      int
+	n, prevN uint32
+}
+
+func (c *countInjector) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
+	c.prevN = c.n
+	c.n++
+	var w [4]byte
+	putWord(w[:], c.n)
+	ctx.Inject(c.off, w[:])
+	return Forward
+}
+
+func (c *countInjector) OnTrap(Packet) { c.n = c.prevN }
+
 // TestTrapDiscardsStagedInjection: an Inject staged before a budget
-// overrun must never reach the ring, and EarlyAck's toggle accumulator
-// must roll back with it — otherwise the next genuine toggle would
-// inject an ACK word one flip ahead.
+// overrun must never reach the ring, and a TrapAware handler's
+// accumulator must roll back with it — otherwise the next genuine
+// transit would inject a word one step ahead.
 func TestTrapDiscardsStagedInjection(t *testing.T) {
-	const flagsOff, ackOff = 0, 32
+	const pktOff, injOff = 0, 32
 	mem := make([]byte, 64)
 	var injected []uint32
 	e := NewEngine(1, 10)
-	e.Install(flagsOff, 4, &EarlyAck{FlagsOff: flagsOff, AckOff: ackOff})
-	burner := e.Install(flagsOff, 4, verdictFn(func(ctx *HandlerCtx, pkt Packet) Verdict {
+	e.Install(pktOff, 4, &countInjector{off: injOff})
+	burner := e.Install(pktOff, 4, verdictFn(func(ctx *HandlerCtx, pkt Packet) Verdict {
 		ctx.Charge(1000)
 		return Forward
 	}))
@@ -379,22 +398,21 @@ func TestTrapDiscardsStagedInjection(t *testing.T) {
 		Bank:       bankOf(mem),
 		InjectHook: func(off int, data []byte) { injected = append(injected, word(data)) },
 	}
-	flags := make([]byte, 4)
-	putWord(flags, 0b1)
-	if _, _, trapped := e.Run(ctx, Packet{Off: flagsOff, Data: flags}); !trapped {
+	pkt := Packet{Off: pktOff, Data: make([]byte, 4)}
+	if _, _, trapped := e.Run(ctx, pkt); !trapped {
 		t.Fatal("burner did not trap")
 	}
 	if len(injected) != 0 {
 		t.Fatalf("staged injection survived the trap: %v", injected)
 	}
-	// Re-run the same toggle without the burner: the ACK must come out
-	// as the first flip (0b1), proving ackOut rolled back to zero.
+	// Re-run the same transit without the burner: the injection must
+	// carry the first count (1), proving the count rolled back to zero.
 	e.Uninstall(burner)
-	if _, _, trapped := e.Run(ctx, Packet{Off: flagsOff, Data: flags}); trapped {
+	if _, _, trapped := e.Run(ctx, pkt); trapped {
 		t.Fatal("clean transit trapped")
 	}
-	if len(injected) != 1 || injected[0] != 0b1 {
-		t.Fatalf("ack accumulator did not roll back: injected %v, want [1]", injected)
+	if len(injected) != 1 || injected[0] != 1 {
+		t.Fatalf("count did not roll back: injected %v, want [1]", injected)
 	}
 }
 
@@ -490,51 +508,5 @@ func TestTopicFilter(t *testing.T) {
 		if v, _, _ := e.Run(ctx, Packet{Off: c.off, Data: make([]byte, 4)}); v != c.want {
 			t.Errorf("off %d: got %v want %v", c.off, v, c.want)
 		}
-	}
-}
-
-func TestEarlyAck(t *testing.T) {
-	const flagsOff, ackOff = 0, 32
-	mem := make([]byte, 64)
-	var injected []struct {
-		off  int
-		data []byte
-	}
-	e := NewEngine(1, 100)
-	e.Install(flagsOff, 4, &EarlyAck{FlagsOff: flagsOff, AckOff: ackOff})
-	ctx := &HandlerCtx{
-		Node: 1,
-		Bank: bankOf(mem),
-		InjectHook: func(off int, data []byte) {
-			injected = append(injected, struct {
-				off  int
-				data []byte
-			}{off, append([]byte(nil), data...)})
-		},
-	}
-	// First post toggles slot bit 0: handler injects the matching ack.
-	flags := make([]byte, 4)
-	putWord(flags, 0b1)
-	if v, _, _ := e.Run(ctx, Packet{Off: flagsOff, Data: flags}); v != Forward {
-		t.Fatal("early-ack must forward")
-	}
-	if len(injected) != 1 || injected[0].off != ackOff || word(injected[0].data) != 0b1 {
-		t.Fatalf("injected %+v", injected)
-	}
-	// Apply the flags to the bank (as the NIC would after Forward), then
-	// a duplicate packet with no new toggles injects nothing.
-	copy(mem[flagsOff:], flags)
-	if v, _, _ := e.Run(ctx, Packet{Off: flagsOff, Data: flags}); v != Forward || len(injected) != 1 {
-		t.Fatalf("duplicate flags injected an ack: v=%v n=%d", v, len(injected))
-	}
-	// Second post toggles bit 1: ack word accumulates both toggles.
-	putWord(flags, 0b11)
-	e.Run(ctx, Packet{Off: flagsOff, Data: flags})
-	if len(injected) != 2 || word(injected[1].data) != 0b11 {
-		t.Fatalf("injected %+v", injected)
-	}
-	// Short packets pass through untouched.
-	if v, _, _ := e.Run(ctx, Packet{Off: flagsOff, Data: []byte{1}}); v != Forward || len(injected) != 2 {
-		t.Fatal("short packet mishandled")
 	}
 }
