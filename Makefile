@@ -101,15 +101,20 @@ soak: build
 # with span tracing and snapshot streaming on, and require cmd/timeline
 # to exit 0 with a non-empty retry/bus co-spike correlation table. This
 # proves the whole pipeline — message-id propagation, span boundaries,
-# the snapshot stream, the correlator — end to end on a lossy run.
+# the snapshot stream, the correlator — end to end on a lossy run. The
+# tier also renders a multicast RecvAny anatomy, which exits nonzero on
+# any trace/metrics/cost-model disagreement, so cmd/anatomy cannot rot.
 timeline: build
-	@$(GO) run ./cmd/timeline -mode sweep -rate 0.15 -seed 1999 > .timeline.tmp.out || \
+	@$(GO) run ./cmd/timeline -rate 0.15 -seed 1999 > .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; exit 1; }
 	@grep -q "^correlation OK" .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
 		  echo "timeline tier: no correlation table in the output"; exit 1; }
+	@$(GO) run ./cmd/anatomy -mcast -recvany > .timeline.tmp.out || \
+		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
+		  echo "timeline tier: cmd/anatomy -mcast -recvany found a mismatch"; exit 1; }
 	@rm -f .timeline.tmp.out
-	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation"
+	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation; the anatomy cross-check agrees"
 
 # Regenerate every figure and table of the paper's §5, plus the
 # fault-sweep extension.

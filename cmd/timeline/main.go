@@ -2,26 +2,22 @@
 // metrics snapshot stream for a fully observed run of the simulated
 // testbed.
 //
-// In sweep mode (the default) it replays one point of the EXPERIMENTS.md
-// E6 fault sweep — 4-node SCRAMNet ring, retry-enabled BBP, a scripted
-// loss window — with tracing and snapshot streaming on, prints the
-// per-message latency breakdown table rebuilt from spans alone, and
-// flags the snapshot intervals where retransmissions and PCI bus
-// occupancy spiked together. With -chrome it also exports the span
-// stream as Chrome trace_event JSON for chrome://tracing / Perfetto.
-// The command exits nonzero when a lossy run produces no co-spike
-// interval: on this workload retry storms must be visible on the bus,
-// so an empty correlation table means the observability pipeline broke.
+// It replays one point of the EXPERIMENTS.md E6 fault sweep — 4-node
+// SCRAMNet ring, retry-enabled BBP, a scripted loss window — with
+// tracing and snapshot streaming on, prints the per-message latency
+// breakdown table rebuilt from spans alone, and flags the snapshot
+// intervals where retransmissions and PCI bus occupancy spiked
+// together. With -chrome it also exports the span stream as Chrome
+// trace_event JSON for chrome://tracing / Perfetto. The command exits
+// nonzero when a lossy run produces no co-spike interval: on this
+// workload retry storms must be visible on the bus, so an empty
+// correlation table means the observability pipeline broke.
 //
-// In anatomy mode it traces one message (the paper's 7.8 µs scenario)
-// and verifies that the decomposition rebuilt from spans alone agrees
-// with the counter × cost-model decomposition cmd/anatomy computes,
-// exiting nonzero on any disagreement.
+// The one-message anatomy decomposition lives in cmd/anatomy.
 //
 // Usage:
 //
-//	timeline [-mode sweep] [-rate 0.15] [-seed 1999] [-every 100] [-cap N] [-msg s:q] [-chrome out.json]
-//	timeline -mode anatomy [-size 4] [-nodes 4]
+//	timeline [-rate 0.15] [-seed 1999] [-every 100] [-cap N] [-msg s:q] [-chrome out.json]
 package main
 
 import (
@@ -36,52 +32,14 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "sweep", "sweep | anatomy")
-	rate := flag.Float64("rate", 0.15, "sweep: ring packet-drop probability")
-	seed := flag.Uint64("seed", 1999, "sweep: fault-script seed")
-	every := flag.Int64("every", 100, "sweep: snapshot period in simulated µs")
-	cap := flag.Int("cap", 0, "sweep: trace ring-buffer capacity (0 = unbounded)")
-	msg := flag.String("msg", "", "sweep: focus on one message id, as sender:seq")
-	chrome := flag.String("chrome", "", "sweep: write Chrome trace_event JSON here")
-	size := flag.Int("size", 4, "anatomy: message payload bytes")
-	nodes := flag.Int("nodes", 4, "anatomy: ring size")
+	rate := flag.Float64("rate", 0.15, "ring packet-drop probability")
+	seed := flag.Uint64("seed", 1999, "fault-script seed")
+	every := flag.Int64("every", 100, "snapshot period in simulated µs")
+	cap := flag.Int("cap", 0, "trace ring-buffer capacity (0 = unbounded)")
+	msg := flag.String("msg", "", "focus on one message id, as sender:seq")
+	chrome := flag.String("chrome", "", "write Chrome trace_event JSON here")
 	flag.Parse()
-
-	switch *mode {
-	case "anatomy":
-		anatomy(*size, *nodes)
-	case "sweep":
-		sweep(*rate, *seed, *every, *cap, *msg, *chrome)
-	default:
-		log.Fatalf("timeline: unknown mode %q", *mode)
-	}
-}
-
-// anatomy reproduces the 7.8 µs decomposition from spans alone and
-// checks it against the cost model.
-func anatomy(size, nodes int) {
-	res, err := timeline.RunAnatomy(size, nodes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b := res.Breakdown
-	fmt.Printf("anatomy of a %d-byte BBP unicast on a %d-node ring, from spans alone\n\n", size, nodes)
-	timeline.RenderBreakdowns(os.Stdout, []timeline.Breakdown{b})
-	fmt.Printf("\n  %-34s %12s  %12s\n", "segment", "spans", "cost model")
-	fmt.Printf("  %-34s %12s  %12s\n", "sender publish (post→flag-set)", b.Publish(), res.ModelPublish)
-	fmt.Printf("  %-34s %12s  %12s  (deterministic floor)\n", "transit+detect (flag-set→detect)", b.Transit(), res.DetectFloor)
-	fmt.Printf("  %-34s %12s  %12s\n", "drain (detect→consume)", b.Drain(), res.ModelDrain)
-	fmt.Printf("  %-34s %12s\n", "post→consume", b.Total())
-	fmt.Printf("  %-34s %12s\n", "one-way (call→consume)", res.OneWay)
-	if len(res.Mismatches) > 0 {
-		fmt.Println("\nspan-derived decomposition DISAGREES with the cost model:")
-		for _, m := range res.Mismatches {
-			fmt.Println("  MISMATCH:", m)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("\nagreement OK: the span-derived decomposition matches the")
-	fmt.Println("counter × cost-model figures cmd/anatomy computes.")
+	sweep(*rate, *seed, *every, *cap, *msg, *chrome)
 }
 
 // sweep replays one E6 fault-sweep point with full observability.

@@ -82,6 +82,36 @@ func PingPong(k *sim.Kernel, a, b xport.Endpoint, n int) float64 {
 	return total.Microseconds() / float64(2*Iters)
 }
 
+// StreamTime spawns a sender posting count back-to-back n-byte messages
+// from tx to rx and a receiver draining them, runs k, and returns the
+// time from the first post to the last drain. A failed send or receive
+// surfaces as the error k.Run reports.
+func StreamTime(k *sim.Kernel, tx, rx xport.Endpoint, n, count int) (sim.Duration, error) {
+	var start, done sim.Time
+	msg := make([]byte, n)
+	k.Spawn("tx", func(p *sim.Proc) {
+		start = p.Now()
+		for i := 0; i < count; i++ {
+			if err := tx.Send(p, rx.Rank(), msg); err != nil {
+				panic(fmt.Sprintf("send: %v", err))
+			}
+		}
+	})
+	k.Spawn("rx", func(p *sim.Proc) {
+		buf := make([]byte, n+1)
+		for i := 0; i < count; i++ {
+			if _, err := rx.Recv(p, tx.Rank(), buf); err != nil {
+				panic(fmt.Sprintf("recv: %v", err))
+			}
+		}
+		done = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		return 0, err
+	}
+	return done.Sub(start), nil
+}
+
 // OneWayMPI measures MPI-level one-way latency for an n-byte message on
 // a 4-node testbed.
 func OneWayMPI(net cluster.Network, n int) float64 {

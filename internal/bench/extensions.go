@@ -24,30 +24,11 @@ func Throughput(net cluster.Network, n, count int) float64 {
 	if err != nil {
 		panic(err)
 	}
-	eps := c.Endpoints
-	var start, end sim.Time
-	k.Spawn("tx", func(p *sim.Proc) {
-		start = p.Now()
-		msg := make([]byte, n)
-		for i := 0; i < count; i++ {
-			if err := eps[0].Send(p, 1, msg); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, n+1)
-		for i := 0; i < count; i++ {
-			if _, err := eps[1].Recv(p, 0, buf); err != nil {
-				panic(err)
-			}
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
+	elapsed, err := StreamTime(k, c.Endpoints[0], c.Endpoints[1], n, count)
+	if err != nil {
 		panic(err)
 	}
-	sec := float64(end.Sub(start)) / 1e9
+	sec := float64(elapsed) / 1e9
 	return float64(n*count) / sec / 1e6
 }
 
@@ -133,28 +114,11 @@ func MessageRate(net cluster.Network, n, count int) float64 {
 	if err != nil {
 		panic(err)
 	}
-	var end sim.Time
-	k.Spawn("tx", func(p *sim.Proc) {
-		msg := make([]byte, n)
-		for i := 0; i < count; i++ {
-			if err := c.Endpoints[0].Send(p, 1, msg); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, n+8)
-		for i := 0; i < count; i++ {
-			if _, err := c.Endpoints[1].Recv(p, 0, buf); err != nil {
-				panic(err)
-			}
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
+	elapsed, err := StreamTime(k, c.Endpoints[0], c.Endpoints[1], n, count)
+	if err != nil {
 		panic(err)
 	}
-	return float64(count) / (float64(end) / 1e9)
+	return float64(count) / (float64(elapsed) / 1e9)
 }
 
 // Incast measures hotspot contention: `senders` nodes each send one

@@ -151,30 +151,10 @@ func Bandwidth(net cluster.Network, ranks, n, window int, prof *sim.Profiler) fl
 	k := sim.NewKernel()
 	defer k.Close()
 	c := build(k, net, ranks, prof)
-	tx, rx := c.Endpoints[0], c.Endpoints[ranks-1]
-	var start, done sim.Time
-	msg := make([]byte, n)
-	k.Spawn("tx", func(p *sim.Proc) {
-		start = p.Now()
-		for i := 0; i < window; i++ {
-			if err := tx.Send(p, rx.Rank(), msg); err != nil {
-				panic(fmt.Sprintf("sweep: bandwidth %s/%d/%dB send: %v", net, ranks, n, err))
-			}
-		}
-	})
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, n+1)
-		for i := 0; i < window; i++ {
-			if _, err := rx.Recv(p, tx.Rank(), buf); err != nil {
-				panic(fmt.Sprintf("sweep: bandwidth %s/%d/%dB recv: %v", net, ranks, n, err))
-			}
-		}
-		done = p.Now()
-	})
-	if err := k.Run(); err != nil {
+	elapsed, err := bench.StreamTime(k, c.Endpoints[0], c.Endpoints[ranks-1], n, window)
+	if err != nil {
 		panic(fmt.Sprintf("sweep: bandwidth %s/%d/%dB: %v", net, ranks, n, err))
 	}
-	elapsed := done.Sub(start)
 	if elapsed <= 0 {
 		panic(fmt.Sprintf("sweep: bandwidth %s/%d/%dB: degenerate elapsed %d", net, ranks, n, elapsed))
 	}
@@ -188,30 +168,10 @@ func MessageRate(net cluster.Network, ranks, n, count int, prof *sim.Profiler) f
 	k := sim.NewKernel()
 	defer k.Close()
 	c := build(k, net, ranks, prof)
-	tx, rx := c.Endpoints[0], c.Endpoints[ranks-1]
-	var start, done sim.Time
-	msg := make([]byte, n)
-	k.Spawn("tx", func(p *sim.Proc) {
-		start = p.Now()
-		for i := 0; i < count; i++ {
-			if err := tx.Send(p, rx.Rank(), msg); err != nil {
-				panic(fmt.Sprintf("sweep: rate %s/%d send: %v", net, ranks, err))
-			}
-		}
-	})
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, n+1)
-		for i := 0; i < count; i++ {
-			if _, err := rx.Recv(p, tx.Rank(), buf); err != nil {
-				panic(fmt.Sprintf("sweep: rate %s/%d recv: %v", net, ranks, err))
-			}
-		}
-		done = p.Now()
-	})
-	if err := k.Run(); err != nil {
+	elapsed, err := bench.StreamTime(k, c.Endpoints[0], c.Endpoints[ranks-1], n, count)
+	if err != nil {
 		panic(fmt.Sprintf("sweep: rate %s/%d: %v", net, ranks, err))
 	}
-	elapsed := done.Sub(start)
 	if elapsed <= 0 {
 		panic(fmt.Sprintf("sweep: rate %s/%d: degenerate elapsed %d", net, ranks, elapsed))
 	}

@@ -114,7 +114,7 @@ func (nic *NIC) LinkUp() bool { return !nic.failed }
 func (nic *NIC) RingCuts() int { return nic.net.cuts }
 
 // NetworkConfig returns the configuration of the ring this card sits
-// on (used by layers that need propagation bounds, e.g. scrsync).
+// on (used by layers that need propagation bounds).
 func (nic *NIC) NetworkConfig() Config { return nic.net.cfg }
 
 // Size returns the replicated memory size in bytes.
@@ -253,7 +253,6 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 			nic.checkRange(off, n)
 			return nic.mem[off : off+n]
 		},
-		InjectHook: func(off int, data []byte) { nic.handlerInject(off, data, pkt) },
 	}
 	span = net.tracer.BeginSpan(net.k.Now(), trace.Spin, nic.id, "handler", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
 	v, cycles, trapped := nic.handlers.Run(ctx, spin.Packet{Origin: pkt.origin, Off: pkt.off, Hops: pkt.hops, Data: pkt.data, Interrupt: pkt.interrupt})
@@ -266,30 +265,6 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 		net.tracer.EmitMsg(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", net.cfg.HandlerBudget)
 	}
 	return v, sim.Duration(cycles) * net.cfg.HandlerCycleCost, span, true
-}
-
-// handlerInject posts a NIC-originated ring write on behalf of an
-// in-network handler (HandlerCtx.Inject): local bank update plus a
-// ring packet, with no host-bus cost — the handler engine sits on the
-// card side of the bus. The injected packet inherits the triggering
-// packet's trace attribution, and the single-writer discipline applies
-// exactly as for a host write from this node.
-//
-// Handler injections deliberately bypass the host transmit FIFO
-// (TxFIFOBytes) and its backpressure accounting: the FIFO sits between
-// the host bus and the card, and a card-originated write enters the
-// ring insertion path directly. The packet still serializes on this
-// node's outgoing link — which is the contention that matters for
-// DrainBound and for host writes queued behind it — but it neither
-// occupies FIFO capacity nor can a handler stall a transit waiting for
-// FIFO space (handlers run inside ring event processing, where there is
-// no host process to block).
-func (nic *NIC) handlerInject(off int, data []byte, cause *packet) {
-	nic.checkRange(off, len(data))
-	nic.checkWriter(off, len(data))
-	data = append([]byte(nil), data...)
-	copy(nic.mem[off:], data)
-	nic.net.inject(&packet{origin: nic.id, off: off, data: data, nicOrigin: true, msg: cause.msg, parent: cause.span})
 }
 
 // injectForwarded re-posts a write that arrived from another ring, as if

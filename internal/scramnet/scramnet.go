@@ -180,10 +180,6 @@ type packet struct {
 	// revolution delivers the fully combined value back to the
 	// initiator's bank.
 	rewritten bool
-	// nicOrigin marks a card-originated injection (handlerInject): it
-	// never occupied the host transmit FIFO, so the FIFO accounting
-	// must not be credited when it serializes.
-	nicOrigin bool
 	// Trace attribution (zero when tracing is off or the write is not
 	// message-attributed): msg is the BBP message id stamped from the
 	// injecting NIC's context, parent the causal parent span, span the
@@ -475,10 +471,8 @@ func (n *Network) inject(pkt *packet) {
 	pkt.span = n.tracer.BeginSpan(n.k.Now(), trace.Ring, pkt.origin, "inject", pkt.msg, pkt.parent, "off=%#x len=%d", pkt.off, len(pkt.data))
 	wire := n.wireTime(pkt)
 	src.link.Serve(wire, func() {
-		if !pkt.nicOrigin {
-			src.txBacklog -= len(pkt.data)
-			src.txDrain.Broadcast()
-		}
+		src.txBacklog -= len(pkt.data)
+		src.txDrain.Broadcast()
 		if src.failed {
 			// The origin was optically bypassed: its transmitter drives
 			// the bypass loop, not the ring, so the packet reaches no

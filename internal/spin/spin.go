@@ -13,11 +13,9 @@
 // converts cycles to time with scramnet.Config.HandlerCycleCost, and a
 // per-packet budget (scramnet.Config.HandlerBudget) bounds the transit
 // stall. A packet whose handlers overrun the budget traps to the host:
-// every in-flight mutation is rolled back — the payload bytes, any
-// injections staged through HandlerCtx.Inject (buffered until the
-// verdict commits, because a posted ring packet cannot be recalled),
-// and handler-internal state via the TrapAware callback — and the
-// packet proceeds as if no handler were installed, so a buggy or
+// every in-flight mutation is rolled back — the payload bytes and
+// handler-internal state via the TrapAware callback — and the packet
+// proceeds as if no handler were installed, so a buggy or
 // adversarial handler can slow one transit but never wedge or corrupt
 // the ring.
 //
@@ -85,8 +83,8 @@ type Packet struct {
 }
 
 // HandlerCtx is the per-transit execution context handed to handlers.
-// The hardware hooks (Bank, InjectHook) are wired by the NIC before
-// each run; handlers must not retain the context across calls.
+// The Bank hook is wired by the NIC before each run; handlers must not
+// retain the context across calls.
 type HandlerCtx struct {
 	// Node is the transit node the handler executes on.
 	Node int
@@ -96,32 +94,9 @@ type HandlerCtx struct {
 	// charging time — handler memory accesses are on-card, not across
 	// the host bus. The returned slice aliases the bank: read-only.
 	Bank func(off, n int) []byte
-	// InjectHook is the hardware hook behind Inject: it posts a
-	// NIC-originated ring write immediately. Handlers never call it
-	// directly — they go through Inject, which stages the write until
-	// the engine commits the transit's verdict.
-	InjectHook func(off int, data []byte)
 
-	spent   int64
-	budget  int64
-	pendInj []pendingInject
-}
-
-// pendingInject is one staged HandlerCtx.Inject call.
-type pendingInject struct {
-	off  int
-	data []byte
-}
-
-// Inject stages a NIC-originated ring write of data at off, as if this
-// node's host had written it but without host-bus cost (the early-ACK
-// primitive). The write is held until every handler for the transit has
-// run and is discarded if the packet traps on budget overrun: a trapped
-// transit must leave no side effect, and a ring packet, once posted,
-// cannot be recalled. On commit the local bank is updated and the
-// packet injected in staging order.
-func (c *HandlerCtx) Inject(off int, data []byte) {
-	c.pendInj = append(c.pendInj, pendingInject{off: off, data: append([]byte(nil), data...)})
+	spent  int64
+	budget int64
 }
 
 // Charge records cycles of handler work. Once the per-packet budget is
@@ -148,8 +123,8 @@ type Handler interface {
 
 // TrapAware is implemented by stateful handlers that must observe a
 // budget-overrun trap. When a transit traps, the engine rolls the
-// packet bytes back and discards staged injections, then calls OnTrap
-// on every handler that ran (in reverse run order); the handler must
+// packet bytes back, then calls OnTrap on every handler that ran (in
+// reverse run order); the handler must
 // restore any internal state it mutated during that OnTransit call.
 // Without this, state committed by a handler — e.g. a reduction's
 // combined-byte count — would survive a rollback its packet effects did
@@ -274,16 +249,14 @@ func (e *Engine) Covers(off, n int) bool {
 // Run executes every matching handler against the packet, in install
 // order. A Consume or Steer verdict ends the chain; Rewrite is sticky
 // across the remaining handlers. On budget overrun the packet traps to
-// the host: the payload is rolled back to its pre-handler bytes, staged
-// injections are discarded, every handler that ran is notified via
-// TrapAware (reverse run order) to roll back its own state, and the
-// verdict is forced to Forward, as if no handler were installed. On
-// commit, staged injections are flushed in order. The cycles actually
+// the host: the payload is rolled back to its pre-handler bytes, every
+// handler that ran is notified via TrapAware (reverse run order) to roll
+// back its own state, and the verdict is forced to Forward, as if no
+// handler were installed. The cycles actually
 // charged (capped at the budget) are returned so the NIC can convert
 // them to transit time.
 func (e *Engine) Run(ctx *HandlerCtx, pkt Packet) (v Verdict, cycles int64, trapped bool) {
 	ctx.spent, ctx.budget = 0, e.budget
-	ctx.pendInj = ctx.pendInj[:0]
 	e.scratch = append(e.scratch[:0], pkt.Data...)
 	e.ran = e.ran[:0]
 	v = Forward
@@ -313,7 +286,6 @@ run:
 	if trapped {
 		cycles = e.budget
 		copy(pkt.Data, e.scratch)
-		ctx.pendInj = ctx.pendInj[:0]
 		for i := len(e.ran) - 1; i >= 0; i-- {
 			if ta, ok := e.ran[i].(TrapAware); ok {
 				ta.OnTrap(pkt)
@@ -322,9 +294,6 @@ run:
 		v = Forward
 		e.stats.TrapsToHost++
 		e.im.trapsToHost.Inc()
-	}
-	for _, inj := range ctx.pendInj {
-		ctx.InjectHook(inj.off, inj.data)
 	}
 	e.stats.HandlerCycles += cycles
 	e.im.handlerCycles.Add(cycles)

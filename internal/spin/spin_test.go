@@ -360,62 +360,6 @@ func TestReducerSelfOverrunCommitsNothing(t *testing.T) {
 	}
 }
 
-// countInjector injects its running transit count on every transit.
-// It implements TrapAware: the count reverts on a budget-overrun trap,
-// matching the engine's discard of the staged injection.
-type countInjector struct {
-	off      int
-	n, prevN uint32
-}
-
-func (c *countInjector) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
-	c.prevN = c.n
-	c.n++
-	var w [4]byte
-	putWord(w[:], c.n)
-	ctx.Inject(c.off, w[:])
-	return Forward
-}
-
-func (c *countInjector) OnTrap(Packet) { c.n = c.prevN }
-
-// TestTrapDiscardsStagedInjection: an Inject staged before a budget
-// overrun must never reach the ring, and a TrapAware handler's
-// accumulator must roll back with it — otherwise the next genuine
-// transit would inject a word one step ahead.
-func TestTrapDiscardsStagedInjection(t *testing.T) {
-	const pktOff, injOff = 0, 32
-	mem := make([]byte, 64)
-	var injected []uint32
-	e := NewEngine(1, 10)
-	e.Install(pktOff, 4, &countInjector{off: injOff})
-	burner := e.Install(pktOff, 4, verdictFn(func(ctx *HandlerCtx, pkt Packet) Verdict {
-		ctx.Charge(1000)
-		return Forward
-	}))
-	ctx := &HandlerCtx{
-		Node:       1,
-		Bank:       bankOf(mem),
-		InjectHook: func(off int, data []byte) { injected = append(injected, word(data)) },
-	}
-	pkt := Packet{Off: pktOff, Data: make([]byte, 4)}
-	if _, _, trapped := e.Run(ctx, pkt); !trapped {
-		t.Fatal("burner did not trap")
-	}
-	if len(injected) != 0 {
-		t.Fatalf("staged injection survived the trap: %v", injected)
-	}
-	// Re-run the same transit without the burner: the injection must
-	// carry the first count (1), proving the count rolled back to zero.
-	e.Uninstall(burner)
-	if _, _, trapped := e.Run(ctx, pkt); trapped {
-		t.Fatal("clean transit trapped")
-	}
-	if len(injected) != 1 || injected[0] != 1 {
-		t.Fatalf("count did not roll back: injected %v, want [1]", injected)
-	}
-}
-
 func TestReducerRound(t *testing.T) {
 	const (
 		hdrOff = 0

@@ -13,11 +13,11 @@
 //   - Chrome trace_event JSON export (WriteChromeTrace) so any run can
 //     be inspected in chrome://tracing or Perfetto.
 //
-// The package also hosts the two canned scenarios cmd/timeline runs:
-// RunAnatomy (one traced message, spans cross-checked against the
-// counter × cost-model figure cmd/anatomy computes) and RunSweep (the
-// EXPERIMENTS.md E6 fault-sweep shape with tracing and snapshot
-// streaming switched on).
+// The package also hosts two canned scenarios: RunAnatomy, the one
+// decomposition of a traced BBP message (spans, metrics counters,
+// Stats() and the bus cost model cross-checked), which cmd/anatomy
+// renders; and RunSweep, the EXPERIMENTS.md E6 fault-sweep shape with
+// tracing and snapshot streaming switched on, which cmd/timeline runs.
 package timeline
 
 import (
@@ -310,39 +310,81 @@ func WriteChromeTrace(w io.Writer, rec *trace.Recorder) error {
 	return enc.Encode(out)
 }
 
-// AnatomyResult is RunAnatomy's output: the traced run plus the
-// span-derived breakdown and the independently derived counter ×
-// cost-model figures it must agree with.
+// AnatomyConfig selects the one message RunAnatomy traces. Its fields
+// are cmd/anatomy's flags.
+type AnatomyConfig struct {
+	Size  int // payload bytes
+	Nodes int // ring size
+	// Mcast broadcasts from node 0 to every other node; otherwise node
+	// 0 sends to node 1.
+	Mcast bool
+	// RecvAny makes the receivers use RecvAny, which exercises the
+	// burst-read poll sweep.
+	RecvAny  bool
+	TraceCap int           // trace ring-buffer capacity (0 = unbounded)
+	Profiler *sim.Profiler // attached to the kernel when non-nil
+}
+
+// AnatomyModel is the cost model of the traced message: each segment
+// priced from the protocol's word counts and the configured bus and
+// software costs, with the derivation spelled out for rendering.
+type AnatomyModel struct {
+	Setup   sim.Duration // call→post: SendSetup
+	Publish sim.Duration // post→flag-set: payload, descriptor and flag writes
+	Drain   sim.Duration // detect→consume: payload read and ACK toggle
+	// DetectFloor is the deterministic lower bound of flag-set→detect:
+	// the descriptor read and bookkeeping always follow the flag. Wire
+	// transit and poll-phase alignment sit on top and vary.
+	DetectFloor sim.Duration
+	// PublishDerivation and DrainDerivation spell the two bus terms out,
+	// e.g. "5 wr × 150ns".
+	PublishDerivation, DrainDerivation string
+}
+
+// AnatomyResult is RunAnatomy's output: the traced run decomposed from
+// its spans, the cost model of the same segments, and every
+// disagreement between them.
 type AnatomyResult struct {
-	Rec       *trace.Recorder
-	Metrics   *metrics.Registry
-	Breakdown Breakdown
-	// ModelPublish / ModelDrain are the cost-model predictions for the
-	// same segments (cmd/anatomy's derivation); DetectFloor is the
-	// deterministic lower bound of the transit+detect segment.
-	ModelPublish sim.Duration
-	ModelDrain   sim.Duration
-	DetectFloor  sim.Duration
-	OneWay       sim.Duration
-	// Mismatches lists every disagreement between the span-derived
-	// decomposition and the cost model; empty means the two independent
-	// reconstructions tell one story.
+	Rec *trace.Recorder
+	// Sent is when the sender called Send or Mcast; OneWay runs from
+	// there to the last receiver's consume.
+	Sent   sim.Time
+	OneWay sim.Duration
+	// Receivers holds one span breakdown per receiver in node order,
+	// each rebuilt from the sender's events and that receiver's own.
+	Receivers []Breakdown
+	Model     AnatomyModel
+	// Mismatches lists every disagreement between the trace, the
+	// metrics registry, the layers' Stats() and the cost model; empty
+	// means they all tell one story.
 	Mismatches []string
 }
 
-// RunAnatomy traces one size-byte BBP message from node 0 to node 1 on
-// an n-node ring — the scenario behind the paper's 7.8 µs figure — and
-// cross-checks the span-derived breakdown against the counter ×
-// cost-model decomposition cmd/anatomy computes.
-func RunAnatomy(size, nodes int) (*AnatomyResult, error) {
+// anatomyDescWords is the base protocol's descriptor transfer: offset,
+// length and sequence (the retry extension, off here, adds a checksum).
+const anatomyDescWords = 3
+
+// RunAnatomy traces one BBP message from node 0 — the scenario behind
+// the paper's 7.8 µs 4-byte one-way latency — and decomposes it twice:
+// from the trace spans, and from the metrics counters times the
+// configured bus costs. It cross-checks the trace, the metrics rollup,
+// the hardware and protocol Stats() and the cost model against each
+// other and lists every disagreement in Mismatches.
+func RunAnatomy(cfg AnatomyConfig) (*AnatomyResult, error) {
 	k := sim.NewKernel()
 	defer k.Close()
-	ring, err := scramnet.New(k, scramnet.DefaultConfig(nodes))
+	if cfg.Profiler != nil {
+		k.SetProfiler(cfg.Profiler)
+	}
+	ring, err := scramnet.New(k, scramnet.DefaultConfig(cfg.Nodes))
 	if err != nil {
 		return nil, err
 	}
 	ring.SetSingleWriterCheck(true)
 	rec := trace.New()
+	if cfg.TraceCap > 0 {
+		rec = trace.NewCapped(cfg.TraceCap)
+	}
 	m := metrics.New()
 	bcfg := core.DefaultConfig()
 	sys, err := core.New(ring, bcfg, core.WithTracer(rec), core.WithMetrics(m))
@@ -351,126 +393,301 @@ func RunAnatomy(size, nodes int) (*AnatomyResult, error) {
 	}
 	ring.SetTracer(rec)
 	ring.SetMetrics(m)
-	eps := make([]*core.Endpoint, nodes)
+	eps := make([]*core.Endpoint, cfg.Nodes)
 	for i := range eps {
 		if eps[i], err = sys.Attach(i); err != nil {
 			return nil, err
 		}
 	}
+
+	recvs := []int{1}
+	if cfg.Mcast {
+		recvs = nil
+		for i := 1; i < cfg.Nodes; i++ {
+			recvs = append(recvs, i)
+		}
+	}
 	var sent, done sim.Time
-	k.Spawn("tx", func(p *sim.Proc) {
-		p.Delay(10 * sim.Microsecond) // receiver already polling
+	k.Spawn("sender", func(p *sim.Proc) {
+		p.Delay(10 * sim.Microsecond) // receivers already polling
 		sent = p.Now()
-		if err := eps[0].Send(p, 1, make([]byte, size)); err != nil {
+		var err error
+		if cfg.Mcast {
+			err = eps[0].Mcast(p, recvs, make([]byte, cfg.Size))
+		} else {
+			err = eps[0].Send(p, 1, make([]byte, cfg.Size))
+		}
+		if err != nil {
 			panic(err)
 		}
 	})
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, size+1)
-		if _, err := eps[1].Recv(p, 0, buf); err != nil {
-			panic(err)
-		}
-		done = p.Now()
-	})
+	for _, r := range recvs {
+		k.Spawn(fmt.Sprintf("rx%d", r), func(p *sim.Proc) {
+			buf := make([]byte, cfg.Size+1)
+			var err error
+			if cfg.RecvAny {
+				_, _, err = eps[r].RecvAny(p, buf)
+			} else {
+				_, err = eps[r].Recv(p, 0, buf)
+			}
+			if err != nil {
+				panic(err)
+			}
+			if p.Now() > done {
+				done = p.Now()
+			}
+		})
+	}
 	if err := k.Run(); err != nil {
 		return nil, err
 	}
 
-	res := &AnatomyResult{Rec: rec, Metrics: m, OneWay: done.Sub(sent)}
-	bds := Breakdowns(rec.Events())
-	if len(bds) != 1 {
-		return nil, fmt.Errorf("timeline: expected 1 traced message, got %d", len(bds))
-	}
-	res.Breakdown = bds[0]
-
-	// The independent reconstruction: word counts × configured bus
-	// transaction costs, exactly as cmd/anatomy derives them.
-	buscfg := ring.NIC(0).Bus().Config()
-	descW := int64(3)
-	if bcfg.Retry.Enabled {
-		descW = 4
-	}
-	dmaSend := size > 0 && size >= bcfg.Thresholds.SendDMA
-	dmaRecv := size > 0 && size >= bcfg.Thresholds.RecvDMA
-	res.ModelPublish = sim.Duration(descW+1) * buscfg.PIOWriteWord
-	if dmaSend {
-		res.ModelPublish += buscfg.DMASetup + sim.Duration(size)*buscfg.DMAPerByte + buscfg.DMACompletionCheck
-	} else if size > 0 {
-		res.ModelPublish += sim.Duration(pci.WordsFor(size)) * buscfg.PIOWriteWord
-	}
-	res.ModelDrain = buscfg.PIOWriteWord // ACK toggle
-	if dmaRecv {
-		res.ModelDrain += buscfg.DMASetup + sim.Duration(size)*buscfg.DMAPerByte + buscfg.DMACompletionCheck
-	} else if size > 0 {
-		res.ModelDrain += sim.Duration(pci.WordsFor(size)) * buscfg.PIOReadWord
-	}
-	res.DetectFloor = sim.Duration(descW)*buscfg.PIOReadWord + bcfg.Costs.RecvBookkeeping
-
-	b := res.Breakdown
+	res := &AnatomyResult{Rec: rec, Sent: sent, OneWay: done.Sub(sent)}
 	mismatch := func(format string, args ...any) {
 		res.Mismatches = append(res.Mismatches, fmt.Sprintf(format, args...))
 	}
-	if !b.Posted || !b.Flagged || !b.Detected || !b.Delivered {
-		mismatch("span stream incomplete: posted=%v flagged=%v detected=%v delivered=%v",
-			b.Posted, b.Flagged, b.Detected, b.Delivered)
-		return res, nil
+	// The capped recorder bounds memory; evictions are tolerable unless
+	// they may have eaten events of the message under the microscope.
+	msg := trace.MsgID(0, 1) // node 0's first send
+	if rec.MayHaveDroppedMsg(msg) {
+		mismatch("the trace ring buffer evicted %d event(s) that may cover the traced message; raise the trace capacity", rec.Drops())
 	}
-	fifoSafe := size+int(descW+1)*4 <= ring.NIC(0).NetworkConfig().TxFIFOBytes
-	if fifoSafe && b.Publish() != res.ModelPublish {
-		mismatch("publish span %s != cost model %s", b.Publish(), res.ModelPublish)
-	}
-	if !fifoSafe && b.Publish() < res.ModelPublish {
-		mismatch("publish span %s below its bus cost floor %s", b.Publish(), res.ModelPublish)
-	}
-	if b.Drain() != res.ModelDrain {
-		mismatch("drain span %s != cost model %s", b.Drain(), res.ModelDrain)
-	}
-	if b.Transit() < res.DetectFloor {
-		mismatch("transit+detect %s below the %s descriptor+bookkeeping floor", b.Transit(), res.DetectFloor)
-	}
-	if total := b.Publish() + b.Transit() + b.Drain(); total != b.Total() {
-		mismatch("segments %s do not telescope to post→consume %s", total, b.Total())
-	}
-	if b.Total() > res.OneWay {
-		mismatch("post→consume %s exceeds the measured one-way %s", b.Total(), res.OneWay)
+	evs := rec.Events()
+	for _, r := range recvs {
+		res.Receivers = append(res.Receivers, receiverBreakdown(evs, msg, r))
 	}
 
-	// Burst-aware counter identities, mirroring cmd/anatomy: the
-	// receiver's single-word PIO reads must equal the poll words not
-	// moved by wide reads plus descriptor and PIO-drained payload, and
-	// every node's bus occupancy must equal its counters times the
-	// transaction costs with bursts priced as one round trip plus data
-	// phases.
 	snap := m.Snapshot()
-	cnt := func(name string, node int) int64 { v, _ := snap.Counter(name, node); return v }
-	dataRdW := int64(0)
+	up := snap.Rollup()
+	counter := func(name string, node int) int64 {
+		v, _ := snap.Counter(name, node)
+		return v
+	}
+	global := func(name string) int64 {
+		v, _ := up.Counter(name, metrics.NodeGlobal)
+		return v
+	}
+
+	// 1. Every trace event class must tally with its metrics counter.
+	for _, pc := range []struct{ event, metric string }{
+		{"inject", "ring.packets_injected"},
+		{"apply", "ring.packets_applied"},
+		{"post", "bbp.sends"},
+		{"detect", "bbp.recvs"},
+		{"consume", "bbp.recvs"},
+		{"handler", "spin.handlers_run"},
+		{"partition-fence", "liveness.partitions_detected"},
+		{"partition-heal", "liveness.partition_heals"},
+	} {
+		if got, want := int64(rec.Count(pc.event)), global(pc.metric); got != want {
+			mismatch("trace %q count %d != rollup %s %d", pc.event, got, pc.metric, want)
+		}
+	}
+	if got, want := int64(rec.Count("flag-set")), global("bbp.sends")+global("bbp.mcast_sends"); got != want {
+		mismatch("trace flag-set count %d != flag words written %d", got, want)
+	}
+
+	// 2. The metrics rollup must tally with the layers' own Stats().
+	var nicSent, nicApplied, hRun, hCycles, hTraps int64
+	var epSent, epRecv, epPolls, epPollW, epBursts, epBurstW int64
+	for i, e := range eps {
+		st := ring.NIC(i).Stats()
+		nicSent += st.PacketsSent
+		nicApplied += st.PacketsApplied
+		hs := ring.NIC(i).HandlerStats()
+		hRun += hs.HandlersRun
+		hCycles += hs.HandlerCycles
+		hTraps += hs.TrapsToHost
+		es := e.Stats()
+		epSent += es.Sent
+		epRecv += es.Received
+		epPolls += es.Polls
+		epPollW += es.PollWords
+		epBursts += es.BurstPolls
+		epBurstW += es.BurstPollWords
+	}
+	if nicSent != global("ring.packets_injected") {
+		mismatch("NIC Stats say %d packets sent, metrics say %d", nicSent, global("ring.packets_injected"))
+	}
+	if nicApplied != global("ring.packets_applied") {
+		mismatch("NIC Stats say %d packets applied, metrics say %d", nicApplied, global("ring.packets_applied"))
+	}
+	if hRun != global("spin.handlers_run") || hCycles != global("spin.handler_cycles") || hTraps != global("spin.traps_to_host") {
+		mismatch("engine HandlerStats (run=%d cycles=%d traps=%d) disagree with spin.* metrics (%d/%d/%d)",
+			hRun, hCycles, hTraps, global("spin.handlers_run"), global("spin.handler_cycles"), global("spin.traps_to_host"))
+	}
+	if epSent != global("bbp.sends") || epRecv != global("bbp.recvs") || epPolls != global("bbp.polls") {
+		mismatch("endpoint Stats (sent=%d recv=%d polls=%d) disagree with metrics (%d/%d/%d)",
+			epSent, epRecv, epPolls, global("bbp.sends"), global("bbp.recvs"), global("bbp.polls"))
+	}
+	if epPollW != global("bbp.poll_words") || epBursts != global("bbp.burst_polls") || epBurstW != global("bbp.burst_poll_words") {
+		mismatch("endpoint Stats (pollWords=%d bursts=%d burstWords=%d) disagree with metrics (%d/%d/%d)",
+			epPollW, epBursts, epBurstW, global("bbp.poll_words"), global("bbp.burst_polls"), global("bbp.burst_poll_words"))
+	}
+	// Every burst transaction the buses saw must be a BBP poll burst —
+	// nothing else issues wide reads.
+	if global("pci.pio_read_bursts") != epBursts || global("pci.pio_read_burst_words") != epBurstW {
+		mismatch("pci burst counters (%d bursts / %d words) disagree with BBP poll bursts (%d / %d)",
+			global("pci.pio_read_bursts"), global("pci.pio_read_burst_words"), epBursts, epBurstW)
+	}
+
+	// 3. Per node, bus occupancy must equal the word and byte counters
+	// times the configured transaction costs — the §7 accounting. Each
+	// burst pays one full read round trip for its first word and one
+	// data phase per additional word (pci.Bus.BurstReadCost).
+	bus := ring.NIC(0).Bus().Config()
+	for i := range eps {
+		wr := counter("pci.pio_write_words", i)
+		rd := counter("pci.pio_read_words", i)
+		bursts := counter("pci.pio_read_bursts", i)
+		burstW := counter("pci.pio_read_burst_words", i)
+		dma := counter("pci.dma_bytes", i)
+		want := wr*int64(bus.PIOWriteWord) + rd*int64(bus.PIOReadWord) +
+			bursts*int64(bus.PIOReadWord) + (burstW-bursts)*int64(bus.PIOReadBurstWord) +
+			dma*int64(bus.DMAPerByte)
+		if busy := counter("pci.busy_ns", i); busy != want {
+			mismatch("node %d: pci.busy_ns = %d, but %d wr + %d rd words + %d bursts (%d words) + %d DMA bytes cost %d ns",
+				i, busy, wr, rd, bursts, burstW, dma, want)
+		}
+	}
+
+	// The cost model: payload words move by PIO below the DMA
+	// thresholds and by one DMA transfer at or above them.
+	size := cfg.Size
+	descW := int64(anatomyDescWords)
+	dmaSend := size > 0 && size >= bcfg.Thresholds.SendDMA
+	dmaRecv := size > 0 && size >= bcfg.Thresholds.RecvDMA
+	var dataW, dataRdW int64
+	if size > 0 && !dmaSend {
+		dataW = int64(pci.WordsFor(size))
+	}
 	if size > 0 && !dmaRecv {
 		dataRdW = int64(pci.WordsFor(size))
 	}
-	rd := cnt("pci.pio_read_words", 1)
-	pollW := cnt("bbp.poll_words", 1)
-	burstPollW := cnt("bbp.burst_poll_words", 1)
-	if want := (pollW - burstPollW) + descW + dataRdW; rd != want {
-		mismatch("receiver read %d single PIO words; cost model predicts %d (poll words %d−%d + desc %d + data %d)",
-			rd, want, pollW, burstPollW, descW, dataRdW)
+	dmaCost := bus.DMASetup + sim.Duration(size)*bus.DMAPerByte + bus.DMACompletionCheck
+	pubW := dataW + descW + int64(len(recvs)) // payload + descriptor + one flag per receiver
+	mod := AnatomyModel{
+		Setup:             bcfg.Costs.SendSetup,
+		Publish:           sim.Duration(pubW) * bus.PIOWriteWord,
+		PublishDerivation: fmt.Sprintf("%d wr × %s", pubW, bus.PIOWriteWord),
+		Drain:             bus.PIOWriteWord, // ACK toggle write
+		DrainDerivation:   fmt.Sprintf("1 wr × %s", bus.PIOWriteWord),
+		DetectFloor:       sim.Duration(descW)*bus.PIOReadWord + bcfg.Costs.RecvBookkeeping,
 	}
-	if bursts := cnt("pci.pio_read_bursts", 1); bursts != cnt("bbp.burst_polls", 1) {
-		mismatch("pci saw %d read bursts but BBP issued %d burst polls", bursts, cnt("bbp.burst_polls", 1))
+	if dmaSend {
+		mod.Publish += dmaCost
+		mod.PublishDerivation = fmt.Sprintf("DMA %d B + %s", size, mod.PublishDerivation)
 	}
-	for i := 0; i < nodes; i++ {
-		wr := cnt("pci.pio_write_words", i)
-		rdw := cnt("pci.pio_read_words", i)
-		bursts := cnt("pci.pio_read_bursts", i)
-		burstW := cnt("pci.pio_read_burst_words", i)
-		dma := cnt("pci.dma_bytes", i)
-		want := wr*int64(buscfg.PIOWriteWord) + rdw*int64(buscfg.PIOReadWord) +
-			bursts*int64(buscfg.PIOReadWord) + (burstW-bursts)*int64(buscfg.PIOReadBurstWord) +
-			dma*int64(buscfg.DMAPerByte)
-		if busy := cnt("pci.busy_ns", i); busy != want {
-			mismatch("node %d pci.busy_ns %d != counters × cost model %d", i, busy, want)
+	if dmaRecv {
+		mod.Drain += dmaCost
+		mod.DrainDerivation = fmt.Sprintf("DMA %d B + %s", size, mod.DrainDerivation)
+	} else if dataRdW > 0 {
+		mod.Drain += sim.Duration(dataRdW) * bus.PIOReadWord
+		mod.DrainDerivation = fmt.Sprintf("%d rd × %s + %s", dataRdW, bus.PIOReadWord, mod.DrainDerivation)
+	}
+	res.Model = mod
+
+	// 4. The sender's word budget: payload + descriptor + one flag word
+	// per receiver, nothing else.
+	if wr0 := counter("pci.pio_write_words", 0); wr0 != pubW {
+		mismatch("sender wrote %d PIO words; cost model predicts %d (data %d + desc %d + flags %d)",
+			wr0, pubW, dataW, descW, len(recvs))
+	}
+	if dmaSend && counter("pci.dma_bytes", 0) != int64(size) {
+		mismatch("sender DMA bytes = %d, want the %d-byte payload", counter("pci.dma_bytes", 0), size)
+	}
+
+	// 5. Each receiver's word budget: the poll words not covered by
+	// bursts (those are counted on the burst side), the descriptor, and
+	// the payload (unless drained by DMA).
+	for _, r := range recvs {
+		rd := counter("pci.pio_read_words", r)
+		pollW := counter("bbp.poll_words", r)
+		burstPollW := counter("bbp.burst_poll_words", r)
+		if want := (pollW - burstPollW) + descW + dataRdW; rd != want {
+			mismatch("receiver %d read %d single PIO words; cost model predicts %d (poll words %d−%d + desc %d + data %d)",
+				r, rd, want, pollW, burstPollW, descW, dataRdW)
+		}
+		if bursts, polls := counter("pci.pio_read_bursts", r), counter("bbp.burst_polls", r); bursts != polls {
+			mismatch("receiver %d: pci saw %d read bursts but BBP issued %d burst polls", r, bursts, polls)
+		}
+		if dmaRecv && counter("pci.dma_bytes", r) != int64(size) {
+			mismatch("receiver %d DMA bytes = %d, want %d", r, counter("pci.dma_bytes", r), size)
 		}
 	}
+
+	// 6. The decomposition itself: trace spans vs the cost model. A
+	// publish larger than the TX FIFO stalls behind the ring drain, so
+	// its span may then exceed the pure bus cost.
+	fifoSafe := size+int(descW+int64(len(recvs)))*4 <= ring.NIC(0).NetworkConfig().TxFIFOBytes
+	var last sim.Time
+	complete := true
+	for i, b := range res.Receivers {
+		if !b.Posted || !b.Flagged || !b.Detected || !b.Delivered {
+			mismatch("receiver %d: span stream incomplete: posted=%v flagged=%v detected=%v delivered=%v",
+				b.Receiver, b.Posted, b.Flagged, b.Detected, b.Delivered)
+			complete = false
+			continue
+		}
+		if i == 0 { // the sender-side segments are shared by every receiver
+			if got := b.Post.Sub(sent); got != mod.Setup {
+				mismatch("send-call→post span %s != SendSetup %s", got, mod.Setup)
+			}
+			if fifoSafe && b.Publish() != mod.Publish {
+				mismatch("sender publish span %s != cost model %s (%s)", b.Publish(), mod.Publish, mod.PublishDerivation)
+			}
+			if !fifoSafe && b.Publish() < mod.Publish {
+				mismatch("sender publish span %s below its bus cost floor %s", b.Publish(), mod.Publish)
+			}
+		}
+		if b.Transit() < mod.DetectFloor {
+			mismatch("receiver %d detected in %s, below the %s descriptor+bookkeeping floor", b.Receiver, b.Transit(), mod.DetectFloor)
+		}
+		if b.Drain() != mod.Drain {
+			mismatch("receiver %d drain span %s != cost model %s (%s)", b.Receiver, b.Drain(), mod.Drain, mod.DrainDerivation)
+		}
+		// The segments must telescope back to the measured latency — a
+		// guard on the decomposition's own arithmetic.
+		if total := b.Publish() + b.Transit() + b.Drain(); total != b.Total() {
+			mismatch("receiver %d: segments %s do not telescope to post→consume %s", b.Receiver, total, b.Total())
+		}
+		if b.Total() > res.OneWay {
+			mismatch("receiver %d: post→consume %s exceeds the measured one-way %s", b.Receiver, b.Total(), res.OneWay)
+		}
+		if b.Consume > last {
+			last = b.Consume
+		}
+	}
+	if complete && last != done {
+		mismatch("last consume at %s but the run measured %s", last.Sub(0), done.Sub(0))
+	}
+
+	// 7. Profiling reads only the host clock. The cross-check above
+	// proves the virtual timeline is the unprofiled one; this counter
+	// identity proves every executed event was profiled.
+	if p := cfg.Profiler; p != nil && p.TotalEvents() != k.Executed() {
+		mismatch("profiler counted %d events but the kernel executed %d", p.TotalEvents(), k.Executed())
+	}
 	return res, nil
+}
+
+// receiverBreakdown rebuilds msg's breakdown from the sender's events
+// and receiver r's alone, so every multicast receiver gets its own
+// detect and consume. Receiver is r even when a capped trace lost r's
+// events.
+func receiverBreakdown(evs []trace.Event, msg uint64, r int) Breakdown {
+	var mine []trace.Event
+	for _, e := range evs {
+		if e.Msg == msg && (e.Node == trace.MsgSender(msg) || e.Node == r) {
+			mine = append(mine, e)
+		}
+	}
+	b := Breakdown{Msg: msg, Sender: trace.MsgSender(msg), Seq: trace.MsgSeq(msg)}
+	if bds := Breakdowns(mine); len(bds) == 1 {
+		b = bds[0]
+	}
+	b.Receiver = r
+	return b
 }
 
 // SweepConfig parameterizes RunSweep. The zero value is completed by

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -229,18 +230,76 @@ func TestCoSpikesFlagsRetryStorm(t *testing.T) {
 	}
 }
 
+// TestRunAnatomyAgreesWithCostModel runs the one anatomy scenario over
+// the PIO and DMA paths, multicast, RecvAny and a profiled run, and
+// requires the trace, the metrics, Stats() and the cost model to agree
+// in every row. The negative row is a capped trace that evicts part of
+// the traced message: it must be reported, and the same size with an
+// unbounded trace must pass.
 func TestRunAnatomyAgreesWithCostModel(t *testing.T) {
-	for _, size := range []int{4, 64} {
-		res, err := RunAnatomy(size, 4)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		cfg     AnatomyConfig
+		evicted bool
+	}{
+		{name: "4B", cfg: AnatomyConfig{Size: 4}},
+		{name: "64B", cfg: AnatomyConfig{Size: 64}},
+		{name: "256B-dma", cfg: AnatomyConfig{Size: 256}},
+		{name: "mcast", cfg: AnatomyConfig{Size: 4, Mcast: true}},
+		{name: "recvany", cfg: AnatomyConfig{Size: 4, RecvAny: true}},
+		{name: "mcast-1024B", cfg: AnatomyConfig{Size: 1024, Mcast: true}},
+		{name: "profiled", cfg: AnatomyConfig{Size: 4, Profiler: sim.NewProfiler()}},
+		{name: "4096B-unbounded", cfg: AnatomyConfig{Size: 4096}},
+		{name: "4096B-capped", cfg: AnatomyConfig{Size: 4096, TraceCap: 4096}, evicted: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Nodes = 4
+			res, err := RunAnatomy(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.evicted {
+				if len(res.Mismatches) == 0 || !strings.Contains(res.Mismatches[0], "evicted") {
+					t.Fatalf("capped trace: want the possible-eviction mismatch first, got %v", res.Mismatches)
+				}
+				return
+			}
+			if len(res.Mismatches) != 0 {
+				t.Fatalf("decomposition disagrees with the cost model: %v", res.Mismatches)
+			}
+			want := 1
+			if tc.cfg.Mcast {
+				want = tc.cfg.Nodes - 1
+			}
+			if len(res.Receivers) != want {
+				t.Fatalf("%d receiver breakdowns, want %d", len(res.Receivers), want)
+			}
+			for i, b := range res.Receivers {
+				if b.Receiver != i+1 || b.Total() <= 0 || b.Total() > res.OneWay {
+					t.Fatalf("receiver %d: post→consume %s outside (0, one-way %s]", b.Receiver, b.Total(), res.OneWay)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAnatomyPaperScenario pins the default 4-byte unicast: the
+// segments cmd/anatomy prints and the one-way latency they sum into.
+func TestRunAnatomyPaperScenario(t *testing.T) {
+	res, err := RunAnatomy(AnatomyConfig{Size: 4, Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := res.Receivers[0]
+	got := []sim.Duration{b.Post.Sub(res.Sent), b.Publish(), b.Transit(), b.Drain(), res.OneWay}
+	want := []sim.Duration{250, 750, 5500, 800, 7300}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("setup/publish/transit/drain/one-way = %v, want %v", got, want)
 		}
-		if len(res.Mismatches) != 0 {
-			t.Fatalf("size %d: span decomposition disagrees with the cost model: %v", size, res.Mismatches)
-		}
-		if res.Breakdown.Total() <= 0 || res.Breakdown.Total() > res.OneWay {
-			t.Fatalf("size %d: post→consume %s outside (0, one-way %s]", size, res.Breakdown.Total(), res.OneWay)
-		}
+	}
+	if res.Model.PublishDerivation != "5 wr × 150ns" || res.Model.DrainDerivation != "1 rd × 650ns + 1 wr × 150ns" {
+		t.Fatalf("derivations %q / %q", res.Model.PublishDerivation, res.Model.DrainDerivation)
 	}
 }
 
@@ -308,7 +367,7 @@ func mustCounter(reg *metrics.Registry, name string) int64 {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	res, err := RunAnatomy(4, 4)
+	res, err := RunAnatomy(AnatomyConfig{Size: 4, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
