@@ -174,3 +174,62 @@ func TestMetricsMPIWorld(t *testing.T) {
 		t.Errorf("unexpected-queue high-water = %+v, want max >= 1", depth)
 	}
 }
+
+// TestMetricsInstalledAfterTraffic installs a registry on an MPI world
+// only after its traffic has run: the bound mpi.* counters must report
+// every EngineStats total since the engines were built, not zero.
+func TestMetricsInstalledAfterTraffic(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
+		buf := make([]byte, 32<<10)
+		for _, data := range [][]byte{make([]byte, 16), buf} { // eager, then rendezvous
+			var err error
+			if c.Rank() == 0 {
+				err = c.Send(p, 1, 0, data)
+			} else {
+				_, err = c.Recv(p, 0, 0, buf)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m := metrics.New()
+	w.SetMetrics(m)
+	snap := m.Snapshot()
+	for r := 0; r < 2; r++ {
+		s := w.Engine(r).Stats()
+		for _, pair := range []struct {
+			name string
+			stat int64
+		}{
+			{"mpi.eager_sent", s.EagerSent},
+			{"mpi.rndv_sent", s.RndvSent},
+			{"mpi.received", s.Received},
+			{"mpi.unexpected_msgs", s.UnexpectedMsgs},
+			{"mpi.chunks_sent", s.ChunksSent},
+			{"mpi.rndv_zero_copy", s.RndvZeroCopy},
+			{"mpi.window_stalls", s.WindowStalls},
+			{"mpi.stream_allreduces", s.StreamAllreduces},
+			{"mpi.stream_fallbacks", s.StreamFallbacks},
+			{"mpi.nic_barriers", s.NICBarriers},
+			{"mpi.coll_replans", s.CollReplans},
+			{"mpi.partition_errors", s.PartitionErrors},
+		} {
+			if got, ok := snap.Counter(pair.name, r); !ok || got != pair.stat {
+				t.Errorf("rank %d %s = %d (present %v), EngineStats = %d", r, pair.name, got, ok, pair.stat)
+			}
+		}
+		if s.EagerSent+s.RndvSent+s.Received == 0 {
+			t.Errorf("rank %d: no MPI traffic counted", r)
+		}
+	}
+}

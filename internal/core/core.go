@@ -511,7 +511,9 @@ func (s *System) Attach(rank int) (*Endpoint, error) {
 	return e, nil
 }
 
-// Stats counts protocol-level activity on one endpoint.
+// Stats counts protocol-level activity on one endpoint. It is the only
+// store of these counts: setMetrics and initLiveness bind each field to
+// its bbp.* or liveness.* counter.
 type Stats struct {
 	Sent      int64
 	McastSent int64

@@ -94,66 +94,42 @@ type Endpoint struct {
 	im        epInstruments
 }
 
-// epInstruments mirror Stats into the metrics registry, keyed by the
-// endpoint's rank (nil = disabled no-ops).
+// epInstruments are the endpoint's instruments that have no Stats
+// twin: message-size histograms, the adaptive threshold and its
+// adaptation count (nil = disabled no-ops).
 type epInstruments struct {
-	sends         *metrics.Counter   // bbp.sends
-	mcastSends    *metrics.Counter   // bbp.mcast_sends
-	recvs         *metrics.Counter   // bbp.recvs
-	bytesSent     *metrics.Counter   // bbp.bytes_sent
-	bytesRecv     *metrics.Counter   // bbp.bytes_recv
-	polls         *metrics.Counter   // bbp.polls
-	gcPasses      *metrics.Counter   // bbp.gc_passes
-	allocRetries  *metrics.Counter   // bbp.alloc_retries
-	retransmits   *metrics.Counter   // bbp.retransmits
-	retryFailures *metrics.Counter   // bbp.retry_failures
-	checksumDrops *metrics.Counter   // bbp.checksum_drops
-	staleDescs    *metrics.Counter   // bbp.stale_descs
-	reAcks        *metrics.Counter   // bbp.re_acks
-	msgSize       *metrics.Histogram // bbp.msg_size_bytes
-	// Burst-poll and adaptive-threshold instruments (PR 4).
-	pollWords          *metrics.Counter   // bbp.poll_words
-	burstPolls         *metrics.Counter   // bbp.burst_polls
-	burstPollWords     *metrics.Counter   // bbp.burst_poll_words
+	msgSize            *metrics.Histogram // bbp.msg_size_bytes
+	recvSize           *metrics.Histogram // bbp.recv_size_bytes
 	recvThresholdBytes *metrics.Gauge     // bbp.recv_dma_threshold_bytes
 	thresholdAdapts    *metrics.Counter   // bbp.threshold_adaptations
-	recvSize           *metrics.Histogram // bbp.recv_size_bytes
-	// Streaming-allreduce instruments (PR 7).
-	streamRounds    *metrics.Counter // bbp.stream_rounds
-	streamFallbacks *metrics.Counter // bbp.stream_fallbacks
 }
 
-// setMetrics (re)creates the endpoint's instruments against m.
+// setMetrics binds the endpoint's Stats to m under its rank and
+// creates the instruments Stats has no field for.
 func (e *Endpoint) setMetrics(m *metrics.Registry) {
-	if m == nil {
-		e.im = epInstruments{}
-		return
-	}
+	m.Bind("bbp.sends", e.me, &e.stats.Sent)
+	m.Bind("bbp.mcast_sends", e.me, &e.stats.McastSent)
+	m.Bind("bbp.recvs", e.me, &e.stats.Received)
+	m.Bind("bbp.bytes_sent", e.me, &e.stats.BytesSent)
+	m.Bind("bbp.bytes_recv", e.me, &e.stats.BytesRecv)
+	m.Bind("bbp.polls", e.me, &e.stats.Polls)
+	m.Bind("bbp.poll_words", e.me, &e.stats.PollWords)
+	m.Bind("bbp.burst_polls", e.me, &e.stats.BurstPolls)
+	m.Bind("bbp.burst_poll_words", e.me, &e.stats.BurstPollWords)
+	m.Bind("bbp.re_acks", e.me, &e.stats.ReAcks)
+	m.Bind("bbp.gc_passes", e.me, &e.stats.GCPasses)
+	m.Bind("bbp.alloc_retries", e.me, &e.stats.AllocRetries)
+	m.Bind("bbp.retransmits", e.me, &e.stats.Retransmits)
+	m.Bind("bbp.retry_failures", e.me, &e.stats.RetryFailures)
+	m.Bind("bbp.checksum_drops", e.me, &e.stats.ChecksumDrops)
+	m.Bind("bbp.stale_descs", e.me, &e.stats.StaleDescs)
+	m.Bind("bbp.stream_rounds", e.me, &e.stats.StreamRounds)
+	m.Bind("bbp.stream_fallbacks", e.me, &e.stats.StreamFallbacks)
 	e.im = epInstruments{
-		sends:         m.Counter("bbp.sends", e.me),
-		mcastSends:    m.Counter("bbp.mcast_sends", e.me),
-		recvs:         m.Counter("bbp.recvs", e.me),
-		bytesSent:     m.Counter("bbp.bytes_sent", e.me),
-		bytesRecv:     m.Counter("bbp.bytes_recv", e.me),
-		polls:         m.Counter("bbp.polls", e.me),
-		gcPasses:      m.Counter("bbp.gc_passes", e.me),
-		allocRetries:  m.Counter("bbp.alloc_retries", e.me),
-		retransmits:   m.Counter("bbp.retransmits", e.me),
-		retryFailures: m.Counter("bbp.retry_failures", e.me),
-		checksumDrops: m.Counter("bbp.checksum_drops", e.me),
-		staleDescs:    m.Counter("bbp.stale_descs", e.me),
-		reAcks:        m.Counter("bbp.re_acks", e.me),
-		msgSize:       m.Histogram("bbp.msg_size_bytes", e.me),
-
-		pollWords:          m.Counter("bbp.poll_words", e.me),
-		burstPolls:         m.Counter("bbp.burst_polls", e.me),
-		burstPollWords:     m.Counter("bbp.burst_poll_words", e.me),
+		msgSize:            m.Histogram("bbp.msg_size_bytes", e.me),
+		recvSize:           m.Histogram("bbp.recv_size_bytes", e.me),
 		recvThresholdBytes: m.Gauge("bbp.recv_dma_threshold_bytes", e.me),
 		thresholdAdapts:    m.Counter("bbp.threshold_adaptations", e.me),
-		recvSize:           m.Histogram("bbp.recv_size_bytes", e.me),
-
-		streamRounds:    m.Counter("bbp.stream_rounds", e.me),
-		streamFallbacks: m.Counter("bbp.stream_fallbacks", e.me),
 	}
 	e.im.recvThresholdBytes.Set(int64(e.recvDMAThreshold()))
 }
@@ -251,7 +227,6 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 		// publish state the quorum cannot see. Heartbeats and existing
 		// retry slots keep running — only new billboard writes fence.
 		e.stats.FencedSends++
-		e.hb.fencedSends.Inc()
 		return ErrFenced
 	}
 	p.Delay(cfg.Costs.SendSetup)
@@ -325,15 +300,12 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 		e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "flag-set", msg, span, "receiver=%d slot=%d", r, slot)
 		if multicast {
 			e.stats.McastSent++
-			e.im.mcastSends.Inc()
 		}
 		multicast = true
 	}
 	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "send-end", span, msg, "seq=%d", e.sendSeq)
 	e.stats.Sent++
 	e.stats.BytesSent += int64(len(data))
-	e.im.sends.Inc()
-	e.im.bytesSent.Add(int64(len(data)))
 	e.im.msgSize.Observe(int64(len(data)))
 	if cfg.Retry.Enabled {
 		e.retryWake.Signal()
@@ -382,7 +354,6 @@ func (e *Endpoint) allocate(p *sim.Proc, n int) (slot, off int, err error) {
 			return 0, 0, ErrTooLarge
 		}
 		e.stats.AllocRetries++
-		e.im.allocRetries.Inc()
 		if deadline >= 0 && p.Now().Add(cfg.Costs.AllocRetryDelay) > deadline {
 			return 0, 0, ErrTimeout
 		}
@@ -397,7 +368,6 @@ func (e *Endpoint) collect(p *sim.Proc) {
 	lay := e.sys.lay
 	p.Delay(e.sys.cfg.Costs.GCPass)
 	e.stats.GCPasses++
-	e.im.gcPasses.Inc()
 	e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "gc", "pass=%d", e.stats.GCPasses)
 	// One ACK word per peer that any live buffer is still waiting on.
 	var need uint32
@@ -437,9 +407,6 @@ func (e *Endpoint) collect(p *sim.Proc) {
 				// exhaustion — and the survivors' ACKs still count.
 				lb.acked |= bit
 				e.stats.DeadPeerReclaims++
-				if e.hb != nil {
-					e.hb.deadReclaims.Inc()
-				}
 				e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "dead-reclaim", lb.msg, lb.span, "receiver=%d slot=%d", r, s)
 				continue
 			}

@@ -60,11 +60,7 @@ type hbState struct {
 	sawDown bool
 	buf     []uint32 // scratch for the one-burst table read
 
-	beats        *metrics.Counter // liveness.beats
-	selfRejoins  *metrics.Counter // liveness.self_rejoins
-	deadReclaims *metrics.Counter // bbp.dead_peer_reclaims
-	fencedSends  *metrics.Counter // liveness.fenced_sends
-	incGauge     *metrics.Gauge   // liveness.incarnation
+	incGauge *metrics.Gauge // liveness.incarnation
 }
 
 func (e *Endpoint) initLiveness() {
@@ -72,14 +68,12 @@ func (e *Endpoint) initLiveness() {
 	e.hb = &hbState{
 		det: liveness.NewDetector(e.me, e.Procs(), e.sys.cfg.Liveness,
 			e.sys.net.Kernel().Now(), e.sys.tracer, m),
-		inc:          1, // 0 means "never booted" in zero-initialized memory
-		buf:          make([]uint32, 2*e.Procs()),
-		beats:        m.Counter("liveness.beats", e.me),
-		selfRejoins:  m.Counter("liveness.self_rejoins", e.me),
-		deadReclaims: m.Counter("bbp.dead_peer_reclaims", e.me),
-		fencedSends:  m.Counter("liveness.fenced_sends", e.me),
-		incGauge:     m.Gauge("liveness.incarnation", e.me),
+		inc:      1, // 0 means "never booted" in zero-initialized memory
+		buf:      make([]uint32, 2*e.Procs()),
+		incGauge: m.Gauge("liveness.incarnation", e.me),
 	}
+	m.Bind("bbp.dead_peer_reclaims", e.me, &e.stats.DeadPeerReclaims)
+	m.Bind("liveness.fenced_sends", e.me, &e.stats.FencedSends)
 	e.hb.incGauge.Set(int64(e.hb.inc))
 }
 
@@ -137,7 +131,6 @@ func (e *Endpoint) hbTick(p *sim.Proc) {
 		hb.inc++
 		hb.det.Reset(now)
 		hb.det.AddSelfRejoin()
-		hb.selfRejoins.Inc()
 		hb.incGauge.Set(int64(hb.inc))
 		e.sys.tracer.Emitf(now, trace.Live, e.me, "self-rejoin", "inc=%d", hb.inc)
 	}
@@ -150,7 +143,6 @@ func (e *Endpoint) hbTick(p *sim.Proc) {
 	e.nic.WriteWord(p, lay.hbInc(e.me), hb.inc)
 	e.nic.WriteWord(p, lay.hbBeat(e.me), hb.beat)
 	hb.det.AddBeat()
-	hb.beats.Inc()
 
 	if !up {
 		// A frozen replica proves nothing about the peers; verdicts
@@ -192,7 +184,6 @@ func (e *Endpoint) partitionResync(p *sim.Proc) {
 	lay, hb := e.sys.lay, e.hb
 	hb.inc++
 	hb.det.AddSelfRejoin()
-	hb.selfRejoins.Inc()
 	hb.incGauge.Set(int64(hb.inc))
 	e.nic.WriteWord(p, lay.hbInc(e.me), hb.inc)
 	e.nic.WriteWord(p, lay.hbBeat(e.me), hb.beat)

@@ -107,7 +107,6 @@ func (e *Endpoint) acceptFlags(p *sim.Proc, s int, flags, minUn uint32) {
 func (e *Endpoint) pollWord(p *sim.Proc, s int) {
 	lay, cfg := e.sys.lay, e.sys.cfg
 	e.stats.Polls++
-	e.im.polls.Inc()
 	p.Delay(cfg.Costs.PollOverhead)
 	t0 := p.Now()
 	flags := e.nic.ReadWord(p, lay.msgFlags(e.me, s))
@@ -118,7 +117,6 @@ func (e *Endpoint) pollWord(p *sim.Proc, s int) {
 		words = 2
 	}
 	e.stats.PollWords += int64(words)
-	e.im.pollWords.Add(int64(words))
 	e.observeWordReads(words, p.Now().Sub(t0))
 	e.acceptFlags(p, s, flags, minUn)
 }
@@ -130,16 +128,12 @@ func (e *Endpoint) pollWord(p *sim.Proc, s int) {
 func (e *Endpoint) pollBurst(p *sim.Proc) {
 	lay, cfg := e.sys.lay, e.sys.cfg
 	e.stats.Polls++
-	e.im.polls.Inc()
 	p.Delay(cfg.Costs.PollOverhead)
 	e.nic.ReadWords(p, lay.base(e.me), e.burstBuf)
 	w := int64(e.burstWords)
 	e.stats.PollWords += w
 	e.stats.BurstPolls++
 	e.stats.BurstPollWords += w
-	e.im.pollWords.Add(w)
-	e.im.burstPolls.Inc()
-	e.im.burstPollWords.Add(w)
 	n := e.Procs()
 	for s := 0; s < n; s++ {
 		if s == e.me {
@@ -228,7 +222,6 @@ scan:
 				// the new occupant until this scan can accept it.
 				e.nic.WriteWord(p, lay.ackSlot(s, e.me, b), floor)
 				e.stats.ReAcks++
-				e.im.reAcks.Inc()
 				e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "re-ack", trace.MsgID(s, floor), 0, "sender=%d slot=%d seq=%d", s, b, floor)
 			}
 			continue
@@ -236,7 +229,6 @@ scan:
 		if m.n < 0 || m.off < 0 || m.off+m.n > lay.dataSize {
 			// Torn descriptor — some of its packets were lost in flight.
 			e.stats.StaleDescs++
-			e.im.staleDescs.Inc()
 			e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "torn-desc", "sender=%d slot=%d seq=%d", s, b, m.seq)
 			continue
 		}
@@ -299,7 +291,6 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 		e.slotSeq[s][m.slot] = m.prevFloor
 		e.rescan[s] = true
 		e.stats.ChecksumDrops++
-		e.im.checksumDrops.Inc()
 		e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "ck-drop", msg, span, "sender=%d slot=%d seq=%d", s, m.slot, m.seq)
 		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "drain-abort", span, msg, "checksum")
 		return 0, errChecksum
@@ -316,8 +307,6 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", s, m.slot, m.n)
 	e.stats.Received++
 	e.stats.BytesRecv += int64(m.n)
-	e.im.recvs.Inc()
-	e.im.bytesRecv.Add(int64(m.n))
 	return m.n, nil
 }
 

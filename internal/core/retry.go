@@ -99,7 +99,6 @@ func (e *Endpoint) retryPass(p *sim.Proc) {
 			// The remaining receivers are presumed dead; reclaim the
 			// buffer so the sender is not wedged forever.
 			e.stats.RetryFailures++
-			e.im.retryFailures.Inc()
 			e.sys.tracer.EmitMsg(now, trace.BBP, e.me, "retry-fail", lb.msg, lb.span, "slot=%d seq=%d attempts=%d", s, lb.seq, lb.attempts)
 			e.freeLive(s, lb)
 			continue
@@ -121,7 +120,6 @@ func (e *Endpoint) retransmit(p *sim.Proc, s int, lb *liveBuf) {
 	lb.busy = true
 	lb.attempts++
 	e.stats.Retransmits++
-	e.im.retransmits.Inc()
 	// Each retransmission is its own span, parented to the original send
 	// span, so a timeline shows attempt N hanging off the message root.
 	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "retransmit", lb.msg, lb.span, "slot=%d seq=%d attempt=%d", s, lb.seq, lb.attempts)

@@ -115,12 +115,10 @@ func (e *Endpoint) StreamAllreduce(p *sim.Proc, op spin.RingOp, send, recv []byt
 	e.stream.round++
 	r := e.stream.round
 	e.stats.StreamRounds++
-	e.im.streamRounds.Inc()
 	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "stream-allreduce", 0, e.sys.tracer.Parent(), "round=%d op=%v len=%d", r, op, n)
 	fast, err := e.streamRound(p, op, send, recv[:n], r)
 	if !fast {
 		e.stats.StreamFallbacks++
-		e.im.streamFallbacks.Inc()
 	}
 	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "stream-allreduce-end", span, 0, "round=%d fast=%v err=%v", r, fast, err)
 	return fast, err

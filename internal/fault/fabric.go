@@ -24,32 +24,19 @@ type Fabric struct {
 	down  []bool
 
 	stats FabricStats
-	im    fabricInstruments
 }
 
-// fabricInstruments mirror FabricStats into the metrics registry
-// (cluster-wide, NodeGlobal — frames cross nodes, so per-node
-// attribution would be arbitrary).
-type fabricInstruments struct {
-	droppedLoss *metrics.Counter // fault.frames_dropped_loss
-	droppedDown *metrics.Counter // fault.frames_dropped_down
-	forwarded   *metrics.Counter // fault.frames_forwarded
-}
-
-// SetMetrics installs the wrapper's instruments (nil disables).
+// SetMetrics binds the wrapper's FabricStats to m, cluster-wide
+// (NodeGlobal — frames cross nodes, so per-node attribution would be
+// arbitrary). Nil binds nothing.
 func (f *Fabric) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		f.im = fabricInstruments{}
-		return
-	}
-	f.im = fabricInstruments{
-		droppedLoss: m.Counter("fault.frames_dropped_loss", metrics.NodeGlobal),
-		droppedDown: m.Counter("fault.frames_dropped_down", metrics.NodeGlobal),
-		forwarded:   m.Counter("fault.frames_forwarded", metrics.NodeGlobal),
-	}
+	m.Bind("fault.frames_dropped_loss", metrics.NodeGlobal, &f.stats.DroppedLoss)
+	m.Bind("fault.frames_dropped_down", metrics.NodeGlobal, &f.stats.DroppedDown)
+	m.Bind("fault.frames_forwarded", metrics.NodeGlobal, &f.stats.Forwarded)
 }
 
-// FabricStats counts the wrapper's interventions.
+// FabricStats counts the wrapper's interventions; SetMetrics binds each
+// field to its fault.frames_* counter.
 type FabricStats struct {
 	// DroppedLoss counts frames dropped by a transient loss window.
 	DroppedLoss int64
@@ -95,12 +82,10 @@ func (f *Fabric) SetLossRate(r float64) { f.loss = r }
 func (f *Fabric) Transmit(src, dst int, frame []byte) {
 	if f.down[src] || f.down[dst] {
 		f.stats.DroppedDown++
-		f.im.droppedDown.Inc()
 		return
 	}
 	if f.loss > 0 && f.rng.Float64() < f.loss {
 		f.stats.DroppedLoss++
-		f.im.droppedLoss.Inc()
 		return
 	}
 	f.inner.Transmit(src, dst, frame)
@@ -112,11 +97,9 @@ func (f *Fabric) SetHandler(node int, fn func(src int, frame []byte)) {
 	f.inner.SetHandler(node, func(src int, frame []byte) {
 		if f.down[node] || f.down[src] {
 			f.stats.DroppedDown++
-			f.im.droppedDown.Inc()
 			return
 		}
 		f.stats.Forwarded++
-		f.im.forwarded.Inc()
 		fn(src, frame)
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 )
@@ -104,6 +105,8 @@ func TestFabricWrapperDropsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := fault.NewFabric(k, san, 1)
+	m := metrics.New()
+	ff.SetMetrics(m)
 	var got int
 	ff.SetHandler(1, func(src int, frame []byte) { got++ })
 
@@ -133,6 +136,27 @@ func TestFabricWrapperDropsAndStats(t *testing.T) {
 	send()
 	if got != 2 {
 		t.Fatal("frame after repair not delivered")
+	}
+	// Two more losses make every count distinct (2 forwarded, 1 down,
+	// 3 lost); each fault.frames_* counter reads its FabricStats field.
+	ff.SetLossRate(1.0)
+	send()
+	send()
+	st, snap := ff.Stats(), m.Snapshot()
+	for _, b := range []struct {
+		name string
+		stat int64
+	}{
+		{"fault.frames_dropped_loss", st.DroppedLoss},
+		{"fault.frames_dropped_down", st.DroppedDown},
+		{"fault.frames_forwarded", st.Forwarded},
+	} {
+		if v, _ := snap.Counter(b.name, metrics.NodeGlobal); v != b.stat {
+			t.Errorf("%s = %d, FabricStats = %d (%+v)", b.name, v, b.stat, st)
+		}
+	}
+	if st.DroppedLoss != 3 || st.DroppedDown != 1 || st.Forwarded != 2 {
+		t.Errorf("stats = %+v, want 3 lost, 1 down, 2 forwarded", st)
 	}
 }
 

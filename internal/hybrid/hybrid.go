@@ -84,34 +84,26 @@ type Endpoint struct {
 	tracer  *trace.Recorder
 }
 
-// hybInstruments are the router's metrics, keyed by its rank (nil =
-// disabled no-ops).
+// hybInstruments are the router's instruments with no Stats twin,
+// keyed by its rank (nil = disabled no-ops).
 type hybInstruments struct {
-	lowSends      *metrics.Counter // hybrid.low_sends
-	highSends     *metrics.Counter // hybrid.high_sends
-	failovers     *metrics.Counter // hybrid.failovers
-	proactiveFail *metrics.Counter // hybrid.proactive_failovers
-	subErrors     *metrics.Counter // hybrid.sub_errors
-	duplicates    *metrics.Counter // hybrid.duplicates
-	heldDepth     *metrics.Gauge   // hybrid.reorder_depth
+	lowSends  *metrics.Counter // hybrid.low_sends
+	highSends *metrics.Counter // hybrid.high_sends
+	heldDepth *metrics.Gauge   // hybrid.reorder_depth
 }
 
-// SetMetrics installs the router's instruments (nil disables). It does
-// not reach down into the substrates — install metrics there separately
-// if wanted.
+// SetMetrics binds the router's Stats to m under its rank and installs
+// its other instruments (nil uninstalls those). It does not reach down
+// into the substrates — install metrics there separately if wanted.
 func (e *Endpoint) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		e.im = hybInstruments{}
-		return
-	}
+	m.Bind("hybrid.failovers", e.Rank(), &e.stats.Failovers)
+	m.Bind("hybrid.proactive_failovers", e.Rank(), &e.stats.ProactiveFailovers)
+	m.Bind("hybrid.sub_errors", e.Rank(), &e.stats.SubErrors)
+	m.Bind("hybrid.duplicates", e.Rank(), &e.stats.Duplicates)
 	e.im = hybInstruments{
-		lowSends:      m.Counter("hybrid.low_sends", e.Rank()),
-		highSends:     m.Counter("hybrid.high_sends", e.Rank()),
-		failovers:     m.Counter("hybrid.failovers", e.Rank()),
-		proactiveFail: m.Counter("hybrid.proactive_failovers", e.Rank()),
-		subErrors:     m.Counter("hybrid.sub_errors", e.Rank()),
-		duplicates:    m.Counter("hybrid.duplicates", e.Rank()),
-		heldDepth:     m.Gauge("hybrid.reorder_depth", e.Rank()),
+		lowSends:  m.Counter("hybrid.low_sends", e.Rank()),
+		highSends: m.Counter("hybrid.high_sends", e.Rank()),
+		heldDepth: m.Gauge("hybrid.reorder_depth", e.Rank()),
 	}
 }
 
@@ -121,7 +113,8 @@ func (e *Endpoint) SetMetrics(m *metrics.Registry) {
 // into the substrates.
 func (e *Endpoint) SetTracer(r *trace.Recorder) { e.tracer = r }
 
-// Stats counts the router's fault-tolerance interventions.
+// Stats counts the router's fault-tolerance interventions; SetMetrics
+// binds each field to its hybrid.* counter.
 type Stats struct {
 	// Failovers counts sends rerouted to the other substrate after the
 	// size-preferred one returned an error (e.g. BBP buffer exhaustion
@@ -257,7 +250,6 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 		sub = e.high
 		proactive = true
 		e.stats.ProactiveFailovers++
-		e.im.proactiveFail.Inc()
 	}
 	via := "low"
 	if sub == e.low {
@@ -297,7 +289,6 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 	e.tracer.PopParent()
 	if altErr == nil {
 		e.stats.Failovers++
-		e.im.failovers.Inc()
 		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failover via=%s", altName)
 		return nil
 	}
@@ -355,7 +346,6 @@ func (e *Endpoint) poll(p *sim.Proc, src int) {
 			// A faulted substrate must not take the router down; the
 			// stream heals via the substrate's own recovery or failover.
 			e.stats.SubErrors++
-			e.im.subErrors.Inc()
 			continue
 		}
 		if !ok {
@@ -363,7 +353,6 @@ func (e *Endpoint) poll(p *sim.Proc, src int) {
 		}
 		if n < hdrBytes {
 			e.stats.SubErrors++
-			e.im.subErrors.Inc()
 			continue
 		}
 		seq := binary.LittleEndian.Uint32(e.scratch)
@@ -371,7 +360,6 @@ func (e *Endpoint) poll(p *sim.Proc, src int) {
 			// Already released: a recovery layer below retransmitted
 			// into a stream the resequencer has moved past.
 			e.stats.Duplicates++
-			e.im.duplicates.Inc()
 			continue
 		}
 		p.Delay(e.cfg.ReorderCost)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hybrid"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/xport"
 	"repro/internal/xport/oracle"
@@ -109,6 +110,8 @@ func TestSendFailoverToAlternateSubstrate(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	low, high, ep := stubPair(t)
+	m := metrics.New()
+	ep.SetMetrics(m)
 
 	// Small message with the low road refusing: must cross on high.
 	low.sendErr = errors.New("stub: low road down")
@@ -138,6 +141,21 @@ func TestSendFailoverToAlternateSubstrate(t *testing.T) {
 	st := ep.Stats()
 	if st.Failovers != 2 {
 		t.Fatalf("Failovers = %d, want 2", st.Failovers)
+	}
+	// The hybrid.* counters read the Stats fields they are bound to.
+	snap := m.Snapshot()
+	for _, b := range []struct {
+		name string
+		stat int64
+	}{
+		{"hybrid.failovers", st.Failovers},
+		{"hybrid.proactive_failovers", st.ProactiveFailovers},
+		{"hybrid.sub_errors", st.SubErrors},
+		{"hybrid.duplicates", st.Duplicates},
+	} {
+		if got, ok := snap.Counter(b.name, ep.Rank()); !ok || got != b.stat {
+			t.Errorf("%s = %d (present %v), Stats = %d", b.name, got, ok, b.stat)
+		}
 	}
 }
 

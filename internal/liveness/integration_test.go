@@ -11,25 +11,56 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/liveness"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
 // livenessCluster builds an n-node SCRAMNet cluster with the heartbeat
-// subsystem and the BBP retry extension enabled, and the given fault
-// script driving the ring.
-func livenessCluster(t testing.TB, k *sim.Kernel, n int, script *fault.Script) *cluster.Cluster {
+// subsystem and the BBP retry extension enabled, the given fault script
+// driving the ring, and metrics reported into m (nil: none).
+func livenessCluster(t testing.TB, k *sim.Kernel, n int, script *fault.Script, m *metrics.Registry) *cluster.Cluster {
 	t.Helper()
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
 	lcfg := liveness.DefaultConfig()
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: n, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg,
+		Nodes: n, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg, Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// requireCountersMatchStats checks, on every node of c, that each
+// liveness counter in m reads the Stats field it is bound to.
+func requireCountersMatchStats(t *testing.T, m *metrics.Registry, c *cluster.Cluster) {
+	t.Helper()
+	snap := m.Snapshot()
+	for i := range c.Endpoints {
+		st, bst := ep(c, i).LivenessStats(), ep(c, i).Stats()
+		for _, b := range []struct {
+			name string
+			stat int64
+		}{
+			{"liveness.beats", st.Beats},
+			{"liveness.suspects", st.Suspects},
+			{"liveness.refutes", st.Refutes},
+			{"liveness.confirms_dead", st.Confirms},
+			{"liveness.rejoins", st.Rejoins},
+			{"liveness.fenced_beats", st.FencedBeats},
+			{"liveness.self_rejoins", st.SelfRejoins},
+			{"liveness.partitions_detected", st.Partitions},
+			{"liveness.partition_heals", st.PartitionHeals},
+			{"liveness.fenced_sends", bst.FencedSends},
+			{"bbp.dead_peer_reclaims", bst.DeadPeerReclaims},
+		} {
+			if got, ok := snap.Counter(b.name, i); !ok || got != b.stat {
+				t.Errorf("node %d %s = %d (present %v), Stats = %d", i, b.name, got, ok, b.stat)
+			}
+		}
+	}
 }
 
 func ep(c *cluster.Cluster, i int) *core.Endpoint {
@@ -49,7 +80,8 @@ func TestSuspectConfirmRejoin(t *testing.T) {
 		{At: at(2 * sim.Millisecond), Kind: fault.NodeFail, Node: 3},
 		{At: at(8 * sim.Millisecond), Kind: fault.NodeRepair, Node: 3},
 	}}
-	c := livenessCluster(t, k, 4, script)
+	m := metrics.New()
+	c := livenessCluster(t, k, 4, script, m)
 	k.At(at(15*sim.Millisecond), func() {}) // keep the heartbeat ticker armed
 
 	view := ep(c, 0).Liveness()
@@ -104,6 +136,7 @@ func TestSuspectConfirmRejoin(t *testing.T) {
 			t.Fatalf("observer %d: node 3 = %v after rejoin", obs, got)
 		}
 	}
+	requireCountersMatchStats(t, m, c)
 }
 
 // TestMPIBarrierDeadPeer is the issue's acceptance scenario: a node dies
@@ -188,7 +221,7 @@ func TestFlappingNode(t *testing.T) {
 	period := 7 * sim.Millisecond // down 3.5 ms (> ConfirmAfter), up 3.5 ms
 	k := sim.NewKernel()
 	defer k.Close()
-	c := livenessCluster(t, k, 4, fault.Flap(1, period, cycles))
+	c := livenessCluster(t, k, 4, fault.Flap(1, period, cycles), nil)
 	k.At(at(sim.Duration(cycles+2)*period), func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -231,7 +264,7 @@ func TestLossWindowsNeverKill(t *testing.T) {
 		})
 		k := sim.NewKernel()
 		defer k.Close()
-		c := livenessCluster(t, k, 4, script)
+		c := livenessCluster(t, k, 4, script, nil)
 		k.At(at(horizon+2*sim.Millisecond), func() {})
 		if err := k.Run(); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
@@ -268,7 +301,7 @@ func TestLossWindowsNeverKill(t *testing.T) {
 func TestCongestionNoFalsePositives(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := livenessCluster(t, k, 4, nil)
+	c := livenessCluster(t, k, 4, nil, nil)
 	const msgs = 40
 	payload := bytes.Repeat([]byte{0xAB}, 4096)
 	for src := 0; src < 2; src++ {
@@ -325,7 +358,7 @@ func TestSoak(t *testing.T) {
 			})
 			k := sim.NewKernel()
 			defer k.Close()
-			c := livenessCluster(t, k, 4, script)
+			c := livenessCluster(t, k, 4, script, nil)
 			const msgs = 40
 			var delivered int
 			k.Spawn("tx", func(p *sim.Proc) {

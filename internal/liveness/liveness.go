@@ -172,7 +172,8 @@ type PartitionView interface {
 	Partition() (PartitionInfo, bool)
 }
 
-// Stats counts detector transitions since creation.
+// Stats counts detector transitions since creation; NewDetector binds
+// each field to its liveness.* counter.
 type Stats struct {
 	Beats          int64 // heartbeats published by the local node
 	Suspects       int64 // alive → suspect transitions
@@ -211,13 +212,9 @@ type Detector struct {
 	pend   []int
 	resync bool
 
-	stats  Stats
-	tracer *trace.Recorder
-	im     struct {
-		suspects, refutes, confirms, rejoins, fenced *metrics.Counter
-		partitions, partitionHeals                   *metrics.Counter
-		deadPeers                                    *metrics.Gauge
-	}
+	stats     Stats
+	tracer    *trace.Recorder
+	deadPeers *metrics.Gauge // liveness.dead_peers
 }
 
 // NewDetector returns a detector for `me` in an n-node cluster, with
@@ -238,14 +235,16 @@ func NewDetector(me, n int, cfg Config, now sim.Time, tracer *trace.Recorder, re
 	for i := range d.lastFresh {
 		d.lastFresh[i] = now
 	}
-	d.im.suspects = reg.Counter("liveness.suspects", me)
-	d.im.refutes = reg.Counter("liveness.refutes", me)
-	d.im.confirms = reg.Counter("liveness.confirms_dead", me)
-	d.im.rejoins = reg.Counter("liveness.rejoins", me)
-	d.im.fenced = reg.Counter("liveness.fenced_beats", me)
-	d.im.partitions = reg.Counter("liveness.partitions_detected", me)
-	d.im.partitionHeals = reg.Counter("liveness.partition_heals", me)
-	d.im.deadPeers = reg.Gauge("liveness.dead_peers", me)
+	reg.Bind("liveness.beats", me, &d.stats.Beats)
+	reg.Bind("liveness.suspects", me, &d.stats.Suspects)
+	reg.Bind("liveness.refutes", me, &d.stats.Refutes)
+	reg.Bind("liveness.confirms_dead", me, &d.stats.Confirms)
+	reg.Bind("liveness.rejoins", me, &d.stats.Rejoins)
+	reg.Bind("liveness.fenced_beats", me, &d.stats.FencedBeats)
+	reg.Bind("liveness.self_rejoins", me, &d.stats.SelfRejoins)
+	reg.Bind("liveness.partitions_detected", me, &d.stats.Partitions)
+	reg.Bind("liveness.partition_heals", me, &d.stats.PartitionHeals)
+	d.deadPeers = reg.Gauge("liveness.dead_peers", me)
 	return d
 }
 
@@ -293,8 +292,7 @@ func (d *Detector) Observe(now sim.Time, node int, beat, inc uint32) {
 		d.lastFresh[node] = now
 		if was == Dead {
 			d.stats.Rejoins++
-			d.im.rejoins.Inc()
-			d.im.deadPeers.Set(d.deadCount())
+			d.deadPeers.Set(d.deadCount())
 			d.tracer.Emitf(now, trace.Live, d.me, "rejoin", "node=%d inc=%d", node, inc)
 		}
 	case inc == d.inc[node]:
@@ -307,14 +305,12 @@ func (d *Detector) Observe(now sim.Time, node int, beat, inc uint32) {
 			// state replicated after a repair, before it noticed the
 			// outage) but cannot come back without a new incarnation.
 			d.stats.FencedBeats++
-			d.im.fenced.Inc()
 			d.tracer.Emitf(now, trace.Live, d.me, "fence", "node=%d inc=%d beat=%d", node, inc, beat)
 			return
 		}
 		d.lastFresh[node] = now
 		if d.state[node] == Suspect {
 			d.stats.Refutes++
-			d.im.refutes.Inc()
 			d.closeSuspect(now, node, "refuted")
 			d.state[node] = Alive
 		}
@@ -337,7 +333,6 @@ func (d *Detector) Tick(now sim.Time) {
 			if stall >= d.cfg.SuspectAfter {
 				d.state[node] = Suspect
 				d.stats.Suspects++
-				d.im.suspects.Inc()
 				d.suspectSpn[node] = d.tracer.BeginSpan(now, trace.Live, d.me, "suspect", 0, d.tracer.Parent(),
 					"node=%d inc=%d stall=%v", node, d.inc[node], stall)
 			}
@@ -345,8 +340,7 @@ func (d *Detector) Tick(now sim.Time) {
 			if stall >= d.cfg.ConfirmAfter {
 				d.state[node] = Dead
 				d.stats.Confirms++
-				d.im.confirms.Inc()
-				d.im.deadPeers.Set(d.deadCount())
+				d.deadPeers.Set(d.deadCount())
 				d.closeSuspect(now, node, "confirmed-dead")
 				d.tracer.Emitf(now, trace.Live, d.me, "dead", "node=%d inc=%d stall=%v", node, d.inc[node], stall)
 			}
@@ -429,7 +423,6 @@ func (d *Detector) checkPartition(now sim.Time) {
 	d.part = &PartitionInfo{Minority: minority, Peers: far, Quorum: quorum}
 	d.pend = nil
 	d.stats.Partitions++
-	d.im.partitions.Inc()
 	d.tracer.Emitf(now, trace.Live, d.me, "partition-fence",
 		"peers=%v quorum=%v minority=%v cuts=%d", far, quorum, minority, d.cuts)
 }
@@ -466,9 +459,8 @@ func (d *Detector) heal(now sim.Time, why string) {
 		d.state[node] = Alive
 		d.lastFresh[node] = now
 	}
-	d.im.deadPeers.Set(d.deadCount())
+	d.deadPeers.Set(d.deadCount())
 	d.stats.PartitionHeals++
-	d.im.partitionHeals.Inc()
 	if p.Minority {
 		d.resync = true
 	}
@@ -524,7 +516,7 @@ func (d *Detector) Reset(now sim.Time) {
 	}
 	d.part = nil
 	d.pend = nil
-	d.im.deadPeers.Set(0)
+	d.deadPeers.Set(0)
 }
 
 func (d *Detector) closeSuspect(now sim.Time, node int, why string) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/liveness"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -38,7 +39,8 @@ func TestPartitionFenceAndHeal(t *testing.T) {
 	)
 	k := sim.NewKernel()
 	defer k.Close()
-	c := livenessCluster(t, k, nodes, cutScript(1, 3, cutAt, heal))
+	reg := metrics.New()
+	c := livenessCluster(t, k, nodes, cutScript(1, 3, cutAt, heal), reg)
 	k.At(at(25*sim.Millisecond), func() {})
 
 	majority := map[int]bool{4: true, 0: true, 1: true}
@@ -121,6 +123,7 @@ func TestPartitionFenceAndHeal(t *testing.T) {
 			t.Fatalf("majority node %d self-rejoins=%d, want 0", m, self)
 		}
 	}
+	requireCountersMatchStats(t, reg, c)
 }
 
 // TestMPIPartitionErrors is the acceptance scenario: a scripted double
@@ -254,7 +257,7 @@ func TestPartitionSoak(t *testing.T) {
 
 			k := sim.NewKernel()
 			defer k.Close()
-			c := livenessCluster(t, k, nodes, cutScript(segA, segB, cutAt, healAt))
+			c := livenessCluster(t, k, nodes, cutScript(segA, segB, cutAt, healAt), nil)
 
 			const msgs = 50
 			var delivered [][]byte

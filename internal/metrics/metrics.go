@@ -3,14 +3,22 @@
 // that every simulated layer (ring, I/O bus, BillBoard Protocol, MPI,
 // hybrid router, fault injector) reports into.
 //
+// A protocol event is counted once. A layer that keeps a Stats struct
+// counts there and Binds each field to its counter name, so the
+// registry reads the field instead of keeping a copy; only counts with
+// no Stats twin (I/O bus transactions, ring hops and topology events,
+// hybrid routing choices) are registry-owned Counters that the layer
+// increments itself.
+//
 // Design rules, in force everywhere:
 //
 //   - Nil-safe, like trace.Recorder: a nil *Registry hands out nil
-//     instruments, and every instrument method is a no-op on a nil
-//     receiver. Instrumented hot paths need no guards and pay one
-//     pointer test when metrics are disabled — no allocation, and no
-//     virtual time ever (instruments never call Proc.Delay, so enabling
-//     metrics cannot move a single figure).
+//     instruments and binds nothing, and every instrument method is a
+//     no-op on a nil receiver. Instrumented hot paths need no guards and
+//     pay one pointer test when metrics are disabled — no allocation,
+//     and no virtual time ever (instruments never call Proc.Delay, so
+//     enabling metrics cannot move a single figure). A bound count costs
+//     nothing on the hot path: the registry reads it only when asked.
 //   - Deterministic: no wall-clock reads, no map-iteration order.
 //     Snapshots are sorted by (name, node) and two identical simulation
 //     runs produce byte-identical renderings.
@@ -72,8 +80,12 @@ func BucketBounds(i int) (lo, hi int64) {
 	}
 }
 
-// Counter is a monotonically increasing count.
-type Counter struct{ v int64 }
+// Counter is a monotonically increasing count: its own increments plus
+// the sum of the Stats fields bound to it (Registry.Bind).
+type Counter struct {
+	v     int64
+	bound []*int64
+}
 
 // Inc adds one (no-op on nil).
 func (c *Counter) Inc() {
@@ -94,7 +106,11 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, f := range c.bound {
+		v += *f
+	}
+	return v
 }
 
 // Gauge is an instantaneous level that also remembers its high-water
@@ -278,6 +294,24 @@ func (r *Registry) Counter(name string, node int) *Counter {
 	return c
 }
 
+// Bind makes the field v part of the named counter for a node: the
+// counter reads *v whenever it is read, so a layer that already counts
+// an event in its Stats struct reports it without a second increment.
+// Fields bound to one key sum; binding the same field twice is a no-op.
+// Does nothing on a nil registry.
+func (r *Registry) Bind(name string, node int, v *int64) {
+	c := r.Counter(name, node)
+	if c == nil {
+		return
+	}
+	for _, f := range c.bound {
+		if f == v {
+			return
+		}
+	}
+	c.bound = append(c.bound, v)
+}
+
 // Gauge returns the named gauge for a node, creating it on first use.
 func (r *Registry) Gauge(name string, node int) *Gauge {
 	if r == nil {
@@ -357,7 +391,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	for k, c := range r.counters {
-		s.Counters = append(s.Counters, CounterPoint{k.name, k.node, c.v})
+		s.Counters = append(s.Counters, CounterPoint{k.name, k.node, c.Value()})
 	}
 	for k, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{k.name, k.node, g.v, g.max})

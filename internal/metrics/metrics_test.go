@@ -7,6 +7,8 @@ import (
 
 func TestNilRegistryIsSafeAndFree(t *testing.T) {
 	var r *Registry
+	field := int64(4)
+	r.Bind("x", 0, &field) // binds nothing
 	c := r.Counter("x", 0)
 	g := r.Gauge("x", 0)
 	h := r.Histogram("x", 0)
@@ -56,10 +58,15 @@ func TestLiveInstrumentsAllocateNothing(t *testing.T) {
 	c := r.Counter("c", 0)
 	g := r.Gauge("g", 0)
 	h := r.Histogram("h", 0)
+	var f1, f2 int64
+	r.Bind("c", 0, &f1)
+	r.Bind("c", 0, &f2)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(9)
 		h.Observe(17)
+		f1++
+		_ = c.Value() // a bound read sums the fields in place
 	})
 	if allocs != 0 {
 		t.Fatalf("live instrument updates allocated %.1f times per run, want 0", allocs)
@@ -187,9 +194,24 @@ func TestRollup(t *testing.T) {
 	r.Gauge("g", 1).Set(2) // value drops, max stays 9
 	r.Histogram("h", 0).Observe(10)
 	r.Histogram("h", 1).Observe(1000)
-	up := r.Snapshot().Rollup()
-	if v, _ := up.Counter("c", NodeGlobal); v != 12 {
-		t.Fatalf("rolled-up counter = %d, want 12", v)
+	// Two fields bound to one key sum with the counter's own count; a
+	// field bound twice counts once.
+	f1, f2 := int64(100), int64(1000)
+	r.Bind("c", 1, &f1)
+	r.Bind("c", 1, &f2)
+	r.Bind("c", 1, &f1)
+	r.Bind("b", 2, &f1)
+	f1 += 100 // read at snapshot time, not at Bind time
+	if v := r.Counter("c", 1).Value(); v != 1207 {
+		t.Fatalf("bound counter = %d, want 7+200+1000", v)
+	}
+	snap := r.Snapshot()
+	if v, _ := snap.Counter("b", 2); v != 200 {
+		t.Fatalf("bind-only counter snapshot = %d, want 200", v)
+	}
+	up := snap.Rollup()
+	if v, _ := up.Counter("c", NodeGlobal); v != 1212 {
+		t.Fatalf("rolled-up counter = %d, want 5+7+200+1000", v)
 	}
 	g, ok := up.Gauge("g", NodeGlobal)
 	if !ok || g.Max != 9 {

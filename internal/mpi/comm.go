@@ -152,7 +152,6 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 		e.tracer.PopParent()
 		e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager-end", span, 0, "total=%d", len(data))
 		e.stats.EagerSent++
-		e.im.eagerSent.Inc()
 		req.done = true
 		return req, nil
 	}
@@ -170,7 +169,6 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 	e.sendControl(p, world, env)
 	e.tracer.PopParent()
 	e.stats.RndvSent++
-	e.im.rndvSent.Inc()
 	return req, nil
 }
 

@@ -72,50 +72,31 @@ type Engine struct {
 	tracer  *trace.Recorder
 }
 
-// engInstruments mirror EngineStats into the metrics registry, keyed by
-// the engine's world rank, plus an unexpected-queue depth gauge whose
-// Max() is the high-water mark (nil = disabled no-ops).
+// engInstruments are the engine's gauges, keyed by its world rank
+// (nil = disabled no-ops). Gauges describe instantaneous state, so they
+// have no EngineStats twin; each Max() is a high-water mark.
 type engInstruments struct {
-	eagerSent    *metrics.Counter // mpi.eager_sent
-	rndvSent     *metrics.Counter // mpi.rndv_sent
-	received     *metrics.Counter // mpi.received
-	unexpected   *metrics.Counter // mpi.unexpected_msgs
-	chunksSent   *metrics.Counter // mpi.chunks_sent
-	rndvZeroCopy *metrics.Counter // mpi.rndv_zero_copy
-	windowStalls *metrics.Counter // mpi.window_stalls
-	streamAllred *metrics.Counter // mpi.stream_allreduces
-	streamFalls  *metrics.Counter // mpi.stream_fallbacks
-	nicBarriers  *metrics.Counter // mpi.nic_barriers
-	collReplans  *metrics.Counter // mpi.coll_replans
-	partitionErr *metrics.Counter // mpi.partition_errors
-	unexpDepth   *metrics.Gauge   // mpi.unexpected_depth
-	// pipelineDepth tracks the windowed sender's in-flight chunk count;
-	// its Max() is the high-water mark. Like unexpDepth it has no
-	// EngineStats twin — gauges describe instantaneous state, not
-	// protocol activity totals.
-	pipelineDepth *metrics.Gauge // mpi.pipeline_depth
+	unexpDepth    *metrics.Gauge // mpi.unexpected_depth
+	pipelineDepth *metrics.Gauge // mpi.pipeline_depth: the windowed sender's in-flight chunks
 }
 
-// setMetrics (re)creates the engine's instruments against m.
+// setMetrics binds the engine's EngineStats to m under its world rank
+// and installs its gauges (nil uninstalls the gauges).
 func (e *Engine) setMetrics(m *metrics.Registry) {
-	if m == nil {
-		e.im = engInstruments{}
-		return
-	}
 	rank := e.ep.Rank()
+	m.Bind("mpi.eager_sent", rank, &e.stats.EagerSent)
+	m.Bind("mpi.rndv_sent", rank, &e.stats.RndvSent)
+	m.Bind("mpi.received", rank, &e.stats.Received)
+	m.Bind("mpi.unexpected_msgs", rank, &e.stats.UnexpectedMsgs)
+	m.Bind("mpi.chunks_sent", rank, &e.stats.ChunksSent)
+	m.Bind("mpi.rndv_zero_copy", rank, &e.stats.RndvZeroCopy)
+	m.Bind("mpi.window_stalls", rank, &e.stats.WindowStalls)
+	m.Bind("mpi.stream_allreduces", rank, &e.stats.StreamAllreduces)
+	m.Bind("mpi.stream_fallbacks", rank, &e.stats.StreamFallbacks)
+	m.Bind("mpi.nic_barriers", rank, &e.stats.NICBarriers)
+	m.Bind("mpi.coll_replans", rank, &e.stats.CollReplans)
+	m.Bind("mpi.partition_errors", rank, &e.stats.PartitionErrors)
 	e.im = engInstruments{
-		eagerSent:     m.Counter("mpi.eager_sent", rank),
-		rndvSent:      m.Counter("mpi.rndv_sent", rank),
-		received:      m.Counter("mpi.received", rank),
-		unexpected:    m.Counter("mpi.unexpected_msgs", rank),
-		chunksSent:    m.Counter("mpi.chunks_sent", rank),
-		rndvZeroCopy:  m.Counter("mpi.rndv_zero_copy", rank),
-		windowStalls:  m.Counter("mpi.window_stalls", rank),
-		streamAllred:  m.Counter("mpi.stream_allreduces", rank),
-		streamFalls:   m.Counter("mpi.stream_fallbacks", rank),
-		nicBarriers:   m.Counter("mpi.nic_barriers", rank),
-		collReplans:   m.Counter("mpi.coll_replans", rank),
-		partitionErr:  m.Counter("mpi.partition_errors", rank),
 		unexpDepth:    m.Gauge("mpi.unexpected_depth", rank),
 		pipelineDepth: m.Gauge("mpi.pipeline_depth", rank),
 	}
@@ -126,7 +107,8 @@ func (e *Engine) setMetrics(m *metrics.Registry) {
 // instead parent the underlying sends via the recorder's ambient stack.
 func (e *Engine) setTracer(r *trace.Recorder) { e.tracer = r }
 
-// EngineStats counts protocol activity.
+// EngineStats counts protocol activity. setMetrics binds each field to
+// the mpi.* counter named beside it, so the two are one count.
 type EngineStats struct {
 	EagerSent      int64
 	RndvSent       int64
@@ -136,15 +118,14 @@ type EngineStats struct {
 	// RndvZeroCopy counts rendezvous transfers that went through a
 	// receiver-posted window; WindowStalls counts the times the
 	// windowed sender's bounded pipeline actually waited for a chunk's
-	// ring drain before writing the next one. Both are mirrored 1:1
-	// into the mpi.rndv_zero_copy / mpi.window_stalls counters.
+	// ring drain before writing the next one (the mpi.rndv_zero_copy /
+	// mpi.window_stalls counters).
 	RndvZeroCopy int64
 	WindowStalls int64
 	// StreamAllreduces counts Allreduce rounds completed by the
 	// in-network fast path; StreamFallbacks the rounds that degraded to
-	// the software tree after the transport declined (suspicion, loss,
-	// or timeout). Mirrored into mpi.stream_allreduces /
-	// mpi.stream_fallbacks.
+	// the software tree after the transport declined on suspicion, loss
+	// or timeout (mpi.stream_allreduces / mpi.stream_fallbacks).
 	StreamAllreduces int64
 	StreamFallbacks  int64
 	// NICBarriers counts barriers completed as a NIC-combined 1-lane
@@ -154,9 +135,9 @@ type EngineStats struct {
 	NICBarriers int64
 	CollReplans int64
 	// PartitionErrors counts operations abandoned with a PartitionError
-	// because the transport declared a ring partition (minority fence,
-	// or a majority operation naming an unreachable peer). Mirrored
-	// into mpi.partition_errors.
+	// because the transport declared a ring partition: a minority
+	// fence, or a majority operation naming an unreachable peer
+	// (mpi.partition_errors).
 	PartitionErrors int64
 }
 
@@ -308,7 +289,6 @@ func (e *Engine) handleEager(p *sim.Proc, src int, env envelope) {
 	e.drainInto(p, src, stage)
 	e.unexpect = append(e.unexpect, &inMsg{env: env, src: src, data: stage})
 	e.stats.UnexpectedMsgs++
-	e.im.unexpected.Inc()
 	e.im.unexpDepth.Set(int64(len(e.unexpect)))
 }
 
@@ -319,7 +299,6 @@ func (e *Engine) handleRTS(p *sim.Proc, src int, env envelope) {
 	}
 	e.unexpect = append(e.unexpect, &inMsg{env: env, src: src})
 	e.stats.UnexpectedMsgs++
-	e.im.unexpected.Inc()
 	e.im.unexpDepth.Set(int64(len(e.unexpect)))
 }
 
@@ -405,7 +384,6 @@ func (e *Engine) handleCTSW(p *sim.Proc, src int, env envelope) {
 	e.writeWindowed(p, src, req)
 	e.tracer.PopParent()
 	e.stats.RndvZeroCopy++
-	e.im.rndvZeroCopy.Inc()
 	done := envelope{kind: kRDone, ctx: env.ctx, tag: env.tag, total: uint32(len(req.data)),
 		reqID: req.peerID, aux: payloadCheck(req.data)}
 	e.trySendControl(p, src, done)
@@ -428,7 +406,6 @@ func (e *Engine) writeWindowed(p *sim.Proc, dst int, req *Request) {
 			if t := inflight[0]; t > p.Now() {
 				p.Delay(t.Sub(p.Now()))
 				e.stats.WindowStalls++
-				e.im.windowStalls.Inc()
 			}
 			inflight = inflight[1:]
 			e.im.pipelineDepth.Set(int64(len(inflight)))
@@ -440,7 +417,6 @@ func (e *Engine) writeWindowed(p *sim.Proc, dst int, req *Request) {
 		inflight = append(inflight, bound)
 		e.im.pipelineDepth.Set(int64(len(inflight)))
 		e.stats.ChunksSent++
-		e.im.chunksSent.Inc()
 		off += m
 	}
 	// The fill is over: whatever is still circulating drains without the
@@ -500,7 +476,6 @@ func (e *Engine) handleRDone(p *sim.Proc, src int, env envelope) {
 	e.trySendControl(p, src, ack)
 	req.done = true
 	e.stats.Received++
-	e.im.received.Inc()
 }
 
 // handleRNak rewrites the whole window and re-announces. The request
@@ -595,7 +570,6 @@ func (e *Engine) handleRData(p *sim.Proc, src int, env envelope) {
 	}
 	req.done = true
 	e.stats.Received++
-	e.im.received.Inc()
 }
 
 // drainInto receives exactly len(buf) bytes of data chunks from src,
@@ -667,7 +641,6 @@ func (e *Engine) sendChunks(p *sim.Proc, dstWorld int, data []byte) {
 			panic(fmt.Sprintf("mpi: chunk send to %d: %v", dstWorld, err))
 		}
 		e.stats.ChunksSent++
-		e.im.chunksSent.Inc()
 		off += m
 	}
 }
@@ -716,7 +689,6 @@ func (e *Engine) complete(req *Request, srcWorld int, env envelope, err error) {
 	req.err = err
 	req.done = true
 	e.stats.Received++
-	e.im.received.Inc()
 }
 
 // commRank translates a world rank to the rank within the communicator
@@ -771,7 +743,6 @@ func (e *Engine) partition() (liveness.PartitionInfo, bool) {
 // majority operation naming an unreachable peer).
 func (e *Engine) partitionErr(part liveness.PartitionInfo) error {
 	e.stats.PartitionErrors++
-	e.im.partitionErr.Inc()
 	return &PartitionError{Minority: part.Minority, Peers: append([]int(nil), part.Peers...)}
 }
 

@@ -132,7 +132,6 @@ func (c *Comm) notePlan(p *sim.Proc, mask []byte, atRoot bool) {
 	if atRoot && slices.ContainsFunc(mask, func(b byte) bool { return b != 0 }) {
 		e := c.eng
 		e.stats.CollReplans++
-		e.im.collReplans.Inc()
 		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x", c.planEpoch, mask)
 	}
 }

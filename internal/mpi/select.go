@@ -235,11 +235,9 @@ func (c *Comm) barrierNIC(p *sim.Proc, pl plan) error {
 	}
 	if done {
 		e.stats.NICBarriers++
-		e.im.nicBarriers.Inc()
 		return nil
 	}
 	e.stats.StreamFallbacks++
-	e.im.streamFalls.Inc()
 	return c.barrierTree(p, pl)
 }
 
@@ -325,11 +323,9 @@ func (c *Comm) allreduceNIC(p *sim.Proc, pl plan, op Op, sendBuf, recv []byte) e
 	}
 	if done {
 		e.stats.StreamAllreduces++
-		e.im.streamAllred.Inc()
 		return nil
 	}
 	e.stats.StreamFallbacks++
-	e.im.streamFalls.Inc()
 	return c.allreduceTree(p, pl, op, sendBuf, recv)
 }
 

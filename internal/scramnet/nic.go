@@ -50,30 +50,17 @@ type NIC struct {
 	mreg     *metrics.Registry
 
 	stats Stats
-	im    nicInstruments
 }
 
-// nicInstruments are the per-card metrics (nil = disabled no-ops).
-type nicInstruments struct {
-	injected      *metrics.Counter // ring.packets_injected
-	applied       *metrics.Counter // ring.packets_applied
-	crcDrops      *metrics.Counter // ring.packets_lost (CRC or broken ring)
-	bytesInjected *metrics.Counter // ring.bytes_injected
-	interrupts    *metrics.Counter // ring.interrupts_taken
-	combined      *metrics.Counter // ring.packets_combined (handler rewrites at transit)
-}
-
-// setMetrics creates this card's instruments, keyed by its host number,
-// and wires the host bus with the same node id.
+// setMetrics binds this card's Stats under its host number and wires
+// the host bus with the same node id.
 func (nic *NIC) setMetrics(m *metrics.Registry) {
-	nic.im = nicInstruments{
-		injected:      m.Counter("ring.packets_injected", nic.ownerID),
-		applied:       m.Counter("ring.packets_applied", nic.ownerID),
-		crcDrops:      m.Counter("ring.packets_lost", nic.ownerID),
-		bytesInjected: m.Counter("ring.bytes_injected", nic.ownerID),
-		interrupts:    m.Counter("ring.interrupts_taken", nic.ownerID),
-		combined:      m.Counter("ring.packets_combined", nic.ownerID),
-	}
+	m.Bind("ring.packets_injected", nic.ownerID, &nic.stats.PacketsSent)
+	m.Bind("ring.packets_applied", nic.ownerID, &nic.stats.PacketsApplied)
+	m.Bind("ring.packets_lost", nic.ownerID, &nic.stats.PacketsLost)
+	m.Bind("ring.bytes_injected", nic.ownerID, &nic.stats.BytesSent)
+	m.Bind("ring.interrupts_taken", nic.ownerID, &nic.stats.InterruptsTaken)
+	m.Bind("ring.packets_combined", nic.ownerID, &nic.stats.PacketsCombined)
 	nic.bus.SetMetrics(m, nic.ownerID)
 	nic.mreg = m
 	if nic.handlers != nil {
@@ -175,7 +162,6 @@ func (nic *NIC) checkRange(off, n int) {
 func (nic *NIC) apply(pkt *packet) {
 	copy(nic.mem[pkt.off:], pkt.data)
 	nic.stats.PacketsApplied++
-	nic.im.applied.Inc()
 	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
 	if pkt.interrupt && nic.intrOn && nic.intrHandler != nil {
 		// Capture the handler at vectoring time: the host may disable
@@ -185,7 +171,6 @@ func (nic *NIC) apply(pkt *packet) {
 		// there used to panic the simulation).
 		off, h := pkt.off, nic.intrHandler
 		nic.stats.InterruptsTaken++
-		nic.im.interrupts.Inc()
 		nic.net.k.AfterKind(nic.net.cfg.InterruptLatency, "intr", func() { h(off) })
 	}
 	if nic.onApply != nil {
@@ -259,7 +244,6 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 	if v == spin.Rewrite {
 		pkt.rewritten = true
 		nic.stats.PacketsCombined++
-		nic.im.combined.Inc()
 	}
 	if trapped {
 		net.tracer.EmitMsg(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", net.cfg.HandlerBudget)

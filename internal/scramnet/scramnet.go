@@ -263,22 +263,12 @@ func (n *Network) SetTracer(r *trace.Recorder) {
 	}
 }
 
-// SetMetrics installs metrics instruments on the ring, its NICs and
-// their host buses (nil disables). Metrics never charge virtual time,
-// so enabling them cannot perturb a measurement.
+// SetMetrics reports the ring, its NICs and their host buses into m:
+// each NIC's Stats is bound under its host number, and the counts with
+// no Stats twin get registry-owned instruments (nil uninstalls those).
+// Metrics never charge virtual time, so enabling them cannot perturb a
+// measurement.
 func (n *Network) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		n.im = netInstruments{}
-		for _, nic := range n.nics {
-			nic.im = nicInstruments{}
-			nic.bus.SetMetrics(nil, 0)
-			nic.mreg = nil
-			if nic.handlers != nil {
-				nic.handlers.SetMetrics(nil)
-			}
-		}
-		return
-	}
 	n.im = netInstruments{
 		hops:        m.Counter("ring.hops", metrics.NodeGlobal),
 		bypassHops:  m.Counter("ring.bypass_hops", metrics.NodeGlobal),
@@ -463,8 +453,6 @@ func (n *Network) inject(pkt *packet) {
 	src := n.nics[pkt.origin]
 	src.stats.PacketsSent++
 	src.stats.BytesSent += int64(len(pkt.data))
-	src.im.injected.Inc()
-	src.im.bytesInjected.Add(int64(len(pkt.data)))
 	// "inject" opens the packet's ring span; it closes at strip, CRC
 	// drop, or ring break ("pkt-end"), so the causal tree shows exactly
 	// how far each replication packet got.
@@ -485,7 +473,6 @@ func (n *Network) inject(pkt *packet) {
 		if n.cfg.DropRate > 0 && n.faults.Float64() < n.cfg.DropRate {
 			// Corrupted in flight: the next hop's CRC check discards it.
 			src.stats.PacketsLost++
-			src.im.crcDrops.Inc()
 			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "crc-drop")
 			return
 		}
@@ -499,7 +486,6 @@ func (n *Network) forward(from int, pkt *packet) {
 	next, hops, wrap, byp, err := n.route(from)
 	if err != nil {
 		n.nics[pkt.origin].stats.PacketsLost++
-		n.nics[pkt.origin].im.crcDrops.Inc()
 		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "ring-broken")
 		return // broken ring: packet lost downstream
 	}
@@ -519,7 +505,6 @@ func (n *Network) forward(from int, pkt *packet) {
 	n.k.AfterKind(sim.Duration(hops+wrap)*n.cfg.HopDelay, "ring", func() {
 		if isolated {
 			n.nics[pkt.origin].stats.PacketsLost++
-			n.nics[pkt.origin].im.crcDrops.Inc()
 			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "isolated node=%d", next)
 			return
 		}
@@ -655,7 +640,8 @@ func (n *Network) Quiescent() bool {
 	return true
 }
 
-// Stats aggregates per-NIC counters.
+// Stats aggregates per-NIC counters; NIC.setMetrics binds each field to
+// its ring.* counter.
 type Stats struct {
 	PacketsSent     int64
 	PacketsApplied  int64

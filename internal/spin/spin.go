@@ -153,12 +153,12 @@ type Engine struct {
 	nextID  int
 	ranges  []rng
 	stats   Stats
-	im      instruments
 	scratch []byte    // rollback snapshot, reused across transits
 	ran     []Handler // handlers run this transit (TrapAware notification), reused
 }
 
-// Stats counts handler activity on one engine.
+// Stats counts handler activity on one engine; SetMetrics binds each
+// field to its spin.* counter.
 type Stats struct {
 	HandlersRun      int64 // handler executions (one per matching handler per transit)
 	HandlerCycles    int64 // cycles charged, including trapped transits
@@ -166,16 +166,6 @@ type Stats struct {
 	PacketsConsumed  int64
 	PacketsRewritten int64
 	PacketsSteered   int64
-}
-
-// instruments mirror Stats into the metrics registry (nil = no-ops).
-type instruments struct {
-	handlersRun      *metrics.Counter // spin.handlers_run
-	handlerCycles    *metrics.Counter // spin.handler_cycles
-	trapsToHost      *metrics.Counter // spin.traps_to_host
-	packetsConsumed  *metrics.Counter // spin.packets_consumed
-	packetsRewritten *metrics.Counter // spin.packets_rewritten
-	packetsSteered   *metrics.Counter // spin.packets_steered
 }
 
 // NewEngine builds a handler engine for one transit node with the
@@ -187,21 +177,15 @@ func NewEngine(node int, budget int64) *Engine {
 	return &Engine{node: node, budget: budget}
 }
 
-// SetMetrics (re)creates the engine's spin.* instruments against m,
-// keyed by the engine's node (nil disables).
+// SetMetrics binds the engine's Stats to m's spin.* counters, keyed by
+// the engine's node (nil binds nothing).
 func (e *Engine) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		e.im = instruments{}
-		return
-	}
-	e.im = instruments{
-		handlersRun:      m.Counter("spin.handlers_run", e.node),
-		handlerCycles:    m.Counter("spin.handler_cycles", e.node),
-		trapsToHost:      m.Counter("spin.traps_to_host", e.node),
-		packetsConsumed:  m.Counter("spin.packets_consumed", e.node),
-		packetsRewritten: m.Counter("spin.packets_rewritten", e.node),
-		packetsSteered:   m.Counter("spin.packets_steered", e.node),
-	}
+	m.Bind("spin.handlers_run", e.node, &e.stats.HandlersRun)
+	m.Bind("spin.handler_cycles", e.node, &e.stats.HandlerCycles)
+	m.Bind("spin.traps_to_host", e.node, &e.stats.TrapsToHost)
+	m.Bind("spin.packets_consumed", e.node, &e.stats.PacketsConsumed)
+	m.Bind("spin.packets_rewritten", e.node, &e.stats.PacketsRewritten)
+	m.Bind("spin.packets_steered", e.node, &e.stats.PacketsSteered)
 }
 
 // Stats returns a copy of the engine's counters.
@@ -269,7 +253,6 @@ run:
 		e.ran = append(e.ran, r.handler)
 		hv := r.handler.OnTransit(ctx, pkt)
 		e.stats.HandlersRun++
-		e.im.handlersRun.Inc()
 		if ctx.Overrun() {
 			trapped = true
 			break
@@ -293,20 +276,15 @@ run:
 		}
 		v = Forward
 		e.stats.TrapsToHost++
-		e.im.trapsToHost.Inc()
 	}
 	e.stats.HandlerCycles += cycles
-	e.im.handlerCycles.Add(cycles)
 	switch v {
 	case Consume:
 		e.stats.PacketsConsumed++
-		e.im.packetsConsumed.Inc()
 	case Rewrite:
 		e.stats.PacketsRewritten++
-		e.im.packetsRewritten.Inc()
 	case Steer:
 		e.stats.PacketsSteered++
-		e.im.packetsSteered.Inc()
 	}
 	return v, cycles, trapped
 }
