@@ -17,6 +17,7 @@ import (
 	"repro/internal/scramnet"
 	"repro/internal/sim"
 	"repro/internal/tcpip"
+	"repro/internal/xport"
 )
 
 // reportUS attaches a virtual-latency metric to the bench.
@@ -365,7 +366,7 @@ func BenchmarkAblation_NagleDelayedAck(b *testing.B) {
 	measure := func(nagle bool, delayed sim.Duration) float64 {
 		k := sim.NewKernel()
 		defer k.Close()
-		fab, err := ethernet.New(k, ethernet.DefaultConfig(2))
+		fab, err := xport.NewSwitch(k, ethernet.DefaultConfig(2))
 		if err != nil {
 			b.Fatal(err)
 		}

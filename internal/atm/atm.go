@@ -9,107 +9,44 @@
 // Figure 2 despite its higher per-message latency. AAL5 CRC-32 is
 // computed by the SAR hardware, not the host, so the TCP-lite profile
 // for ATM charges no software checksum.
+//
+// The LAN is a calibration profile of xport.Switch with 48-byte wire
+// units; build it with xport.NewSwitch(k, DefaultConfig(nodes)).
 package atm
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
 
-// Config describes the ATM LAN.
-type Config struct {
-	Nodes int
-	// MTU is the AAL5 payload limit handed to the fabric; 9180 is the
-	// classical IP-over-ATM MTU.
-	MTU int
-	// CellTime is the serialization time of one 53-byte cell.
-	CellTime sim.Duration
-	// PropDelay is fiber propagation per link.
-	PropDelay sim.Duration
-	// SwitchLatency is the per-PDU switch traversal cost (cell
-	// pipelining folded into one figure).
-	SwitchLatency sim.Duration
-	// SARCost is the NIC's per-PDU segmentation/reassembly overhead.
-	SARCost sim.Duration
-}
+// OC-3 calibration.
+const (
+	// cellTime is the serialization time of one 53-byte cell.
+	cellTime = 2726 * sim.Nanosecond
+	// switchTraversal is the per-PDU switch traversal cost.
+	switchTraversal = 7 * sim.Microsecond
+	// sarCost is the NIC's per-PDU segmentation/reassembly overhead.
+	sarCost = 3 * sim.Microsecond
+)
 
-// DefaultConfig returns an OC-3 LAN.
-func DefaultConfig(nodes int) Config {
-	return Config{
+// DefaultConfig returns an OC-3 LAN. The switch forwards cell by cell:
+// the first cells of a long PDU leave the switch while later cells are
+// still arriving, so the PDU serializes once end to end, shifted by one
+// cell of pipeline. That cell time and the SAR cost are folded into the
+// switch latency. The MTU of 9180 is the classical IP-over-ATM MTU.
+func DefaultConfig(nodes int) xport.SwitchConfig {
+	return xport.SwitchConfig{
 		Nodes:         nodes,
 		MTU:           9180,
-		CellTime:      2726 * sim.Nanosecond,
+		Unit:          48,
+		Overhead:      8, // AAL5 trailer
+		UnitTime:      cellTime,
 		PropDelay:     500 * sim.Nanosecond,
-		SwitchLatency: 7 * sim.Microsecond,
-		SARCost:       3 * sim.Microsecond,
+		SwitchLatency: switchTraversal + cellTime + sarCost,
+		CutThrough:    true,
 	}
-}
-
-// Network is the ATM LAN; it implements xport.Fabric.
-type Network struct {
-	k        *sim.Kernel
-	cfg      Config
-	up, down []*sim.Server
-	handlers []func(src int, frame []byte)
-
-	pdus, cells int64
-}
-
-// New builds the LAN on kernel k.
-func New(k *sim.Kernel, cfg Config) (*Network, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("atm: need at least 2 nodes, got %d", cfg.Nodes)
-	}
-	n := &Network{k: k, cfg: cfg, handlers: make([]func(int, []byte), cfg.Nodes)}
-	for i := 0; i < cfg.Nodes; i++ {
-		n.up = append(n.up, sim.NewServer(k))
-		n.down = append(n.down, sim.NewServer(k))
-	}
-	return n, nil
-}
-
-// Nodes returns the host count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MTU returns the AAL5 payload limit.
-func (n *Network) MTU() int { return n.cfg.MTU }
-
-// SetHandler installs node's PDU delivery callback.
-func (n *Network) SetHandler(node int, fn func(src int, frame []byte)) {
-	n.handlers[node] = fn
 }
 
 // CellsFor returns the number of cells an AAL5 PDU of n payload bytes
 // occupies: payload + 8-byte trailer, padded to a 48-byte multiple.
-func CellsFor(n int) int { return (n + 8 + 47) / 48 }
-
-// Transmit sends one AAL5 PDU src→switch→dst.
-func (n *Network) Transmit(src, dst int, frame []byte) {
-	if len(frame) > n.cfg.MTU {
-		panic(fmt.Sprintf("atm: %d-byte PDU exceeds MTU %d", len(frame), n.cfg.MTU))
-	}
-	cells := CellsFor(len(frame))
-	n.pdus++
-	n.cells += int64(cells)
-	wire := sim.Duration(cells) * n.cfg.CellTime
-	cfg := n.cfg
-	// The switch forwards cell by cell: the first cells of a long PDU
-	// leave the switch while later cells are still arriving, so the PDU
-	// is serialized once end to end, shifted by the per-cell pipeline.
-	// The output link is occupied in parallel for contention purposes.
-	n.down[dst].Serve(wire, nil)
-	n.up[src].Serve(wire, func() {
-		n.k.AfterKind(2*cfg.PropDelay+cfg.SwitchLatency+cfg.CellTime+cfg.SARCost, "fabric", func() {
-			if h := n.handlers[dst]; h != nil {
-				h(src, frame)
-			}
-		})
-	})
-}
-
-// Stats returns PDUs and cells transmitted.
-func (n *Network) Stats() (pdus, cells int64) { return n.pdus, n.cells }
-
-var _ xport.Fabric = (*Network)(nil)
+func CellsFor(n int) int { return DefaultConfig(2).Units(n) }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func TestCellsFor(t *testing.T) {
@@ -37,7 +38,7 @@ func TestCellsForProperty(t *testing.T) {
 
 func TestPDUDelivery(t *testing.T) {
 	k := sim.NewKernel()
-	n, err := New(k, DefaultConfig(4))
+	n, err := xport.NewSwitch(k, DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPDUDelivery(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("PDU corrupted in flight")
 	}
-	pdus, cells := n.Stats()
+	pdus, cells, _ := n.Stats()
 	if pdus != 1 || cells != int64(CellsFor(5000)) {
 		t.Fatalf("stats = %d PDUs, %d cells", pdus, cells)
 	}
@@ -61,7 +62,7 @@ func TestPDUDelivery(t *testing.T) {
 func TestLatencyScalesWithCells(t *testing.T) {
 	latency := func(payload int) sim.Duration {
 		k := sim.NewKernel()
-		n, _ := New(k, DefaultConfig(2))
+		n, _ := xport.NewSwitch(k, DefaultConfig(2))
 		var arrival sim.Time
 		n.SetHandler(1, func(src int, frame []byte) { arrival = k.Now() })
 		k.At(0, func() { n.Transmit(0, 1, make([]byte, payload)) })
@@ -72,8 +73,13 @@ func TestLatencyScalesWithCells(t *testing.T) {
 	}
 	cfg := DefaultConfig(2)
 	oneCell, threeCells := latency(10), latency(100)
+	// One cell: 2 726 wire + 2×500 propagation + 7 000 switch + 2 726
+	// one-cell pipeline + 3 000 SAR.
+	if oneCell != 16452*sim.Nanosecond {
+		t.Fatalf("10-byte PDU arrival = %d, want 16452 ns", oneCell)
+	}
 	// Cell-pipelined switch: the PDU serializes once end to end.
-	wantDelta := sim.Duration(CellsFor(100)-CellsFor(10)) * cfg.CellTime
+	wantDelta := sim.Duration(CellsFor(100)-CellsFor(10)) * cfg.UnitTime
 	if got := threeCells - oneCell; got != wantDelta {
 		t.Fatalf("latency delta = %d, want %d", got, wantDelta)
 	}
@@ -83,7 +89,7 @@ func TestEffectivePayloadRate(t *testing.T) {
 	// Sustained large-PDU throughput ≈ 48/53 of OC-3 ≈ 17.6 MB/s.
 	k := sim.NewKernel()
 	cfg := DefaultConfig(2)
-	n, _ := New(k, cfg)
+	n, _ := xport.NewSwitch(k, cfg)
 	const pduBytes = 9000
 	const count = 50
 	var last sim.Time
@@ -104,7 +110,7 @@ func TestEffectivePayloadRate(t *testing.T) {
 
 func TestOversizePDUPanics(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic above MTU")

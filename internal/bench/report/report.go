@@ -31,6 +31,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/trace"
+	"repro/internal/xport"
 )
 
 // Schema is the report format version. Bump it whenever a field is
@@ -678,7 +679,7 @@ func hybridRerouteLatency(lcfg liveness.Config) float64 {
 	if err != nil {
 		panic(err)
 	}
-	san, err := myrinet.New(k, myrinet.DefaultConfig(nodes))
+	san, err := xport.NewSwitch(k, myrinet.DefaultConfig(nodes))
 	if err != nil {
 		panic(err)
 	}

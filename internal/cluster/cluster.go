@@ -122,17 +122,51 @@ type Cluster struct {
 	Stream *metrics.Stream
 }
 
-// faulted wraps fab with fault injection and schedules the script on
-// it when one was requested; otherwise it returns fab unchanged.
-func faulted(k *sim.Kernel, c *Cluster, opts Options, fab xport.Fabric) xport.Fabric {
-	if opts.Faults == nil {
-		return fab
+// lan is a switched network: the xport.Switch profile of its fabric
+// and the endpoint each node opens on that fabric.
+type lan struct {
+	profile func(nodes int) xport.SwitchConfig
+	open    func(k *sim.Kernel, fab xport.Fabric, node int) xport.Endpoint
+}
+
+// lans lists the switched networks of Figures 2 and 3.
+var lans = map[Network]lan{
+	FastEthernet: {ethernet.DefaultConfig, overTCP(tcpip.FastEthernetProfile)},
+	ATM:          {atm.DefaultConfig, overTCP(tcpip.ATMProfile)},
+	MyrinetAPI: {myrinet.DefaultConfig, func(_ *sim.Kernel, fab xport.Fabric, node int) xport.Endpoint {
+		return myrinet.OpenAPI(fab, node, myrinet.DefaultAPIConfig())
+	}},
+	MyrinetTCP: {myrinet.DefaultConfig, overTCP(tcpip.MyrinetProfile)},
+}
+
+// overTCP opens a TCP-lite stack with the given profile.
+func overTCP(profile func() tcpip.Config) func(*sim.Kernel, xport.Fabric, int) xport.Endpoint {
+	return func(k *sim.Kernel, fab xport.Fabric, node int) xport.Endpoint {
+		return tcpip.NewStack(k, fab, node, profile())
 	}
-	ff := fault.NewFabric(k, fab, opts.Faults.Seed)
-	ff.SetMetrics(opts.Metrics)
-	opts.Faults.ApplyObserved(k, ff, opts.Metrics, opts.Trace)
-	c.Fault = ff
-	return ff
+}
+
+// switched builds l's fabric, wraps it with fault injection and
+// schedules the script on it when one was requested (setting c.Fault),
+// and opens one endpoint per node on it.
+func switched(k *sim.Kernel, c *Cluster, opts Options, l lan) ([]xport.Endpoint, error) {
+	sw, err := xport.NewSwitch(k, l.profile(opts.Nodes))
+	if err != nil {
+		return nil, err
+	}
+	var fab xport.Fabric = sw
+	if opts.Faults != nil {
+		ff := fault.NewFabric(k, sw, opts.Faults.Seed)
+		ff.SetMetrics(opts.Metrics)
+		opts.Faults.ApplyObserved(k, ff, opts.Metrics, opts.Trace)
+		c.Fault = ff
+		fab = ff
+	}
+	eps := make([]xport.Endpoint, opts.Nodes)
+	for i := range eps {
+		eps[i] = l.open(k, fab, i)
+	}
+	return eps, nil
 }
 
 // New builds a testbed per opts.
@@ -233,42 +267,6 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 			c.Endpoints = append(c.Endpoints, ep)
 		}
 		c.BBP = sys
-	case FastEthernet:
-		fab, err := ethernet.New(k, ethernet.DefaultConfig(opts.Nodes))
-		if err != nil {
-			return nil, err
-		}
-		fb := faulted(k, c, opts, fab)
-		for i := 0; i < opts.Nodes; i++ {
-			c.Endpoints = append(c.Endpoints, tcpip.NewStack(k, fb, i, tcpip.FastEthernetProfile()))
-		}
-	case ATM:
-		fab, err := atm.New(k, atm.DefaultConfig(opts.Nodes))
-		if err != nil {
-			return nil, err
-		}
-		fb := faulted(k, c, opts, fab)
-		for i := 0; i < opts.Nodes; i++ {
-			c.Endpoints = append(c.Endpoints, tcpip.NewStack(k, fb, i, tcpip.ATMProfile()))
-		}
-	case MyrinetAPI:
-		fab, err := myrinet.New(k, myrinet.DefaultConfig(opts.Nodes))
-		if err != nil {
-			return nil, err
-		}
-		fb := faulted(k, c, opts, fab)
-		for i := 0; i < opts.Nodes; i++ {
-			c.Endpoints = append(c.Endpoints, myrinet.OpenAPI(fb, i, myrinet.DefaultAPIConfig()))
-		}
-	case MyrinetTCP:
-		fab, err := myrinet.New(k, myrinet.DefaultConfig(opts.Nodes))
-		if err != nil {
-			return nil, err
-		}
-		fb := faulted(k, c, opts, fab)
-		for i := 0; i < opts.Nodes; i++ {
-			c.Endpoints = append(c.Endpoints, tcpip.NewStack(k, fb, i, tcpip.MyrinetProfile()))
-		}
 	case Hybrid:
 		// Both NICs in every workstation: a SCRAMNet ring for latency
 		// and a Myrinet SAN for bandwidth. A fault script hits both.
@@ -277,14 +275,12 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 		c.Ring, c.BBP = low.Ring, low.BBP
-		fab, err := myrinet.New(k, myrinet.DefaultConfig(opts.Nodes))
+		high, err := switched(k, c, opts, lans[MyrinetAPI])
 		if err != nil {
 			return nil, err
 		}
-		fb := faulted(k, c, opts, fab)
-		for i := 0; i < opts.Nodes; i++ {
-			high := myrinet.OpenAPI(fb, i, myrinet.DefaultAPIConfig())
-			ep, err := hybrid.New(low.Endpoints[i], high, hybrid.DefaultConfig())
+		for i, h := range high {
+			ep, err := hybrid.New(low.Endpoints[i], h, hybrid.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -293,7 +289,15 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 			c.Endpoints = append(c.Endpoints, ep)
 		}
 	default:
-		return nil, fmt.Errorf("cluster: unknown network %q", opts.Net)
+		l, ok := lans[opts.Net]
+		if !ok {
+			return nil, fmt.Errorf("cluster: unknown network %q", opts.Net)
+		}
+		eps, err := switched(k, c, opts, l)
+		if err != nil {
+			return nil, err
+		}
+		c.Endpoints = eps
 	}
 	if opts.Metrics != nil && opts.SnapshotEvery > 0 {
 		c.Stream = metrics.NewStream(k, opts.Metrics, opts.SnapshotEvery)

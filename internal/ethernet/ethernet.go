@@ -3,120 +3,29 @@
 // store-and-forward switch, 1500-byte MTU, and 38 bytes of on-wire
 // overhead per frame (preamble 8 + MAC header 14 + FCS 4 + inter-frame
 // gap 12). At 100 Mb/s the wire moves one byte every 80 ns.
+//
+// The LAN is a calibration profile of xport.Switch with one-byte wire
+// units; build it with xport.NewSwitch(k, DefaultConfig(nodes)).
 package ethernet
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
 
-// Config describes the LAN.
-type Config struct {
-	Nodes int
-	// MTU is the frame payload limit (1500 for Ethernet).
-	MTU int
-	// PerByte is the wire serialization time per byte (80 ns at
-	// 100 Mb/s).
-	PerByte sim.Duration
-	// FrameOverhead is the extra on-wire bytes per frame.
-	FrameOverhead int
-	// MinFrame pads small frames to Ethernet's 64-byte minimum.
-	MinFrame int
-	// PropDelay is cable propagation per link.
-	PropDelay sim.Duration
-	// SwitchLatency is the store-and-forward switch's processing time
-	// per frame, excluding the output serialization.
-	SwitchLatency sim.Duration
-}
-
 // DefaultConfig returns a 100 Mb/s switched LAN.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:         nodes,
-		MTU:           1500,
-		PerByte:       80 * sim.Nanosecond,
-		FrameOverhead: 38,
-		MinFrame:      64,
+func DefaultConfig(nodes int) xport.SwitchConfig {
+	return xport.SwitchConfig{
+		Nodes:    nodes,
+		MTU:      1500,
+		Unit:     1,
+		Overhead: 38,
+		// The 64-byte minimum frame counts MAC header and FCS but not
+		// preamble and IFG (20 bytes), so the minimum on-wire size is
+		// 64+20 bytes.
+		MinUnits:      84,
+		UnitTime:      80 * sim.Nanosecond,
 		PropDelay:     500 * sim.Nanosecond,
 		SwitchLatency: 12 * sim.Microsecond,
 	}
 }
-
-// Network is the LAN; it implements xport.Fabric.
-type Network struct {
-	k        *sim.Kernel
-	cfg      Config
-	up, down []*sim.Server // per-host uplink (host→switch) and downlink
-	handlers []func(src int, frame []byte)
-
-	frames int64
-	bytes  int64
-}
-
-// New builds the LAN on kernel k.
-func New(k *sim.Kernel, cfg Config) (*Network, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("ethernet: need at least 2 nodes, got %d", cfg.Nodes)
-	}
-	n := &Network{k: k, cfg: cfg, handlers: make([]func(int, []byte), cfg.Nodes)}
-	for i := 0; i < cfg.Nodes; i++ {
-		n.up = append(n.up, sim.NewServer(k))
-		n.down = append(n.down, sim.NewServer(k))
-	}
-	return n, nil
-}
-
-// Nodes returns the host count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MTU returns the frame payload limit.
-func (n *Network) MTU() int { return n.cfg.MTU }
-
-// SetHandler installs node's frame delivery callback.
-func (n *Network) SetHandler(node int, fn func(src int, frame []byte)) {
-	n.handlers[node] = fn
-}
-
-// wireTime is the serialization time of a frame carrying n payload
-// bytes, including framing overhead and minimum-frame padding.
-func (n *Network) wireTime(payload int) sim.Duration {
-	onWire := payload + n.cfg.FrameOverhead
-	// The 64-byte minimum frame counts MAC header and FCS but not
-	// preamble and IFG (20 bytes), so the minimum on-wire size is
-	// MinFrame+20.
-	if min := n.cfg.MinFrame + 20; onWire < min {
-		onWire = min
-	}
-	return sim.Duration(onWire) * n.cfg.PerByte
-}
-
-// Transmit sends one frame src→switch→dst, store-and-forward.
-func (n *Network) Transmit(src, dst int, frame []byte) {
-	if len(frame) > n.cfg.MTU {
-		panic(fmt.Sprintf("ethernet: %d-byte frame exceeds MTU %d", len(frame), n.cfg.MTU))
-	}
-	n.frames++
-	n.bytes += int64(len(frame))
-	wire := n.wireTime(len(frame))
-	cfg := n.cfg
-	n.up[src].Serve(wire, func() {
-		// Frame fully at the switch after propagation; forward after the
-		// switch's processing latency, re-serializing on the output port.
-		n.k.AfterKind(cfg.PropDelay+cfg.SwitchLatency, "fabric", func() {
-			n.down[dst].Serve(wire, func() {
-				n.k.AfterKind(cfg.PropDelay, "fabric", func() {
-					if h := n.handlers[dst]; h != nil {
-						h(src, frame)
-					}
-				})
-			})
-		})
-	})
-}
-
-// Stats returns frames and payload bytes transmitted.
-func (n *Network) Stats() (frames, bytes int64) { return n.frames, n.bytes }
-
-var _ xport.Fabric = (*Network)(nil)

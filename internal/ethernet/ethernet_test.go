@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func TestFrameDelivery(t *testing.T) {
 	k := sim.NewKernel()
-	n, err := New(k, DefaultConfig(3))
+	n, err := xport.NewSwitch(k, DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +31,14 @@ func TestStoreAndForwardLatency(t *testing.T) {
 	// switch) plus switch latency and two propagation delays.
 	k := sim.NewKernel()
 	cfg := DefaultConfig(2)
-	n, _ := New(k, cfg)
+	n, _ := xport.NewSwitch(k, cfg)
 	var arrival sim.Time
 	n.SetHandler(1, func(src int, frame []byte) { arrival = k.Now() })
 	k.At(0, func() { n.Transmit(0, 1, make([]byte, 1500)) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wire := sim.Duration(1500+cfg.FrameOverhead) * cfg.PerByte
+	wire := sim.Duration(1500+cfg.Overhead) * cfg.UnitTime
 	want := sim.Time(2*wire + 2*cfg.PropDelay + cfg.SwitchLatency)
 	if arrival != want {
 		t.Fatalf("arrival = %d, want %d", arrival, want)
@@ -49,7 +50,7 @@ func TestMinimumFramePadding(t *testing.T) {
 	// frame, so their one-way latencies are identical.
 	latency := func(payload int) sim.Duration {
 		k := sim.NewKernel()
-		n, _ := New(k, DefaultConfig(2))
+		n, _ := xport.NewSwitch(k, DefaultConfig(2))
 		var arrival sim.Time
 		n.SetHandler(1, func(src int, frame []byte) { arrival = k.Now() })
 		k.At(0, func() { n.Transmit(0, 1, make([]byte, payload)) })
@@ -69,7 +70,7 @@ func TestMinimumFramePadding(t *testing.T) {
 
 func TestFIFOPerPair(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	var order []int
 	n.SetHandler(1, func(src int, frame []byte) { order = append(order, int(frame[0])) })
 	k.At(0, func() {
@@ -100,7 +101,7 @@ func TestUplinkContentionSerializes(t *testing.T) {
 func measurePair(t *testing.T, srcA, srcB int) sim.Time {
 	t.Helper()
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(4))
+	n, _ := xport.NewSwitch(k, DefaultConfig(4))
 	var last sim.Time
 	h := func(src int, frame []byte) { last = k.Now() }
 	n.SetHandler(2, h)
@@ -117,7 +118,7 @@ func measurePair(t *testing.T, srcA, srcB int) sim.Time {
 
 func TestOversizeFramePanics(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for frame above MTU")
@@ -127,7 +128,7 @@ func TestOversizeFramePanics(t *testing.T) {
 }
 
 func TestTooFewNodes(t *testing.T) {
-	if _, err := New(sim.NewKernel(), DefaultConfig(1)); err == nil {
+	if _, err := xport.NewSwitch(sim.NewKernel(), DefaultConfig(1)); err == nil {
 		t.Fatal("1-node LAN accepted")
 	}
 }

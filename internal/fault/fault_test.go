@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -100,7 +101,7 @@ func TestApplyDrivesRing(t *testing.T) {
 func TestFabricWrapperDropsAndStats(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	san, err := myrinet.New(k, myrinet.DefaultConfig(3))
+	san, err := xport.NewSwitch(k, myrinet.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestApplyLinkActionsDriveRing(t *testing.T) {
 	// Fabrics have no ring segments: link actions are skipped.
 	k2 := sim.NewKernel()
 	defer k2.Close()
-	san, err := myrinet.New(k2, myrinet.DefaultConfig(3))
+	san, err := xport.NewSwitch(k2, myrinet.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}

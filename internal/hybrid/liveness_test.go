@@ -11,6 +11,7 @@ import (
 	"repro/internal/liveness"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // TestProactiveFailoverOnSuspicion models the partial failure the hybrid
@@ -39,7 +40,7 @@ func TestProactiveFailoverOnSuspicion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	san, err := myrinet.New(k, myrinet.DefaultConfig(nodes))
+	san, err := xport.NewSwitch(k, myrinet.DefaultConfig(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,107 +8,29 @@
 // plus a small per-switch routing delay — not two serializations as in a
 // store-and-forward Ethernet switch. Both the input and output links are
 // still occupied for the packet's full wire time.
+//
+// The SAN is a calibration profile of xport.Switch; build it with
+// xport.NewSwitch(k, DefaultConfig(nodes)).
 package myrinet
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
 
-// Config describes the SAN.
-type Config struct {
-	Nodes int
-	// MTU is the packet payload limit handed to the fabric (Myrinet has
-	// no hard architectural limit; NIC SRAM staging bounds it).
-	MTU int
-	// PerByte is the wire serialization per byte (6.25 ns at 1.28 Gb/s).
-	PerByte sim.Duration
-	// HeaderBytes is the source-route header plus CRC on the wire.
-	HeaderBytes int
-	// PropDelay is cable propagation per link.
-	PropDelay sim.Duration
-	// SwitchLatency is the crossbar's cut-through routing delay.
-	SwitchLatency sim.Duration
-}
-
-// DefaultConfig returns a 1.28 Gb/s Myrinet.
-func DefaultConfig(nodes int) Config {
-	return Config{
+// DefaultConfig returns a 1.28 Gb/s Myrinet. The MTU is the packet
+// payload limit handed to the fabric: Myrinet has no hard architectural
+// limit, NIC SRAM staging bounds it. Each packet carries a 16-byte
+// source-route header plus CRC on the wire.
+func DefaultConfig(nodes int) xport.SwitchConfig {
+	return xport.SwitchConfig{
 		Nodes:         nodes,
 		MTU:           4096,
-		PerByte:       6 * sim.Nanosecond, // ≈1.28 Gb/s (exactly 6.25 ns/B)
-		HeaderBytes:   16,
+		Unit:          1,
+		Overhead:      16,
+		UnitTime:      6 * sim.Nanosecond, // ≈1.28 Gb/s (exactly 6.25 ns/B)
 		PropDelay:     100 * sim.Nanosecond,
 		SwitchLatency: 550 * sim.Nanosecond,
+		CutThrough:    true,
 	}
 }
-
-// Network is the SAN; it implements xport.Fabric.
-type Network struct {
-	k        *sim.Kernel
-	cfg      Config
-	up, down []*sim.Server
-	handlers []func(src int, frame []byte)
-
-	packets int64
-	bytes   int64
-}
-
-// New builds the SAN on kernel k.
-func New(k *sim.Kernel, cfg Config) (*Network, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("myrinet: need at least 2 nodes, got %d", cfg.Nodes)
-	}
-	n := &Network{k: k, cfg: cfg, handlers: make([]func(int, []byte), cfg.Nodes)}
-	for i := 0; i < cfg.Nodes; i++ {
-		n.up = append(n.up, sim.NewServer(k))
-		n.down = append(n.down, sim.NewServer(k))
-	}
-	return n, nil
-}
-
-// Nodes returns the host count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MTU returns the packet payload limit.
-func (n *Network) MTU() int { return n.cfg.MTU }
-
-// SetHandler installs node's packet delivery callback.
-func (n *Network) SetHandler(node int, fn func(src int, frame []byte)) {
-	n.handlers[node] = fn
-}
-
-func (n *Network) wireTime(payload int) sim.Duration {
-	return sim.Duration(payload+n.cfg.HeaderBytes) * n.cfg.PerByte
-}
-
-// Transmit sends one packet src→dst through the cut-through crossbar.
-func (n *Network) Transmit(src, dst int, frame []byte) {
-	if len(frame) > n.cfg.MTU {
-		panic(fmt.Sprintf("myrinet: %d-byte packet exceeds MTU %d", len(frame), n.cfg.MTU))
-	}
-	n.packets++
-	n.bytes += int64(len(frame))
-	wire := n.wireTime(len(frame))
-	cfg := n.cfg
-	// The head cuts through: the output link starts carrying the packet
-	// one switch latency after the head enters, so it is busy during
-	// (almost) the same interval as the input link. Occupy it now for
-	// contention purposes; delivery completes when the tail has crossed
-	// both the input serialization and the cut-through pipeline.
-	n.down[dst].Serve(wire, nil)
-	n.up[src].Serve(wire, func() {
-		n.k.AfterKind(2*cfg.PropDelay+cfg.SwitchLatency, "fabric", func() {
-			if h := n.handlers[dst]; h != nil {
-				h(src, frame)
-			}
-		})
-	})
-}
-
-// Stats returns packets and payload bytes transmitted.
-func (n *Network) Stats() (packets, bytes int64) { return n.packets, n.bytes }
-
-var _ xport.Fabric = (*Network)(nil)

@@ -5,20 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	// Cut-through: latency ≈ one serialization + switch latency, not two.
 	k := sim.NewKernel()
 	cfg := DefaultConfig(2)
-	n, _ := New(k, cfg)
+	n, _ := xport.NewSwitch(k, cfg)
 	var arrival sim.Time
 	n.SetHandler(1, func(src int, frame []byte) { arrival = k.Now() })
 	k.At(0, func() { n.Transmit(0, 1, make([]byte, 4096)) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	oneWire := sim.Duration(4096+cfg.HeaderBytes) * cfg.PerByte
+	oneWire := sim.Duration(4096+cfg.Overhead) * cfg.UnitTime
 	want := sim.Time(oneWire + 2*cfg.PropDelay + cfg.SwitchLatency)
 	if arrival != want {
 		t.Fatalf("arrival = %d, want %d (single serialization)", arrival, want)
@@ -29,7 +30,7 @@ func TestNativeAPILatencyCalibration(t *testing.T) {
 	// Figure 2 calibration: short-message one-way ≈ 85 µs on the vendor
 	// API (DESIGN.md §5).
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(4))
+	n, _ := xport.NewSwitch(k, DefaultConfig(4))
 	a0 := OpenAPI(n, 0, DefaultAPIConfig())
 	a1 := OpenAPI(n, 1, DefaultAPIConfig())
 	var lat sim.Duration
@@ -55,7 +56,7 @@ func TestNativeAPILatencyCalibration(t *testing.T) {
 
 func TestNativeAPIRoundtripContent(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	a0 := OpenAPI(n, 0, DefaultAPIConfig())
 	a1 := OpenAPI(n, 1, DefaultAPIConfig())
 	msg := make([]byte, 2000)
@@ -94,7 +95,7 @@ func TestNativeAPIRoundtripContent(t *testing.T) {
 
 func TestNativeAPIInOrder(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	a0 := OpenAPI(n, 0, DefaultAPIConfig())
 	a1 := OpenAPI(n, 1, DefaultAPIConfig())
 	const count = 20
@@ -129,7 +130,7 @@ func TestNativeAPIInOrder(t *testing.T) {
 
 func TestNativeAPITimeout(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	cfg := DefaultAPIConfig()
 	cfg.RecvTimeout = 100 * sim.Microsecond
 	a1 := OpenAPI(n, 1, cfg)
@@ -147,7 +148,7 @@ func TestNativeAPITimeout(t *testing.T) {
 
 func TestNativeAPIMcastAndRecvAny(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(4))
+	n, _ := xport.NewSwitch(k, DefaultConfig(4))
 	apis := make([]*API, 4)
 	for i := range apis {
 		apis[i] = OpenAPI(n, i, DefaultAPIConfig())
@@ -183,7 +184,7 @@ func TestNativeAPIMcastAndRecvAny(t *testing.T) {
 
 func TestNativeAPIRecvAnyFair(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(3))
+	n, _ := xport.NewSwitch(k, DefaultConfig(3))
 	a0 := OpenAPI(n, 0, DefaultAPIConfig())
 	a1 := OpenAPI(n, 1, DefaultAPIConfig())
 	a2 := OpenAPI(n, 2, DefaultAPIConfig())
@@ -219,10 +220,7 @@ func TestNativeAPIRecvAnyFair(t *testing.T) {
 	if seen[1] != 3 || seen[2] != 3 {
 		t.Fatalf("seen = %v", seen)
 	}
-	if _, err := n.Stats(); false {
-		_ = err
-	}
-	packets, bytes := n.Stats()
+	packets, _, bytes := n.Stats()
 	if packets == 0 || bytes == 0 {
 		t.Fatal("fabric stats not counted")
 	}
@@ -230,7 +228,7 @@ func TestNativeAPIRecvAnyFair(t *testing.T) {
 
 func TestNativeAPIBadArgs(t *testing.T) {
 	k := sim.NewKernel()
-	n, _ := New(k, DefaultConfig(2))
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
 	a0 := OpenAPI(n, 0, DefaultAPIConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		if err := a0.Send(p, 0, nil); err == nil {
@@ -251,7 +249,7 @@ func TestNativeAPIBadArgs(t *testing.T) {
 func TestBandwidthNear160MBs(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig(2)
-	n, _ := New(k, cfg)
+	n, _ := xport.NewSwitch(k, cfg)
 	const count = 100
 	var last sim.Time
 	n.SetHandler(1, func(src int, frame []byte) { last = k.Now() })

@@ -85,7 +85,7 @@ func (s *Stack) kernelLoop(p *sim.Proc) {
 		p.Delay(s.cfg.InterruptCost)
 		h, payload, err := decodeHeader(in.frame)
 		if err != nil {
-			continue // malformed frame: count and drop
+			continue // malformed frame: drop
 		}
 		pr := s.peers[in.src]
 		switch h.kind {

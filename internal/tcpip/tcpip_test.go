@@ -16,7 +16,7 @@ import (
 func feWorld(t testing.TB, nodes int, mutate ...func(*Config)) (*sim.Kernel, []*Stack) {
 	t.Helper()
 	k := sim.NewKernel()
-	fab, err := ethernet.New(k, ethernet.DefaultConfig(nodes))
+	fab, err := xport.NewSwitch(k, ethernet.DefaultConfig(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func oneWay(t testing.TB, net string, n int) float64 {
 	var err error
 	switch net {
 	case "fe":
-		fab, err = ethernet.New(k, ethernet.DefaultConfig(2))
+		fab, err = xport.NewSwitch(k, ethernet.DefaultConfig(2))
 		cfg = FastEthernetProfile()
 	case "atm":
-		fab, err = atm.New(k, atm.DefaultConfig(2))
+		fab, err = xport.NewSwitch(k, atm.DefaultConfig(2))
 		cfg = ATMProfile()
 	case "myr":
-		fab, err = myrinet.New(k, myrinet.DefaultConfig(2))
+		fab, err = xport.NewSwitch(k, myrinet.DefaultConfig(2))
 		cfg = MyrinetProfile()
 	default:
 		t.Fatalf("unknown net %q", net)

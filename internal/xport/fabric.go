@@ -1,8 +1,10 @@
 package xport
 
 // Fabric is a frame-level network: NICs, links, and a switch or ring.
-// The TCP-lite stack (internal/tcpip) runs over any Fabric; the fabrics
-// in this repository are Fast Ethernet, ATM and Myrinet.
+// The TCP-lite stack (internal/tcpip) and the native Myrinet API run
+// over any Fabric. The switched fabrics of this repository are all
+// Switch, calibrated by the Fast Ethernet, ATM and Myrinet profiles
+// (each package's DefaultConfig); fault.Fabric wraps any of them.
 //
 // Transmit is event-driven and charges no caller CPU time: host-side
 // costs (driver, DMA, interrupts) belong to the protocol stack above.

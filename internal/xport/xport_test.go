@@ -19,7 +19,7 @@ import (
 
 func TestFastEthernetFabricContract(t *testing.T) {
 	xporttest.FabricContract(t, func(k *sim.Kernel, nodes int) xport.Fabric {
-		n, err := ethernet.New(k, ethernet.DefaultConfig(nodes))
+		n, err := xport.NewSwitch(k, ethernet.DefaultConfig(nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestFastEthernetFabricContract(t *testing.T) {
 
 func TestATMFabricContract(t *testing.T) {
 	xporttest.FabricContract(t, func(k *sim.Kernel, nodes int) xport.Fabric {
-		n, err := atm.New(k, atm.DefaultConfig(nodes))
+		n, err := xport.NewSwitch(k, atm.DefaultConfig(nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestATMFabricContract(t *testing.T) {
 
 func TestMyrinetFabricContract(t *testing.T) {
 	xporttest.FabricContract(t, func(k *sim.Kernel, nodes int) xport.Fabric {
-		n, err := myrinet.New(k, myrinet.DefaultConfig(nodes))
+		n, err := xport.NewSwitch(k, myrinet.DefaultConfig(nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestMyrinetFabricContract(t *testing.T) {
 // when no faults are active: transparent pass-through.
 func TestFaultWrapperFabricContract(t *testing.T) {
 	xporttest.FabricContract(t, func(k *sim.Kernel, nodes int) xport.Fabric {
-		n, err := ethernet.New(k, ethernet.DefaultConfig(nodes))
+		n, err := xport.NewSwitch(k, ethernet.DefaultConfig(nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
