@@ -24,7 +24,7 @@ package core
 //
 // All daemons are woken by one shared observer-event ticker per System,
 // so the subsystem costs one kernel event per period and never keeps a
-// finished simulation alive (see sim.Kernel.AfterObserver).
+// finished simulation alive (see sim.KindObserver).
 
 import (
 	"repro/internal/liveness"
@@ -40,7 +40,7 @@ import (
 // that is not a deadlock).
 func (s *System) armHbTicker() {
 	k := s.net.Kernel()
-	k.AfterObserver(s.cfg.Liveness.Period, func() {
+	k.AfterKind(s.cfg.Liveness.Period, sim.KindObserver, func() {
 		if k.Pending() == 0 {
 			return
 		}

@@ -131,7 +131,7 @@ func (s *Script) ApplyObserved(k *sim.Kernel, tgt Target, m *metrics.Registry, r
 		if at < k.Now() {
 			at = k.Now()
 		}
-		k.AtKind(at, "fault", func() {
+		k.AtKind(at, sim.KindFault, func() {
 			if a.Kind == LinkCut || a.Kind == LinkSplice {
 				// Cable cuts only exist on link-stateful targets; a
 				// fabric skips them without counting, so the injected-

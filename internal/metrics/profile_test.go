@@ -12,9 +12,9 @@ func profiledRun(t *testing.T) *sim.Profiler {
 	p := sim.NewProfiler()
 	k := sim.NewKernel()
 	k.SetProfiler(p)
-	k.AfterKind(10, "ring", func() {})
-	k.AfterKind(20, "ring", func() {})
-	k.AfterKind(30, "bus", func() {})
+	k.AfterKind(10, sim.KindRing, func() {})
+	k.AfterKind(20, sim.KindRing, func() {})
+	k.AfterKind(30, sim.KindBus, func() {})
 	k.After(40, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)

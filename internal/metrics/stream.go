@@ -53,7 +53,7 @@ func (s *Stream) arm() {
 	// Observer scheduling keeps this tick out of Pending, so the stream
 	// and any other periodic observer (e.g. a liveness ticker) cannot
 	// keep each other alive after the workload drains.
-	s.timer = s.k.AfterObserver(s.every, func() {
+	s.timer = s.k.Timer(s.every, sim.KindObserver, func() {
 		if s.stopped {
 			return
 		}

@@ -207,7 +207,7 @@ func (b *Bus) DMAAsync(p *sim.Proc, n int, done func()) {
 	p.Delay(b.cfg.DMASetup)
 	if n <= 0 {
 		if done != nil {
-			b.k.AfterKind(0, "bus", done)
+			b.k.AfterKind(0, sim.KindBus, done)
 		}
 		return
 	}

@@ -117,7 +117,7 @@ func (h *Hierarchy) wireBridge(li, bridgeLocal int, delay sim.Duration) {
 		data := append([]byte(nil), pkt.data...)
 		off, intr := pkt.off, pkt.interrupt
 		msg, parent := pkt.msg, pkt.span
-		h.k.AfterKind(delay, "ring", func() { bbNIC.injectForwarded(off, data, intr, msg, parent) })
+		h.k.AfterKind(delay, sim.KindRing, func() { bbNIC.injectForwarded(off, data, intr, msg, parent) })
 	}
 	// Backbone traffic (other leaves' forwarded writes) crosses down
 	// into this leaf.
@@ -125,7 +125,7 @@ func (h *Hierarchy) wireBridge(li, bridgeLocal int, delay sim.Duration) {
 		data := append([]byte(nil), pkt.data...)
 		off, intr := pkt.off, pkt.interrupt
 		msg, parent := pkt.msg, pkt.span
-		h.k.AfterKind(delay, "ring", func() { leafNIC.injectForwarded(off, data, intr, msg, parent) })
+		h.k.AfterKind(delay, sim.KindRing, func() { leafNIC.injectForwarded(off, data, intr, msg, parent) })
 	}
 }
 

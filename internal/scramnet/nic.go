@@ -162,7 +162,9 @@ func (nic *NIC) checkRange(off, n int) {
 func (nic *NIC) apply(pkt *packet) {
 	copy(nic.mem[pkt.off:], pkt.data)
 	nic.stats.PacketsApplied++
-	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
+	if nic.net.tracer != nil {
+		nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
+	}
 	if pkt.interrupt && nic.intrOn && nic.intrHandler != nil {
 		// Capture the handler at vectoring time: the host may disable
 		// or reconfigure interrupts during the dispatch latency, and
@@ -171,7 +173,7 @@ func (nic *NIC) apply(pkt *packet) {
 		// there used to panic the simulation).
 		off, h := pkt.off, nic.intrHandler
 		nic.stats.InterruptsTaken++
-		nic.net.k.AfterKind(nic.net.cfg.InterruptLatency, "intr", func() { h(off) })
+		nic.net.k.AfterKind(nic.net.cfg.InterruptLatency, sim.KindIntr, func() { h(off) })
 	}
 	if nic.onApply != nil {
 		nic.onApply(pkt)

@@ -170,6 +170,7 @@ func (c *Config) validate() error {
 // packet whose origin has been bypassed (and therefore can never strip
 // it) still ages out after one full revolution.
 type packet struct {
+	net       *Network
 	origin    int
 	off       int
 	data      []byte
@@ -187,6 +188,21 @@ type packet struct {
 	msg    uint64
 	parent trace.SpanID
 	span   trace.SpanID
+
+	// State of the hop in progress. next is the station the packet is
+	// leaving until forward routes it, then the station it reaches;
+	// isolated and aged are forward's drop and strip decisions for that
+	// arrival; verdict, hspan and ran are what the arrival station's
+	// in-network handlers decided (NIC.transit).
+	next     int
+	isolated bool
+	aged     bool
+	verdict  spin.Verdict
+	hspan    trace.SpanID
+	ran      bool
+	// depart, arrive and proceed are the packet's hop steps, bound once
+	// at inject so that a hop schedules them without allocating.
+	depart, arrive, proceed func()
 }
 
 // ownerTable tracks, per word offset, which host first wrote it
@@ -456,9 +472,28 @@ func (n *Network) inject(pkt *packet) {
 	// "inject" opens the packet's ring span; it closes at strip, CRC
 	// drop, or ring break ("pkt-end"), so the causal tree shows exactly
 	// how far each replication packet got.
-	pkt.span = n.tracer.BeginSpan(n.k.Now(), trace.Ring, pkt.origin, "inject", pkt.msg, pkt.parent, "off=%#x len=%d", pkt.off, len(pkt.data))
-	wire := n.wireTime(pkt)
-	src.link.Serve(wire, func() {
+	if n.tracer != nil {
+		pkt.span = n.tracer.BeginSpan(n.k.Now(), trace.Ring, pkt.origin, "inject", pkt.msg, pkt.parent, "off=%#x len=%d", pkt.off, len(pkt.data))
+	}
+	pkt.net = n
+	pkt.next = pkt.origin
+	pkt.depart, pkt.arrive, pkt.proceed = pkt.departHop, pkt.arriveHop, pkt.proceedHop
+	src.link.Serve(n.wireTime(pkt), pkt.depart)
+}
+
+// endSpan closes pkt's ring span with the given outcome.
+func (n *Network) endSpan(pkt *packet, format string, args ...any) {
+	n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, format, args...)
+}
+
+// departHop runs when pkt has serialized onto the outgoing link of
+// station pkt.next. Leaving its origin (no hops yet), the packet first
+// drains the transmit FIFO and meets the origin's bypass and the
+// in-flight corruption draw.
+func (pkt *packet) departHop() {
+	n := pkt.net
+	if pkt.hops == 0 {
+		src := n.nics[pkt.origin]
 		src.txBacklog -= len(pkt.data)
 		src.txDrain.Broadcast()
 		if src.failed {
@@ -467,17 +502,21 @@ func (n *Network) inject(pkt *packet) {
 			// other node. The local bank already holds the write; only
 			// replication is lost.
 			src.stats.PacketsLost++
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "bypassed")
+			if n.tracer != nil {
+				n.endSpan(pkt, "bypassed")
+			}
 			return
 		}
 		if n.cfg.DropRate > 0 && n.faults.Float64() < n.cfg.DropRate {
 			// Corrupted in flight: the next hop's CRC check discards it.
 			src.stats.PacketsLost++
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "crc-drop")
+			if n.tracer != nil {
+				n.endSpan(pkt, "crc-drop")
+			}
 			return
 		}
-		n.forward(pkt.origin, pkt)
-	})
+	}
+	n.forward(pkt.next, pkt)
 }
 
 // forward moves pkt from node `from` to the next live node, applying the
@@ -486,7 +525,9 @@ func (n *Network) forward(from int, pkt *packet) {
 	next, hops, wrap, byp, err := n.route(from)
 	if err != nil {
 		n.nics[pkt.origin].stats.PacketsLost++
-		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "ring-broken")
+		if n.tracer != nil {
+			n.endSpan(pkt, "ring-broken")
+		}
 		return // broken ring: packet lost downstream
 	}
 	pkt.hops += hops
@@ -497,57 +538,75 @@ func (n *Network) forward(from int, pkt *packet) {
 	if wrap > 0 {
 		n.im.wrapHops.Add(int64(wrap))
 	}
-	aged := pkt.hops >= n.cfg.Nodes
+	pkt.next = next
+	pkt.aged = pkt.hops >= n.cfg.Nodes
 	// A single-node arc wraps the packet straight back to the station
 	// it just left; unless that station is the origin (normal strip),
 	// the origin sits across a cut and can never strip it — drop it.
-	isolated := next == from && next != pkt.origin
-	n.k.AfterKind(sim.Duration(hops+wrap)*n.cfg.HopDelay, "ring", func() {
-		if isolated {
-			n.nics[pkt.origin].stats.PacketsLost++
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "isolated node=%d", next)
-			return
+	pkt.isolated = next == from && next != pkt.origin
+	n.k.AfterKind(sim.Duration(hops+wrap)*n.cfg.HopDelay, sim.KindRing, pkt.arrive)
+}
+
+// arriveHop runs when pkt reaches station pkt.next: it is dropped,
+// stripped, or handed to the station's in-network handlers, whose cycle
+// cost occupies the transit point before the packet proceeds.
+func (pkt *packet) arriveHop() {
+	n := pkt.net
+	next := pkt.next
+	if pkt.isolated {
+		n.nics[pkt.origin].stats.PacketsLost++
+		if n.tracer != nil {
+			n.endSpan(pkt, "isolated node=%d", next)
 		}
-		if next == pkt.origin || aged {
-			// Stripped by the source after a full revolution — or aged
-			// out after as many hops, which is what removes a packet
-			// whose origin was optically bypassed while it circulated.
-			// A handler-rewritten packet is applied to the origin's own
-			// bank first: the strip is how the initiator of a streaming
-			// reduction observes the fully combined value.
-			if pkt.rewritten && next == pkt.origin {
-				n.nics[next].stripApply(pkt)
-			}
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "strip hops=%d", pkt.hops)
-			return
+		return
+	}
+	if next == pkt.origin || pkt.aged {
+		// Stripped by the source after a full revolution — or aged
+		// out after as many hops, which is what removes a packet
+		// whose origin was optically bypassed while it circulated.
+		// A handler-rewritten packet is applied to the origin's own
+		// bank first: the strip is how the initiator of a streaming
+		// reduction observes the fully combined value.
+		if pkt.rewritten && next == pkt.origin {
+			n.nics[next].stripApply(pkt)
 		}
-		nic := n.nics[next]
-		// In-network handlers run before the local apply and the
-		// forward decision; their cycle cost occupies the transit point
-		// for real virtual time before the packet progresses.
-		verdict, cost, hspan, ran := nic.transit(pkt)
-		proceed := func() {
-			if ran {
-				n.tracer.EndSpan(n.k.Now(), trace.Spin, nic.id, "handler-end", hspan, pkt.msg, "verdict=%s", verdict)
-			}
-			if verdict != spin.Steer {
-				nic.apply(pkt)
-			}
-			if verdict == spin.Consume {
-				n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "consumed node=%d hops=%d", nic.id, pkt.hops)
-				return
-			}
-			// Transit: the packet occupies this node's outgoing link too.
-			nic.link.Serve(n.wireTime(pkt), func() {
-				n.forward(next, pkt)
-			})
+		if n.tracer != nil {
+			n.endSpan(pkt, "strip hops=%d", pkt.hops)
 		}
-		if cost > 0 {
-			n.k.AfterKind(cost, "ring", proceed)
-		} else {
-			proceed()
+		return
+	}
+	// In-network handlers run before the local apply and the forward
+	// decision; their cycle cost occupies the transit point for real
+	// virtual time before the packet progresses.
+	var cost sim.Duration
+	pkt.verdict, cost, pkt.hspan, pkt.ran = n.nics[next].transit(pkt)
+	if cost > 0 {
+		n.k.AfterKind(cost, sim.KindRing, pkt.proceed)
+	} else {
+		pkt.proceedHop()
+	}
+}
+
+// proceedHop finishes pkt's transit of station pkt.next: apply the
+// write there unless a handler steered it, then serialize onto the
+// station's outgoing link unless a handler consumed it.
+func (pkt *packet) proceedHop() {
+	n := pkt.net
+	nic := n.nics[pkt.next]
+	if pkt.ran && n.tracer != nil {
+		n.tracer.EndSpan(n.k.Now(), trace.Spin, nic.id, "handler-end", pkt.hspan, pkt.msg, "verdict=%s", pkt.verdict)
+	}
+	if pkt.verdict != spin.Steer {
+		nic.apply(pkt)
+	}
+	if pkt.verdict == spin.Consume {
+		if n.tracer != nil {
+			n.endSpan(pkt, "consumed node=%d hops=%d", nic.id, pkt.hops)
 		}
-	})
+		return
+	}
+	// Transit: the packet occupies this node's outgoing link too.
+	nic.link.Serve(n.wireTime(pkt), pkt.depart)
 }
 
 // SetSingleWriterCheck toggles the single-writer assertion at run time;

@@ -9,6 +9,7 @@ import (
 // every reproduction result is bottlenecked by kernel event throughput.
 
 func BenchmarkKernelEventDispatch(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	var t Time
 	count := 0
@@ -24,6 +25,7 @@ func BenchmarkKernelEventDispatch(b *testing.B) {
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	k.Spawn("spinner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -37,6 +39,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 }
 
 func BenchmarkCondHandoffPingPong(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	a, c := NewCond(k), NewCond(k)
 	turn := 0
@@ -65,6 +68,7 @@ func BenchmarkCondHandoffPingPong(b *testing.B) {
 }
 
 func BenchmarkServerPipeline(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	servers := make([]*Server, 8)
 	for i := range servers {
@@ -85,6 +89,7 @@ func BenchmarkServerPipeline(b *testing.B) {
 }
 
 func BenchmarkManyProcsRoundRobin(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	const procs = 64
 	for i := 0; i < procs; i++ {

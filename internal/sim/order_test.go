@@ -1,0 +1,194 @@
+package sim
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+)
+
+// refEvent is the reference model's record of one scheduled event: the
+// (t, seq) key the kernel must pop it by, and what became of it.
+type refEvent struct {
+	t        Time
+	seq      uint64
+	observer bool
+	timer    *Timer // non-nil for cancelable events
+	canceled bool
+	fired    bool
+}
+
+// orderHarness drives a kernel with a seeded random mix of scheduling
+// calls and checks every execution against the reference model.
+type orderHarness struct {
+	t      *testing.T
+	k      *Kernel
+	rng    *RNG
+	seq    uint64 // mirrors the kernel's scheduling counter
+	evs    []*refEvent
+	fired  []*refEvent
+	budget int // events callbacks may still schedule
+}
+
+// schedule issues one random scheduling call at delay d from now.
+func (h *orderHarness) schedule(d Duration) {
+	ev := &refEvent{t: h.k.Now().Add(d), seq: h.seq}
+	h.seq++
+	h.evs = append(h.evs, ev)
+	fn := func() { h.fire(ev) }
+	switch h.rng.Intn(6) {
+	case 0:
+		h.k.At(ev.t, fn)
+	case 1:
+		h.k.After(d, fn)
+	case 2:
+		h.k.AtKind(ev.t, KindRing, fn)
+	case 3:
+		h.k.AfterKind(d, KindBus, fn)
+	case 4:
+		ev.observer = true
+		h.k.AfterKind(d, KindObserver, fn)
+	case 5:
+		ev.timer = h.k.Timer(d, KindFabric, fn)
+	}
+}
+
+// live reports whether ev is still due to fire.
+func (ev *refEvent) live() bool { return !ev.fired && !ev.canceled }
+
+func (ev *refEvent) before(o *refEvent) bool {
+	return ev.t < o.t || ev.t == o.t && ev.seq < o.seq
+}
+
+// pending is the reference count of live non-observer events.
+func (h *orderHarness) pending() int {
+	n := 0
+	for _, ev := range h.evs {
+		if ev.live() && !ev.observer {
+			n++
+		}
+	}
+	return n
+}
+
+func (h *orderHarness) fire(ev *refEvent) {
+	t := h.t
+	if !ev.live() {
+		t.Fatalf("event (t=%d seq=%d) ran after firing or cancel", ev.t, ev.seq)
+	}
+	if h.k.Now() != ev.t {
+		t.Fatalf("event (t=%d seq=%d) ran at Now=%d", ev.t, ev.seq, h.k.Now())
+	}
+	for _, o := range h.evs {
+		if o != ev && o.live() && o.before(ev) {
+			t.Fatalf("event (t=%d seq=%d) ran before live (t=%d seq=%d)", ev.t, ev.seq, o.t, o.seq)
+		}
+	}
+	ev.fired = true
+	h.fired = append(h.fired, ev)
+	if got, want := h.k.Pending(), h.pending(); got != want {
+		t.Fatalf("Pending = %d inside event (t=%d seq=%d), reference %d", got, ev.t, ev.seq, want)
+	}
+	for n := h.rng.Intn(3); n > 0 && h.budget > 0; n-- {
+		h.budget--
+		h.schedule(Duration(h.rng.Intn(5) * 10))
+	}
+	if h.rng.Intn(3) == 0 {
+		h.cancelOne()
+	}
+}
+
+// cancelOne stops a random cancelable event; Stop must report whether
+// the event was still live.
+func (h *orderHarness) cancelOne() {
+	var timers []*refEvent
+	for _, ev := range h.evs {
+		if ev.timer != nil {
+			timers = append(timers, ev)
+		}
+	}
+	if len(timers) == 0 {
+		return
+	}
+	ev := timers[h.rng.Intn(len(timers))]
+	if got, want := ev.timer.Stop(), ev.live(); got != want {
+		h.t.Fatalf("Stop of (t=%d seq=%d) = %v, want %v", ev.t, ev.seq, got, want)
+	}
+	if ev.live() {
+		ev.canceled = true
+	}
+}
+
+// TestPopOrderMatchesReference pins the kernel's execution order to a
+// reference sort by (t, seq) under a randomized mix of At, After,
+// kinded, observer and cancelable events, events scheduled from inside
+// callbacks, mid-run cancels and RunUntil slices. Canceled events never
+// fire and never advance the clock, and Pending always equals the
+// reference count of live non-observer events.
+func TestPopOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			h := &orderHarness{t: t, k: NewKernel(), rng: NewRNG(seed), budget: 400}
+			for i := 0; i < 40; i++ {
+				h.schedule(Duration(h.rng.Intn(8) * 10))
+			}
+			// A cancelable event far past everything else, canceled
+			// before the run: the final clock must not reach it.
+			far := &refEvent{t: 1 << 40, seq: h.seq}
+			h.seq++
+			far.timer = h.k.Timer(Duration(far.t), KindEvent, func() { h.fire(far) })
+			h.evs = append(h.evs, far)
+			far.timer.Stop()
+			far.canceled = true
+
+			horizon := Time(0)
+			for i := 0; i < 5; i++ {
+				horizon = h.k.Now().Add(Duration(h.rng.Intn(60)))
+				h.k.RunUntil(horizon)
+				if h.k.Now() != horizon {
+					t.Fatalf("RunUntil(%d) left Now = %d", horizon, h.k.Now())
+				}
+				for _, ev := range h.evs {
+					if ev.live() && ev.t <= horizon {
+						t.Fatalf("RunUntil(%d) left (t=%d seq=%d) unfired", horizon, ev.t, ev.seq)
+					}
+				}
+				if got, want := h.k.Pending(), h.pending(); got != want {
+					t.Fatalf("Pending = %d after RunUntil(%d), reference %d", got, horizon, want)
+				}
+			}
+			if err := h.k.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			var want []*refEvent
+			for _, ev := range h.evs {
+				if !ev.canceled {
+					want = append(want, ev)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+			if len(h.fired) != len(want) {
+				t.Fatalf("fired %d events, reference %d", len(h.fired), len(want))
+			}
+			end := horizon
+			for i, ev := range want {
+				if h.fired[i] != ev {
+					t.Fatalf("execution %d = (t=%d seq=%d), reference (t=%d seq=%d)",
+						i, h.fired[i].t, h.fired[i].seq, ev.t, ev.seq)
+				}
+				if ev.t > end {
+					end = ev.t
+				}
+			}
+			if h.k.Now() != end {
+				t.Fatalf("final Now = %d, want %d: a canceled event advanced the clock", h.k.Now(), end)
+			}
+			if h.k.Executed() != int64(len(h.fired)) {
+				t.Fatalf("Executed = %d, fired %d", h.k.Executed(), len(h.fired))
+			}
+			if h.k.Pending() != 0 {
+				t.Fatalf("Pending = %d after Run", h.k.Pending())
+			}
+		})
+	}
+}

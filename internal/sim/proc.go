@@ -63,7 +63,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p.wake = func() { next() }
 	k.procs = append(k.procs, p)
 	k.live++
-	k.AtKind(k.now, "proc", p.wake)
+	k.AtKind(k.now, KindProc, p.wake)
 	return p
 }
 
@@ -105,14 +105,14 @@ func (p *Proc) Delay(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.k.AfterKind(d, "proc", p.wake)
+	p.k.AfterKind(d, KindProc, p.wake)
 	p.block("delay")
 }
 
 // Yield reschedules the process at the current time behind already-queued
 // events, letting same-timestamp events run first.
 func (p *Proc) Yield() {
-	p.k.AfterKind(0, "proc", p.wake)
+	p.k.AfterKind(0, KindProc, p.wake)
 	p.block("yield")
 }
 
@@ -135,13 +135,16 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // WaitTimeout blocks p until the condition is signaled or d elapses.
-// It reports true if woken by a signal and false on timeout.
+// It reports true if woken by a signal and false on timeout. A signal
+// and the timeout at the same instant resolve by event order: whichever
+// runs first takes p off the wait list, and only that one wakes it.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	fired := false
-	timer := c.k.AfterKind(d, "proc", func() {
-		fired = true
-		c.remove(p)
-		p.wake()
+	timer := c.k.Timer(d, KindProc, func() {
+		if c.remove(p) {
+			fired = true
+			p.wake()
+		}
 	})
 	c.waiters = append(c.waiters, p)
 	p.block("cond-timeout")
@@ -152,13 +155,15 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	return true
 }
 
-func (c *Cond) remove(p *Proc) {
+// remove takes p off the wait list, reporting whether it was there.
+func (c *Cond) remove(p *Proc) bool {
 	for i, w := range c.waiters {
 		if w == p {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -169,7 +174,7 @@ func (c *Cond) Signal() {
 	p := c.waiters[0]
 	c.waiters[0] = nil
 	c.waiters = c.waiters[1:]
-	c.k.AfterKind(0, "proc", p.wake)
+	c.k.AfterKind(0, KindProc, p.wake)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
@@ -177,6 +182,6 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
 	for _, p := range ws {
-		c.k.AfterKind(0, "proc", p.wake)
+		c.k.AfterKind(0, KindProc, p.wake)
 	}
 }

@@ -18,12 +18,9 @@ const ProfBuckets = 48
 
 // KindStat is one event kind's accumulated real-time cost.
 type KindStat struct {
-	// Kind is the scheduling label: "proc" (a process resume — Delay,
-	// Yield, Cond wake, Spawn — including all simulated software the
-	// process runs before blocking again), "ring", "bus", "intr",
-	// "fabric", "fault" for labeled hardware events, "observer" for
-	// AtObserver/AfterObserver monitors, and "event" for everything
-	// unlabeled.
+	// Kind is the name of the event's sim.Kind: "proc", "ring", "bus",
+	// "intr", "fabric", "fault", "observer", or "event" for everything
+	// scheduled without a kind.
 	Kind string
 	// Events counts executed events of this kind; WallNs is their total
 	// host (wall-clock) execution time and MaxNs the single worst event.
@@ -46,14 +43,18 @@ type KindStat struct {
 // snapshot stream). Publish it into a dedicated registry via
 // internal/metrics.PublishKernelProfile, or render it directly.
 type Profiler struct {
-	stats map[string]*KindStat
+	stats [numKinds]KindStat
 }
 
 // NewProfiler returns an empty profiler. Install it with
 // Kernel.SetProfiler; one profiler may accumulate across many kernels
 // (the sweep driver profiles a whole matrix into one).
 func NewProfiler() *Profiler {
-	return &Profiler{stats: map[string]*KindStat{}}
+	p := &Profiler{}
+	for k := range p.stats {
+		p.stats[k].Kind = Kind(k).String()
+	}
+	return p
 }
 
 func profBucket(v int64) int {
@@ -68,12 +69,8 @@ func profBucket(v int64) int {
 }
 
 // record accumulates one executed event. Called by Kernel.step.
-func (p *Profiler) record(kind string, ns int64) {
-	s := p.stats[kind]
-	if s == nil {
-		s = &KindStat{Kind: kind}
-		p.stats[kind] = s
-	}
+func (p *Profiler) record(kind Kind, ns int64) {
+	s := &p.stats[kind]
 	s.Events++
 	s.WallNs += ns
 	if ns > s.MaxNs {
@@ -82,16 +79,18 @@ func (p *Profiler) record(kind string, ns int64) {
 	s.Buckets[profBucket(ns)]++
 }
 
-// Stats returns the per-kind attribution, sorted by descending total
-// wall time (ties broken by kind name, so rendering is stable for a
-// given set of measurements).
+// Stats returns the attribution of every kind that executed at least
+// one event, sorted by descending total wall time (ties broken by kind
+// name, so rendering is stable for a given set of measurements).
 func (p *Profiler) Stats() []KindStat {
 	if p == nil {
 		return nil
 	}
-	out := make([]KindStat, 0, len(p.stats))
+	var out []KindStat
 	for _, s := range p.stats {
-		out = append(out, *s)
+		if s.Events > 0 {
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].WallNs != out[j].WallNs {

@@ -12,18 +12,18 @@ func workload(k *Kernel) *int {
 	bump := func() { *fired++ }
 	k.At(10, bump)
 	k.After(25, bump)
-	k.AtKind(40, "ring", bump)
-	k.AfterKind(55, "bus", bump)
+	k.AtKind(40, KindRing, bump)
+	k.AfterKind(55, KindBus, bump)
 	var tick func()
 	n := 0
 	tick = func() {
 		*fired++
 		n++
 		if n < 3 {
-			k.AfterObserver(100, tick)
+			k.AfterKind(100, KindObserver, tick)
 		}
 	}
-	k.AfterObserver(100, tick)
+	k.AfterKind(100, KindObserver, tick)
 	k.Spawn("worker", func(p *Proc) {
 		p.Delay(30)
 		*fired++
@@ -129,7 +129,7 @@ func TestProfilerCanceledNotCounted(t *testing.T) {
 	prof := NewProfiler()
 	k := NewKernel()
 	k.SetProfiler(prof)
-	tm := k.AfterKind(10, "ring", func() { t.Error("canceled event fired") })
+	tm := k.Timer(10, KindRing, func() { t.Error("canceled event fired") })
 	tm.Stop()
 	k.After(20, func() {})
 	if err := k.Run(); err != nil {

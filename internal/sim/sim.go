@@ -15,10 +15,14 @@
 // Events with equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), which makes every run of a
 // simulation bit-for-bit reproducible.
+//
+// Scheduling is fire-and-forget: At, After, AtKind and AfterKind store
+// the event by value in the kernel's heap and return nothing, so a
+// steady-state simulation schedules without allocating. Only
+// Kernel.Timer returns a handle, for the few callers that cancel.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,70 +67,80 @@ func (d Duration) String() string {
 	}
 }
 
-// Timer is a scheduled event, returned by At and its variants so the
-// caller can cancel it before it fires.
+// Kind labels an event for the self-profiler and, for KindObserver,
+// for Pending. It is a small integer so that an event carries it by
+// value and the profiler indexes its per-kind table directly.
+type Kind uint8
+
+// Event kinds. KindEvent is the default of At and After; KindObserver
+// marks periodic monitors (metrics streams, heartbeat tickers), which
+// Pending does not count; the rest label model events: a process
+// resume (Delay, Yield, Cond wake, Spawn — including all simulated
+// software the process runs before blocking again), a ring hop, a host
+// bus completion, an interrupt dispatch, a switched-fabric frame and a
+// fault-script action.
+const (
+	KindEvent Kind = iota
+	KindObserver
+	KindProc
+	KindRing
+	KindBus
+	KindIntr
+	KindFabric
+	KindFault
+	numKinds
+)
+
+var kindNames = [numKinds]string{"event", "observer", "proc", "ring", "bus", "intr", "fabric", "fault"}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// Timer is the handle of a cancelable event (Kernel.Timer). Plain
+// events (At, After and their Kind variants) have no handle.
 type Timer struct {
-	t   Time
-	seq uint64
-	// fn is nil once the event fired or was canceled; canceled events
-	// stay in the heap and are skipped when popped.
-	fn func()
-	// observer events (periodic monitors: metrics streams, heartbeat
-	// tickers) are invisible to Pending, so several observers never keep
-	// each other — or a finished simulation — alive.
-	observer bool
-	// kind labels the event for the self-profiler (AtKind/AfterKind);
-	// empty means the generic "event" kind ("observer" when observer).
-	kind string
+	// armed is true until the event fires or is stopped; a stopped
+	// event stays in the heap and is skipped when popped.
+	armed bool
 }
 
 // Stop cancels the timer. It reports whether the event had not yet
 // fired or been canceled.
 func (t *Timer) Stop() bool {
-	if t == nil || t.fn == nil {
+	if t == nil || !t.armed {
 		return false
 	}
-	t.fn = nil
+	t.armed = false
 	return true
 }
 
-// kindOf returns the profiling label of an event.
-func kindOf(ev *Timer) string {
-	if ev.kind != "" {
-		return ev.kind
-	}
-	if ev.observer {
-		return "observer"
-	}
-	return "event"
+// entry is one scheduled event, held by value in the kernel's heap.
+// tm is nil for plain events.
+type entry struct {
+	t    Time
+	seq  uint64
+	fn   func()
+	tm   *Timer
+	kind Kind
 }
 
-type eventHeap []*Timer
+// before is the heap order: by time, then by scheduling sequence. seq
+// is unique, so this is a total order and the pop sequence does not
+// depend on the heap's shape.
+func (e *entry) before(o *entry) bool {
+	return e.t < o.t || e.t == o.t && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
-}
+// live reports whether the event will run when popped.
+func (e *entry) live() bool { return e.tm == nil || e.tm.armed }
 
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; call NewKernel.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	events   eventHeap
+	now Time
+	seq uint64
+	// events is a 4-ary min-heap ordered by entry.before: the children
+	// of i are 4i+1 .. 4i+4.
+	events   []entry
 	procs    []*Proc
 	live     int
 	closed   bool
@@ -142,58 +156,90 @@ func NewKernel() *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// At schedules fn to run at absolute time t (which must not be in the
-// past) and returns a cancelable handle.
-func (k *Kernel) At(t Time, fn func()) *Timer {
+// push schedules fn of the given kind at t, taking the next sequence
+// number.
+func (k *Kernel) push(t Time, kind Kind, fn func(), tm *Timer) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
-	ev := &Timer{t: t, seq: k.seq, fn: fn}
+	e := entry{t: t, seq: k.seq, fn: fn, tm: tm, kind: kind}
 	k.seq++
-	heap.Push(&k.events, ev)
-	return ev
+	h := append(k.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	k.events = h
 }
 
-// After schedules fn to run d from now.
-func (k *Kernel) After(d Duration, fn func()) *Timer {
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() entry {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	k.events = h
+	return top
+}
+
+// delay returns the time d from now, rejecting a negative d.
+func (k *Kernel) delay(d Duration) Time {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return k.At(k.now.Add(d), fn)
+	return k.now.Add(d)
 }
 
-// AtObserver schedules fn like At but marks the event as an observer
-// event: it fires normally yet is not counted by Pending. Periodic
-// monitors (metrics streams, liveness tickers) schedule themselves this
-// way so that each can use "Pending() == 0" to mean "only observers
-// remain — the workload is done", even when several observers coexist.
-func (k *Kernel) AtObserver(t Time, fn func()) *Timer {
-	tm := k.At(t, fn)
-	tm.observer = true
-	return tm
-}
+// At schedules fn to run at absolute time t, which must not be in the
+// past.
+func (k *Kernel) At(t Time, fn func()) { k.push(t, KindEvent, fn, nil) }
 
-// AfterObserver schedules fn like After, as an observer event.
-func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
-	tm := k.After(d, fn)
-	tm.observer = true
-	return tm
-}
+// After schedules fn to run d from now.
+func (k *Kernel) After(d Duration, fn func()) { k.push(k.delay(d), KindEvent, fn, nil) }
 
-// AtKind schedules fn like At with a profiling label: when a Profiler
-// is installed, the event's wall-clock execution cost is attributed to
-// kind instead of the generic "event" bucket. The label changes nothing
-// else — ordering, Pending and the virtual clock are untouched.
-func (k *Kernel) AtKind(t Time, kind string, fn func()) *Timer {
-	tm := k.At(t, fn)
-	tm.kind = kind
-	return tm
-}
+// AtKind schedules fn like At with a kind. When a Profiler is
+// installed, the event's wall-clock execution cost is attributed to
+// kind; KindObserver also hides the event from Pending. The kind
+// changes nothing else — ordering and the virtual clock are untouched.
+func (k *Kernel) AtKind(t Time, kind Kind, fn func()) { k.push(t, kind, fn, nil) }
 
-// AfterKind schedules fn like After, labeled for the profiler.
-func (k *Kernel) AfterKind(d Duration, kind string, fn func()) *Timer {
-	tm := k.After(d, fn)
-	tm.kind = kind
+// AfterKind schedules fn like After, with a kind.
+func (k *Kernel) AfterKind(d Duration, kind Kind, fn func()) { k.push(k.delay(d), kind, fn, nil) }
+
+// Timer schedules fn like AfterKind and returns a handle that can
+// cancel it. It is the only scheduling call that allocates.
+func (k *Kernel) Timer(d Duration, kind Kind, fn func()) *Timer {
+	tm := &Timer{armed: true}
+	k.push(k.delay(d), kind, fn, tm)
 	return tm
 }
 
@@ -215,20 +261,21 @@ func (k *Kernel) Executed() int64 { return k.executed }
 // remain.
 func (k *Kernel) step() bool {
 	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*Timer)
-		fn := ev.fn
-		if fn == nil {
-			continue
+		e := k.pop()
+		if e.tm != nil {
+			if !e.tm.armed {
+				continue
+			}
+			e.tm.armed = false
 		}
-		ev.fn = nil
-		k.now = ev.t
+		k.now = e.t
 		k.executed++
 		if k.prof != nil {
 			t0 := time.Now()
-			fn()
-			k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
+			e.fn()
+			k.prof.record(e.kind, time.Since(t0).Nanoseconds())
 		} else {
-			fn()
+			e.fn()
 		}
 		return true
 	}
@@ -260,10 +307,7 @@ func (k *Kernel) Run() error {
 // clock to exactly t. Blocked processes are not a deadlock here: the
 // caller may schedule more work and resume.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.events) > 0 {
-		if next := k.peek(); next == nil || next.t > t {
-			break
-		}
+	for k.peekLive() && k.events[0].t <= t {
 		k.step()
 	}
 	if t > k.now {
@@ -274,15 +318,16 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor runs the simulation for d virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
-func (k *Kernel) peek() *Timer {
+// peekLive discards canceled events from the top of the heap and
+// reports whether a live one remains there.
+func (k *Kernel) peekLive() bool {
 	for len(k.events) > 0 {
-		if k.events[0].fn == nil {
-			heap.Pop(&k.events)
-			continue
+		if k.events[0].live() {
+			return true
 		}
-		return k.events[0]
+		k.pop()
 	}
-	return nil
+	return false
 }
 
 // Pending counts scheduled, non-canceled, non-observer events still in
@@ -291,11 +336,11 @@ func (k *Kernel) peek() *Timer {
 // keep an otherwise-finished simulation alive: when Pending is zero
 // inside a timer callback, every remaining event belongs to observers,
 // which all terminate themselves by the same test. Observers must
-// schedule with AtObserver/AfterObserver for this to hold.
+// schedule with KindObserver for this to hold.
 func (k *Kernel) Pending() int {
 	n := 0
-	for _, ev := range k.events {
-		if ev.fn != nil && !ev.observer {
+	for i := range k.events {
+		if e := &k.events[i]; e.kind != KindObserver && e.live() {
 			n++
 		}
 	}

@@ -62,7 +62,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	tm := k.At(10, func() { fired = true })
+	tm := k.Timer(10, KindEvent, func() { fired = true })
 	k.At(5, func() {
 		if !tm.Stop() {
 			t.Error("Stop returned false for pending timer")
@@ -78,7 +78,7 @@ func TestTimerStop(t *testing.T) {
 		t.Fatal("canceled timer fired")
 	}
 
-	done := k.At(20, func() {})
+	done := k.Timer(20, KindEvent, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +99,30 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNegativeDelayPanics(t *testing.T) {
+	k := NewKernel()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic scheduling a negative delay")
+		}
+	}()
+	k.After(-1, func() {})
+}
+
+// TestKindNames pins the kind names the profiler reports: the metrics
+// registry and the benchmark's sim.<kind>.* metrics are keyed by them.
+func TestKindNames(t *testing.T) {
+	want := map[Kind]string{
+		KindEvent: "event", KindObserver: "observer", KindProc: "proc", KindRing: "ring",
+		KindBus: "bus", KindIntr: "intr", KindFabric: "fabric", KindFault: "fault",
+	}
+	for k, name := range want {
+		if got := k.String(); got != name {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, name)
+		}
 	}
 }
 
@@ -200,6 +224,34 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestCondWaitTimeoutSignalAtDeadline pins the tie between a Signal and
+// the timeout at the same instant when the Signal's event runs first:
+// the waiter is woken once, by the signal, and the timer that fires
+// right after finds it gone from the wait list and does nothing. A
+// second wake-up would end the waiter's next block (here a Delay) early.
+func TestCondWaitTimeoutSignalAtDeadline(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k)
+	k.At(100, c.Signal) // sorts before the waiter's timeout at t=100
+	signaled := false
+	var slept Duration
+	k.Spawn("waiter", func(p *Proc) {
+		signaled = c.WaitTimeout(p, 100)
+		start := p.Now()
+		p.Delay(100)
+		slept = p.Now().Sub(start)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !signaled {
+		t.Error("WaitTimeout = false, want true: the signal ran before the timeout")
+	}
+	if slept != 100 {
+		t.Errorf("Delay(100) after the wait returned after %v: the waiter was woken twice", slept)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
 	c := NewCond(k)
@@ -246,8 +298,8 @@ func TestProcPanicReachesRun(t *testing.T) {
 	t.Fatal("Run returned normally after a process panicked")
 }
 
-// TestDelayAllocs pins the cost of one Delay round trip: the Timer the
-// kernel schedules is its only allocation.
+// TestDelayAllocs pins the cost of one Delay round trip at zero
+// allocations: the wake-up is a value entry in the kernel's heap.
 func TestDelayAllocs(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
@@ -257,8 +309,8 @@ func TestDelayAllocs(t *testing.T) {
 		}
 	})
 	k.RunUntil(0)
-	if allocs := testing.AllocsPerRun(100, func() { k.RunFor(1) }); allocs > 1 {
-		t.Fatalf("Delay round trip allocates %v objects, want at most 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { k.RunFor(1) }); allocs != 0 {
+		t.Fatalf("Delay round trip allocates %v objects, want 0", allocs)
 	}
 }
 
@@ -461,17 +513,17 @@ func TestObserverEventsExcludedFromPending(t *testing.T) {
 	tickA = func() {
 		fired++
 		if k.Pending() > 0 {
-			k.AfterObserver(3, tickA)
+			k.AfterKind(3, KindObserver, tickA)
 		}
 	}
 	tickB = func() {
 		fired++
 		if k.Pending() > 0 {
-			k.AfterObserver(5, tickB)
+			k.AfterKind(5, KindObserver, tickB)
 		}
 	}
-	k.AfterObserver(3, tickA)
-	k.AfterObserver(5, tickB)
+	k.AfterKind(3, KindObserver, tickA)
+	k.AfterKind(5, KindObserver, tickB)
 	if k.Pending() != 0 {
 		t.Fatalf("observer events counted in Pending: %d", k.Pending())
 	}
@@ -494,7 +546,7 @@ func TestObserverEventsExcludedFromPending(t *testing.T) {
 func TestObserverTimerStop(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	tm := k.AtObserver(10, func() { fired = true })
+	tm := k.Timer(10, KindObserver, func() { fired = true })
 	k.At(20, func() {})
 	tm.Stop()
 	if err := k.Run(); err != nil {

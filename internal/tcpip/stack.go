@@ -129,7 +129,7 @@ func (s *Stack) kernelLoop(p *sim.Proc) {
 				s.sendAck(in.src, pr)
 			case pr.ackTimer == nil:
 				src := in.src
-				pr.ackTimer = s.k.AfterKind(s.cfg.DelayedAck, "fabric", func() {
+				pr.ackTimer = s.k.Timer(s.cfg.DelayedAck, sim.KindFabric, func() {
 					pr.ackTimer = nil
 					s.sendAck(src, pr)
 				})

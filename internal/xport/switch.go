@@ -94,16 +94,16 @@ func (s *Switch) Transmit(src, dst int, frame []byte) {
 		// and the cut-through pipeline.
 		s.down[dst].Serve(wire, nil)
 		s.up[src].Serve(wire, func() {
-			s.k.AfterKind(2*s.cfg.PropDelay+s.cfg.SwitchLatency, "fabric", func() { s.deliver(src, dst, frame) })
+			s.k.AfterKind(2*s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, func() { s.deliver(src, dst, frame) })
 		})
 		return
 	}
 	// The frame is fully at the switch after propagation; it leaves
 	// after the switch latency, re-serialized on the output port.
 	s.up[src].Serve(wire, func() {
-		s.k.AfterKind(s.cfg.PropDelay+s.cfg.SwitchLatency, "fabric", func() {
+		s.k.AfterKind(s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, func() {
 			s.down[dst].Serve(wire, func() {
-				s.k.AfterKind(s.cfg.PropDelay, "fabric", func() { s.deliver(src, dst, frame) })
+				s.k.AfterKind(s.cfg.PropDelay, sim.KindFabric, func() { s.deliver(src, dst, frame) })
 			})
 		})
 	})
