@@ -135,7 +135,7 @@ func BenchmarkFig5_SCR_Mcast_512B(b *testing.B) {
 func benchBarrier(b *testing.B, net cluster.Network, impl bench.BarrierImpl, nodes int) {
 	var us float64
 	for i := 0; i < b.N; i++ {
-		us = bench.MPIBarrier(net, impl, nodes)
+		us = bench.MPIBarrier(cluster.Options{Nodes: nodes, Net: net}, impl, bench.Iters).Us
 	}
 	reportUS(b, us)
 }
@@ -184,7 +184,7 @@ func BenchmarkExt_Bandwidth_MyrinetAPI(b *testing.B) {
 func BenchmarkExt_MessageRate_SCRAMNet_8B(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rate = bench.MessageRate(cluster.SCRAMNet, 8, 200)
+		rate = bench.MessageRate(cluster.Options{Nodes: 2, Net: cluster.SCRAMNet}, 8, 200)
 	}
 	b.ReportMetric(rate, "msgs/s")
 }
@@ -192,7 +192,7 @@ func BenchmarkExt_MessageRate_SCRAMNet_8B(b *testing.B) {
 func BenchmarkExt_MessageRate_FE_8B(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rate = bench.MessageRate(cluster.FastEthernet, 8, 200)
+		rate = bench.MessageRate(cluster.Options{Nodes: 2, Net: cluster.FastEthernet}, 8, 200)
 	}
 	b.ReportMetric(rate, "msgs/s")
 }
@@ -235,7 +235,7 @@ func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
 func BenchmarkExt_BarrierScaling16(b *testing.B) {
 	var us float64
 	for i := 0; i < b.N; i++ {
-		us = bench.MPIBarrier(cluster.SCRAMNet, bench.BarrierNative, 16)
+		us = bench.MPIBarrier(cluster.Options{Nodes: 16, Net: cluster.SCRAMNet}, bench.BarrierNative, bench.Iters).Us
 	}
 	reportUS(b, us)
 }

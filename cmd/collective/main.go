@@ -46,7 +46,7 @@ func main() {
 		case "nic":
 			bi = bench.BarrierNIC
 		}
-		us := bench.MPIBarrier(nw, bi, *nodes)
+		us := bench.MPIBarrier(cluster.Options{Nodes: *nodes, Net: nw}, bi, bench.Iters).Us
 		fmt.Printf("MPI_Barrier %-14s %-5s  %d nodes  %9.1fµs\n", nw, *impl, *nodes, us)
 	case "bbp-bcast":
 		us := bench.BroadcastAPI(*nodes, *size)

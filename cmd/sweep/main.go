@@ -128,8 +128,8 @@ func main() {
 		fmt.Printf("%8s  %14s  %14s\n", "senders", "SCRAMNet", "Fast Ethernet")
 		for _, s := range []int{1, 3, 7, 15} {
 			fmt.Printf("%8d  %12.1fµs  %12.1fµs\n", s,
-				bench.Incast(cluster.SCRAMNet, s, 256),
-				bench.Incast(cluster.FastEthernet, s, 256))
+				bench.Incast(cluster.Options{Nodes: s + 1, Net: cluster.SCRAMNet}, 256),
+				bench.Incast(cluster.Options{Nodes: s + 1, Net: cluster.FastEthernet}, 256))
 		}
 		fmt.Println()
 		sizes := []int{2, 4, 8, 12, 16}

@@ -57,7 +57,7 @@ func sweep(rate float64, seed uint64, everyUS int64, cap int, msgSel, chromeOut 
 	}
 
 	fmt.Printf("fault-sweep point: rate=%.2f seed=%d — %d/%d messages delivered, %d snapshot points, %d trace events\n\n",
-		rate, seed, res.Delivered, res.Sent, len(res.Points), len(res.Rec.Events()))
+		rate, seed, res.Point.Delivered, res.Point.Sent, len(res.Points), len(res.Rec.Events()))
 
 	bds := res.Breakdowns
 	if msgSel != "" {

@@ -287,39 +287,48 @@ const (
 	BarrierNIC
 )
 
-// MPIBarrier measures barrier latency — simultaneous entry to last
-// exit — on `nodes` ranks.
-func MPIBarrier(net cluster.Network, impl BarrierImpl, nodes int) float64 {
+// BarrierRun is one MPIBarrier measurement.
+type BarrierRun struct {
+	// Us is the mean latency of the measured rounds, each from the last
+	// rank's entry to the last rank's exit.
+	Us float64
+	// Start is the last entry into the first measured round and End the
+	// last exit from the final one.
+	Start, End sim.Time
+}
+
+// MPIBarrier measures barrier latency: one warm-up barrier, then
+// rounds measured ones, every rank re-entering the instant it exits.
+// impl picks the algorithm and the substrate it runs on: the paper's
+// PIO-only BBP for the point-to-point and multicast barriers, the
+// stream-enabled BBP for the NIC-combined one, whose every barrier on
+// every rank must take the NIC path. That choice overrides opts.BBP
+// and opts.PIOOnlyBBP; the rest of opts (Nodes, Net and the
+// instrumentation) is the caller's.
+func MPIBarrier(opts cluster.Options, impl BarrierImpl, rounds int) BarrierRun {
 	k := sim.NewKernel()
 	defer k.Close()
-	var w *mpi.World
-	if impl == BarrierNIC {
-		bbp := core.DefaultConfig()
-		bbp.Stream.Enabled = true
-		c, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: net, BBP: &bbp})
-		if err != nil {
-			panic(err)
-		}
-		w = mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
-	} else {
-		_, mw, err := cluster.NewMPIWorld(k, net, nodes)
-		if err != nil {
-			panic(err)
-		}
-		w = mw
-	}
 	algo := mpi.Tree
+	opts.BBP, opts.PIOOnlyBBP = nil, true
 	switch impl {
 	case BarrierNative:
 		algo = mpi.Mcast
 	case BarrierNIC:
 		algo = mpi.NICCombined
+		bbp := core.DefaultConfig()
+		bbp.Stream.Enabled = true
+		opts.BBP, opts.PIOOnlyBBP = &bbp, false
 	}
-	lastDone := make([]sim.Time, Iters+1)
-	start := make([]sim.Time, Iters+1)
+	c, err := cluster.New(k, opts)
+	if err != nil {
+		panic(err)
+	}
+	w := mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
+	lastDone := make([]sim.Time, rounds+1)
+	start := make([]sim.Time, rounds+1)
 	w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
-		for i := 0; i <= Iters; i++ {
-			if start[i] == 0 || p.Now() > start[i] {
+		for i := 0; i <= rounds; i++ {
+			if p.Now() > start[i] {
 				start[i] = p.Now() // all ranks enter at (nearly) the same time
 			}
 			if err := c.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {
@@ -333,11 +342,22 @@ func MPIBarrier(net cluster.Network, impl BarrierImpl, nodes int) float64 {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
+	if impl == BarrierNIC {
+		for i := 0; i < opts.Nodes; i++ {
+			if got := w.Engine(i).Stats().NICBarriers; got != int64(rounds+1) {
+				panic(fmt.Sprintf("NIC barrier: rank %d completed %d of %d barriers on the NIC path", i, got, rounds+1))
+			}
+		}
+	}
 	var total sim.Duration
-	for i := 1; i <= Iters; i++ {
+	for i := 1; i <= rounds; i++ {
 		total += lastDone[i].Sub(start[i])
 	}
-	return total.Microseconds() / float64(Iters)
+	return BarrierRun{
+		Us:    total.Microseconds() / float64(rounds),
+		Start: start[1],
+		End:   lastDone[rounds],
+	}
 }
 
 // RingThroughput measures sustained SCRAMNet throughput (MB/s) for a

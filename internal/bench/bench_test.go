@@ -131,13 +131,19 @@ func TestFig5BcastOrdering(t *testing.T) {
 	}
 }
 
+// fig6 is one Figure 6 point: the mean of Iters barriers on a bare
+// nodes-rank testbed.
+func fig6(net cluster.Network, impl BarrierImpl, nodes int) float64 {
+	return MPIBarrier(cluster.Options{Nodes: nodes, Net: net}, impl, Iters).Us
+}
+
 func TestFig6BarrierOrderingAndAnchors(t *testing.T) {
-	smc3 := MPIBarrier(cluster.SCRAMNet, BarrierNative, 3)
-	smc4 := MPIBarrier(cluster.SCRAMNet, BarrierNative, 4)
-	sp3 := MPIBarrier(cluster.SCRAMNet, BarrierP2P, 3)
-	sp4 := MPIBarrier(cluster.SCRAMNet, BarrierP2P, 4)
-	fe3 := MPIBarrier(cluster.FastEthernet, BarrierP2P, 3)
-	atm3 := MPIBarrier(cluster.ATM, BarrierP2P, 3)
+	smc3 := fig6(cluster.SCRAMNet, BarrierNative, 3)
+	smc4 := fig6(cluster.SCRAMNet, BarrierNative, 4)
+	sp3 := fig6(cluster.SCRAMNet, BarrierP2P, 3)
+	sp4 := fig6(cluster.SCRAMNet, BarrierP2P, 4)
+	fe3 := fig6(cluster.FastEthernet, BarrierP2P, 3)
+	atm3 := fig6(cluster.ATM, BarrierP2P, 3)
 	// Paper anchors: 37µs (mcast), 179µs (SCRAMNet p2p), 554µs (FE),
 	// 660µs (ATM) for small clusters; ordering must hold exactly.
 	if !(smc3 < sp3 && sp3 < fe3 && fe3 < atm3) {
@@ -186,7 +192,7 @@ func TestDeterministicMeasurements(t *testing.T) {
 	if a, b := OneWayAPI(cluster.SCRAMNet, 100), OneWayAPI(cluster.SCRAMNet, 100); a != b {
 		t.Errorf("measurement not reproducible: %.3f vs %.3f", a, b)
 	}
-	if a, b := MPIBarrier(cluster.FastEthernet, BarrierP2P, 4), MPIBarrier(cluster.FastEthernet, BarrierP2P, 4); a != b {
+	if a, b := fig6(cluster.FastEthernet, BarrierP2P, 4), fig6(cluster.FastEthernet, BarrierP2P, 4); a != b {
 		t.Errorf("barrier not reproducible: %.3f vs %.3f", a, b)
 	}
 }

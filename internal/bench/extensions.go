@@ -39,10 +39,11 @@ func BarrierScaling(sizes []int) (mcast, tree Series) {
 	mcast = Series{Label: "SCRAMNet w/ API multicast"}
 	tree = Series{Label: "SCRAMNet w/ point-to-point"}
 	for _, n := range sizes {
+		opts := cluster.Options{Nodes: n, Net: cluster.SCRAMNet}
 		mcast.X = append(mcast.X, n)
-		mcast.Y = append(mcast.Y, MPIBarrier(cluster.SCRAMNet, BarrierNative, n))
+		mcast.Y = append(mcast.Y, MPIBarrier(opts, BarrierNative, Iters).Us)
 		tree.X = append(tree.X, n)
-		tree.Y = append(tree.Y, MPIBarrier(cluster.SCRAMNet, BarrierP2P, n))
+		tree.Y = append(tree.Y, MPIBarrier(opts, BarrierP2P, Iters).Us)
 	}
 	return mcast, tree
 }
@@ -105,37 +106,41 @@ func FigBandwidth(sizes []int) []Series {
 	return out
 }
 
-// MessageRate measures small-message throughput (messages/second) for
-// one sender streaming `count` n-byte messages to one receiver.
-func MessageRate(net cluster.Network, n, count int) float64 {
+// MessageRate measures small-message throughput (messages/second):
+// rank 0 streams count back-to-back n-byte messages to rank
+// opts.Nodes−1, timed from the first post to the last drain. Both the
+// sweep matrix and the host-cost benchmarks call it.
+func MessageRate(opts cluster.Options, n, count int) float64 {
 	k := sim.NewKernel()
 	defer k.Close()
-	c, err := cluster.New(k, cluster.Options{Nodes: 2, Net: net})
+	c, err := cluster.New(k, opts)
 	if err != nil {
 		panic(err)
 	}
-	elapsed, err := StreamTime(k, c.Endpoints[0], c.Endpoints[1], n, count)
+	elapsed, err := StreamTime(k, c.Endpoints[0], c.Endpoints[opts.Nodes-1], n, count)
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("message rate %s/%d: %v", opts.Net, opts.Nodes, err))
 	}
 	return float64(count) / (float64(elapsed) / 1e9)
 }
 
-// Incast measures hotspot contention: `senders` nodes each send one
-// n-byte message to node 0 at the same instant; returned is the time
-// until the last message is consumed. On SCRAMNet the bottleneck is
-// the receiver's I/O bus and the shared ring; on Ethernet it is the
-// receiver's downlink and the kernel's serialized protocol processing.
-func Incast(net cluster.Network, senders, n int) float64 {
+// Incast measures hotspot contention: every node but node 0 sends one
+// n-byte message to node 0 at the same instant, and node 0 drains them
+// with RecvAny; returned is the time in µs until the last message is
+// consumed. On SCRAMNet the bottleneck is the receiver's I/O bus and
+// the shared ring; on Ethernet it is the receiver's downlink and the
+// kernel's serialized protocol processing. opts is the caller's
+// testbed: E5 passes bare options, E9 its poll mode and registry.
+func Incast(opts cluster.Options, n int) float64 {
 	k := sim.NewKernel()
 	defer k.Close()
-	c, err := cluster.New(k, cluster.Options{Nodes: senders + 1, Net: net})
+	c, err := cluster.New(k, opts)
 	if err != nil {
 		panic(err)
 	}
 	eps := c.Endpoints
 	var last sim.Time
-	for s := 1; s <= senders; s++ {
+	for s := 1; s < opts.Nodes; s++ {
 		s := s
 		k.Spawn(fmt.Sprintf("tx%d", s), func(p *sim.Proc) {
 			if err := eps[s].Send(p, 0, make([]byte, n)); err != nil {
@@ -145,7 +150,7 @@ func Incast(net cluster.Network, senders, n int) float64 {
 	}
 	k.Spawn("sink", func(p *sim.Proc) {
 		buf := make([]byte, n+8)
-		for i := 0; i < senders; i++ {
+		for i := 1; i < opts.Nodes; i++ {
 			if _, _, err := eps[0].RecvAny(p, buf); err != nil {
 				panic(err)
 			}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func TestBandwidthShape(t *testing.T) {
@@ -84,8 +86,8 @@ func TestHierarchyPingPongPenaltyBounded(t *testing.T) {
 }
 
 func TestIncastScalesWithSenders(t *testing.T) {
-	one := Incast(cluster.SCRAMNet, 1, 256)
-	many := Incast(cluster.SCRAMNet, 7, 256)
+	one := Incast(cluster.Options{Nodes: 2, Net: cluster.SCRAMNet}, 256)
+	many := Incast(cluster.Options{Nodes: 8, Net: cluster.SCRAMNet}, 256)
 	if many <= one {
 		t.Errorf("7-way incast %.1fµs not above 1-way %.1fµs", many, one)
 	}
@@ -95,8 +97,8 @@ func TestIncastScalesWithSenders(t *testing.T) {
 	if many > 7*one {
 		t.Errorf("7-way incast %.1fµs worse than fully serialized 7x%.1fµs", many, one)
 	}
-	feOne := Incast(cluster.FastEthernet, 1, 256)
-	feMany := Incast(cluster.FastEthernet, 7, 256)
+	feOne := Incast(cluster.Options{Nodes: 2, Net: cluster.FastEthernet}, 256)
+	feMany := Incast(cluster.Options{Nodes: 8, Net: cluster.FastEthernet}, 256)
 	if feMany <= feOne {
 		t.Errorf("FE incast did not scale: %.1f vs %.1f", feMany, feOne)
 	}
@@ -168,5 +170,52 @@ func TestRenderers(t *testing.T) {
 	RenderFig6(&f6, []Fig6Row{{"cfg", 3, 12.5}})
 	if !strings.Contains(f6.String(), "12.5µs") {
 		t.Errorf("fig6 output malformed:\n%s", f6.String())
+	}
+}
+
+// TestMessageRateIsStreamTime: the rate is the message count over the
+// StreamTime of rank 0 streaming to rank Nodes−1 on the same testbed.
+func TestMessageRateIsStreamTime(t *testing.T) {
+	opts := cluster.Options{Nodes: 4, Net: cluster.SCRAMNet}
+	rate := MessageRate(opts, 4, 16)
+	k := sim.NewKernel()
+	defer k.Close()
+	c, err := cluster.New(k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed, err := StreamTime(k, c.Endpoints[0], c.Endpoints[3], 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 16 / (float64(elapsed) / 1e9); rate != want {
+		t.Errorf("MessageRate = %.3f msg/s, StreamTime gives %.3f", rate, want)
+	}
+}
+
+// TestMPIBarrierWindow: with one measured round the latency is exactly
+// the reported window, more rounds average over a longer one, and an
+// instrumented NIC run measures what a bare one does (MPIBarrier
+// itself panics unless every barrier of every rank took the NIC path).
+func TestMPIBarrierWindow(t *testing.T) {
+	bare := cluster.Options{Nodes: 4, Net: cluster.SCRAMNet}
+	for _, impl := range []BarrierImpl{BarrierP2P, BarrierNative, BarrierNIC} {
+		one := MPIBarrier(bare, impl, 1)
+		if one.Start <= 0 || one.End <= one.Start || one.Us != one.End.Sub(one.Start).Microseconds() {
+			t.Errorf("impl %d: one round measured %.3fµs over [%v, %v]", impl, one.Us, one.Start, one.End)
+		}
+		three := MPIBarrier(bare, impl, 3)
+		if three.Start != one.Start || three.End <= one.End {
+			t.Errorf("impl %d: three rounds span [%v, %v], one round [%v, %v]", impl, three.Start, three.End, one.Start, one.End)
+		}
+	}
+	m := metrics.New()
+	instrumented := bare
+	instrumented.Metrics = m
+	if got, want := MPIBarrier(instrumented, BarrierNIC, 2), MPIBarrier(bare, BarrierNIC, 2); got != want {
+		t.Errorf("instrumented NIC barrier %+v, bare %+v", got, want)
+	}
+	if n, _ := m.Snapshot().Rollup().Counter("pci.busy_ns", metrics.NodeGlobal); n == 0 {
+		t.Error("the registry saw no bus time; the options did not reach the testbed")
 	}
 }

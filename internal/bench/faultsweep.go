@@ -35,12 +35,13 @@ type FaultPoint struct {
 	ChecksumDrops int64
 }
 
-// FaultSweepConfig parameterizes a sweep.
-type FaultSweepConfig struct {
-	// Rates are the drop probabilities to measure, typically starting
-	// at 0 for the calibrated baseline.
-	Rates []float64
-	// Messages is the number of messages the sender streams per point.
+// LossRun is the E6 workload: node 0 streams Messages timed
+// Bytes-byte sends, Gap apart, to node 1 of a 4-node SCRAMNet ring with
+// the BBP retry extension recovering the ring's drops. FaultSweep runs
+// it bare at each rate; timeline.RunSweep runs it once with tracing and
+// the snapshot stream on.
+type LossRun struct {
+	// Messages is the number of messages the sender streams.
 	Messages int
 	// Bytes is the payload size.
 	Bytes int
@@ -48,22 +49,33 @@ type FaultSweepConfig struct {
 	// 16 buffers from saturating so latency reflects recovery, not
 	// queueing.
 	Gap sim.Duration
-	// Seed feeds the fault script so a sweep replays bit-identically.
+	// Seed feeds the fault script so a run replays bit-identically.
 	Seed uint64
-	// Retry tunes the BBP retry extension for every point.
+	// Retry tunes the BBP retry extension.
 	Retry core.RetryConfig
+}
+
+// FaultSweepConfig parameterizes a sweep: the loss run, measured once
+// per rate.
+type FaultSweepConfig struct {
+	LossRun
+	// Rates are the drop probabilities to measure, typically starting
+	// at 0 for the calibrated baseline.
+	Rates []float64
 }
 
 // DefaultFaultSweepConfig returns the tuning used by the EXPERIMENTS.md
 // fault-sweep figure: 30 × 32 B messages at each of five loss rates.
 func DefaultFaultSweepConfig() FaultSweepConfig {
 	return FaultSweepConfig{
-		Rates:    []float64{0, 0.05, 0.10, 0.15, 0.20},
-		Messages: 30,
-		Bytes:    32,
-		Gap:      25 * sim.Microsecond,
-		Seed:     1999,
-		Retry:    core.DefaultRetryConfig(),
+		LossRun: LossRun{
+			Messages: 30,
+			Bytes:    32,
+			Gap:      25 * sim.Microsecond,
+			Seed:     1999,
+			Retry:    core.DefaultRetryConfig(),
+		},
+		Rates: []float64{0, 0.05, 0.10, 0.15, 0.20},
 	}
 }
 
@@ -74,81 +86,88 @@ func DefaultFaultSweepConfig() FaultSweepConfig {
 func FaultSweep(cfg FaultSweepConfig) []FaultPoint {
 	out := make([]FaultPoint, 0, len(cfg.Rates))
 	for _, rate := range cfg.Rates {
-		out = append(out, faultPoint(cfg, rate))
+		pt, _, err := cfg.LossRun.Run(rate, cluster.Options{})
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, pt)
 	}
 	return out
 }
 
-// faultPoint measures a single sweep point: `Messages` timed sends from
-// node 0 to node 1 on a 4-node SCRAMNet ring holding the given loss
-// rate for the whole run, with the retry extension recovering drops.
-func faultPoint(cfg FaultSweepConfig, rate float64) FaultPoint {
+// Run measures the loss run with the ring holding the given drop rate
+// for the whole run. opts carries the caller's instrumentation
+// (Metrics, Trace, SampleEvery, SnapshotEvery, Profiler); Run sets
+// Nodes, Net, BBP and Faults itself. It returns the point and the
+// built cluster, whose snapshot stream (Cluster.Stream) holds the run's
+// captures. A failed run, or one that violates exactly-once in-order
+// delivery, returns an error.
+func (l LossRun) Run(rate float64, opts cluster.Options) (FaultPoint, *cluster.Cluster, error) {
 	k := sim.NewKernel()
 	defer k.Close()
 
 	var script *fault.Script
 	if rate > 0 {
-		script = &fault.Script{Seed: cfg.Seed, Actions: []fault.Action{
+		script = &fault.Script{Seed: l.Seed, Actions: []fault.Action{
 			{At: 0, Kind: fault.LossStart, Rate: rate},
 		}}
 	}
 	bbp := core.DefaultConfig()
-	bbp.Retry = cfg.Retry
-	c, err := cluster.New(k, cluster.Options{
-		Nodes: 4, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script,
-	})
+	bbp.Retry = l.Retry
+	opts.Nodes, opts.Net, opts.BBP, opts.Faults = 4, cluster.SCRAMNet, &bbp, script
+	c, err := cluster.New(k, opts)
 	if err != nil {
-		panic(err)
+		return FaultPoint{}, nil, err
 	}
 	o := oracle.New()
 	tx, rx := o.Wrap(c.Endpoints[0]), o.Wrap(c.Endpoints[1])
 
-	sendAt := make([]sim.Time, cfg.Messages)
-	recvAt := make([]sim.Time, cfg.Messages)
+	sendAt := make([]sim.Time, l.Messages)
+	recvAt := make([]sim.Time, 0, l.Messages)
 	k.Spawn("tx", func(p *sim.Proc) {
-		for i := 0; i < cfg.Messages; i++ {
-			msg := make([]byte, cfg.Bytes)
-			if cfg.Bytes > 0 {
+		for i := 0; i < l.Messages; i++ {
+			msg := make([]byte, l.Bytes)
+			if l.Bytes > 0 {
 				msg[0] = byte(i + 1)
 			}
 			sendAt[i] = p.Now()
 			if err := tx.Send(p, 1, msg); err != nil {
 				panic(err)
 			}
-			p.Delay(cfg.Gap)
+			p.Delay(l.Gap)
 		}
 	})
 	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, cfg.Bytes+1)
-		for i := 0; i < cfg.Messages; i++ {
+		buf := make([]byte, l.Bytes+1)
+		for i := 0; i < l.Messages; i++ {
 			if _, err := rx.Recv(p, 0, buf); err != nil {
 				panic(err)
 			}
-			recvAt[i] = p.Now()
+			recvAt = append(recvAt, p.Now())
 		}
 	})
 	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("fault sweep rate=%.2f: %v", rate, err))
+		return FaultPoint{}, nil, fmt.Errorf("loss run rate=%.2f: %w", rate, err)
 	}
 	if st, err := o.Check(true); err != nil {
-		panic(fmt.Sprintf("fault sweep rate=%.2f violated delivery contract: %v (%v)", rate, err, st))
+		return FaultPoint{}, nil, fmt.Errorf("loss run rate=%.2f violated delivery contract: %w (%v)", rate, err, st)
 	}
 
-	pt := FaultPoint{Rate: rate, Sent: cfg.Messages, Delivered: cfg.Messages}
+	pt := FaultPoint{Rate: rate, Sent: l.Messages, Delivered: len(recvAt)}
 	// The oracle proved in-order exactly-once delivery, so recvAt[i]
 	// pairs with sendAt[i].
-	for i := 0; i < cfg.Messages; i++ {
-		lat := recvAt[i].Sub(sendAt[i]).Microseconds()
+	for i, at := range recvAt {
+		lat := at.Sub(sendAt[i]).Microseconds()
 		pt.MeanLatency += lat
 		if lat > pt.MaxLatency {
 			pt.MaxLatency = lat
 		}
 	}
-	pt.MeanLatency /= float64(cfg.Messages)
+	pt.MeanLatency /= float64(l.Messages)
 	stats := c.Endpoints[0].(*core.Endpoint).Stats()
 	pt.Retransmits = stats.Retransmits
 	pt.ChecksumDrops = stats.ChecksumDrops
-	return pt
+	return pt, c, nil
 }
 
 // RenderFaultSweep writes the sweep as a fixed-width table.

@@ -125,16 +125,23 @@ type Fig6Row struct {
 
 // Fig6 regenerates Figure 6: MPI_Barrier latencies.
 func Fig6() []Fig6Row {
-	return []Fig6Row{
-		{"SCRAMNet w/ API multicast", 3, MPIBarrier(cluster.SCRAMNet, BarrierNative, 3)},
-		{"SCRAMNet w/ API multicast", 4, MPIBarrier(cluster.SCRAMNet, BarrierNative, 4)},
-		{"SCRAMNet w/ point-to-point", 3, MPIBarrier(cluster.SCRAMNet, BarrierP2P, 3)},
-		{"SCRAMNet w/ point-to-point", 4, MPIBarrier(cluster.SCRAMNet, BarrierP2P, 4)},
-		{"Fast Ethernet", 3, MPIBarrier(cluster.FastEthernet, BarrierP2P, 3)},
-		{"Fast Ethernet", 4, MPIBarrier(cluster.FastEthernet, BarrierP2P, 4)},
-		{"ATM", 3, MPIBarrier(cluster.ATM, BarrierP2P, 3)},
-		{"ATM", 4, MPIBarrier(cluster.ATM, BarrierP2P, 4)},
+	var rows []Fig6Row
+	for _, cfg := range []struct {
+		label string
+		net   cluster.Network
+		impl  BarrierImpl
+	}{
+		{"SCRAMNet w/ API multicast", cluster.SCRAMNet, BarrierNative},
+		{"SCRAMNet w/ point-to-point", cluster.SCRAMNet, BarrierP2P},
+		{"Fast Ethernet", cluster.FastEthernet, BarrierP2P},
+		{"ATM", cluster.ATM, BarrierP2P},
+	} {
+		for _, nodes := range []int{3, 4} {
+			us := MPIBarrier(cluster.Options{Nodes: nodes, Net: cfg.net}, cfg.impl, Iters).Us
+			rows = append(rows, Fig6Row{cfg.label, nodes, us})
+		}
 	}
+	return rows
 }
 
 // Crossover returns the first size (searching fine-grained between lo

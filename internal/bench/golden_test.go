@@ -29,8 +29,8 @@ func TestGoldenHeadlineNumbers(t *testing.T) {
 		{"Fig2 FE 0B µs", func() float64 { return OneWayAPI(cluster.FastEthernet, 0) }, 119.43},
 		{"Fig2 MyrAPI 0B µs", func() float64 { return OneWayAPI(cluster.MyrinetAPI, 0) }, 77.62},
 		{"Fig4 bcast4 0B µs", func() float64 { return BroadcastAPI(4, 0) }, 9.94},
-		{"Fig6 mcast barrier 4 µs", func() float64 { return MPIBarrier(cluster.SCRAMNet, BarrierNative, 4) }, 35.94},
-		{"Fig6 p2p barrier 4 µs", func() float64 { return MPIBarrier(cluster.SCRAMNet, BarrierP2P, 4) }, 174.53},
+		{"Fig6 mcast barrier 4 µs", func() float64 { return fig6(cluster.SCRAMNet, BarrierNative, 4) }, 35.94},
+		{"Fig6 p2p barrier 4 µs", func() float64 { return fig6(cluster.SCRAMNet, BarrierP2P, 4) }, 174.53},
 		{"raw fixed MB/s", func() float64 { return RingThroughput(false) }, 6.61},
 		{"raw variable MB/s", func() float64 { return RingThroughput(true) }, 16.80},
 	}

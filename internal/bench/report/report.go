@@ -543,52 +543,25 @@ func instrumented(n int, mutate func(*core.Config)) (us float64, snap metrics.Sn
 func pioOnly(cfg *core.Config)   { cfg.Thresholds.RecvDMA = 1 << 30 }
 func dmaAlways(cfg *core.Config) { cfg.Thresholds.RecvDMA = 1 }
 
-// incastPollReads runs the E9 workload — senders = nodes−1 processes
-// each posting one n-byte message into a RecvAny sink at node 0 — with
-// the given poll mode, and returns the sink's poll traffic as full
-// bus-round-trip read transactions.
-func incastPollReads(mode core.BurstMode, nodes, n int) int64 {
-	k := sim.NewKernel()
-	defer k.Close()
-	m := metrics.New()
-	cfg := core.DefaultConfig()
-	cfg.BurstPoll = mode
-	c, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, BBP: &cfg, Metrics: m})
-	if err != nil {
-		panic(err)
-	}
-	eps := c.Endpoints
-	for s := 1; s < nodes; s++ {
-		s := s
-		k.Spawn(fmt.Sprintf("tx%d", s), func(p *sim.Proc) {
-			if err := eps[s].Send(p, 0, make([]byte, n)); err != nil {
-				panic(err)
-			}
-		})
-	}
-	k.Spawn("sink", func(p *sim.Proc) {
-		buf := make([]byte, n+8)
-		for i := 1; i < nodes; i++ {
-			if _, _, err := eps[0].RecvAny(p, buf); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-	snap := m.Snapshot()
-	pollW, _ := snap.Counter("bbp.poll_words", 0)
-	burstW, _ := snap.Counter("bbp.burst_poll_words", 0)
-	bursts, _ := snap.Counter("bbp.burst_polls", 0)
-	return (pollW - burstW) + bursts
-}
-
-// pollAggregation measures the E9 figure at the gate's panel point.
+// pollAggregation measures the E9 figure at the gate's panel point:
+// the bench.Incast of PollAggregationNodes−1 senders into a RecvAny
+// sink at node 0, once per poll mode, counting the sink's poll traffic
+// as full bus-round-trip read transactions.
 func pollAggregation() PollAggregation {
 	const n = 0
-	perWord := incastPollReads(core.BurstOff, PollAggregationNodes, n)
-	burst := incastPollReads(core.BurstAuto, PollAggregationNodes, n)
+	pollReads := func(mode core.BurstMode) int64 {
+		m := metrics.New()
+		cfg := core.DefaultConfig()
+		cfg.BurstPoll = mode
+		bench.Incast(cluster.Options{Nodes: PollAggregationNodes, Net: cluster.SCRAMNet, BBP: &cfg, Metrics: m}, n)
+		snap := m.Snapshot()
+		pollW, _ := snap.Counter("bbp.poll_words", 0)
+		burstW, _ := snap.Counter("bbp.burst_poll_words", 0)
+		bursts, _ := snap.Counter("bbp.burst_polls", 0)
+		return (pollW - burstW) + bursts
+	}
+	perWord := pollReads(core.BurstOff)
+	burst := pollReads(core.BurstAuto)
 	red := 0.0
 	if perWord > 0 {
 		red = 100 * (1 - float64(burst)/float64(perWord))
@@ -1032,59 +1005,18 @@ func streamAllreduce() StreamAllreduce {
 	}
 }
 
-// barrierRun executes one warmup and one measured barrier on a
-// nodes-rank SCRAMNet cluster and returns the measured barrier's
-// worst-rank latency plus its [start, end] window. nic selects the
-// stream-enabled substrate with the NIC-combined round (asserted to
-// never fall back) vs the paper's mcast-coordinator barrier on the
-// PIO-only testbed. m/rec optionally instrument and trace the run.
-func barrierRun(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) (us float64, start, end sim.Time) {
-	k := sim.NewKernel()
-	defer k.Close()
-	opts := cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, Metrics: m, Trace: rec}
-	algo := mpi.Mcast
+// e14Barrier runs E14's barrier on a nodes-rank SCRAMNet cluster,
+// instrumented by m and traced by rec when they are non-nil: the
+// NIC-combined round on the stream-enabled substrate (nic), or the
+// paper's multicast-coordinator barrier on the PIO-only one. It runs
+// one warm-up and exactly one measured barrier: barrierPath normalizes
+// pci.busy_ns over the whole run, so the run stays two barriers long.
+func e14Barrier(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) bench.BarrierRun {
+	impl := bench.BarrierNative
 	if nic {
-		bbp := core.DefaultConfig()
-		bbp.Stream.Enabled = true
-		opts.BBP = &bbp
-		algo = mpi.NICCombined
-	} else {
-		opts.PIOOnlyBBP = true
+		impl = bench.BarrierNIC
 	}
-	c, err := cluster.New(k, opts)
-	if err != nil {
-		panic(err)
-	}
-	w := mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
-	var t0, t1 sim.Time
-	w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
-		if err := cm.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {
-			panic(err)
-		}
-		// Every rank re-enters the instant it exits the warmup, so the
-		// last warmup exit is the measured barrier's simultaneous-entry
-		// start — the same convention as bench.MPIBarrier.
-		if p.Now() > t0 {
-			t0 = p.Now()
-		}
-		if err := cm.Barrier(p, mpi.WithAlgorithm(algo)); err != nil {
-			panic(err)
-		}
-		if p.Now() > t1 {
-			t1 = p.Now()
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-	if nic {
-		for i := 0; i < nodes; i++ {
-			if got := w.Engine(i).Stats().NICBarriers; got != 2 {
-				panic(fmt.Sprintf("E14 rank %d completed %d of 2 barriers on the NIC path", i, got))
-			}
-		}
-	}
-	return round3(t1.Sub(t0).Microseconds()), t0, t1
+	return bench.MPIBarrier(cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, Metrics: m, Trace: rec}, impl, 1)
 }
 
 // barrierPath runs the traced+instrumented 16-node barrier and reduces
@@ -1095,7 +1027,8 @@ func barrierRun(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) (
 func barrierPath(nic bool) BarrierPath {
 	m := metrics.New()
 	rec := trace.New()
-	_, t0, t1 := barrierRun(BarrierHostNodes, nic, m, rec)
+	run := e14Barrier(BarrierHostNodes, nic, m, rec)
+	t0, t1 := run.Start, run.End
 	var work []trace.SpanRec
 	for _, s := range rec.Spans() {
 		switch s.Name {
@@ -1128,11 +1061,11 @@ func barrierPath(nic bool) BarrierPath {
 
 // barrierScaling measures the E14 section.
 func barrierScaling() BarrierScaling {
-	hostUs, _, _ := barrierRun(BarrierHostNodes, false, nil, nil)
+	hostUs := round3(e14Barrier(BarrierHostNodes, false, nil, nil).Us)
 	var nic []BarrierPoint
 	byNodes := map[int]float64{}
 	for _, n := range BarrierNICNodes {
-		us, _, _ := barrierRun(n, true, nil, nil)
+		us := round3(e14Barrier(n, true, nil, nil).Us)
 		nic = append(nic, BarrierPoint{Nodes: n, Us: us})
 		byNodes[n] = us
 	}

@@ -161,31 +161,6 @@ func Bandwidth(net cluster.Network, ranks, n, window int, prof *sim.Profiler) fl
 	return float64(window*n) / (float64(elapsed) / 1e9) / 1e6
 }
 
-// MessageRate measures the small-message rate (messages/second): count
-// back-to-back n-byte sends from rank 0 to rank ranks-1, first post to
-// last drain.
-func MessageRate(net cluster.Network, ranks, n, count int, prof *sim.Profiler) float64 {
-	k := sim.NewKernel()
-	defer k.Close()
-	c := build(k, net, ranks, prof)
-	elapsed, err := bench.StreamTime(k, c.Endpoints[0], c.Endpoints[ranks-1], n, count)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: rate %s/%d: %v", net, ranks, err))
-	}
-	if elapsed <= 0 {
-		panic(fmt.Sprintf("sweep: rate %s/%d: degenerate elapsed %d", net, ranks, elapsed))
-	}
-	return float64(count) / (float64(elapsed) / 1e9)
-}
-
-// Barrier measures the full-communicator barrier latency (µs per
-// barrier) at a rank count. Unlike the point-to-point shapes it drives
-// the MPI collective layer, so the trajectory also watches the
-// algorithm-selection path end to end.
-func Barrier(net cluster.Network, ranks int, impl bench.BarrierImpl) float64 {
-	return bench.MPIBarrier(net, impl, ranks)
-}
-
 // Run executes the matrix and assembles the report. Cells appear in
 // axis order (substrates outer, ranks inner), so the document layout is
 // stable for a given Options.
@@ -207,10 +182,11 @@ func Run(opts Options) Report {
 					Bytes: n, Value: round3(Bandwidth(net, ranks, n, opts.BandwidthWindow, opts.Profiler)),
 				})
 			}
-			cell.RateMsgS = round3(MessageRate(net, ranks, opts.RateBytes, opts.RateCount, opts.Profiler))
-			cell.BarrierUs = round3(Barrier(net, ranks, bench.BarrierP2P))
+			cell.RateMsgS = round3(bench.MessageRate(cluster.Options{Nodes: ranks, Net: net, Profiler: opts.Profiler}, opts.RateBytes, opts.RateCount))
+			bare := cluster.Options{Nodes: ranks, Net: net}
+			cell.BarrierUs = round3(bench.MPIBarrier(bare, bench.BarrierP2P, bench.Iters).Us)
 			if net == cluster.SCRAMNet {
-				cell.NICBarrierUs = round3(Barrier(net, ranks, bench.BarrierNIC))
+				cell.NICBarrierUs = round3(bench.MPIBarrier(bare, bench.BarrierNIC, bench.Iters).Us)
 			}
 			r.Cells = append(r.Cells, cell)
 		}

@@ -158,7 +158,7 @@ func switched(k *sim.Kernel, c *Cluster, opts Options, l lan) ([]xport.Endpoint,
 	if opts.Faults != nil {
 		ff := fault.NewFabric(k, sw, opts.Faults.Seed)
 		ff.SetMetrics(opts.Metrics)
-		opts.Faults.ApplyObserved(k, ff, opts.Metrics, opts.Trace)
+		opts.Faults.Apply(k, ff, opts.Metrics, opts.Trace)
 		c.Fault = ff
 		fab = ff
 	}
@@ -231,7 +231,7 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 				ring.SetTracer(opts.Trace)
 			}
 			if opts.Faults != nil {
-				opts.Faults.ApplyObserved(k, fault.Ring(ring), opts.Metrics, opts.Trace)
+				opts.Faults.Apply(k, fault.Ring(ring), opts.Metrics, opts.Trace)
 			}
 			c.Ring = ring
 			topo = ring

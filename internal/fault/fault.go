@@ -104,24 +104,13 @@ type LinkTarget interface {
 // Apply schedules every action of the script on kernel k against tgt.
 // Actions at or before the current virtual time fire immediately (in
 // scheduling order). Apply may be called for several targets to subject
-// co-located networks to the same fault pattern.
-func (s *Script) Apply(k *sim.Kernel, tgt Target) {
-	s.ApplyMetrics(k, tgt, nil)
-}
-
-// ApplyMetrics is Apply, additionally counting each fired action in m
-// under "fault.injected_events" plus a per-kind counter, all attributed
-// to the faulted node (loss windows are cluster-wide). A nil registry
-// counts nothing.
-func (s *Script) ApplyMetrics(k *sim.Kernel, tgt Target, m *metrics.Registry) {
-	s.ApplyObserved(k, tgt, m, nil)
-}
-
-// ApplyObserved is ApplyMetrics, additionally emitting a trace instant
-// (category "fault") at each action's fire time, so a timeline can line
-// injected faults up against retry and bus activity. A nil recorder
-// records nothing.
-func (s *Script) ApplyObserved(k *sim.Kernel, tgt Target, m *metrics.Registry, rec *trace.Recorder) {
+// co-located networks to the same fault pattern. Each fired action is
+// counted in m under "fault.injected_events" plus a per-kind counter,
+// attributed to the faulted node (loss windows are cluster-wide), and
+// emitted to rec as a trace instant (category "fault"), so a timeline
+// can line injected faults up against retry and bus activity. A nil
+// registry counts nothing and a nil recorder records nothing.
+func (s *Script) Apply(k *sim.Kernel, tgt Target, m *metrics.Registry, rec *trace.Recorder) {
 	if s == nil {
 		return
 	}

@@ -86,7 +86,7 @@ func TestApplyDrivesRing(t *testing.T) {
 		{At: sim.Time(0).Add(1 * sim.Millisecond), Kind: fault.NodeFail, Node: 2},
 		{At: sim.Time(0).Add(3 * sim.Millisecond), Kind: fault.NodeRepair, Node: 2},
 	}}
-	s.Apply(k, fault.Ring(c.Ring))
+	s.Apply(k, fault.Ring(c.Ring), nil, nil)
 	k.RunFor(2 * sim.Millisecond)
 	if !c.Ring.NodeFailed(2) {
 		t.Fatal("node 2 not bypassed after NodeFail action")
@@ -355,7 +355,7 @@ func TestApplyLinkActionsDriveRing(t *testing.T) {
 		{At: sim.Time(0).Add(1 * sim.Millisecond), Kind: fault.LinkCut, Node: 1},
 		{At: sim.Time(0).Add(3 * sim.Millisecond), Kind: fault.LinkSplice, Node: 1},
 	}}
-	s.Apply(k, fault.Ring(c.Ring))
+	s.Apply(k, fault.Ring(c.Ring), nil, nil)
 	k.RunFor(2 * sim.Millisecond)
 	if !c.Ring.LinkCut(1) {
 		t.Fatal("segment 1 not cut after LinkCut action")
@@ -374,7 +374,7 @@ func TestApplyLinkActionsDriveRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := fault.NewFabric(k2, san, 1)
-	s.Apply(k2, ff)
+	s.Apply(k2, ff, nil, nil)
 	k2.RunFor(5 * sim.Millisecond)
 	// Nothing to assert on the fabric beyond not panicking; frames
 	// still flow.

@@ -230,8 +230,8 @@ func (e *Endpoint) route(n int) xport.Endpoint {
 
 // Send routes data to dst by size, tagging it with the stream sequence.
 func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
-	if dst == e.Rank() || dst < 0 || dst >= e.Procs() {
-		return fmt.Errorf("hybrid: bad destination %d", dst)
+	if err := e.checkDst(dst); err != nil {
+		return err
 	}
 	seq := e.sendSeq[dst]
 	e.sendSeq[dst]++
@@ -296,9 +296,26 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 	return err
 }
 
+// checkDst rejects a destination outside the world or the caller itself.
+func (e *Endpoint) checkDst(dst int) error {
+	if dst == e.Rank() || dst < 0 || dst >= e.Procs() {
+		return fmt.Errorf("hybrid: bad destination %d", dst)
+	}
+	return nil
+}
+
 // Mcast replicates one message to several destinations over the
-// low-latency substrate when it fits, else loops over Send.
+// low-latency substrate when it fits, else loops over Send. The whole
+// destination list is validated before any stream sequence advances.
 func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
+	if len(dsts) == 0 {
+		return errors.New("hybrid: empty multicast destination list")
+	}
+	for _, d := range dsts {
+		if err := e.checkDst(d); err != nil {
+			return err
+		}
+	}
 	allAlive := true
 	for _, d := range dsts {
 		if !e.alive(d) {
@@ -320,8 +337,13 @@ func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 			}
 		}
 		if agree {
+			// The substrate delivers one copy per distinct destination,
+			// so a repeated destination advances once: only streams
+			// still at seq move.
 			for _, d := range dsts {
-				e.sendSeq[d]++
+				if e.sendSeq[d] == seq {
+					e.sendSeq[d]++
+				}
 			}
 			msg := make([]byte, hdrBytes+len(data))
 			binary.LittleEndian.PutUint32(msg, seq)

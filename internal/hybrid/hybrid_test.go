@@ -326,3 +326,55 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("oversized threshold accepted")
 	}
 }
+
+// TestMcastValidatesBeforeSequencing: a multicast with a bad
+// destination list fails before it touches the per-destination stream
+// sequence, and a duplicate destination advances its sequence once, so
+// the next unicast to that peer is still released in order.
+func TestMcastValidatesBeforeSequencing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dsts    []int
+		wantErr bool
+		want    []string // what rank 1 receives from rank 0, in order
+	}{
+		{"self", []int{1, 0}, true, []string{"next"}},
+		{"out-of-range", []int{1, 4}, true, []string{"next"}},
+		{"negative", []int{1, -1}, true, []string{"next"}},
+		{"nil", nil, true, []string{"next"}},
+		{"duplicate", []int{1, 1}, false, []string{"mcast", "next"}},
+		{"valid", []int{2, 1, 3}, false, []string{"mcast", "next"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, c := world(t, 4)
+			defer k.Close()
+			k.Spawn("tx", func(p *sim.Proc) {
+				err := c.Endpoints[0].Mcast(p, tc.dsts, []byte("mcast"))
+				if (err != nil) != tc.wantErr {
+					t.Errorf("Mcast(%v) = %v, want error %v", tc.dsts, err, tc.wantErr)
+				}
+				if err := c.Endpoints[0].Send(p, 1, []byte("next")); err != nil {
+					t.Error(err)
+				}
+			})
+			var got []string
+			k.Spawn("rx1", func(p *sim.Proc) {
+				buf := make([]byte, 64)
+				for range tc.want {
+					n, err := c.Endpoints[1].Recv(p, 0, buf)
+					if err != nil {
+						t.Errorf("rank 1 recv after %q: %v", got, err)
+						return
+					}
+					got = append(got, string(buf[:n]))
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("rank 1 received %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

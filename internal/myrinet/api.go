@@ -43,6 +43,11 @@ func DefaultAPIConfig() APIConfig {
 // configured timeout.
 var ErrTimeout = errors.New("myrinet: receive timed out")
 
+// ErrBadRank is returned at once, before any cost is charged, when a
+// send names a destination or a receive a source that is outside the
+// world or the caller itself.
+var ErrBadRank = errors.New("myrinet: bad peer rank")
+
 type apiMsg struct {
 	src  int
 	data []byte
@@ -129,8 +134,8 @@ func (a *API) NativeMcast() bool { return false }
 // Send stages data into NIC SRAM and injects it, fragmenting at the
 // packet limit.
 func (a *API) Send(p *sim.Proc, dst int, data []byte) error {
-	if dst == a.rank || dst < 0 || dst >= a.Procs() {
-		return fmt.Errorf("myrinet: bad destination %d", dst)
+	if !a.peer(dst) {
+		return ErrBadRank
 	}
 	if len(data) > a.MaxMessage() {
 		return fmt.Errorf("myrinet: %d bytes exceeds message limit %d", len(data), a.MaxMessage())
@@ -168,6 +173,9 @@ func (a *API) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 	return nil
 }
 
+// peer reports whether r names another process of the world.
+func (a *API) peer(r int) bool { return r != a.rank && r >= 0 && r < a.Procs() }
+
 func (a *API) pop(src int) (apiMsg, bool) {
 	if len(a.rx[src]) == 0 {
 		return apiMsg{}, false
@@ -188,6 +196,9 @@ func (a *API) complete(p *sim.Proc, m apiMsg, buf []byte) (int, error) {
 
 // Recv blocks (polling the NIC) for the next message from src.
 func (a *API) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
+	if !a.peer(src) {
+		return 0, ErrBadRank
+	}
 	deadline := sim.Time(-1)
 	if a.cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(a.cfg.RecvTimeout)
@@ -205,6 +216,9 @@ func (a *API) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 
 // TryRecv polls once for a message from src.
 func (a *API) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) {
+	if !a.peer(src) {
+		return 0, false, ErrBadRank
+	}
 	p.Delay(a.cfg.PollCost)
 	if m, ok := a.pop(src); ok {
 		n, err := a.complete(p, m, buf)

@@ -116,8 +116,8 @@ func TestCoSpikesUnchangedBySampling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sampled sweep: %v", err)
 	}
-	if base.Delivered != sampled.Delivered {
-		t.Fatalf("delivery diverged: %d vs %d", base.Delivered, sampled.Delivered)
+	if base.Point != sampled.Point {
+		t.Fatalf("measurement diverged: %+v vs %+v", base.Point, sampled.Point)
 	}
 	if len(base.Points) != len(sampled.Points) {
 		t.Fatalf("snapshot streams diverged: %d vs %d points", len(base.Points), len(sampled.Points))

@@ -16,8 +16,9 @@
 // The package also hosts two canned scenarios: RunAnatomy, the one
 // decomposition of a traced BBP message (spans, metrics counters,
 // Stats() and the bus cost model cross-checked), which cmd/anatomy
-// renders; and RunSweep, the EXPERIMENTS.md E6 fault-sweep shape with
-// tracing and snapshot streaming switched on, which cmd/timeline runs.
+// renders; and RunSweep, the EXPERIMENTS.md E6 loss run of
+// bench.FaultSweep with tracing and snapshot streaming switched on,
+// which cmd/timeline runs.
 package timeline
 
 import (
@@ -26,15 +27,14 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/pci"
 	"repro/internal/scramnet"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/xport/oracle"
 )
 
 // Breakdown is one message's life reconstructed purely from its trace
@@ -690,14 +690,12 @@ func receiverBreakdown(evs []trace.Event, msg uint64, r int) Breakdown {
 	return b
 }
 
-// SweepConfig parameterizes RunSweep. The zero value is completed by
-// DefaultSweepConfig.
+// SweepConfig parameterizes RunSweep: the E6 loss run shared with
+// bench.FaultSweep at one drop rate, plus the observability settings.
+// The zero value is completed by DefaultSweepConfig.
 type SweepConfig struct {
+	bench.LossRun
 	Rate          float64      // ring packet-drop probability (0 = fault-free)
-	Seed          uint64       // fault-script + drop-stream seed
-	Messages      int          // timed sends node 0 → node 1
-	Bytes         int          // payload size
-	Gap           sim.Duration // inter-send spacing
 	SnapshotEvery sim.Duration // snapshot-stream period
 	TraceCap      int          // 0 = unbounded recorder
 	// SampleEvery > 1 installs a head-based sampler keeping every n-th
@@ -707,98 +705,51 @@ type SweepConfig struct {
 	SampleEvery int
 }
 
-// DefaultSweepConfig mirrors the E6 fault-sweep point (30 × 32 B
-// messages, 25 µs apart, seed 1999) with a 100 µs snapshot cadence.
+// DefaultSweepConfig is the E6 fault-sweep loss run with a 100 µs
+// snapshot cadence.
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
-		Seed:          1999,
-		Messages:      30,
-		Bytes:         32,
-		Gap:           25 * sim.Microsecond,
+		LossRun:       bench.DefaultFaultSweepConfig().LossRun,
 		SnapshotEvery: 100 * sim.Microsecond,
 	}
 }
 
 // SweepResult is one fully observed fault-sweep run.
 type SweepResult struct {
+	// Point is the run's measurement, equal to what bench.FaultSweep
+	// reports at the same rate: observation charges no virtual time.
+	Point      bench.FaultPoint
 	Rec        *trace.Recorder
 	Points     []metrics.StreamPoint
 	Breakdowns []Breakdown
 	Intervals  []Interval
-	Sent       int
-	Delivered  int
 }
 
-// RunSweep executes the E6 fault-sweep scenario — 4-node SCRAMNet ring,
-// retry-enabled BBP, a loss window covering the whole run — with span
-// tracing and snapshot streaming on, and joins the two streams into
-// breakdowns and co-spike intervals. The run is oracle-checked: it
-// fails rather than report latencies for lost messages.
+// RunSweep runs the E6 loss run (bench.LossRun) with span tracing and
+// snapshot streaming on, and joins the two streams into breakdowns and
+// co-spike intervals. The run is oracle-checked: it fails rather than
+// report latencies for lost messages.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Messages == 0 {
 		cfg = DefaultSweepConfig()
 	}
-	k := sim.NewKernel()
-	defer k.Close()
-
-	var script *fault.Script
-	if cfg.Rate > 0 {
-		script = &fault.Script{Seed: cfg.Seed, Actions: []fault.Action{
-			{At: 0, Kind: fault.LossStart, Rate: cfg.Rate},
-		}}
-	}
-	bbp := core.DefaultConfig()
-	bbp.Retry = core.DefaultRetryConfig()
 	rec := trace.New()
 	if cfg.TraceCap > 0 {
 		rec = trace.NewCapped(cfg.TraceCap)
 	}
-	reg := metrics.New()
-	c, err := cluster.New(k, cluster.Options{
-		Nodes: 4, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script,
-		Metrics: reg, Trace: rec, SnapshotEvery: cfg.SnapshotEvery,
-		SampleEvery: cfg.SampleEvery,
+	pt, c, err := cfg.LossRun.Run(cfg.Rate, cluster.Options{
+		Metrics: metrics.New(), Trace: rec,
+		SnapshotEvery: cfg.SnapshotEvery, SampleEvery: cfg.SampleEvery,
 	})
 	if err != nil {
 		return nil, err
 	}
-	o := oracle.New()
-	tx, rx := o.Wrap(c.Endpoints[0]), o.Wrap(c.Endpoints[1])
-	k.Spawn("tx", func(p *sim.Proc) {
-		for i := 0; i < cfg.Messages; i++ {
-			msg := make([]byte, cfg.Bytes)
-			if cfg.Bytes > 0 {
-				msg[0] = byte(i + 1)
-			}
-			if err := tx.Send(p, 1, msg); err != nil {
-				panic(err)
-			}
-			p.Delay(cfg.Gap)
-		}
-	})
-	delivered := 0
-	k.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, cfg.Bytes+1)
-		for i := 0; i < cfg.Messages; i++ {
-			if _, err := rx.Recv(p, 0, buf); err != nil {
-				panic(err)
-			}
-			delivered++
-		}
-	})
-	if err := k.Run(); err != nil {
-		return nil, fmt.Errorf("timeline sweep rate=%.2f: %w", cfg.Rate, err)
-	}
-	if st, err := o.Check(true); err != nil {
-		return nil, fmt.Errorf("timeline sweep rate=%.2f violated delivery contract: %w (%v)", cfg.Rate, err, st)
-	}
 	points := c.Stream.Points()
 	return &SweepResult{
+		Point:      pt,
 		Rec:        rec,
 		Points:     points,
 		Breakdowns: Breakdowns(rec.Events()),
 		Intervals:  CoSpikes(points),
-		Sent:       cfg.Messages,
-		Delivered:  delivered,
 	}, nil
 }

@@ -266,3 +266,48 @@ func TestLargestSingleMessage(t *testing.T) {
 		}
 	})
 }
+
+func TestBadRanksRejectedAtOnce(t *testing.T) {
+	// A send to, or a receive from, a rank outside the world or the
+	// caller itself fails at once: no clock advance, no poll loop, no
+	// panic, and the endpoint still carries a valid message afterwards.
+	forEachNetwork(t, func(t *testing.T, k *sim.Kernel, eps []xport.Endpoint) {
+		bad := []int{-1, 0, eps[0].Procs()}
+		got := ""
+		k.Spawn("node0", func(p *sim.Proc) {
+			buf := make([]byte, 64)
+			for _, r := range bad {
+				start := p.Now()
+				if err := eps[0].Send(p, r, []byte("x")); err == nil {
+					t.Errorf("Send to %d accepted", r)
+				}
+				if _, err := eps[0].Recv(p, r, buf); err == nil {
+					t.Errorf("Recv from %d accepted", r)
+				}
+				if _, ok, err := eps[0].TryRecv(p, r, buf); err == nil || ok {
+					t.Errorf("TryRecv from %d: ok=%v err=%v", r, ok, err)
+				}
+				if p.Now() != start {
+					t.Errorf("rank %d: rejecting the calls took %s", r, p.Now().Sub(start))
+				}
+			}
+			n, err := eps[0].Recv(p, 1, buf)
+			if err != nil {
+				t.Errorf("valid recv after the rejected calls: %v", err)
+				return
+			}
+			got = string(buf[:n])
+		})
+		k.Spawn("node1", func(p *sim.Proc) {
+			if err := eps[1].Send(p, 0, []byte("still here")); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != "still here" {
+			t.Errorf("valid message after the rejected calls: got %q", got)
+		}
+	})
+}
