@@ -67,11 +67,16 @@ cover:
 #            and fence/heal/resync transitions, and the scripted fault
 #            injection (link cut/splice, schedule validation) they are
 #            proven against;
-#   xport    the switch model the Fig. 2/3/5/6 Fast Ethernet, ATM and Myrinet baselines rest on;
+#   xport    the switch model the Fig. 2/3/5/6 Fast Ethernet, ATM and Myrinet baselines rest on,
+#            and the Inbox reassembler and Mcast destination rule every frame transport shares;
+#   tcpip    the TCP-lite window, Nagle and delayed-ACK paths and its receive loop, which the
+#            Fast Ethernet, ATM and Myrinet TCP baselines of Figs. 2, 3, 5 and 6 rest on;
+#   myrinet  the native Myrinet API's fragmenting send and polling receive, the Fig. 2 crossover
+#            and the hybrid router's high-bandwidth path rest on;
 #   sim      the hand-written 4-ary event heap whose (t, seq) pop order every figure's determinism rests on;
 #   bench    the one driver per measured scenario (ping-pong, stream, barrier, incast, message rate, E6 loss run) every figure and BENCH number comes from;
 #   timeline the observed E6 run and the span/snapshot joins (breakdowns, co-spikes) cmd/timeline and make timeline render.
-COVER_FLOORS := mpi:85.0 spin:80.0 trace:85.0 metrics:85.0 liveness:85.0 fault:80.0 xport:90.0 sim:91.5 bench:89.0 timeline:88.5
+COVER_FLOORS := mpi:85.0 spin:80.0 trace:85.0 metrics:85.0 liveness:85.0 fault:80.0 xport:90.0 tcpip:93.0 myrinet:96.5 sim:91.5 bench:89.0 timeline:88.5
 
 covercheck: build
 	@for pf in $(COVER_FLOORS); do \

@@ -411,3 +411,53 @@ func TestTinyMemoryRejected(t *testing.T) {
 		t.Fatal("insufficient memory accepted")
 	}
 }
+
+func TestTruncatedRecvFreesSlot(t *testing.T) {
+	// A receive into a too-small buffer consumes the message and
+	// acknowledges it, so even a single buffer slot is reclaimed: the
+	// sender's next post goes through instead of stalling in garbage
+	// collection. Under the retry extension the ACK follows the
+	// checksum-verified read.
+	for _, retry := range []bool{false, true} {
+		retry := retry
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			k, _, eps := world(t, 2, func(c *Config) {
+				c.Buffers = 1
+				c.RecvTimeout = 5 * sim.Millisecond
+				if retry {
+					c.Retry = DefaultRetryConfig()
+				}
+			})
+			got := ""
+			k.Spawn("tx", func(p *sim.Proc) {
+				for _, m := range []string{"too long for the buffer", "ok"} {
+					if err := eps[0].Send(p, 1, []byte(m)); err != nil {
+						t.Errorf("send %q: %v", m, err)
+						return
+					}
+				}
+			})
+			k.Spawn("rx", func(p *sim.Proc) {
+				buf := make([]byte, 4)
+				if _, err := eps[1].Recv(p, 0, buf); err != ErrTruncated {
+					t.Errorf("truncated recv: err = %v, want ErrTruncated", err)
+				}
+				n, err := eps[1].Recv(p, 0, buf)
+				if err != nil {
+					t.Errorf("recv after the truncated one: %v", err)
+					return
+				}
+				got = string(buf[:n])
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != "ok" {
+				t.Fatalf("message after the truncated one: got %q, want %q", got, "ok")
+			}
+			if st := eps[1].Stats(); st.Received != 1 {
+				t.Fatalf("Received = %d, want 1 (a truncated message is not delivered)", st.Received)
+			}
+		})
+	}
+}

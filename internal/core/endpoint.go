@@ -7,6 +7,7 @@ import (
 	"repro/internal/scramnet"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/xport"
 )
 
 // Endpoint is one process's handle on the BillBoard. All methods taking
@@ -195,15 +196,12 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 // Mcast posts one copy of data, visible to every process in dsts
 // (bbp_Mcast). Each extra receiver costs one additional flag-word write.
 func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
+	if !xport.ValidMcast(e.me, e.Procs(), dsts) {
+		return ErrBadRank
+	}
 	var mask uint32
 	for _, d := range dsts {
-		if d == e.me || d < 0 || d >= e.Procs() {
-			return ErrBadRank
-		}
 		mask |= 1 << uint(d)
-	}
-	if mask == 0 {
-		return ErrBadRank
 	}
 	return e.post(p, mask, data)
 }

@@ -256,11 +256,14 @@ func (e *Endpoint) insertPending(s int, m message) {
 
 // consume reads message m's payload from sender s's data partition into
 // buf and toggles the ACK flag bit in s's control partition, completing
-// the transfer.
+// the transfer. A message longer than buf is acknowledged all the same
+// (the sender reclaims the slot) and reported as ErrTruncated; only the
+// retry extension reads it, into scratch, to verify its checksum first.
 func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, error) {
 	lay, cfg := e.sys.lay, e.sys.cfg
-	if m.n > len(buf) {
-		return 0, ErrTruncated
+	truncated := m.n > len(buf)
+	if truncated && cfg.Retry.Enabled {
+		buf = make([]byte, m.n)
 	}
 	// The drain span covers payload read + ACK write; its End is the
 	// existing "consume" event, so the legacy detect→consume measurement
@@ -269,7 +272,7 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	msg := trace.MsgID(s, m.seq)
 	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "drain", msg, 0, "sender=%d slot=%d len=%d", s, m.slot, m.n)
 	e.im.recvSize.Observe(int64(m.n))
-	if m.n > 0 {
+	if m.n > 0 && m.n <= len(buf) {
 		src := lay.dataOff(s, m.off)
 		t0 := p.Now()
 		if m.n >= e.recvDMAThreshold() {
@@ -304,6 +307,10 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	e.ackWrite(p, s, m)
 	e.nic.SetTraceContext(pm, pp)
 	e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "ack", msg, span, "sender=%d slot=%d", s, m.slot)
+	if truncated {
+		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "drain-abort", span, msg, "truncated")
+		return 0, ErrTruncated
+	}
 	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", s, m.slot, m.n)
 	e.stats.Received++
 	e.stats.BytesRecv += int64(m.n)

@@ -78,6 +78,7 @@ type Endpoint struct {
 	sendSeq []uint32 // per destination
 	nextSeq []uint32 // per source: next sequence to release
 	held    []map[uint32][]byte
+	rrNext  int // the source RecvAny tries first
 	scratch []byte
 	stats   Stats
 	im      hybInstruments
@@ -154,7 +155,7 @@ func New(low, high xport.Endpoint, cfg Config) (*Endpoint, error) {
 		sendSeq: make([]uint32, n),
 		nextSeq: make([]uint32, n),
 		held:    make([]map[uint32][]byte, n),
-		scratch: make([]byte, maxInt(low.MaxMessage(), high.MaxMessage())+hdrBytes),
+		scratch: make([]byte, max(low.MaxMessage(), high.MaxMessage())+hdrBytes),
 	}
 	for i := range e.held {
 		e.held[i] = map[uint32][]byte{}
@@ -199,13 +200,6 @@ func (e *Endpoint) alive(dst int) bool {
 	return e.live == nil || e.live.State(dst) == liveness.Alive
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Rank returns the endpoint's process number.
 func (e *Endpoint) Rank() int { return e.low.Rank() }
 
@@ -230,8 +224,8 @@ func (e *Endpoint) route(n int) xport.Endpoint {
 
 // Send routes data to dst by size, tagging it with the stream sequence.
 func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
-	if err := e.checkDst(dst); err != nil {
-		return err
+	if dst == e.Rank() || dst < 0 || dst >= e.Procs() {
+		return fmt.Errorf("hybrid: bad destination %d", dst)
 	}
 	seq := e.sendSeq[dst]
 	e.sendSeq[dst]++
@@ -296,25 +290,12 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 	return err
 }
 
-// checkDst rejects a destination outside the world or the caller itself.
-func (e *Endpoint) checkDst(dst int) error {
-	if dst == e.Rank() || dst < 0 || dst >= e.Procs() {
-		return fmt.Errorf("hybrid: bad destination %d", dst)
-	}
-	return nil
-}
-
 // Mcast replicates one message to several destinations over the
 // low-latency substrate when it fits, else loops over Send. The whole
 // destination list is validated before any stream sequence advances.
 func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
-	if len(dsts) == 0 {
-		return errors.New("hybrid: empty multicast destination list")
-	}
-	for _, d := range dsts {
-		if err := e.checkDst(d); err != nil {
-			return err
-		}
+	if !xport.ValidMcast(e.Rank(), e.Procs(), dsts) {
+		return fmt.Errorf("hybrid: bad multicast destination list %v", dsts)
 	}
 	allAlive := true
 	for _, d := range dsts {
@@ -351,12 +332,7 @@ func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 			return e.low.Mcast(p, dsts, msg)
 		}
 	}
-	for _, d := range dsts {
-		if err := e.Send(p, d, data); err != nil {
-			return err
-		}
-	}
-	return nil
+	return xport.LoopMcast(p, dsts, data, e.Send)
 }
 
 // poll pulls at most one message from each substrate for src into the
@@ -405,12 +381,14 @@ func (e *Endpoint) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) 
 	return 0, false, nil
 }
 
+// release hands the next in-sequence message from src to the caller.
+// A message longer than buf is consumed all the same, with an error.
 func (e *Endpoint) release(src int, msg []byte, buf []byte) (int, bool, error) {
+	delete(e.held[src], e.nextSeq[src])
+	e.nextSeq[src]++
 	if len(msg) > len(buf) {
 		return 0, false, fmt.Errorf("hybrid: %d-byte message into %d-byte buffer", len(msg), len(buf))
 	}
-	delete(e.held[src], e.nextSeq[src])
-	e.nextSeq[src]++
 	copy(buf, msg)
 	return len(msg), true, nil
 }
@@ -435,23 +413,23 @@ func (e *Endpoint) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 	}
 }
 
-// RecvAny blocks for the next releasable message from any source.
+// RecvAny blocks for the next releasable message from any source,
+// polling the sources round-robin.
 func (e *Endpoint) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
 	deadline := sim.Time(-1)
 	if e.cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(e.cfg.RecvTimeout)
 	}
 	for {
-		for s := 0; s < e.Procs(); s++ {
+		for i := 0; i < e.Procs(); i++ {
+			s := (e.rrNext + i) % e.Procs()
 			if s == e.Rank() {
 				continue
 			}
 			n, ok, err := e.TryRecv(p, s, buf)
-			if err != nil {
-				return 0, 0, err
-			}
-			if ok {
-				return s, n, nil
+			if ok || err != nil {
+				e.rrNext = (s + 1) % e.Procs()
+				return s, n, err
 			}
 		}
 		if deadline >= 0 && p.Now() > deadline {

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -48,21 +49,11 @@ var ErrTimeout = errors.New("myrinet: receive timed out")
 // world or the caller itself.
 var ErrBadRank = errors.New("myrinet: bad peer rank")
 
-type apiMsg struct {
-	src  int
-	data []byte
-}
-
 // fragHdr is the per-packet framing the API library prepends so that
 // messages longer than one network packet reassemble at the receiver:
-// message id, fragment offset, total length (4 bytes each).
+// message id, fragment offset, total length (4 bytes each, little
+// endian).
 const fragHdr = 12
-
-type apiAsm struct {
-	total int
-	got   int
-	data  []byte
-}
 
 // API is the per-node native interface; it implements xport.Endpoint.
 // It talks to the SAN through the xport.Fabric interface so that fault
@@ -72,8 +63,7 @@ type API struct {
 	cfg    APIConfig
 	rank   int
 	nextID []uint32
-	asm    []map[uint32]*apiAsm
-	rx     [][]apiMsg // per-source FIFO of completed messages
+	in     *xport.Inbox
 }
 
 // OpenAPI attaches the native API on node rank. The node must not also
@@ -84,38 +74,13 @@ func OpenAPI(net xport.Fabric, rank int, cfg APIConfig) *API {
 		cfg:    cfg,
 		rank:   rank,
 		nextID: make([]uint32, net.Nodes()),
-		asm:    make([]map[uint32]*apiAsm, net.Nodes()),
-		rx:     make([][]apiMsg, net.Nodes()),
-	}
-	for i := range a.asm {
-		a.asm[i] = map[uint32]*apiAsm{}
+		in:     xport.NewInbox(net.Nodes()),
 	}
 	net.SetHandler(rank, func(src int, frame []byte) {
-		id := getU32(frame[0:])
-		off := int(getU32(frame[4:]))
-		total := int(getU32(frame[8:]))
-		as := a.asm[src][id]
-		if as == nil {
-			as = &apiAsm{total: total, data: make([]byte, total)}
-			a.asm[src][id] = as
-		}
-		payload := frame[fragHdr:]
-		copy(as.data[off:], payload)
-		as.got += len(payload)
-		if as.got >= as.total {
-			delete(a.asm[src], id)
-			a.rx[src] = append(a.rx[src], apiMsg{src, as.data})
-		}
+		le := binary.LittleEndian
+		a.in.Add(src, le.Uint32(frame[0:]), int(le.Uint32(frame[4:])), int(le.Uint32(frame[8:])), frame[fragHdr:])
 	})
 	return a
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // Rank returns this endpoint's node number.
@@ -151,9 +116,10 @@ func (a *API) Send(p *sim.Proc, dst int, data []byte) error {
 			m = maxPayload
 		}
 		frame := make([]byte, fragHdr+m)
-		putU32(frame[0:], id)
-		putU32(frame[4:], uint32(off))
-		putU32(frame[8:], uint32(len(data)))
+		le := binary.LittleEndian
+		le.PutUint32(frame[0:], id)
+		le.PutUint32(frame[4:], uint32(off))
+		le.PutUint32(frame[8:], uint32(len(data)))
 		copy(frame[fragHdr:], data[off:off+m])
 		a.net.Transmit(a.rank, dst, frame)
 		off += m
@@ -165,33 +131,22 @@ func (a *API) Send(p *sim.Proc, dst int, data []byte) error {
 
 // Mcast loops Send over the destinations (no hardware replication).
 func (a *API) Mcast(p *sim.Proc, dsts []int, data []byte) error {
-	for _, d := range dsts {
-		if err := a.Send(p, d, data); err != nil {
-			return err
-		}
+	if !xport.ValidMcast(a.rank, a.Procs(), dsts) {
+		return ErrBadRank
 	}
-	return nil
+	return xport.LoopMcast(p, dsts, data, a.Send)
 }
 
 // peer reports whether r names another process of the world.
 func (a *API) peer(r int) bool { return r != a.rank && r >= 0 && r < a.Procs() }
 
-func (a *API) pop(src int) (apiMsg, bool) {
-	if len(a.rx[src]) == 0 {
-		return apiMsg{}, false
+func (a *API) complete(p *sim.Proc, m []byte, buf []byte) (int, error) {
+	if len(m) > len(buf) {
+		return 0, fmt.Errorf("myrinet: %d-byte message into %d-byte buffer", len(m), len(buf))
 	}
-	m := a.rx[src][0]
-	a.rx[src] = a.rx[src][1:]
-	return m, true
-}
-
-func (a *API) complete(p *sim.Proc, m apiMsg, buf []byte) (int, error) {
-	if len(m.data) > len(buf) {
-		return 0, fmt.Errorf("myrinet: %d-byte message into %d-byte buffer", len(m.data), len(buf))
-	}
-	p.Delay(a.cfg.RecvOverhead + sim.Duration(len(m.data))*a.cfg.CopyPerByte)
-	copy(buf, m.data)
-	return len(m.data), nil
+	p.Delay(a.cfg.RecvOverhead + sim.Duration(len(m))*a.cfg.CopyPerByte)
+	copy(buf, m)
+	return len(m), nil
 }
 
 // Recv blocks (polling the NIC) for the next message from src.
@@ -199,19 +154,8 @@ func (a *API) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 	if !a.peer(src) {
 		return 0, ErrBadRank
 	}
-	deadline := sim.Time(-1)
-	if a.cfg.RecvTimeout > 0 {
-		deadline = p.Now().Add(a.cfg.RecvTimeout)
-	}
-	for {
-		if m, ok := a.pop(src); ok {
-			return a.complete(p, m, buf)
-		}
-		p.Delay(a.cfg.PollCost)
-		if deadline >= 0 && p.Now() > deadline {
-			return 0, ErrTimeout
-		}
-	}
+	_, n, err := a.recv(p, src, buf)
+	return n, err
 }
 
 // TryRecv polls once for a message from src.
@@ -220,28 +164,35 @@ func (a *API) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) {
 		return 0, false, ErrBadRank
 	}
 	p.Delay(a.cfg.PollCost)
-	if m, ok := a.pop(src); ok {
+	if m, ok := a.in.Pop(src); ok {
 		n, err := a.complete(p, m, buf)
 		return n, err == nil, err
 	}
 	return 0, false, nil
 }
 
-// RecvAny blocks for the next message from any source.
+// RecvAny blocks for the next message from any source, round-robin.
 func (a *API) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
+	return a.recv(p, -1, buf)
+}
+
+// recv is the blocking receive behind Recv and RecvAny: it polls the
+// NIC for the next message from src, or from any source when src < 0.
+func (a *API) recv(p *sim.Proc, src int, buf []byte) (int, int, error) {
 	deadline := sim.Time(-1)
 	if a.cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(a.cfg.RecvTimeout)
 	}
 	for {
-		for s := 0; s < a.Procs(); s++ {
-			if s == a.rank {
-				continue
-			}
-			if m, ok := a.pop(s); ok {
-				n, err = a.complete(p, m, buf)
-				return s, n, err
-			}
+		from, m, ok := src, []byte(nil), false
+		if src < 0 {
+			from, m, ok = a.in.PopAny()
+		} else {
+			m, ok = a.in.Pop(src)
+		}
+		if ok {
+			n, err := a.complete(p, m, buf)
+			return from, n, err
 		}
 		p.Delay(a.cfg.PollCost)
 		if deadline >= 0 && p.Now() > deadline {

@@ -240,6 +240,17 @@ func TestNativeAPIBadArgs(t *testing.T) {
 		if err := a0.Send(p, 1, make([]byte, a0.MaxMessage()+1)); err == nil {
 			t.Error("oversize accepted")
 		}
+		if _, err := a0.Recv(p, 0, nil); err != ErrBadRank {
+			t.Errorf("Recv from self: %v", err)
+		}
+		if _, _, err := a0.TryRecv(p, 2, nil); err != ErrBadRank {
+			t.Errorf("TryRecv from 2: %v", err)
+		}
+		for _, dsts := range [][]int{nil, {0}, {1, 2}} {
+			if err := a0.Mcast(p, dsts, nil); err != ErrBadRank {
+				t.Errorf("Mcast to %v: %v", dsts, err)
+			}
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -264,5 +275,38 @@ func TestBandwidthNear160MBs(t *testing.T) {
 	mbps := float64(4096*count) / (float64(last) / 1e9) / 1e6
 	if mbps < 140 || mbps > 175 {
 		t.Fatalf("wire rate %.1f MB/s, want ≈160", mbps)
+	}
+}
+
+func TestNativeAPITruncatedRecvConsumes(t *testing.T) {
+	// A too-small buffer fails the receive and consumes the message,
+	// through Recv and TryRecv alike.
+	k := sim.NewKernel()
+	n, _ := xport.NewSwitch(k, DefaultConfig(2))
+	a0 := OpenAPI(n, 0, DefaultAPIConfig())
+	a1 := OpenAPI(n, 1, DefaultAPIConfig())
+	k.Spawn("tx", func(p *sim.Proc) {
+		for _, m := range []string{"first message", "second message", "ok"} {
+			if err := a0.Send(p, 1, []byte(m)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	k.Spawn("rx", func(p *sim.Proc) {
+		small := make([]byte, 4)
+		if _, err := a1.Recv(p, 0, small); err == nil {
+			t.Error("truncated Recv succeeded")
+		}
+		p.Delay(1 * sim.Millisecond)
+		if _, ok, err := a1.TryRecv(p, 0, small); ok || err == nil {
+			t.Errorf("truncated TryRecv: ok=%v err=%v", ok, err)
+		}
+		n, err := a1.Recv(p, 0, small)
+		if err != nil || string(small[:n]) != "ok" {
+			t.Errorf("third message: %q, %v", small[:n], err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

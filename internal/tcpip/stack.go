@@ -17,20 +17,14 @@ type Stack struct {
 
 	rxFrames *sim.Queue[frameIn]
 	peers    []*peer
-	// completed[src] queues fully reassembled messages from src.
-	completed [][]recvMsg
-	rxWake    *sim.Cond
-	rrNext    int
-	stats     Stats
+	in       *xport.Inbox
+	rxWake   *sim.Cond
+	stats    Stats
 }
 
 type frameIn struct {
 	src   int
 	frame []byte
-}
-
-type recvMsg struct {
-	data []byte
 }
 
 // peer is per-remote-node connection state.
@@ -41,33 +35,26 @@ type peer struct {
 	ackdBytes uint32 // cumulative payload bytes acknowledged by the peer
 	txWake    *sim.Cond
 
-	// Receive side.
-	asm         map[uint32]*assembly
+	// Receive side (reassembly is the Stack's Inbox).
 	rcvdBytes   uint32 // cumulative payload bytes received
 	lastAckSent uint32
 	ackTimer    *sim.Timer
-}
-
-type assembly struct {
-	total int
-	got   int
-	data  []byte
 }
 
 // NewStack attaches a TCP-lite stack to node on fab and starts its
 // kernel daemon.
 func NewStack(k *sim.Kernel, fab xport.Fabric, node int, cfg Config) *Stack {
 	s := &Stack{
-		k:         k,
-		fab:       fab,
-		cfg:       cfg,
-		node:      node,
-		rxFrames:  sim.NewQueue[frameIn](k),
-		completed: make([][]recvMsg, fab.Nodes()),
-		rxWake:    sim.NewCond(k),
+		k:        k,
+		fab:      fab,
+		cfg:      cfg,
+		node:     node,
+		rxFrames: sim.NewQueue[frameIn](k),
+		in:       xport.NewInbox(fab.Nodes()),
+		rxWake:   sim.NewCond(k),
 	}
 	for i := 0; i < fab.Nodes(); i++ {
-		s.peers = append(s.peers, &peer{txWake: sim.NewCond(k), asm: map[uint32]*assembly{}})
+		s.peers = append(s.peers, &peer{txWake: sim.NewCond(k)})
 	}
 	fab.SetHandler(node, func(src int, frame []byte) {
 		s.rxFrames.Push(frameIn{src, frame})
@@ -99,18 +86,8 @@ func (s *Stack) kernelLoop(p *sim.Proc) {
 		case kindData:
 			s.stats.SegmentsRecv++
 			p.Delay(s.cfg.StackPerSegmentRx + sim.Duration(len(payload))*s.cfg.ChecksumPerByte)
-			a := pr.asm[h.msgID]
-			if a == nil {
-				a = &assembly{total: int(h.total), data: make([]byte, int(h.total))}
-				pr.asm[h.msgID] = a
-			}
-			copy(a.data[h.off:], payload)
-			a.got += len(payload)
 			pr.rcvdBytes += uint32(len(payload))
-			done := a.got >= a.total
-			if done {
-				delete(pr.asm, h.msgID)
-				s.completed[in.src] = append(s.completed[in.src], recvMsg{a.data})
+			if s.in.Add(in.src, h.msgID, int(h.off), int(h.total), payload) {
 				s.rxWake.Broadcast()
 			}
 			// Cumulative ACK policy. Threshold crossings ACK at once
@@ -218,33 +195,21 @@ func (s *Stack) Send(p *sim.Proc, dst int, data []byte) error {
 
 // Mcast loops over Send: no replication below the socket layer.
 func (s *Stack) Mcast(p *sim.Proc, dsts []int, data []byte) error {
-	for _, d := range dsts {
-		if err := s.Send(p, d, data); err != nil {
-			return err
-		}
+	if !xport.ValidMcast(s.node, s.Procs(), dsts) {
+		return ErrBadRank
 	}
-	return nil
+	return xport.LoopMcast(p, dsts, data, s.Send)
 }
 
-func (s *Stack) pop(src int) (recvMsg, bool) {
-	q := s.completed[src]
-	if len(q) == 0 {
-		return recvMsg{}, false
-	}
-	m := q[0]
-	s.completed[src] = q[1:]
-	return m, true
-}
-
-func (s *Stack) deliver(p *sim.Proc, m recvMsg, buf []byte) (int, error) {
-	if len(m.data) > len(buf) {
+func (s *Stack) deliver(p *sim.Proc, m []byte, buf []byte) (int, error) {
+	if len(m) > len(buf) {
 		return 0, ErrTruncated
 	}
-	p.Delay(sim.Duration(len(m.data)) * s.cfg.CopyPerByte)
-	copy(buf, m.data)
+	p.Delay(sim.Duration(len(m)) * s.cfg.CopyPerByte)
+	copy(buf, m)
 	s.stats.MsgsRecv++
-	s.stats.BytesRecv += int64(len(m.data))
-	return len(m.data), nil
+	s.stats.BytesRecv += int64(len(m))
+	return len(m), nil
 }
 
 // Recv blocks for the next message from src.
@@ -252,23 +217,8 @@ func (s *Stack) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 	if src == s.node || src < 0 || src >= s.Procs() {
 		return 0, ErrBadRank
 	}
-	p.Delay(s.cfg.SyscallRecv)
-	deadline := sim.Time(-1)
-	if s.cfg.RecvTimeout > 0 {
-		deadline = p.Now().Add(s.cfg.RecvTimeout)
-	}
-	for {
-		if m, ok := s.pop(src); ok {
-			return s.deliver(p, m, buf)
-		}
-		if deadline >= 0 {
-			if p.Now() >= deadline || !s.rxWake.WaitTimeout(p, deadline.Sub(p.Now())) {
-				return 0, ErrTimeout
-			}
-		} else {
-			s.rxWake.Wait(p)
-		}
-	}
+	_, n, err := s.recv(p, src, buf)
+	return n, err
 }
 
 // TryRecv checks once, without blocking, for a message from src. It
@@ -279,31 +229,37 @@ func (s *Stack) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) {
 		return 0, false, ErrBadRank
 	}
 	p.Delay(s.cfg.PollCost)
-	if m, ok := s.pop(src); ok {
+	if m, ok := s.in.Pop(src); ok {
 		n, err := s.deliver(p, m, buf)
 		return n, err == nil, err
 	}
 	return 0, false, nil
 }
 
-// RecvAny blocks for the next message from any source, round-robin fair.
+// RecvAny blocks for the next message from any source, round-robin.
 func (s *Stack) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
+	return s.recv(p, -1, buf)
+}
+
+// recv is the blocking receive behind Recv and RecvAny: one socket
+// call that waits for the next message from src, or from any source
+// when src < 0.
+func (s *Stack) recv(p *sim.Proc, src int, buf []byte) (int, int, error) {
 	p.Delay(s.cfg.SyscallRecv)
 	deadline := sim.Time(-1)
 	if s.cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(s.cfg.RecvTimeout)
 	}
 	for {
-		for i := 0; i < s.Procs(); i++ {
-			c := (s.rrNext + i) % s.Procs()
-			if c == s.node {
-				continue
-			}
-			if m, ok := s.pop(c); ok {
-				s.rrNext = (c + 1) % s.Procs()
-				n, err = s.deliver(p, m, buf)
-				return c, n, err
-			}
+		from, m, ok := src, []byte(nil), false
+		if src < 0 {
+			from, m, ok = s.in.PopAny()
+		} else {
+			m, ok = s.in.Pop(src)
+		}
+		if ok {
+			n, err := s.deliver(p, m, buf)
+			return from, n, err
 		}
 		if deadline >= 0 {
 			if p.Now() >= deadline || !s.rxWake.WaitTimeout(p, deadline.Sub(p.Now())) {

@@ -264,6 +264,14 @@ func TestErrTooLargeAndBadRank(t *testing.T) {
 		if _, err := stacks[0].Recv(p, 7, nil); err != ErrBadRank {
 			t.Errorf("bad-src err = %v", err)
 		}
+		if _, _, err := stacks[0].TryRecv(p, 0, nil); err != ErrBadRank {
+			t.Errorf("TryRecv self err = %v", err)
+		}
+		for _, dsts := range [][]int{nil, {0}, {1, 2}} {
+			if err := stacks[0].Mcast(p, dsts, nil); err != ErrBadRank {
+				t.Errorf("Mcast to %v err = %v", dsts, err)
+			}
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -342,5 +350,35 @@ func TestBidirectionalTraffic(t *testing.T) {
 	}
 	if !ok[0] || !ok[1] {
 		t.Fatalf("bidirectional transfer: %v", ok)
+	}
+}
+
+func TestTruncatedRecvConsumes(t *testing.T) {
+	// A too-small buffer fails the receive with ErrTruncated and
+	// consumes the message, through Recv and TryRecv alike.
+	k, stacks := feWorld(t, 2)
+	k.Spawn("tx", func(p *sim.Proc) {
+		for _, m := range []string{"first message", "second message", "ok"} {
+			if err := stacks[0].Send(p, 1, []byte(m)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	k.Spawn("rx", func(p *sim.Proc) {
+		small := make([]byte, 4)
+		if _, err := stacks[1].Recv(p, 0, small); err != ErrTruncated {
+			t.Errorf("Recv err = %v, want ErrTruncated", err)
+		}
+		p.Delay(1 * sim.Millisecond)
+		if _, ok, err := stacks[1].TryRecv(p, 0, small); ok || err != ErrTruncated {
+			t.Errorf("TryRecv: ok=%v err=%v, want ErrTruncated", ok, err)
+		}
+		n, err := stacks[1].Recv(p, 0, small)
+		if err != nil || string(small[:n]) != "ok" {
+			t.Errorf("third message: %q, %v", small[:n], err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,8 +2,10 @@
 // xport.Endpoint implementation — the BillBoard Protocol, the three
 // TCP-lite stacks, the native Myrinet API, and the hybrid router — so
 // that the MPI engine's assumptions (reliability, per-stream FIFO,
-// exact message boundaries, non-blocking polls) are guaranteed to hold
-// on every substrate it can be configured over.
+// exact message boundaries, non-blocking polls) and the rest of the
+// xport.Endpoint contract (round-robin RecvAny, truncated receives
+// that consume the message, one Mcast destination rule) are guaranteed
+// to hold on every substrate it can be configured over.
 package conformance
 
 import (
@@ -310,4 +312,148 @@ func TestBadRanksRejectedAtOnce(t *testing.T) {
 			t.Errorf("valid message after the rejected calls: got %q", got)
 		}
 	})
+}
+
+func TestRecvAnyRoundRobin(t *testing.T) {
+	// With three messages waiting from each of ranks 1 and 2, RecvAny
+	// alternates between them: no sender starves the other.
+	forEachNetwork(t, func(t *testing.T, k *sim.Kernel, eps []xport.Endpoint) {
+		for _, s := range []int{1, 2} {
+			s := s
+			k.Spawn(fmt.Sprintf("tx%d", s), func(p *sim.Proc) {
+				for i := 0; i < 3; i++ {
+					if err := eps[s].Send(p, 0, []byte{byte(s), byte(i)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+		}
+		var order []int
+		k.Spawn("rx", func(p *sim.Proc) {
+			p.Delay(10 * sim.Millisecond) // every message has arrived
+			buf := make([]byte, 8)
+			for i := 0; i < 6; i++ {
+				src, _, err := eps[0].RecvAny(p, buf)
+				if err != nil {
+					t.Errorf("RecvAny %d: %v", i, err)
+					return
+				}
+				order = append(order, src)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(order); got != "[1 2 1 2 1 2]" {
+			t.Errorf("RecvAny served %s, want [1 2 1 2 1 2]", got)
+		}
+	})
+}
+
+func TestTruncatedRecvConsumes(t *testing.T) {
+	// A receive into a buffer shorter than the message fails and
+	// consumes the message: twenty of them in a row neither replay the
+	// same message nor pin the sender's resources, and the message
+	// after them arrives intact.
+	forEachNetwork(t, func(t *testing.T, k *sim.Kernel, eps []xport.Endpoint) {
+		const truncated = 20
+		k.Spawn("tx", func(p *sim.Proc) {
+			for i := 0; i < truncated; i++ {
+				if err := eps[0].Send(p, 1, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+			if err := eps[0].Send(p, 1, []byte("after")); err != nil {
+				t.Errorf("send after the truncated receives: %v", err)
+			}
+		})
+		got := ""
+		k.Spawn("rx", func(p *sim.Proc) {
+			small := make([]byte, 8)
+			for i := 0; i < truncated; i++ {
+				if n, err := eps[1].Recv(p, 0, small); err == nil {
+					t.Errorf("truncated recv %d: n=%d, no error", i, n)
+					return
+				}
+			}
+			buf := make([]byte, 64)
+			n, err := eps[1].Recv(p, 0, buf)
+			if err != nil {
+				t.Errorf("recv after the truncated receives: %v", err)
+				return
+			}
+			got = string(buf[:n])
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != "after" {
+			t.Errorf("message after the truncated receives: got %q, want %q", got, "after")
+		}
+	})
+}
+
+func TestMcastDestinationRule(t *testing.T) {
+	// Mcast checks the whole list before sending: an empty list, self
+	// or an out-of-range rank fails with nothing delivered, and a
+	// repeated destination gets one copy. Both sizes are checked, so
+	// the hybrid router's high-bandwidth path is covered too.
+	for _, size := range []int{16, 1024} {
+		size := size
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			forEachNetwork(t, func(t *testing.T, k *sim.Kernel, eps []xport.Endpoint) {
+				bad := bytes.Repeat([]byte{0xba}, size)
+				good := bytes.Repeat([]byte{0x60}, size)
+				k.Spawn("tx", func(p *sim.Proc) {
+					for _, dsts := range [][]int{{2, 9}, nil, {}, {1, 0}, {2, -1}} {
+						if err := eps[0].Mcast(p, dsts, bad); err == nil {
+							t.Errorf("Mcast to %v accepted", dsts)
+						}
+					}
+					if err := eps[0].Mcast(p, []int{1, 1}, good); err != nil {
+						t.Errorf("Mcast to [1 1]: %v", err)
+					}
+					for _, d := range []int{1, 2} {
+						if err := eps[0].Send(p, d, []byte("end")); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+				got := map[int][]string{}
+				for _, r := range []int{1, 2} {
+					r := r
+					k.Spawn(fmt.Sprintf("rx%d", r), func(p *sim.Proc) {
+						buf := make([]byte, 2*size)
+						for {
+							n, err := eps[r].Recv(p, 0, buf)
+							if err != nil {
+								t.Errorf("rank %d: %v", r, err)
+								return
+							}
+							switch {
+							case string(buf[:n]) == "end":
+								got[r] = append(got[r], "end")
+								return
+							case bytes.Equal(buf[:n], good):
+								got[r] = append(got[r], "good")
+							default:
+								got[r] = append(got[r], "bad")
+							}
+						}
+					})
+				}
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if s := fmt.Sprint(got[1]); s != "[good end]" {
+					t.Errorf("rank 1 received %s, want [good end]", s)
+				}
+				if s := fmt.Sprint(got[2]); s != "[end]" {
+					t.Errorf("rank 2 received %s, want [end]", s)
+				}
+			})
+		})
+	}
 }

@@ -8,6 +8,8 @@
 package xport
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/spin"
 )
@@ -23,18 +25,50 @@ type Endpoint interface {
 	// Send posts data to dst. It may block (virtual time) for flow
 	// control but returns before the receiver consumes the message.
 	Send(p *sim.Proc, dst int, data []byte) error
-	// Mcast posts one message to several destinations. Substrates
-	// without hardware replication loop over Send.
+	// Mcast posts one message to several destinations, one copy per
+	// distinct rank. A list that fails ValidMcast (empty, self or out
+	// of range) fails the call with nothing sent. Substrates without
+	// hardware replication loop over Send (LoopMcast).
 	Mcast(p *sim.Proc, dsts []int, data []byte) error
-	// Recv blocks for the next in-order message from src.
+	// Recv blocks for the next in-order message from src. A message
+	// longer than buf is consumed all the same, with an error.
 	Recv(p *sim.Proc, src int, buf []byte) (int, error)
-	// TryRecv polls once for a message from src.
+	// TryRecv polls once for a message from src; truncation as in Recv.
 	TryRecv(p *sim.Proc, src int, buf []byte) (n int, ok bool, err error)
-	// RecvAny blocks for the next message from any source.
+	// RecvAny blocks for the next message from any source; truncation
+	// as in Recv. Sources with messages waiting are served round-robin,
+	// starting just past the one served last.
 	RecvAny(p *sim.Proc, buf []byte) (src, n int, err error)
 	// NativeMcast reports whether Mcast is a single-step hardware
 	// operation (true only for the BillBoard Protocol on SCRAMNet).
 	NativeMcast() bool
+}
+
+// ValidMcast reports whether dsts is a valid Mcast list for endpoint me
+// of a procs-process world: not empty, every rank in [0, procs) and
+// none me. Repeats are allowed.
+func ValidMcast(me, procs int, dsts []int) bool {
+	for _, d := range dsts {
+		if d == me || d < 0 || d >= procs {
+			return false
+		}
+	}
+	return len(dsts) > 0
+}
+
+// LoopMcast is Mcast without hardware replication: after the caller's
+// ValidMcast, it sends to each distinct rank of dsts in list order and
+// stops at the first error.
+func LoopMcast(p *sim.Proc, dsts []int, data []byte, send func(p *sim.Proc, dst int, data []byte) error) error {
+	for i, d := range dsts {
+		if slices.Contains(dsts[:i], d) {
+			continue
+		}
+		if err := send(p, d, data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StreamReducer is the optional in-network collective extension (only
