@@ -480,7 +480,6 @@ func (s *System) Attach(rank int) (*Endpoint, error) {
 		minUnIn:    make([]uint32, s.lay.nprocs),
 		lastDeliv:  make([]uint32, s.lay.nprocs),
 		alloc:      newAllocator(s.lay.dataSize),
-		intrWake:   sim.NewCond(s.net.Kernel()),
 		retryWake:  sim.NewCond(s.net.Kernel()),
 	}
 	for b := s.cfg.Buffers - 1; b >= 0; b-- {
@@ -492,6 +491,7 @@ func (s *System) Attach(rank int) (*Endpoint, error) {
 		e.slotSeq[i] = make([]uint32, s.cfg.Buffers)
 	}
 	if s.cfg.InterruptDriven {
+		e.intrWake = sim.NewCond(s.net.Kernel())
 		e.nic.EnableInterrupts(true, func(off int) { e.intrWake.Broadcast() })
 	}
 	if s.cfg.Stream.Enabled {

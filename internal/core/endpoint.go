@@ -69,14 +69,16 @@ type Endpoint struct {
 	lastDeliv []uint32
 
 	// Poll plan, fixed at Attach (see initPollPlan): how many words one
-	// wide read of this receiver's contiguous flag region covers, a
-	// scratch buffer for it, and whether the bus cost model favors the
-	// burst over per-word probes for an all-senders poll (burstAllOK)
-	// and for a single-sender poll (burstOneOK).
+	// wide read of this receiver's contiguous flag region covers, and
+	// whether the bus cost model favors the burst over per-word probes
+	// for an all-senders poll (burstAllOK) and for a single-sender poll
+	// (burstOneOK).
 	burstWords int
-	burstBuf   []uint32
 	burstAllOK bool
 	burstOneOK bool
+	// pollers holds the idle pollers (poll.go) that waiting processes
+	// take and return.
+	pollers []*poller
 
 	// adapt is the adaptive receive-DMA threshold estimator (adaptive.go).
 	adapt adaptiveState
@@ -89,6 +91,8 @@ type Endpoint struct {
 	// Config.Stream.Enabled.
 	stream streamState
 
+	// intrWake (Config.InterruptDriven only) is broadcast on every
+	// MESSAGE-flag interrupt.
 	intrWake  *sim.Cond
 	retryWake *sim.Cond
 	stats     Stats

@@ -14,40 +14,6 @@ import (
 // and re-read after the sender's retransmission repairs the buffer.
 var errChecksum = errors.New("bbp: payload checksum mismatch (awaiting retransmission)")
 
-// initPollPlan fixes, at Attach time, how this receiver's polls read
-// MESSAGE flags. The receiver's flag words are contiguous —
-// msgFlags(me, s) = base(me)+4s for s = 0..nprocs−1, immediately
-// followed under the retry extension by the MIN-UNACKED words
-// minUn(me, s) = base(me)+4·nprocs+4s — so one aligned burst of nprocs
-// (base) or 2·nprocs (retry) words covers every word a full poll sweep
-// would otherwise fetch with per-word 650 ns reads. Whether the burst
-// actually wins is a pure cost-model question, decided here once from
-// the same numbers the bus will charge: against the (nprocs−1) probes
-// of an all-senders sweep (burstAllOK), and against the single probe of
-// a focused poll (burstOneOK — only worthwhile under retry, where one
-// probe is already two word reads).
-func (e *Endpoint) initPollPlan() {
-	n := e.sys.lay.nprocs
-	words, probeWords := n, 1
-	if e.sys.cfg.Retry.Enabled {
-		words, probeWords = 2*n, 2
-	}
-	e.burstWords = words
-	e.burstBuf = make([]uint32, words)
-	bus := e.nic.Bus()
-	burst := bus.BurstReadCost(words)
-	probe := sim.Duration(probeWords) * bus.Config().PIOReadWord
-	switch e.sys.cfg.BurstPoll {
-	case BurstOff:
-		// both false
-	case BurstOn:
-		e.burstAllOK, e.burstOneOK = true, true
-	default: // BurstAuto
-		e.burstAllOK = burst < sim.Duration(n-1)*probe
-		e.burstOneOK = burst < probe
-	}
-}
-
 // acceptFlags applies one observed sample of sender s's MESSAGE flag
 // word (and, under the retry extension, its MIN-UNACKED word) — however
 // the words were read. Both the per-word and the burst poll paths feed
@@ -100,77 +66,13 @@ func (e *Endpoint) acceptFlags(p *sim.Proc, s int, flags, minUn uint32) {
 	}
 }
 
-// pollWord is the pre-aggregation probe: one (retry: two) full 650 ns
-// PIO word reads for a single sender — the receive overhead §7 of the
-// paper attributes to polling. Its elapsed time doubles as a live
-// sample of the per-word read cost for the adaptive threshold.
-func (e *Endpoint) pollWord(p *sim.Proc, s int) {
-	lay, cfg := e.sys.lay, e.sys.cfg
-	e.stats.Polls++
-	p.Delay(cfg.Costs.PollOverhead)
-	t0 := p.Now()
-	flags := e.nic.ReadWord(p, lay.msgFlags(e.me, s))
-	words := 1
-	var minUn uint32
-	if cfg.Retry.Enabled {
-		minUn = e.nic.ReadWord(p, lay.minUn(e.me, s))
-		words = 2
+// changes reports whether acceptFlags would act on this sample of
+// sender s's words, that is, not take its early return.
+func (e *Endpoint) changes(s int, flags, minUn uint32) bool {
+	if flags != e.lastSeen[s] {
+		return true
 	}
-	e.stats.PollWords += int64(words)
-	e.observeWordReads(words, p.Now().Sub(t0))
-	e.acceptFlags(p, s, flags, minUn)
-}
-
-// pollBurst collapses a poll into one wide read of the receiver's whole
-// contiguous flag region and runs every sender's words through the same
-// acceptance logic as the per-word path. The loop overhead is paid once
-// for the whole sweep, not once per sender.
-func (e *Endpoint) pollBurst(p *sim.Proc) {
-	lay, cfg := e.sys.lay, e.sys.cfg
-	e.stats.Polls++
-	p.Delay(cfg.Costs.PollOverhead)
-	e.nic.ReadWords(p, lay.base(e.me), e.burstBuf)
-	w := int64(e.burstWords)
-	e.stats.PollWords += w
-	e.stats.BurstPolls++
-	e.stats.BurstPollWords += w
-	n := e.Procs()
-	for s := 0; s < n; s++ {
-		if s == e.me {
-			continue
-		}
-		var minUn uint32
-		if cfg.Retry.Enabled {
-			minUn = e.burstBuf[n+s]
-		}
-		e.acceptFlags(p, s, e.burstBuf[s], minUn)
-	}
-}
-
-// pollFrom polls for messages from sender s: the focused shape used by
-// Recv/TryRecv/MsgAvailFrom. It upgrades to the burst only where the
-// plan says one wide read beats even a single probe.
-func (e *Endpoint) pollFrom(p *sim.Proc, s int) {
-	if e.burstOneOK {
-		e.pollBurst(p)
-		return
-	}
-	e.pollWord(p, s)
-}
-
-// pollAll polls every sender once: the sweep shape used by
-// RecvAny/MsgAvail, and the poll loop the burst read collapses from
-// nprocs−1 bus round trips to one transaction.
-func (e *Endpoint) pollAll(p *sim.Proc) {
-	if e.burstAllOK {
-		e.pollBurst(p)
-		return
-	}
-	for s := 0; s < e.Procs(); s++ {
-		if s != e.me {
-			e.pollWord(p, s)
-		}
-	}
+	return e.sys.cfg.Retry.Enabled && (e.rescan[s] || minUn != e.minUnIn[s])
 }
 
 // scanSender (retry extension only) reads all of sender s's descriptors
@@ -349,17 +251,22 @@ func (e *Endpoint) ackWrite(p *sim.Proc, s int, m message) {
 // the gate always opens once the gap is consumed by us or abandoned by
 // the sender.
 func (e *Endpoint) popPending(s int) (message, bool) {
+	if !e.deliverable(s) {
+		return message{}, false
+	}
+	m := e.pending[s][0]
+	e.pending[s] = e.pending[s][1:]
+	return m, true
+}
+
+// deliverable reports whether popPending(s) would return a message.
+func (e *Endpoint) deliverable(s int) bool {
 	q := e.pending[s]
 	if len(q) == 0 {
-		return message{}, false
+		return false
 	}
-	if e.sys.cfg.Retry.Enabled &&
-		q[0].seq != e.lastDeliv[s]+1 && seqLess(e.minUnIn[s], q[0].seq) {
-		return message{}, false
-	}
-	m := q[0]
-	e.pending[s] = q[1:]
-	return m, true
+	return !e.sys.cfg.Retry.Enabled ||
+		q[0].seq == e.lastDeliv[s]+1 || !seqLess(e.minUnIn[s], q[0].seq)
 }
 
 // Recv blocks until the next in-order message from src arrives, copies
@@ -373,6 +280,8 @@ func (e *Endpoint) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 	if cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(cfg.RecvTimeout)
 	}
+	w := e.waiter(p, cfg.InterruptDriven, deadline)
+	defer e.release(w)
 	for {
 		if m, ok := e.popPending(src); ok {
 			n, err := e.consume(p, src, m, buf)
@@ -382,7 +291,7 @@ func (e *Endpoint) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 			// Rolled back; keep polling — every iteration advances
 			// virtual time, so the retry daemon's rewrite will land.
 		}
-		e.pollFrom(p, src)
+		e.pollFrom(w, src)
 		if deadline >= 0 && p.Now() > deadline {
 			return 0, ErrTimeout
 		}
@@ -420,7 +329,9 @@ func (e *Endpoint) TryRecv(p *sim.Proc, src int, buf []byte) (n int, ok bool, er
 	if n, ok, err, done := tryConsume(); done {
 		return n, ok, err
 	}
-	e.pollFrom(p, src)
+	w := e.waiter(p, true, -1)
+	e.pollFrom(w, src)
+	e.release(w)
 	if n, ok, err, done := tryConsume(); done {
 		return n, ok, err
 	}
@@ -435,6 +346,8 @@ func (e *Endpoint) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
 	if cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(cfg.RecvTimeout)
 	}
+	w := e.waiter(p, cfg.InterruptDriven, deadline)
+	defer e.release(w)
 	for {
 		for i := 0; i < e.Procs(); i++ {
 			s := (e.rrNext + i) % e.Procs()
@@ -452,7 +365,7 @@ func (e *Endpoint) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
 			e.rrNext = (s + 1) % e.Procs()
 			return s, n, err
 		}
-		e.pollAll(p)
+		e.pollAll(w)
 		if deadline >= 0 && p.Now() > deadline {
 			return 0, 0, ErrTimeout
 		}
@@ -472,7 +385,9 @@ func (e *Endpoint) RecvAny(p *sim.Proc, buf []byte) (src, n int, err error) {
 // MsgAvail polls every sender once and reports whether any message is
 // waiting (bbp_MsgAvail).
 func (e *Endpoint) MsgAvail(p *sim.Proc) bool {
-	e.pollAll(p)
+	w := e.waiter(p, true, -1)
+	e.pollAll(w)
+	e.release(w)
 	return e.anyPending()
 }
 
@@ -482,7 +397,9 @@ func (e *Endpoint) MsgAvailFrom(p *sim.Proc, src int) bool {
 	if src == e.me || src < 0 || src >= e.Procs() {
 		return false
 	}
-	e.pollFrom(p, src)
+	w := e.waiter(p, true, -1)
+	e.pollFrom(w, src)
+	e.release(w)
 	return len(e.pending[src]) > 0
 }
 

@@ -149,35 +149,20 @@ func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r 
 	if cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(cfg.RecvTimeout)
 	}
+	w := e.waiter(p, false, deadline)
+	defer e.release(w)
 	arr := e.stream.arrBuf
-	for {
-		e.nic.ReadWords(p, lay.strArrival(0), arr)
-		all := true
-		for i := range arr {
-			if arr[i] != r {
-				all = false
-				break
-			}
+	w.watchWords(lay.strArrival(0), arr, arrivalSettled)
+	if all, dead := e.arrivals(arr, r); !all {
+		if dead >= 0 {
+			return e.streamAbort(p, r, "rank %d not alive", dead)
 		}
-		if all {
-			break
-		}
-		if v := e.Liveness(); v != nil {
-			for i := range arr {
-				if arr[i] != r && v.State(i) != liveness.Alive {
-					return e.streamAbort(p, r, "rank %d not alive", i)
-				}
-			}
-		}
-		if deadline >= 0 && p.Now() > deadline {
-			// A rank is unresponsive but not (yet) suspect. Publish the
-			// fallback verdict and decline like the leaves do, so the
-			// collective exits symmetrically: every rank runs the same
-			// software tree, and the tree is what surfaces a genuinely
-			// dead or missing rank as its own error.
-			return e.streamAbort(p, r, "arrival wait timed out")
-		}
-		p.Delay(cfg.Costs.PollOverhead)
+		// A rank is unresponsive but not (yet) suspect: the wait timed
+		// out. Publish the fallback verdict and decline like the leaves
+		// do, so the collective exits symmetrically: every rank runs the
+		// same software tree, and the tree is what surfaces a genuinely
+		// dead or missing rank as its own error.
+		return e.streamAbort(p, r, "arrival wait timed out")
 	}
 
 	// Header arms every transit Reducer; the vector is seeded with our
@@ -199,15 +184,9 @@ func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r 
 	ncfg := e.nic.NetworkConfig()
 	maskBy := e.nic.DrainBound().
 		Add(sim.Duration(ncfg.Nodes) * sim.Duration(ncfg.HandlerBudget) * ncfg.HandlerCycleCost)
-	for {
-		m := e.nic.ReadWord(p, lay.strCtr())
-		if m == want {
-			break
-		}
-		if p.Now() > maskBy {
-			return e.streamAbort(p, r, "counter %#x != %#x past drain bound", m, want)
-		}
-		p.Delay(cfg.Costs.PollOverhead)
+	w.deadline = maskBy
+	if m := w.watchWord(lay.strCtr(), counterSettled); m != want {
+		return e.streamAbort(p, r, "counter %#x != %#x past drain bound", m, want)
 	}
 
 	// Publish: the combined vector is read from the local replica and
@@ -243,29 +222,74 @@ func (e *Endpoint) streamLeaf(p *sim.Proc, recv []byte, r uint32) (bool, error) 
 	if cfg.RecvTimeout > 0 {
 		deadline = p.Now().Add(cfg.RecvTimeout)
 	}
-	for {
-		d := e.nic.ReadWord(p, lay.strDone())
-		if d>>1 == r {
-			if d&1 != 0 {
-				return false, nil
-			}
-			if len(recv) >= e.recvDMAThreshold() {
-				e.nic.ReadDMA(p, lay.strResult(), recv)
-			} else {
-				e.nic.Read(p, lay.strResult(), recv)
-			}
-			return true, nil
-		}
-		if v := e.Liveness(); v != nil && v.State(0) == liveness.Dead {
-			// The initiator died before publishing a verdict. Degrade;
-			// the software tree then surfaces the death as its own
-			// error.
-			e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "stream-fallback", "initiator confirmed dead")
+	w := e.waiter(p, false, deadline)
+	defer e.release(w)
+	if d := w.watchWord(lay.strDone(), doneSettled); d>>1 == r {
+		if d&1 != 0 {
 			return false, nil
 		}
-		if deadline >= 0 && p.Now() > deadline {
-			return false, ErrTimeout
+		if len(recv) >= e.recvDMAThreshold() {
+			e.nic.ReadDMA(p, lay.strResult(), recv)
+		} else {
+			e.nic.Read(p, lay.strResult(), recv)
 		}
-		p.Delay(cfg.Costs.PollOverhead)
+		return true, nil
 	}
+	if e.initiatorDead() {
+		// The initiator died before publishing a verdict. Degrade; the
+		// software tree then surfaces the death as its own error.
+		e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "stream-fallback", "initiator confirmed dead")
+		return false, nil
+	}
+	return false, ErrTimeout
+}
+
+// The stream waits poll as kernel events (poll.go): a read, then
+// PollOverhead before the next, until one of these settle rules sees
+// the outcome. Each rule is the wait's exit test, which the process
+// applies again once it resumes.
+
+// arrivals classifies one sample of the arrival words for round r:
+// whether every rank has arrived and, if not, the first missing rank
+// the failure detector no longer reports alive (-1 for none).
+func (e *Endpoint) arrivals(arr []uint32, r uint32) (all bool, dead int) {
+	all = true
+	v := e.Liveness()
+	for i := range arr {
+		if arr[i] == r {
+			continue
+		}
+		all = false
+		if v != nil && v.State(i) != liveness.Alive {
+			return false, i
+		}
+	}
+	return all, -1
+}
+
+// arrivalSettled ends rank 0's arrival wait: every rank arrived, a
+// missing rank is not alive, or the wait timed out.
+func arrivalSettled(w *poller) bool {
+	all, dead := w.e.arrivals(w.dst, w.e.stream.round)
+	return all || dead >= 0 || w.pastDeadline()
+}
+
+// counterSettled ends rank 0's counter wait: the full count with this
+// round's tag, or the drain bound passed.
+func counterSettled(w *poller) bool {
+	e := w.e
+	return w.vals[0] == spin.CounterWord(e.stream.round, uint32(e.Procs())) || w.pastDeadline()
+}
+
+// doneSettled ends a non-root's wait for the done word: rank 0's
+// verdict for this round, rank 0 confirmed dead, or the wait timed out.
+func doneSettled(w *poller) bool {
+	return w.vals[0]>>1 == w.e.stream.round || w.e.initiatorDead() || w.pastDeadline()
+}
+
+// initiatorDead reports whether the failure detector has confirmed rank
+// 0, the initiator of every round, dead.
+func (e *Endpoint) initiatorDead() bool {
+	v := e.Liveness()
+	return v != nil && v.State(0) == liveness.Dead
 }

@@ -11,7 +11,8 @@
 //
 // All costs are charged in virtual time against the calling simulation
 // process; concurrent DMA occupies a per-bus FIFO server so that PIO
-// issued during a DMA burst queues behind it.
+// issued during a DMA burst queues behind it. IssueRead books a read
+// without blocking anyone, for callers that wait for it as an event.
 package pci
 
 import (
@@ -118,12 +119,10 @@ func (b *Bus) SetTracer(r *trace.Recorder, node int) {
 // Config returns the bus timing parameters.
 func (b *Bus) Config() Config { return b.cfg }
 
-// occupy charges d of bus time, blocking p behind any in-flight DMA.
-func (b *Bus) occupy(p *sim.Proc, d sim.Duration) {
-	finish := b.srv.Serve(d, nil)
-	if wait := finish.Sub(p.Now()); wait > 0 {
-		p.Delay(wait)
-	}
+// book queues d of bus occupancy behind any in-flight DMA and returns
+// the issuing CPU's stall: the time from now until the occupancy ends.
+func (b *Bus) book(d sim.Duration) sim.Duration {
+	return b.srv.Serve(d, nil).Sub(b.k.Now())
 }
 
 // PIOWrite charges the cost of writing words 32-bit words to the device.
@@ -133,17 +132,34 @@ func (b *Bus) PIOWrite(p *sim.Proc, words int) {
 	}
 	b.im.pioWriteWords.Add(int64(words))
 	b.im.busyNs.Add(int64(words) * int64(b.cfg.PIOWriteWord))
-	b.occupy(p, sim.Duration(words)*b.cfg.PIOWriteWord)
+	p.Delay(b.book(sim.Duration(words) * b.cfg.PIOWriteWord))
+}
+
+// IssueRead books a words-long PIO read on the bus without blocking and
+// returns the CPU's stall until the data arrives: one aligned burst
+// (see Config.PIOReadBurstWord) when burst is set, words single-word
+// round trips otherwise. PIORead and PIOReadBurst are IssueRead plus a
+// Delay of the stall; an event-driven poller instead schedules its
+// sample of the device at the end of the stall.
+func (b *Bus) IssueRead(words int, burst bool) sim.Duration {
+	if words <= 0 {
+		return 0
+	}
+	cost := sim.Duration(words) * b.cfg.PIOReadWord
+	if burst {
+		cost = b.BurstReadCost(words)
+		b.im.pioReadBursts.Inc()
+		b.im.pioBurstWords.Add(int64(words))
+	} else {
+		b.im.pioReadWords.Add(int64(words))
+	}
+	b.im.busyNs.Add(int64(cost))
+	return b.book(cost)
 }
 
 // PIORead charges the cost of reading words 32-bit words from the device.
 func (b *Bus) PIORead(p *sim.Proc, words int) {
-	if words <= 0 {
-		return
-	}
-	b.im.pioReadWords.Add(int64(words))
-	b.im.busyNs.Add(int64(words) * int64(b.cfg.PIOReadWord))
-	b.occupy(p, sim.Duration(words)*b.cfg.PIOReadWord)
+	p.Delay(b.IssueRead(words, false))
 }
 
 // BurstReadCost returns the modeled cost of one aligned words-long PIO
@@ -163,14 +179,7 @@ func (b *Bus) BurstReadCost(words int) sim.Duration {
 // single-word reads — pci.pio_read_words keeps its §7 meaning of "reads
 // that each cost a full bus round trip".
 func (b *Bus) PIOReadBurst(p *sim.Proc, words int) {
-	if words <= 0 {
-		return
-	}
-	cost := b.BurstReadCost(words)
-	b.im.pioReadBursts.Inc()
-	b.im.pioBurstWords.Add(int64(words))
-	b.im.busyNs.Add(int64(cost))
-	b.occupy(p, cost)
+	p.Delay(b.IssueRead(words, true))
 }
 
 // DMA performs a blocking DMA transfer of n bytes between host memory and
@@ -183,7 +192,7 @@ func (b *Bus) DMA(p *sim.Proc, n int) {
 	}
 	b.CountDMABurst(n)
 	p.Delay(b.cfg.DMASetup)
-	b.occupy(p, sim.Duration(n)*b.cfg.DMAPerByte)
+	p.Delay(b.book(sim.Duration(n) * b.cfg.DMAPerByte))
 	p.Delay(b.cfg.DMACompletionCheck)
 }
 

@@ -322,9 +322,38 @@ func (nic *NIC) writeWord(p *sim.Proc, off int, v uint32, intr bool) {
 // generate ring traffic — the data is already local. That the read still
 // costs a full bus round trip is what makes polling expensive (§7).
 func (nic *NIC) ReadWord(p *sim.Proc, off int) uint32 {
+	p.Delay(nic.IssueRead(off, 1, false))
+	return nic.SampleWord(off)
+}
+
+// IssueRead books a PIO read of the words words at off on the host
+// bus — one burst transaction (ReadWords; off must be word-aligned)
+// when burst is set, single-word reads (ReadWord) otherwise — without
+// blocking, and returns the stall until the data reaches the CPU. The
+// read returns the bank as it is when the stall ends: the caller
+// samples it then with SampleWord or SampleWords.
+func (nic *NIC) IssueRead(off, words int, burst bool) sim.Duration {
+	if burst && off%4 != 0 {
+		panic(fmt.Sprintf("scramnet: burst read at unaligned offset %#x", off))
+	}
+	nic.checkRange(off, 4*words)
+	return nic.bus.IssueRead(words, burst)
+}
+
+// SampleWord returns the bank word at off without charging bus time:
+// what a read IssueRead booked returns once its stall has elapsed.
+func (nic *NIC) SampleWord(off int) uint32 {
 	nic.checkRange(off, 4)
-	nic.bus.PIORead(p, 1)
 	return binary.LittleEndian.Uint32(nic.mem[off:])
+}
+
+// SampleWords fills dst with the bank words from off without charging
+// bus time, like SampleWord.
+func (nic *NIC) SampleWords(off int, dst []uint32) {
+	nic.checkRange(off, 4*len(dst))
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(nic.mem[off+4*i:])
+	}
 }
 
 // Write copies data into the bank at off with PIO word writes and
@@ -374,14 +403,8 @@ func (nic *NIC) ReadWords(p *sim.Proc, off int, dst []uint32) {
 	if len(dst) == 0 {
 		return
 	}
-	if off%4 != 0 {
-		panic(fmt.Sprintf("scramnet: burst read at unaligned offset %#x", off))
-	}
-	nic.checkRange(off, 4*len(dst))
-	nic.bus.PIOReadBurst(p, len(dst))
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(nic.mem[off+4*i:])
-	}
+	p.Delay(nic.IssueRead(off, len(dst), true))
+	nic.SampleWords(off, dst)
 }
 
 // Read copies n bytes from the local bank into buf with PIO word reads.

@@ -28,6 +28,8 @@ type Proc struct {
 	done   bool
 	killed bool
 	daemon bool
+	// parked is set while the process waits in Park for a Resume.
+	parked bool
 	// blockedOn is a short description of the current blocking call,
 	// used by deadlock reports.
 	blockedOn string
@@ -60,7 +62,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	p.wake = func() { next() }
+	p.wake = func() {
+		k.running = p
+		next()
+		k.running = nil
+	}
 	k.procs = append(k.procs, p)
 	k.live++
 	k.AtKind(k.now, KindProc, p.wake)
@@ -114,6 +120,36 @@ func (p *Proc) Delay(d Duration) {
 func (p *Proc) Yield() {
 	p.k.AfterKind(0, KindProc, p.wake)
 	p.block("yield")
+}
+
+// Park suspends the process until an event callback calls Resume. Park
+// schedules nothing: the caller must already have scheduled the event
+// whose callback resumes it. A parked process that nothing will resume
+// is blocked forever, and Run reports it in its DeadlockError like any
+// other.
+func (p *Proc) Park() {
+	p.parked = true
+	p.block("park")
+}
+
+// Resume runs a parked process inside the calling event callback, until
+// the process blocks again or returns. It schedules no event of its
+// own, so the resumed run is part of the callback's event: Executed
+// counts one event for both. Resume on a finished process is a no-op.
+// It panics when called from a process rather than an event callback,
+// and on a live process that is not parked.
+func (p *Proc) Resume() {
+	if p.done {
+		return
+	}
+	if p.k.running != nil {
+		panic(fmt.Sprintf("sim: Resume of %q from inside process %q", p.name, p.k.running.name))
+	}
+	if !p.parked {
+		panic(fmt.Sprintf("sim: Resume of %q, which is not parked", p.name))
+	}
+	p.parked = false
+	p.wake()
 }
 
 // Cond is a waitable condition. Unlike sync.Cond there is no mutex: the

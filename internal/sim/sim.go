@@ -146,6 +146,9 @@ type Kernel struct {
 	closed   bool
 	executed int64
 	prof     *Profiler
+	// running is the process executing right now, nil while the kernel
+	// runs a plain event callback.
+	running *Proc
 }
 
 // NewKernel returns a kernel with the clock at time zero.

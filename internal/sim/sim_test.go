@@ -611,3 +611,92 @@ func TestYieldOrdersBehindSameTimeEvents(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestResumeRunsInsideCallback checks that Resume runs a parked process
+// within the calling event: the process sees the callback's time and
+// event count, and the resumed run adds no event to Executed.
+func TestResumeRunsInsideCallback(t *testing.T) {
+	k := NewKernel()
+	var seenAt Time
+	var seenExec int64
+	var p *Proc
+	p = k.Spawn("parker", func(p *Proc) {
+		p.Park()
+		seenAt, seenExec = p.Now(), k.Executed()
+		p.Delay(5)
+	})
+	k.At(10, func() {
+		before := k.Executed()
+		p.Resume()
+		if k.Executed() != before {
+			t.Errorf("Resume moved Executed from %d to %d", before, k.Executed())
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if seenAt != 10 || seenExec != 2 {
+		t.Fatalf("resumed at t=%d after %d events, want t=10 after 2", seenAt, seenExec)
+	}
+	// Spawn's start, the callback (with the resumed run) and the Delay.
+	if k.Executed() != 3 || k.Now() != 15 {
+		t.Fatalf("Executed=%d Now=%d, want 3 and 15", k.Executed(), k.Now())
+	}
+	p.Resume() // finished: a no-op
+}
+
+// TestCloseUnwindsParked checks that Close unwinds a parked process and
+// runs its defers.
+func TestCloseUnwindsParked(t *testing.T) {
+	k := NewKernel()
+	unwound := false
+	k.Spawn("parker", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park()
+		t.Error("parked process ran past Park")
+	})
+	k.RunUntil(0)
+	k.Close()
+	if !unwound {
+		t.Fatal("Close did not run the parked process's defers")
+	}
+}
+
+// TestParkedForeverDeadlocks checks that a process parked with nothing
+// left to resume it is reported blocked.
+func TestParkedForeverDeadlocks(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("orphan", func(p *Proc) { p.Park() })
+	err := k.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "orphan" {
+		t.Fatalf("err = %v, want a DeadlockError naming orphan", err)
+	}
+	k.Close()
+}
+
+// TestResumeMisuse checks the two illegal Resumes: of a process that is
+// not parked, and from inside a process.
+func TestResumeMisuse(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	k := NewKernel()
+	sleeper := k.Spawn("sleeper", func(p *Proc) { p.Delay(100) })
+	parker := k.Spawn("parker", func(p *Proc) { p.Park() })
+	k.Spawn("caller", func(p *Proc) {
+		panics("Resume from a process", parker.Resume)
+	})
+	k.RunUntil(1)
+	panics("Resume of a delayed process", sleeper.Resume)
+	parker.Resume()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
