@@ -106,10 +106,13 @@ verify: lint test race covercheck timeline soak
 # same package, as does the multi-seed partition/heal battery (ISSUE
 # 10): scripted double cuts must fence the minority, complete majority
 # collectives over the quorum, and deliver exactly-once across the
-# heal.
+# heal. The tier then fuzzes the event kernel for 10 s: FuzzKernelOrder
+# decodes its input into At/AfterKind/Timer+Stop/Serve/RunUntil calls
+# and checks every execution against a reference sort by (t, seq).
 soak: build
 	$(GO) test -race -count=1 -run 'TestSoak|TestLossWindowsNeverKill|TestMPIBarrierDeadPeer|TestFlappingNode|TestPartitionSoak|TestMPIPartitionErrors|TestPartitionFenceAndHeal|TestSingleCutNoMPIErrors' ./internal/liveness
-	@echo "soak tier green: liveness battery survives scripted faults under -race"
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 10s ./internal/sim
+	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order survives 10 s of fuzzing"
 
 # Observability smoke tier: replay the E6 fault-sweep point at 15% loss
 # with span tracing and snapshot streaming on, and require cmd/timeline

@@ -113,20 +113,19 @@ func (h *Hierarchy) wireBridge(li, bridgeLocal int, delay sim.Duration) {
 	bbNIC := h.backbone.NIC(li)
 	// Leaf traffic (originated by leaf hosts) reaches the bridge slot
 	// and crosses onto the backbone.
-	leafNIC.onApply = func(pkt *packet) {
-		data := append([]byte(nil), pkt.data...)
-		off, intr := pkt.off, pkt.interrupt
-		msg, parent := pkt.msg, pkt.span
-		h.k.AfterKind(delay, sim.KindRing, func() { bbNIC.injectForwarded(off, data, intr, msg, parent) })
-	}
+	leafNIC.onApply = func(pkt *packet) { h.bridge(pkt, bbNIC, delay) }
 	// Backbone traffic (other leaves' forwarded writes) crosses down
 	// into this leaf.
-	bbNIC.onApply = func(pkt *packet) {
-		data := append([]byte(nil), pkt.data...)
-		off, intr := pkt.off, pkt.interrupt
-		msg, parent := pkt.msg, pkt.span
-		h.k.AfterKind(delay, sim.KindRing, func() { leafNIC.injectForwarded(off, data, intr, msg, parent) })
-	}
+	bbNIC.onApply = func(pkt *packet) { h.bridge(pkt, leafNIC, delay) }
+}
+
+// bridge copies pkt, just applied at one side of a bridge, into a
+// packet of the ring of to, the other side's NIC, and re-posts it
+// there after the bridge's store-and-forward delay (packet.crossHop).
+// The copy carries pkt's message and its span as the causal parent.
+func (h *Hierarchy) bridge(pkt *packet, to *NIC, delay sim.Duration) {
+	fwd := to.net.newPacket(to.id, pkt.off, pkt.data, pkt.interrupt, pkt.msg, pkt.span)
+	h.k.AfterKind(delay, sim.KindRing, fwd.cross)
 }
 
 // Kernel returns the simulation kernel.

@@ -253,15 +253,18 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 	return v, sim.Duration(cycles) * net.cfg.HandlerCycleCost, span, true
 }
 
-// injectForwarded re-posts a write that arrived from another ring, as if
-// this NIC's host had written it (used by hierarchy bridges; no bus time
-// is charged — the bridge moves data NIC-to-NIC in hardware). The bank
-// is updated immediately, as for a host write. msg/parent carry the
-// originating packet's trace attribution across the bridge.
-func (nic *NIC) injectForwarded(off int, data []byte, interrupt bool, msg uint64, parent trace.SpanID) {
-	copy(nic.mem[off:], data)
-	nic.txBacklog += len(data)
-	nic.net.inject(&packet{origin: nic.id, off: off, data: data, interrupt: interrupt, msg: msg, parent: parent})
+// crossHop re-posts a write that arrived from another ring on its
+// bridge NIC, pkt's origin, as if that NIC's host had written it (used
+// by hierarchy bridges; no bus time is charged — the bridge moves data
+// NIC-to-NIC in hardware). The bank is updated now, as for a host
+// write. The bridge took pkt from this ring's free list when the write
+// reached it, so pkt already carries the payload and the originating
+// packet's trace attribution.
+func (pkt *packet) crossHop() {
+	nic := pkt.net.nics[pkt.origin]
+	copy(nic.mem[pkt.off:], pkt.data)
+	nic.txBacklog += len(pkt.data)
+	pkt.net.inject(pkt)
 }
 
 // stallTxFIFO blocks the host process until the transmit FIFO can accept
@@ -285,7 +288,7 @@ func (nic *NIC) send(p *sim.Proc, off int, data []byte, interrupt bool, charge f
 		if n > max {
 			n = max
 		}
-		pkt := &packet{origin: nic.id, off: off, data: append([]byte(nil), data[:n]...), interrupt: interrupt, msg: nic.ctxMsg, parent: nic.ctxSpan}
+		pkt := nic.net.newPacket(nic.id, off, data[:n], interrupt, nic.ctxMsg, nic.ctxSpan)
 		if charge != nil {
 			charge(n)
 		}

@@ -169,6 +169,12 @@ func (c *Config) validate() error {
 // packet is one ring transfer unit. hops counts link traversals so a
 // packet whose origin has been bypassed (and therefore can never strip
 // it) still ages out after one full revolution.
+//
+// Packets are recycled: Network.newPacket takes one from the ring's
+// free list and Network.release returns it at whichever of the six
+// terminal points ends its trip (bypassed origin, CRC drop, ring
+// broken, isolated, strip, consumed). A released packet has a nil net,
+// so a hop step that ran on one would fault at once.
 type packet struct {
 	net       *Network
 	origin    int
@@ -200,9 +206,10 @@ type packet struct {
 	verdict  spin.Verdict
 	hspan    trace.SpanID
 	ran      bool
-	// depart, arrive and proceed are the packet's hop steps, bound once
-	// at inject so that a hop schedules them without allocating.
-	depart, arrive, proceed func()
+	// depart, arrive, proceed and cross are the packet's hop steps,
+	// bound once per packet object so that a hop schedules them without
+	// allocating; data keeps its buffer across reuse.
+	depart, arrive, proceed, cross func()
 }
 
 // ownerTable tracks, per word offset, which host first wrote it
@@ -257,6 +264,12 @@ type Network struct {
 	// segments (the ring status register, see CutSegments).
 	cut  []bool
 	cuts int
+
+	// free holds the released packets newPacket reuses; made counts the
+	// packet objects ever allocated, every one of which is back on free
+	// once the ring is quiescent.
+	free []*packet
+	made int
 }
 
 // netInstruments are the ring-wide metrics (nil = disabled no-ops).
@@ -463,6 +476,35 @@ func (n *Network) assignOwner(node, off, size int) {
 // MemBytes returns the replicated bank size.
 func (n *Network) MemBytes() int { return n.cfg.MemBytes }
 
+// newPacket returns a packet of this ring carrying a copy of data,
+// reusing a released one when there is one.
+func (n *Network) newPacket(origin, off int, data []byte, interrupt bool, msg uint64, parent trace.SpanID) *packet {
+	var pkt *packet
+	if last := len(n.free) - 1; last >= 0 {
+		pkt = n.free[last]
+		n.free = n.free[:last]
+	} else {
+		pkt = &packet{}
+		pkt.depart, pkt.arrive, pkt.proceed, pkt.cross = pkt.departHop, pkt.arriveHop, pkt.proceedHop, pkt.crossHop
+		n.made++
+	}
+	*pkt = packet{
+		net: n, origin: origin, off: off, data: append(pkt.data[:0], data...),
+		interrupt: interrupt, msg: msg, parent: parent,
+		depart: pkt.depart, arrive: pkt.arrive, proceed: pkt.proceed, cross: pkt.cross,
+	}
+	return pkt
+}
+
+// release returns pkt to the free list at the end of its trip.
+func (n *Network) release(pkt *packet) {
+	if pkt.net == nil {
+		panic("scramnet: packet released twice")
+	}
+	pkt.net = nil
+	n.free = append(n.free, pkt)
+}
+
 // inject starts pkt from its origin: serialize on the origin's outgoing
 // link, then hop to the first downstream node.
 func (n *Network) inject(pkt *packet) {
@@ -475,9 +517,7 @@ func (n *Network) inject(pkt *packet) {
 	if n.tracer != nil {
 		pkt.span = n.tracer.BeginSpan(n.k.Now(), trace.Ring, pkt.origin, "inject", pkt.msg, pkt.parent, "off=%#x len=%d", pkt.off, len(pkt.data))
 	}
-	pkt.net = n
 	pkt.next = pkt.origin
-	pkt.depart, pkt.arrive, pkt.proceed = pkt.departHop, pkt.arriveHop, pkt.proceedHop
 	src.link.Serve(n.wireTime(pkt), pkt.depart)
 }
 
@@ -505,6 +545,7 @@ func (pkt *packet) departHop() {
 			if n.tracer != nil {
 				n.endSpan(pkt, "bypassed")
 			}
+			n.release(pkt)
 			return
 		}
 		if n.cfg.DropRate > 0 && n.faults.Float64() < n.cfg.DropRate {
@@ -513,6 +554,7 @@ func (pkt *packet) departHop() {
 			if n.tracer != nil {
 				n.endSpan(pkt, "crc-drop")
 			}
+			n.release(pkt)
 			return
 		}
 	}
@@ -528,6 +570,7 @@ func (n *Network) forward(from int, pkt *packet) {
 		if n.tracer != nil {
 			n.endSpan(pkt, "ring-broken")
 		}
+		n.release(pkt)
 		return // broken ring: packet lost downstream
 	}
 	pkt.hops += hops
@@ -558,6 +601,7 @@ func (pkt *packet) arriveHop() {
 		if n.tracer != nil {
 			n.endSpan(pkt, "isolated node=%d", next)
 		}
+		n.release(pkt)
 		return
 	}
 	if next == pkt.origin || pkt.aged {
@@ -573,6 +617,7 @@ func (pkt *packet) arriveHop() {
 		if n.tracer != nil {
 			n.endSpan(pkt, "strip hops=%d", pkt.hops)
 		}
+		n.release(pkt)
 		return
 	}
 	// In-network handlers run before the local apply and the forward
@@ -603,6 +648,7 @@ func (pkt *packet) proceedHop() {
 		if n.tracer != nil {
 			n.endSpan(pkt, "consumed node=%d hops=%d", nic.id, pkt.hops)
 		}
+		n.release(pkt)
 		return
 	}
 	// Transit: the packet occupies this node's outgoing link too.

@@ -88,6 +88,32 @@ func BenchmarkServerPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkServerBacklog books a 128-job backlog on each of 8 servers
+// (the shape of a 512 B DMA burst: 128 four-byte ring packets queued
+// on one link) and drains it; one op is the 1024 completions.
+func BenchmarkServerBacklog(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	servers := make([]*Server, 8)
+	for i := range servers {
+		servers[i] = NewServer(k)
+	}
+	count := 0
+	done := func() { count++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range servers {
+			for j := 0; j < 128; j++ {
+				s.Serve(615, done)
+			}
+		}
+		k.Run()
+	}
+	if count != 1024*b.N {
+		b.Fatalf("ran %d of %d completions", count, 1024*b.N)
+	}
+}
+
 func BenchmarkManyProcsRoundRobin(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()

@@ -13,24 +13,61 @@ type refEvent struct {
 	seq      uint64
 	observer bool
 	timer    *Timer // non-nil for cancelable events
+	server   int    // 1 + the index of the Server the job was booked on, 0 for plain events
 	canceled bool
 	fired    bool
 }
 
-// orderHarness drives a kernel with a seeded random mix of scheduling
-// calls and checks every execution against the reference model.
-type orderHarness struct {
-	t      *testing.T
-	k      *Kernel
-	rng    *RNG
-	seq    uint64 // mirrors the kernel's scheduling counter
-	evs    []*refEvent
-	fired  []*refEvent
-	budget int // events callbacks may still schedule
+// chooser is where the harness takes its random choices from: an RNG
+// for the seeded test, the fuzzer's bytes for FuzzKernelOrder.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser reads one choice per byte and answers 0 once the bytes
+// run out, which stops callbacks from scheduling more work.
+type byteChooser []byte
+
+func (b *byteChooser) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
 }
 
-// schedule issues one random scheduling call at delay d from now.
+// numServers is how many Servers the harness books jobs on.
+const numServers = 3
+
+// orderHarness drives a kernel with a random mix of scheduling calls
+// and checks every execution against the reference model.
+type orderHarness struct {
+	t       testing.TB
+	k       *Kernel
+	rng     chooser
+	seq     uint64 // mirrors the kernel's scheduling counter
+	evs     []*refEvent
+	fired   []*refEvent
+	budget  int // events callbacks may still schedule
+	servers [numServers]*Server
+	busy    [numServers]Time // reference BusyUntil of each server
+}
+
+func newOrderHarness(t testing.TB, rng chooser) *orderHarness {
+	h := &orderHarness{t: t, k: NewKernel(), rng: rng, budget: 400}
+	for i := range h.servers {
+		h.servers[i] = NewServer(h.k)
+	}
+	return h
+}
+
+// schedule issues one random scheduling call at delay d from now; a
+// Serve call books d of service instead.
 func (h *orderHarness) schedule(d Duration) {
+	switch h.rng.Intn(8) {
+	case 6, 7:
+		h.serve(h.rng.Intn(numServers), d)
+		return
+	}
 	ev := &refEvent{t: h.k.Now().Add(d), seq: h.seq}
 	h.seq++
 	h.evs = append(h.evs, ev)
@@ -52,6 +89,31 @@ func (h *orderHarness) schedule(d Duration) {
 	}
 }
 
+// serve books a job of the given service on server i. One in four jobs
+// has a nil done: it takes no sequence number and never fires, but it
+// still holds the server busy.
+func (h *orderHarness) serve(i int, service Duration) {
+	start := h.k.Now()
+	if h.busy[i] > start {
+		start = h.busy[i]
+	}
+	finish := start.Add(service)
+	h.busy[i] = finish
+	var done func()
+	if h.rng.Intn(4) > 0 {
+		ev := &refEvent{t: finish, seq: h.seq, server: i + 1}
+		h.seq++
+		h.evs = append(h.evs, ev)
+		done = func() { h.fire(ev) }
+	}
+	if got := h.servers[i].Serve(service, done); got != finish {
+		h.t.Fatalf("Serve(%d) on server %d = %d, reference %d", service, i, got, finish)
+	}
+	if got := h.servers[i].BusyUntil(); got != finish {
+		h.t.Fatalf("server %d BusyUntil = %d, reference %d", i, got, finish)
+	}
+}
+
 // live reports whether ev is still due to fire.
 func (ev *refEvent) live() bool { return !ev.fired && !ev.canceled }
 
@@ -59,7 +121,8 @@ func (ev *refEvent) before(o *refEvent) bool {
 	return ev.t < o.t || ev.t == o.t && ev.seq < o.seq
 }
 
-// pending is the reference count of live non-observer events.
+// pending is the reference count of live non-observer events, server
+// jobs queued behind their server's head included.
 func (h *orderHarness) pending() int {
 	n := 0
 	for _, ev := range h.evs {
@@ -87,6 +150,12 @@ func (h *orderHarness) fire(ev *refEvent) {
 	h.fired = append(h.fired, ev)
 	if got, want := h.k.Pending(), h.pending(); got != want {
 		t.Fatalf("Pending = %d inside event (t=%d seq=%d), reference %d", got, ev.t, ev.seq, want)
+	}
+	// A completing server job often books its own server again, as a
+	// ring link's departure books the next station's link.
+	if ev.server > 0 && h.budget > 0 && h.rng.Intn(2) == 0 {
+		h.budget--
+		h.serve(ev.server-1, Duration(h.rng.Intn(4)*10))
 	}
 	for n := h.rng.Intn(3); n > 0 && h.budget > 0; n-- {
 		h.budget--
@@ -118,77 +187,103 @@ func (h *orderHarness) cancelOne() {
 	}
 }
 
+// run schedules an initial mix (with a burst of back-to-back jobs on
+// every server, the shape of a DMA burst booking a link), runs it in
+// RunUntil slices that cut through the backlogs, then to the end, and
+// checks the execution against the reference sort by (t, seq).
+func (h *orderHarness) run() {
+	t := h.t
+	for i := range h.servers {
+		for n := h.rng.Intn(16); n > 0; n-- {
+			h.serve(i, Duration(h.rng.Intn(3)*10))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		h.schedule(Duration(h.rng.Intn(8) * 10))
+	}
+	// A cancelable event far past everything else, canceled before the
+	// run: the final clock must not reach it.
+	far := &refEvent{t: 1 << 40, seq: h.seq}
+	h.seq++
+	far.timer = h.k.Timer(Duration(far.t), KindEvent, func() { h.fire(far) })
+	h.evs = append(h.evs, far)
+	far.timer.Stop()
+	far.canceled = true
+
+	horizon := Time(0)
+	for i := 0; i < 5; i++ {
+		horizon = h.k.Now().Add(Duration(h.rng.Intn(60)))
+		h.k.RunUntil(horizon)
+		if h.k.Now() != horizon {
+			t.Fatalf("RunUntil(%d) left Now = %d", horizon, h.k.Now())
+		}
+		for _, ev := range h.evs {
+			if ev.live() && ev.t <= horizon {
+				t.Fatalf("RunUntil(%d) left (t=%d seq=%d) unfired", horizon, ev.t, ev.seq)
+			}
+		}
+		if got, want := h.k.Pending(), h.pending(); got != want {
+			t.Fatalf("Pending = %d after RunUntil(%d), reference %d", got, horizon, want)
+		}
+	}
+	if err := h.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []*refEvent
+	for _, ev := range h.evs {
+		if !ev.canceled {
+			want = append(want, ev)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+	if len(h.fired) != len(want) {
+		t.Fatalf("fired %d events, reference %d", len(h.fired), len(want))
+	}
+	end := horizon
+	for i, ev := range want {
+		if h.fired[i] != ev {
+			t.Fatalf("execution %d = (t=%d seq=%d), reference (t=%d seq=%d)",
+				i, h.fired[i].t, h.fired[i].seq, ev.t, ev.seq)
+		}
+		if ev.t > end {
+			end = ev.t
+		}
+	}
+	if h.k.Now() != end {
+		t.Fatalf("final Now = %d, want %d: a canceled event advanced the clock", h.k.Now(), end)
+	}
+	if h.k.Executed() != int64(len(h.fired)) {
+		t.Fatalf("Executed = %d, fired %d", h.k.Executed(), len(h.fired))
+	}
+	if h.k.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", h.k.Pending())
+	}
+}
+
 // TestPopOrderMatchesReference pins the kernel's execution order to a
 // reference sort by (t, seq) under a randomized mix of At, After,
-// kinded, observer and cancelable events, events scheduled from inside
-// callbacks, mid-run cancels and RunUntil slices. Canceled events never
-// fire and never advance the clock, and Pending always equals the
-// reference count of live non-observer events.
+// kinded, observer and cancelable events, Server jobs (zero service,
+// nil callbacks, backlogs booked from outside and from inside their
+// own server's completions), events scheduled from inside callbacks,
+// mid-run cancels and RunUntil slices. Canceled events never fire and
+// never advance the clock, and Pending always equals the reference
+// count of live non-observer events, queued server jobs included.
 func TestPopOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			h := &orderHarness{t: t, k: NewKernel(), rng: NewRNG(seed), budget: 400}
-			for i := 0; i < 40; i++ {
-				h.schedule(Duration(h.rng.Intn(8) * 10))
-			}
-			// A cancelable event far past everything else, canceled
-			// before the run: the final clock must not reach it.
-			far := &refEvent{t: 1 << 40, seq: h.seq}
-			h.seq++
-			far.timer = h.k.Timer(Duration(far.t), KindEvent, func() { h.fire(far) })
-			h.evs = append(h.evs, far)
-			far.timer.Stop()
-			far.canceled = true
-
-			horizon := Time(0)
-			for i := 0; i < 5; i++ {
-				horizon = h.k.Now().Add(Duration(h.rng.Intn(60)))
-				h.k.RunUntil(horizon)
-				if h.k.Now() != horizon {
-					t.Fatalf("RunUntil(%d) left Now = %d", horizon, h.k.Now())
-				}
-				for _, ev := range h.evs {
-					if ev.live() && ev.t <= horizon {
-						t.Fatalf("RunUntil(%d) left (t=%d seq=%d) unfired", horizon, ev.t, ev.seq)
-					}
-				}
-				if got, want := h.k.Pending(), h.pending(); got != want {
-					t.Fatalf("Pending = %d after RunUntil(%d), reference %d", got, horizon, want)
-				}
-			}
-			if err := h.k.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			var want []*refEvent
-			for _, ev := range h.evs {
-				if !ev.canceled {
-					want = append(want, ev)
-				}
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-			if len(h.fired) != len(want) {
-				t.Fatalf("fired %d events, reference %d", len(h.fired), len(want))
-			}
-			end := horizon
-			for i, ev := range want {
-				if h.fired[i] != ev {
-					t.Fatalf("execution %d = (t=%d seq=%d), reference (t=%d seq=%d)",
-						i, h.fired[i].t, h.fired[i].seq, ev.t, ev.seq)
-				}
-				if ev.t > end {
-					end = ev.t
-				}
-			}
-			if h.k.Now() != end {
-				t.Fatalf("final Now = %d, want %d: a canceled event advanced the clock", h.k.Now(), end)
-			}
-			if h.k.Executed() != int64(len(h.fired)) {
-				t.Fatalf("Executed = %d, fired %d", h.k.Executed(), len(h.fired))
-			}
-			if h.k.Pending() != 0 {
-				t.Fatalf("Pending = %d after Run", h.k.Pending())
-			}
+			newOrderHarness(t, NewRNG(seed)).run()
 		})
 	}
+}
+
+// FuzzKernelOrder runs the TestPopOrderMatchesReference harness with
+// every choice (which call, its delay or service, which server, when to
+// cancel, the RunUntil horizons) decoded from the fuzzer's bytes. Its
+// seed corpus is under testdata/fuzz/FuzzKernelOrder.
+func FuzzKernelOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := byteChooser(data)
+		newOrderHarness(t, &b).run()
+	})
 }

@@ -19,7 +19,11 @@
 // Scheduling is fire-and-forget: At, After, AtKind and AfterKind store
 // the event by value in the kernel's heap and return nothing, so a
 // steady-state simulation schedules without allocating. Only
-// Kernel.Timer returns a handle, for the few callers that cancel.
+// Kernel.Timer returns a handle, for the few callers that cancel. A
+// Server keeps the jobs queued behind it in its own backlog, and only
+// the job at the head of each backlog is in the heap; every queued job
+// keeps the (time, sequence) key it took at Server.Serve, so it runs
+// exactly where a separately scheduled event would.
 package sim
 
 import (
@@ -140,7 +144,10 @@ type Kernel struct {
 	seq uint64
 	// events is a 4-ary min-heap ordered by entry.before: the children
 	// of i are 4i+1 .. 4i+4.
-	events   []entry
+	events []entry
+	// queued counts the Server jobs waiting behind their server's head
+	// job, which is the only one of a server's jobs in the heap.
+	queued   int
 	procs    []*Proc
 	live     int
 	closed   bool
@@ -162,11 +169,16 @@ func (k *Kernel) Now() Time { return k.now }
 // push schedules fn of the given kind at t, taking the next sequence
 // number.
 func (k *Kernel) push(t Time, kind Kind, fn func(), tm *Timer) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
-	}
-	e := entry{t: t, seq: k.seq, fn: fn, tm: tm, kind: kind}
+	k.insert(entry{t: t, seq: k.seq, fn: fn, tm: tm, kind: kind})
 	k.seq++
+}
+
+// insert adds e to the heap under the sequence number it already
+// carries: a Server's queued job enters with the seq it took at Serve.
+func (k *Kernel) insert(e entry) {
+	if e.t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", e.t, k.now))
+	}
 	h := append(k.events, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -333,15 +345,16 @@ func (k *Kernel) peekLive() bool {
 	return false
 }
 
-// Pending counts scheduled, non-canceled, non-observer events still in
-// the heap. A periodic observer (e.g. a metrics snapshot stream or a
-// heartbeat ticker) uses it to decide whether rescheduling itself would
-// keep an otherwise-finished simulation alive: when Pending is zero
+// Pending counts scheduled, non-canceled, non-observer events still to
+// run, Server jobs queued behind their server's head included. A
+// periodic observer (e.g. a metrics snapshot stream or a heartbeat
+// ticker) uses it to decide whether rescheduling itself would keep an
+// otherwise-finished simulation alive: when Pending is zero
 // inside a timer callback, every remaining event belongs to observers,
 // which all terminate themselves by the same test. Observers must
 // schedule with KindObserver for this to hold.
 func (k *Kernel) Pending() int {
-	n := 0
+	n := k.queued
 	for i := range k.events {
 		if e := &k.events[i]; e.kind != KindObserver && e.live() {
 			n++

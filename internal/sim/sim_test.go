@@ -414,6 +414,67 @@ func TestServerIdleRestart(t *testing.T) {
 	}
 }
 
+// TestServeNegativeServicePanics checks that a negative service time
+// is rejected at the Serve call, as a negative delay is, and leaves the
+// server's backlog untouched: accepted, it would complete before the
+// job queued ahead of it and break the backlog's (t, seq) order.
+func TestServeNegativeServicePanics(t *testing.T) {
+	k := NewKernel()
+	s := NewServer(k)
+	s.Serve(100, func() {})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic serving a negative service time")
+			}
+		}()
+		s.Serve(-1, func() {})
+	}()
+	if s.BusyUntil() != 100 || k.Pending() != 1 {
+		t.Fatalf("after the rejected Serve: BusyUntil = %d, Pending = %d; want 100, 1", s.BusyUntil(), k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Executed() != 1 || k.Now() != 100 {
+		t.Fatalf("Executed = %d at Now = %d, want 1 at 100", k.Executed(), k.Now())
+	}
+}
+
+// TestServerBacklogHoldsOneHeapEntry checks that a server's queued jobs
+// wait outside the kernel's heap, that Pending still counts them, and
+// that they complete at their booked times without allocating once
+// the backlog's buffer has grown.
+func TestServerBacklogHoldsOneHeapEntry(t *testing.T) {
+	k := NewKernel()
+	s := NewServer(k)
+	var done []Time
+	record := func() { done = append(done, k.Now()) }
+	for i := 0; i < 100; i++ {
+		s.Serve(10, record)
+	}
+	if len(k.events) != 1 || k.Pending() != 100 {
+		t.Fatalf("heap holds %d entries, Pending = %d; want 1, 100", len(k.events), k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range done {
+		if at != Time(10*(i+1)) {
+			t.Fatalf("job %d completed at %d, want %d", i, at, 10*(i+1))
+		}
+	}
+	nop := func() {}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			s.Serve(10, nop)
+		}
+		k.Run()
+	}); allocs != 0 {
+		t.Fatalf("a 100-job backlog allocates %.1f times per drain, want 0", allocs)
+	}
+}
+
 func TestDeterminismProperty(t *testing.T) {
 	// Property: two identical simulations produce identical event traces.
 	run := func(seed uint64) []Time {

@@ -69,7 +69,10 @@ func (v Verdict) String() string {
 // Packet is the transit view of one ring transfer unit. Data aliases
 // the circulating payload: writing through it is how a Rewrite verdict
 // mutates the packet for the local apply, every downstream node, and
-// the origin's strip-apply.
+// the origin's strip-apply. Data is valid only during the OnTransit
+// (or OnTrap) call it is passed to: the ring recycles the packet and
+// its buffer once the packet's trip ends, so a handler must copy what
+// it wants to keep, never retain the slice.
 type Packet struct {
 	// Origin is the injecting node, Off the bank offset the payload
 	// lands at, Hops the link traversals so far (including this one).
