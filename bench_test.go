@@ -198,7 +198,7 @@ func BenchmarkExt_MessageRate_FE_8B(b *testing.B) {
 }
 
 // Ablation: barrier algorithm choice on an 8-node SCRAMNet cluster —
-// coordinator+mcast vs binomial tree vs dissemination.
+// coordinator+mcast vs binomial tree.
 func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
 	measure := func(algo mpi.Algorithm) float64 {
 		k := sim.NewKernel()
@@ -221,15 +221,13 @@ func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
 		}
 		return last.Sub(0).Microseconds()
 	}
-	var mcast, tree, diss float64
+	var mcast, tree float64
 	for i := 0; i < b.N; i++ {
 		mcast = measure(mpi.Mcast)
 		tree = measure(mpi.Tree)
-		diss = measure(mpi.Dissemination)
 	}
 	b.ReportMetric(mcast, "mcast-vus")
 	b.ReportMetric(tree, "tree-vus")
-	b.ReportMetric(diss, "dissem-vus")
 }
 
 func BenchmarkExt_BarrierScaling16(b *testing.B) {

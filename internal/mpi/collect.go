@@ -22,6 +22,17 @@ func collHdr(op byte, seq uint16) []byte {
 	return []byte{collMagic, op, byte(seq), byte(seq >> 8)}
 }
 
+// parseColl is the inverse of collHdr: it reports whether msg is a
+// multicast fast-path message (the magic byte and a whole header) and
+// splits it into op, sequence and payload. It is the one rule every
+// receive path uses to tell these messages from envelopes.
+func parseColl(msg []byte) (op byte, seq uint16, payload []byte, ok bool) {
+	if len(msg) < collHdrBytes || msg[0] != collMagic {
+		return 0, 0, nil, false
+	}
+	return msg[1], uint16(msg[2]) | uint16(msg[3])<<8, msg[collHdrBytes:], true
+}
+
 // recvColl receives the next multicast fast-path message with the given
 // op and sequence from srcWorld, steering any interleaved point-to-point
 // envelopes through the normal engine path. Returns the payload length
@@ -31,23 +42,28 @@ func collHdr(op byte, seq uint16) []byte {
 // participant can never complete), which bounds a mid-collective node
 // death by the detector's confirmation window.
 func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq uint16, out []byte) (int, error) {
-	accept := func(msg []byte) int {
-		gotOp := msg[1]
-		gotSeq := uint16(msg[2]) | uint16(msg[3])<<8
+	// accept consumes msg if it is a fast-path message, returning its
+	// payload length; ok is false for an envelope.
+	accept := func(msg []byte) (int, bool) {
+		gotOp, gotSeq, payload, ok := parseColl(msg)
+		if !ok {
+			return 0, false
+		}
 		if gotOp != op || gotSeq != seq {
 			panic(fmt.Sprintf("mpi: collective out of step: got op=%d seq=%d want op=%d seq=%d", gotOp, gotSeq, op, seq))
 		}
-		payload := len(msg) - collHdrBytes
-		p.Delay(sim.Duration(payload) * e.cfg.Costs.CopyPerByte)
-		copy(out, msg[collHdrBytes:])
-		return payload
+		p.Delay(sim.Duration(len(payload)) * e.cfg.Costs.CopyPerByte)
+		copy(out, payload)
+		return len(payload), true
 	}
 	// A rank running ahead may have parked this message in the engine's
-	// collective queue during general progress.
+	// collective queue during general progress (handleRaw queues only
+	// what parseColl accepts).
 	if q := e.collQ[srcWorld]; len(q) > 0 {
 		msg := q[0]
 		e.collQ[srcWorld] = q[1:]
-		return accept(msg), nil
+		n, _ := accept(msg)
+		return n, nil
 	}
 	if e.live == nil {
 		// No detector: the transport's own blocking receive (and its
@@ -57,8 +73,8 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 			if err != nil {
 				panic(fmt.Sprintf("mpi: collective recv from %d: %v", srcWorld, err))
 			}
-			if n >= collHdrBytes && e.scratch[0] == collMagic {
-				return accept(e.scratch[:n]), nil
+			if got, ok := accept(e.scratch[:n]); ok {
+				return got, nil
 			}
 			// A point-to-point envelope overtook the collective on this
 			// stream: process it and keep waiting.
@@ -96,8 +112,8 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 			}
 			continue
 		}
-		if n >= collHdrBytes && e.scratch[0] == collMagic {
-			return accept(e.scratch[:n]), nil
+		if got, ok := accept(e.scratch[:n]); ok {
+			return got, nil
 		}
 		e.handleRaw(p, srcWorld, append([]byte(nil), e.scratch[:n]...))
 	}
@@ -203,15 +219,6 @@ func MaxF64(acc, in []byte) {
 	}
 }
 
-// SumI64 adds int64 vectors.
-func SumI64(acc, in []byte) {
-	for i := 0; i+8 <= len(acc) && i+8 <= len(in); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(acc[i:]))
-		b := int64(binary.LittleEndian.Uint64(in[i:]))
-		binary.LittleEndian.PutUint64(acc[i:], uint64(a+b))
-	}
-}
-
 // Reduce combines sendBuf from every rank with op (assumed commutative
 // and associative) into recvBuf at root, via the binomial gather over
 // the whole group rotated from root.
@@ -225,175 +232,6 @@ func (c *Comm) Reduce(p *sim.Proc, root int, op Op, sendBuf, recvBuf []byte) err
 	}
 	if c.rank == root {
 		copy(recvBuf, acc)
-	}
-	return nil
-}
-
-// Gather concatenates equal-size contributions at root:
-// recvAll[r*len(send)] holds rank r's send buffer. recvAll may be nil on
-// non-root ranks.
-func (c *Comm) Gather(p *sim.Proc, root int, send, recvAll []byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if c.rank != root {
-		return c.Send(p, root, tagGather, send)
-	}
-	n := len(send)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			copy(recvAll[r*n:], send)
-			continue
-		}
-		if _, err := c.Recv(p, r, tagGather, recvAll[r*n:(r+1)*n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scatter distributes equal slices of sendAll from root; each rank
-// receives its slice into recv. sendAll may be nil on non-root ranks.
-func (c *Comm) Scatter(p *sim.Proc, root int, sendAll, recv []byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	n := len(recv)
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				copy(recv, sendAll[r*n:(r+1)*n])
-				continue
-			}
-			if err := c.Send(p, r, tagScatter, sendAll[r*n:(r+1)*n]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := c.Recv(p, root, tagScatter, recv)
-	return err
-}
-
-// Allgather gathers equal-size contributions everywhere.
-func (c *Comm) Allgather(p *sim.Proc, send, recvAll []byte) error {
-	return c.allgatherTag(p, tagGatherA, send, recvAll)
-}
-
-// allgatherTag implements Allgather with nonblocking sends to every peer
-// and per-peer receives, under the given tag (Split uses a private tag).
-func (c *Comm) allgatherTag(p *sim.Proc, tag int, send, recvAll []byte) error {
-	n := len(send)
-	copy(recvAll[c.rank*n:], send)
-	var reqs []*Request
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		req, err := c.isend(p, r, tag, send)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		if _, err := c.Recv(p, r, tag, recvAll[r*n:(r+1)*n]); err != nil {
-			return err
-		}
-	}
-	return c.Waitall(p, reqs)
-}
-
-// Scan computes the inclusive prefix reduction: rank r's recvBuf holds
-// send(0) op send(1) op ... op send(r), via a linear pipeline.
-func (c *Comm) Scan(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
-	acc := recvBuf[:len(sendBuf)]
-	copy(acc, sendBuf)
-	if c.rank > 0 {
-		partial := make([]byte, len(sendBuf))
-		if _, err := c.Recv(p, c.rank-1, tagScan, partial); err != nil {
-			return err
-		}
-		p.Delay(sim.Duration(len(partial)) * c.eng.cfg.Costs.CopyPerByte)
-		// acc = partial op send: combine into a copy of the upstream
-		// prefix so non-commutative ops keep rank order.
-		tmp := append([]byte(nil), partial...)
-		op(tmp, sendBuf)
-		copy(acc, tmp)
-	}
-	if c.rank < c.Size()-1 {
-		return c.Send(p, c.rank+1, tagScan, acc)
-	}
-	return nil
-}
-
-// Gatherv gathers variable-size contributions at root: recvs[r] (sized
-// by the caller) receives rank r's send buffer. recvs is only read at
-// the root.
-func (c *Comm) Gatherv(p *sim.Proc, root int, send []byte, recvs [][]byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if c.rank != root {
-		return c.Send(p, root, tagGather, send)
-	}
-	if len(recvs) != c.Size() {
-		return fmt.Errorf("%w: Gatherv needs one receive buffer per rank", ErrProtocol)
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			copy(recvs[r], send)
-			continue
-		}
-		if _, err := c.Recv(p, r, tagGather, recvs[r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scatterv distributes variable-size slices from root: rank r receives
-// sends[r] into recv and returns its length. sends is only read at the
-// root.
-func (c *Comm) Scatterv(p *sim.Proc, root int, sends [][]byte, recv []byte) (int, error) {
-	if err := c.checkRank(root); err != nil {
-		return 0, err
-	}
-	if c.rank == root {
-		if len(sends) != c.Size() {
-			return 0, fmt.Errorf("%w: Scatterv needs one send buffer per rank", ErrProtocol)
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(p, r, tagScatter, sends[r]); err != nil {
-				return 0, err
-			}
-		}
-		return copy(recv, sends[root]), nil
-	}
-	st, err := c.Recv(p, root, tagScatter, recv)
-	return st.Len, err
-}
-
-// Alltoall performs a pairwise personalized exchange: rank r's slice
-// send[d*n:(d+1)*n] lands in rank d's recv[r*n:(r+1)*n].
-func (c *Comm) Alltoall(p *sim.Proc, send, recv []byte) error {
-	size := c.Size()
-	n := len(send) / size
-	copy(recv[c.rank*n:(c.rank+1)*n], send[c.rank*n:(c.rank+1)*n])
-	for phase := 1; phase < size; phase++ {
-		dst := (c.rank + phase) % size
-		src := (c.rank - phase + size) % size
-		_, err := c.Sendrecv(p, dst, tagAll2All, send[dst*n:(dst+1)*n],
-			src, tagAll2All, recv[src*n:(src+1)*n])
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -347,7 +347,7 @@ func (c *Comm) Split(p *sim.Proc, color, key int) (*Comm, error) {
 	binary.LittleEndian.PutUint32(mine[0:], uint32(int32(color)))
 	binary.LittleEndian.PutUint32(mine[4:], uint32(int32(key)))
 	all := make([]byte, 8*c.Size())
-	if err := c.allgatherTag(p, tagSplit, mine, all); err != nil {
+	if err := c.allgather(p, mine, all); err != nil {
 		return nil, err
 	}
 	ctx := c.eng.nextCtx
@@ -379,4 +379,32 @@ func (c *Comm) Split(p *sim.Proc, color, key int) (*Comm, error) {
 	}
 	c.eng.comms[ctx] = nc
 	return nc, nil
+}
+
+// allgather gathers Split's equal-size (color, key) records everywhere:
+// nonblocking sends to every peer, then per-peer receives, under
+// Split's private tag.
+func (c *Comm) allgather(p *sim.Proc, send, recvAll []byte) error {
+	n := len(send)
+	copy(recvAll[c.rank*n:], send)
+	var reqs []*Request
+	for r := 0; r < c.Size(); r++ {
+		if r == c.rank {
+			continue
+		}
+		req, err := c.isend(p, r, tagSplit, send)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, req)
+	}
+	for r := 0; r < c.Size(); r++ {
+		if r == c.rank {
+			continue
+		}
+		if _, err := c.Recv(p, r, tagSplit, recvAll[r*n:(r+1)*n]); err != nil {
+			return err
+		}
+	}
+	return c.Waitall(p, reqs)
 }

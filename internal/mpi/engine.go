@@ -238,7 +238,7 @@ func (e *Engine) progressOnce(p *sim.Proc) bool {
 // synchronously behind their envelope on the same FIFO stream, so they
 // never surface here).
 func (e *Engine) handleRaw(p *sim.Proc, src int, raw []byte) {
-	if len(raw) >= 1 && raw[0] == collMagic {
+	if _, _, _, ok := parseColl(raw); ok {
 		e.collQ[src] = append(e.collQ[src], append([]byte(nil), raw...))
 		return
 	}
@@ -268,8 +268,6 @@ func (e *Engine) handleRaw(p *sim.Proc, src int, raw []byte) {
 		e.handleRRej(p, src, env)
 	case kRFall:
 		e.handleRFall(p, src, env)
-	default:
-		panic(fmt.Sprintf("mpi: unknown packet kind %d from %d", env.kind, src))
 	}
 }
 

@@ -48,12 +48,8 @@ const (
 	tagBcast   = -100
 	tagBarrier = -101
 	tagReduce  = -102
-	tagGather  = -103
-	tagScatter = -104
-	tagGatherA = -105
-	tagAll2All = -106
 	tagSplit   = -107
-	tagScan    = -108
+	tagPlan    = -113 // re-plan fence record (plan.go)
 )
 
 // Errors returned by MPI operations.
@@ -262,9 +258,18 @@ func encodeEnv(e envelope) []byte {
 	return b
 }
 
+// decodeEnv is the inverse of encodeEnv. It rejects with ErrProtocol
+// every packet encodeEnv cannot produce: a length other than envBytes
+// (envWinBytes for kCTSW), an unknown kind, or non-zero padding bytes.
 func decodeEnv(b []byte) (envelope, error) {
 	if len(b) != envBytes && !(len(b) == envWinBytes && b[0] == kCTSW) {
 		return envelope{}, fmt.Errorf("%w: %d-byte control packet", ErrProtocol, len(b))
+	}
+	if b[0] < kEager || b[0] > kRFall {
+		return envelope{}, fmt.Errorf("%w: unknown packet kind %d", ErrProtocol, b[0])
+	}
+	if b[1]|b[2]|b[3] != 0 {
+		return envelope{}, fmt.Errorf("%w: non-zero envelope padding", ErrProtocol)
 	}
 	env := envelope{
 		kind:  b[0],

@@ -411,70 +411,6 @@ func TestReduceMaxToNonzeroRoot(t *testing.T) {
 	})
 }
 
-func TestGatherScatterAllgatherAlltoall(t *testing.T) {
-	const n = 4
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		size := c.Size()
-		me := byte(c.Rank())
-
-		send := bytes.Repeat([]byte{me}, n)
-		all := make([]byte, n*size)
-		if err := c.Gather(p, 0, send, all); err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			for r := 0; r < size; r++ {
-				if all[r*n] != byte(r) {
-					t.Errorf("gather slot %d = %d", r, all[r*n])
-				}
-			}
-		}
-
-		recv := make([]byte, n)
-		var sendAll []byte
-		if c.Rank() == 0 {
-			sendAll = make([]byte, n*size)
-			for r := 0; r < size; r++ {
-				copy(sendAll[r*n:], bytes.Repeat([]byte{byte(100 + r)}, n))
-			}
-		}
-		if err := c.Scatter(p, 0, sendAll, recv); err != nil {
-			t.Error(err)
-			return
-		}
-		if recv[0] != byte(100+c.Rank()) {
-			t.Errorf("scatter got %d", recv[0])
-		}
-
-		ag := make([]byte, n*size)
-		if err := c.Allgather(p, send, ag); err != nil {
-			t.Error(err)
-			return
-		}
-		for r := 0; r < size; r++ {
-			if ag[r*n] != byte(r) {
-				t.Errorf("allgather slot %d = %d", r, ag[r*n])
-			}
-		}
-
-		a2aSend := make([]byte, n*size)
-		for r := 0; r < size; r++ {
-			copy(a2aSend[r*n:], bytes.Repeat([]byte{byte(16*c.Rank() + r)}, n))
-		}
-		a2aRecv := make([]byte, n*size)
-		if err := c.Alltoall(p, a2aSend, a2aRecv); err != nil {
-			t.Error(err)
-			return
-		}
-		for r := 0; r < size; r++ {
-			if want := byte(16*r + c.Rank()); a2aRecv[r*n] != want {
-				t.Errorf("alltoall slot %d = %d want %d", r, a2aRecv[r*n], want)
-			}
-		}
-	})
-}
-
 func TestCommSplitAndCollectivesInSubcomm(t *testing.T) {
 	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
 		sub, err := c.Split(p, c.Rank()%2, c.Rank())

@@ -2,7 +2,8 @@ package mpi
 
 // This file is the collective selection layer (DESIGN.md §15): one
 // entry point per collective — Barrier, Bcast, Allreduce — with the
-// algorithm chosen per call from an options list. Each entry point
+// algorithm chosen per call from an options list (Reduce, in
+// collect.go, has one algorithm: the binomial tree). Each entry point
 // asks membership for a plan first (plan.go): that gate fences the
 // minority side of a declared partition, and a quorum plan always runs
 // the tree. Otherwise Auto (the default) selects from the transport's
@@ -30,9 +31,10 @@ import (
 type Algorithm int
 
 // The selectable algorithms. Not every algorithm applies to every
-// collective — see the policy table in DESIGN.md §15; an inapplicable
-// explicit choice returns ErrBadAlgorithm, while Auto always resolves
-// to an applicable one.
+// collective: Barrier takes Mcast, Tree and NICCombined, Bcast takes
+// Mcast and Tree, and Allreduce takes Tree and NICCombined (the policy
+// table in DESIGN.md §15). An inapplicable explicit choice returns
+// ErrBadAlgorithm, while Auto always resolves to an applicable one.
 const (
 	// Auto picks from the membership view, transport capabilities,
 	// rank count, and message size.
@@ -44,9 +46,6 @@ const (
 	// (with the membership-aware release re-plan when a failure
 	// detector runs).
 	Tree
-	// Dissemination uses the root-free pairwise-exchange family: the
-	// dissemination barrier, or recursive-doubling allreduce.
-	Dissemination
 	// NICCombined combines gather state inside the NICs at ring
 	// transit points (spin.Reducer): the streaming allreduce, or the
 	// barrier as a 1-lane BAND round.
@@ -61,8 +60,6 @@ func (a Algorithm) String() string {
 		return "mcast"
 	case Tree:
 		return "tree"
-	case Dissemination:
-		return "dissemination"
 	case NICCombined:
 		return "nic-combined"
 	}
@@ -195,8 +192,6 @@ func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
 		err = c.barrierMcast(p)
 	case Tree:
 		err = c.barrierTree(p, pl)
-	case Dissemination:
-		err = c.barrierDissemination(p)
 	default:
 		err = fmt.Errorf("%w: %v barrier", ErrBadAlgorithm, algo)
 	}
@@ -265,9 +260,10 @@ func (c *Comm) Bcast(p *sim.Proc, root int, buf []byte, opts ...CollectiveOption
 // offloads to the NIC combining pass when the op is one of the named
 // u32 operators (SumU32, ..., BxorU32), the vector fits the stream
 // region, and the substrate is present; everything else runs the tree
-// (gather with the fold, then release). Dissemination selects
-// recursive doubling. A recvBuf shorter than sendBuf returns
-// ErrTruncated before any traffic, whatever the algorithm.
+// (gather with the fold, then release). WithAlgorithm pins Tree or
+// NICCombined; Mcast returns ErrBadAlgorithm. A recvBuf shorter than
+// sendBuf returns ErrTruncated before any traffic, whatever the
+// algorithm.
 func (c *Comm) Allreduce(p *sim.Proc, op Op, sendBuf, recvBuf []byte, opts ...CollectiveOption) error {
 	if len(recvBuf) < len(sendBuf) {
 		return ErrTruncated
@@ -286,8 +282,6 @@ func (c *Comm) Allreduce(p *sim.Proc, op Op, sendBuf, recvBuf []byte, opts ...Co
 		return c.allreduceNIC(p, pl, op, sendBuf, recv)
 	case Tree:
 		return c.allreduceTree(p, pl, op, sendBuf, recv)
-	case Dissemination:
-		return c.allreduceRD(p, op, sendBuf, recv)
 	default:
 		return fmt.Errorf("%w: %v allreduce", ErrBadAlgorithm, algo)
 	}

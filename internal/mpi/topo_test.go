@@ -1,79 +1,12 @@
 package mpi_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
-
-func TestScanPrefixSums(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		send := make([]byte, 8)
-		binary.LittleEndian.PutUint64(send, uint64(c.Rank()+1))
-		recv := make([]byte, 8)
-		if err := c.Scan(p, mpi.SumI64, send, recv); err != nil {
-			t.Error(err)
-			return
-		}
-		got := int64(binary.LittleEndian.Uint64(recv))
-		want := int64(0)
-		for r := 0; r <= c.Rank(); r++ {
-			want += int64(r + 1)
-		}
-		if got != want {
-			t.Errorf("rank %d scan = %d, want %d", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestGathervVariableSizes(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		// Rank r contributes r+1 bytes of value r.
-		send := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
-		var recvs [][]byte
-		if c.Rank() == 2 {
-			for r := 0; r < 4; r++ {
-				recvs = append(recvs, make([]byte, r+1))
-			}
-		}
-		if err := c.Gatherv(p, 2, send, recvs); err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 2 {
-			for r := 0; r < 4; r++ {
-				if len(recvs[r]) != r+1 || recvs[r][r] != byte(r) {
-					t.Errorf("slot %d = %v", r, recvs[r])
-				}
-			}
-		}
-	})
-}
-
-func TestScattervVariableSizes(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		var sends [][]byte
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				sends = append(sends, bytes.Repeat([]byte{byte(10 + r)}, 2*r+1))
-			}
-		}
-		recv := make([]byte, 16)
-		n, err := c.Scatterv(p, 1, sends, recv)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		want := 2*c.Rank() + 1
-		if n != want || recv[0] != byte(10+c.Rank()) {
-			t.Errorf("rank %d: n=%d val=%d", c.Rank(), n, recv[0])
-		}
-	})
-}
 
 func TestCartCoordsRankRoundtrip(t *testing.T) {
 	run(t, cluster.SCRAMNet, 6, func(p *sim.Proc, c *mpi.Comm) {
