@@ -77,8 +77,9 @@ cover:
 #   sim      the hand-written 4-ary event heap whose (t, seq) pop order every figure's determinism rests on;
 #   bench    the one driver per measured scenario (ping-pong, stream, barrier, incast, message rate, E6 loss run) every figure and BENCH number comes from;
 #   timeline the observed E6 run and the span/snapshot joins (breakdowns, co-spikes) cmd/timeline and make timeline render;
-#   core     the BBP receive and poll paths (the event-driven poller included) that every BBP latency rests on.
-COVER_FLOORS := mpi:88.0 spin:80.0 trace:85.0 metrics:85.0 liveness:85.0 fault:80.0 xport:90.0 tcpip:93.0 myrinet:96.5 sim:91.5 bench:89.0 timeline:88.5 core:89.5
+#   core     the BBP receive and poll paths (the event-driven poller included) that every BBP latency rests on;
+#   scramnet the paged replicated bank and owner table (every access path, FuzzBank's seed corpus) and the ring's packet life cycle that every SCRAMNet number rests on.
+COVER_FLOORS := mpi:88.0 spin:80.0 trace:85.0 metrics:85.0 liveness:85.0 fault:80.0 xport:90.0 tcpip:93.0 myrinet:96.5 sim:91.5 bench:89.0 timeline:88.5 core:89.5 scramnet:87.5
 
 covercheck: build
 	@for pf in $(COVER_FLOORS); do \
@@ -107,18 +108,23 @@ verify: lint test race covercheck timeline soak
 # same package, as does the multi-seed partition/heal battery (ISSUE
 # 10): scripted double cuts must fence the minority, complete majority
 # collectives over the quorum, and deliver exactly-once across the
-# heal. The tier then runs two 10 s fuzz passes. FuzzKernelOrder
+# heal. The tier then runs three 10 s fuzz passes. FuzzKernelOrder
 # decodes its input into At/AfterKind/Timer+Stop/Serve/RunUntil calls
 # and checks every execution against a reference sort by (t, seq).
 # FuzzMPIWire feeds arbitrary bytes to the MPI engine's wire decoders
 # (control envelopes with the kCTSW window descriptor, and the
 # multicast fast-path header): neither may panic, each rejects what its
 # encoder cannot produce, and what it accepts re-encodes byte for byte.
+# FuzzBank runs write, apply and read sequences against the paged
+# replicated bank, with page-crossing spans and reads of untouched pages,
+# and checks every read and both banks of a two-node ring against a flat
+# reference.
 soak: build
 	$(GO) test -race -count=1 -run 'TestSoak|TestLossWindowsNeverKill|TestMPIBarrierDeadPeer|TestFlappingNode|TestPartitionSoak|TestMPIPartitionErrors|TestPartitionFenceAndHeal|TestSingleCutNoMPIErrors' ./internal/liveness
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMPIWire$$' -fuzztime 10s ./internal/mpi
-	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order and the MPI wire decoders survive 10 s of fuzzing each"
+	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s ./internal/scramnet
+	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order, the MPI wire decoders and the paged bank survive 10 s of fuzzing each"
 
 # Observability smoke tier: replay the E6 fault-sweep point at 15% loss
 # with span tracing and snapshot streaming on, and require cmd/timeline

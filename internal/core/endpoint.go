@@ -249,7 +249,12 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 	// the last flag write). Every bus write and ring packet until then
 	// is attributed to the message via the NIC's trace context.
 	msg := trace.MsgID(e.me, e.sendSeq)
-	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "post", msg, e.sys.tracer.Parent(), "slot=%d off=%d len=%d dests=%#x seq=%d", slot, off, len(data), dests, e.sendSeq)
+	// The hot path's trace calls are guarded: boxing their arguments
+	// allocates even when no recorder is installed.
+	var span trace.SpanID
+	if e.sys.tracer != nil {
+		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "post", msg, e.sys.tracer.Parent(), "slot=%d off=%d len=%d dests=%#x seq=%d", slot, off, len(data), dests, e.sendSeq)
+	}
 	e.live[slot].span = span
 	e.live[slot].msg = msg
 	pm, pp := e.nic.SetTraceContext(msg, span)
@@ -305,7 +310,9 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 		}
 		multicast = true
 	}
-	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "send-end", span, msg, "seq=%d", e.sendSeq)
+	if e.sys.tracer != nil {
+		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "send-end", span, msg, "seq=%d", e.sendSeq)
+	}
 	e.stats.Sent++
 	e.stats.BytesSent += int64(len(data))
 	e.im.msgSize.Observe(int64(len(data)))
@@ -370,7 +377,9 @@ func (e *Endpoint) collect(p *sim.Proc) {
 	lay := e.sys.lay
 	p.Delay(e.sys.cfg.Costs.GCPass)
 	e.stats.GCPasses++
-	e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "gc", "pass=%d", e.stats.GCPasses)
+	if e.sys.tracer != nil {
+		e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "gc", "pass=%d", e.stats.GCPasses)
+	}
 	// One ACK word per peer that any live buffer is still waiting on.
 	var need uint32
 	for s := range e.live {
@@ -382,7 +391,9 @@ func (e *Endpoint) collect(p *sim.Proc) {
 		return
 	}
 	retry := e.sys.cfg.Retry.Enabled
-	acks := make([]uint32, e.Procs())
+	// need is a 32-bit destination mask, so only ranks below 32 are
+	// ever read here.
+	var acks [32]uint32
 	if !retry {
 		for r := 0; r < e.Procs(); r++ {
 			if need&(1<<uint(r)) != 0 {

@@ -64,3 +64,52 @@ func BenchmarkIdleRecvPoll(b *testing.B) {
 	b.ResetTimer()
 	k.RunFor(sim.Duration(b.N) * period)
 }
+
+// TestSendRecvAllocs pins a warmed-up BBP message at zero allocations:
+// a 64-byte Send from node 0 and the Recv that takes it at node 1, the
+// pending queue and the ring included. Each run sends several messages,
+// so a pending queue that re-allocated on every pop would show.
+func TestSendRecvAllocs(t *testing.T) {
+	k, _, eps := world(t, 2, func(c *Config) { c.RecvTimeout = 0 })
+	defer k.Close()
+	got := 0
+	k.SpawnDaemon("rx", func(p *sim.Proc) {
+		buf := make([]byte, 64)
+		for {
+			if _, err := eps[1].Recv(p, 0, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			got++
+		}
+	})
+	msg := make([]byte, 64)
+	send := k.Spawn("tx", func(p *sim.Proc) {
+		for {
+			p.Park()
+			for i := 0; i < 4; i++ {
+				if err := eps[0].Send(p, 1, msg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}).Resume
+	round := func() {
+		k.At(k.Now(), send)
+		k.RunFor(2 * sim.Millisecond)
+	}
+	// Warm up past sequence number 255 as well: trace arguments that
+	// small are boxed without allocating, so a call that boxed them on
+	// an untraced run would hide until then.
+	const warm = 70
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("four Send/Recv messages allocate %v times, want 0", allocs)
+	}
+	if want := 4 * (warm + 21); got != want {
+		t.Fatalf("received %d messages, want %d", got, want)
+	}
+}

@@ -58,8 +58,10 @@ type poller struct {
 	landed int
 	t0     sim.Time
 	// flagBuf receives burst flag polls: the receiver's whole flag
-	// region.
+	// region. descs receives a retry scan's descriptors (scanSender),
+	// allocated on the first scan.
 	flagBuf []uint32
+	descs   []byte
 
 	// parked is set while the process waits in Park for this poller;
 	// done records a wait that settled before the process could park.
@@ -333,7 +335,7 @@ func (e *Endpoint) pollFrom(w *poller, s int) {
 		return
 	}
 	w.pollFlags(s)
-	e.acceptFlags(w.p, s, w.vals[0], w.vals[1])
+	e.acceptFlags(w, s, w.vals[0], w.vals[1])
 }
 
 // pollAll polls every sender once: the sweep shape used by
@@ -350,7 +352,7 @@ func (e *Endpoint) pollAll(w *poller) {
 	// whose poll settled.
 	for s := e.nextSender(-1); s >= 0; s = e.nextSender(w.s) {
 		w.pollFlags(s)
-		e.acceptFlags(w.p, w.s, w.vals[0], w.vals[1])
+		e.acceptFlags(w, w.s, w.vals[0], w.vals[1])
 	}
 }
 
@@ -363,7 +365,7 @@ func (e *Endpoint) pollRegion(w *poller) {
 	for s := range e.pending {
 		if s != e.me {
 			flags, minUn := w.burstFlags(s)
-			e.acceptFlags(w.p, s, flags, minUn)
+			e.acceptFlags(w, s, flags, minUn)
 		}
 	}
 }

@@ -25,7 +25,8 @@ var errChecksum = errors.New("bbp: payload checksum mismatch (awaiting retransmi
 // all of s's descriptors, and detection rests on per-slot sequence
 // floors rather than toggle parity, which is ambiguous once flag writes
 // can be lost.
-func (e *Endpoint) acceptFlags(p *sim.Proc, s int, flags, minUn uint32) {
+func (e *Endpoint) acceptFlags(w *poller, s int, flags, minUn uint32) {
+	p := w.p
 	lay, cfg := e.sys.lay, e.sys.cfg
 	if cfg.Retry.Enabled {
 		// Refresh the delivery gate even when the post counter is
@@ -40,7 +41,7 @@ func (e *Endpoint) acceptFlags(p *sim.Proc, s int, flags, minUn uint32) {
 		// always produces a fresh value.
 		e.lastSeen[s] = flags
 		e.rescan[s] = false
-		e.scanSender(p, s)
+		e.scanSender(w, s)
 		return
 	}
 	diff := flags ^ e.lastSeen[s]
@@ -60,7 +61,9 @@ func (e *Endpoint) acceptFlags(p *sim.Proc, s int, flags, minUn uint32) {
 			seq:  getWord(desc[8:]),
 		}
 		p.Delay(cfg.Costs.RecvBookkeeping)
-		e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
+		if e.sys.tracer != nil {
+			e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
+		}
 		e.insertPending(s, m)
 		e.lastSeen[s] ^= 1 << uint(b)
 	}
@@ -81,10 +84,17 @@ func (e *Endpoint) changes(s int, flags, minUn uint32) bool {
 // of a message this receiver already consumed, meaning the ACK write
 // was lost, so acknowledge it again; older or torn — ignore, the
 // sender's retransmission will repair the descriptor and bump the post
-// counter, triggering another scan.
-func (e *Endpoint) scanSender(p *sim.Proc, s int) {
+// counter, triggering another scan. The descriptors are read into the
+// waiting process's poller, not the endpoint: the scan blocks on its
+// reads, and another process waiting on this endpoint may scan
+// meanwhile.
+func (e *Endpoint) scanSender(w *poller, s int) {
+	p := w.p
 	lay, cfg := e.sys.lay, e.sys.cfg
-	descs := make([]byte, descSize*cfg.Buffers)
+	if w.descs == nil {
+		w.descs = make([]byte, descSize*cfg.Buffers)
+	}
+	descs := w.descs
 	e.nic.Read(p, lay.desc(s, 0), descs)
 scan:
 	for b := 0; b < cfg.Buffers; b++ {
@@ -137,7 +147,9 @@ scan:
 		m.prevFloor = floor
 		e.slotSeq[s][b] = m.seq
 		p.Delay(cfg.Costs.RecvBookkeeping)
-		e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
+		if e.sys.tracer != nil {
+			e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
+		}
 		e.insertPending(s, m)
 	}
 }
@@ -172,7 +184,10 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	// is unchanged. The message id is rebuilt from the descriptor —
 	// causal joins to the sender's spans need nothing on the wire.
 	msg := trace.MsgID(s, m.seq)
-	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "drain", msg, 0, "sender=%d slot=%d len=%d", s, m.slot, m.n)
+	var span trace.SpanID
+	if e.sys.tracer != nil {
+		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "drain", msg, 0, "sender=%d slot=%d len=%d", s, m.slot, m.n)
+	}
 	e.im.recvSize.Observe(int64(m.n))
 	if m.n > 0 && m.n <= len(buf) {
 		src := lay.dataOff(s, m.off)
@@ -213,7 +228,9 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "drain-abort", span, msg, "truncated")
 		return 0, ErrTruncated
 	}
-	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", s, m.slot, m.n)
+	if e.sys.tracer != nil {
+		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", s, m.slot, m.n)
+	}
 	e.stats.Received++
 	e.stats.BytesRecv += int64(m.n)
 	return m.n, nil
@@ -240,7 +257,8 @@ func (e *Endpoint) ackWrite(p *sim.Proc, s int, m message) {
 	e.nic.WriteWord(p, e.sys.lay.ackFlags(s, e.me), e.ackOut[s])
 }
 
-// popPending removes the lowest-sequence pending message from s. Under
+// popPending removes the lowest-sequence pending message from s,
+// shifting the queue down in place so its backing array is reused. Under
 // the retry extension a message whose sequence gaps past the last
 // delivery is held back while the sender's MIN-UNACKED word is below
 // it: an earlier message addressed to us may still be in repair, and
@@ -254,8 +272,10 @@ func (e *Endpoint) popPending(s int) (message, bool) {
 	if !e.deliverable(s) {
 		return message{}, false
 	}
-	m := e.pending[s][0]
-	e.pending[s] = e.pending[s][1:]
+	q := e.pending[s]
+	m := q[0]
+	copy(q, q[1:])
+	e.pending[s] = q[:len(q)-1]
 	return m, true
 }
 

@@ -80,9 +80,14 @@ type Endpoint struct {
 	held    []map[uint32][]byte
 	rrNext  int // the source RecvAny tries first
 	scratch []byte
-	stats   Stats
-	im      hybInstruments
-	tracer  *trace.Recorder
+	// bufs recycles message buffers: Send's header+payload buffer
+	// comes back once the substrate's Send has returned, which has
+	// copied it by then (xport.Endpoint), and a reorder-buffer copy
+	// once release has copied it out.
+	bufs   xport.Buffers
+	stats  Stats
+	im     hybInstruments
+	tracer *trace.Recorder
 }
 
 // hybInstruments are the router's instruments with no Stats twin,
@@ -229,7 +234,8 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 	}
 	seq := e.sendSeq[dst]
 	e.sendSeq[dst]++
-	msg := make([]byte, hdrBytes+len(data))
+	msg := e.bufs.Get(hdrBytes + len(data))
+	defer e.bufs.Put(msg)
 	binary.LittleEndian.PutUint32(msg, seq)
 	copy(msg[hdrBytes:], data)
 	sub := e.route(len(data))
@@ -326,7 +332,8 @@ func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 					e.sendSeq[d]++
 				}
 			}
-			msg := make([]byte, hdrBytes+len(data))
+			msg := e.bufs.Get(hdrBytes + len(data))
+			defer e.bufs.Put(msg)
 			binary.LittleEndian.PutUint32(msg, seq)
 			copy(msg[hdrBytes:], data)
 			return e.low.Mcast(p, dsts, msg)
@@ -361,7 +368,9 @@ func (e *Endpoint) poll(p *sim.Proc, src int) {
 			continue
 		}
 		p.Delay(e.cfg.ReorderCost)
-		e.held[src][seq] = append([]byte(nil), e.scratch[hdrBytes:n]...)
+		msg := e.bufs.Get(n - hdrBytes)
+		copy(msg, e.scratch[hdrBytes:n])
+		e.held[src][seq] = msg
 		e.im.heldDepth.Set(int64(len(e.held[src])))
 	}
 }
@@ -386,6 +395,7 @@ func (e *Endpoint) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) 
 func (e *Endpoint) release(src int, msg []byte, buf []byte) (int, bool, error) {
 	delete(e.held[src], e.nextSeq[src])
 	e.nextSeq[src]++
+	defer e.bufs.Put(msg)
 	if len(msg) > len(buf) {
 		return 0, false, fmt.Errorf("hybrid: %d-byte message into %d-byte buffer", len(msg), len(buf))
 	}

@@ -140,7 +140,10 @@ func (a *API) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 // peer reports whether r names another process of the world.
 func (a *API) peer(r int) bool { return r != a.rank && r >= 0 && r < a.Procs() }
 
+// complete copies message m, just popped from the inbox, into buf and
+// hands m back to the inbox.
 func (a *API) complete(p *sim.Proc, m []byte, buf []byte) (int, error) {
+	defer a.in.Release(m)
 	if len(m) > len(buf) {
 		return 0, fmt.Errorf("myrinet: %d-byte message into %d-byte buffer", len(m), len(buf))
 	}

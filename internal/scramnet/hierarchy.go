@@ -66,7 +66,7 @@ func NewHierarchy(k *sim.Kernel, cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{
 		k:        k,
-		owner:    &ownerTable{enabled: cfg.Ring.SingleWriterCheck, m: map[int]int{}},
+		owner:    newOwnerTable(cfg.Ring.SingleWriterCheck, cfg.Ring.MemBytes),
 		memBytes: cfg.Ring.MemBytes,
 	}
 	// Backbone: one node per leaf (its bridge).

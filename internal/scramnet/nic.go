@@ -20,7 +20,7 @@ type NIC struct {
 	// it equals id on a flat ring and the global host number in a
 	// hierarchy.
 	ownerID int
-	mem     []byte
+	mem     bank
 	bus     *pci.Bus
 
 	link      *sim.Server // outgoing ring link (local + transit traffic)
@@ -47,6 +47,7 @@ type NIC struct {
 	// adds nothing to the transit path. mreg remembers the metrics
 	// registry so a lazily created engine gets its spin.* instruments.
 	handlers *spin.Engine
+	hctx     spin.HandlerCtx
 	mreg     *metrics.Registry
 
 	stats Stats
@@ -105,7 +106,7 @@ func (nic *NIC) RingCuts() int { return nic.net.cuts }
 func (nic *NIC) NetworkConfig() Config { return nic.net.cfg }
 
 // Size returns the replicated memory size in bytes.
-func (nic *NIC) Size() int { return len(nic.mem) }
+func (nic *NIC) Size() int { return nic.mem.size }
 
 // Stats returns a copy of the card's counters.
 func (nic *NIC) Stats() Stats { return nic.stats }
@@ -153,14 +154,14 @@ func (nic *NIC) DrainBound() sim.Time {
 }
 
 func (nic *NIC) checkRange(off, n int) {
-	if off < 0 || n < 0 || off+n > len(nic.mem) {
-		panic(fmt.Sprintf("scramnet: access [%d,%d) outside %d-byte bank", off, off+n, len(nic.mem)))
+	if off < 0 || n < 0 || off+n > nic.mem.size {
+		panic(fmt.Sprintf("scramnet: access [%d,%d) outside %d-byte bank", off, off+n, nic.mem.size))
 	}
 }
 
 // apply installs a remote write into the local bank (called by the ring).
 func (nic *NIC) apply(pkt *packet) {
-	copy(nic.mem[pkt.off:], pkt.data)
+	nic.mem.write(pkt.off, pkt.data)
 	nic.stats.PacketsApplied++
 	if nic.net.tracer != nil {
 		nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
@@ -186,8 +187,10 @@ func (nic *NIC) apply(pkt *packet) {
 // Not an "apply" for accounting purposes — the trace/metrics identity
 // (apply events == ring.packets_applied) counts remote applies only.
 func (nic *NIC) stripApply(pkt *packet) {
-	copy(nic.mem[pkt.off:], pkt.data)
-	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Spin, nic.id, "strip-apply", pkt.msg, pkt.span, "off=%#x len=%d", pkt.off, len(pkt.data))
+	nic.mem.write(pkt.off, pkt.data)
+	if nic.net.tracer != nil {
+		nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Spin, nic.id, "strip-apply", pkt.msg, pkt.span, "off=%#x len=%d", pkt.off, len(pkt.data))
+	}
 }
 
 // InstallHandler registers an in-network handler (internal/spin) for
@@ -203,6 +206,7 @@ func (nic *NIC) InstallHandler(off, n int, h spin.Handler) int {
 		if nic.mreg != nil {
 			nic.handlers.SetMetrics(nic.mreg)
 		}
+		nic.hctx = spin.HandlerCtx{Node: nic.id, Word: nic.SampleWord}
 	}
 	return nic.handlers.Install(off, n, h)
 }
@@ -233,21 +237,16 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 		return spin.Forward, 0, 0, false
 	}
 	net := nic.net
-	ctx := &spin.HandlerCtx{
-		Node: nic.id,
-		Now:  net.k.Now(),
-		Bank: func(off, n int) []byte {
-			nic.checkRange(off, n)
-			return nic.mem[off : off+n]
-		},
+	nic.hctx.Now = net.k.Now()
+	if net.tracer != nil {
+		span = net.tracer.BeginSpan(net.k.Now(), trace.Spin, nic.id, "handler", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
 	}
-	span = net.tracer.BeginSpan(net.k.Now(), trace.Spin, nic.id, "handler", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
-	v, cycles, trapped := nic.handlers.Run(ctx, spin.Packet{Origin: pkt.origin, Off: pkt.off, Hops: pkt.hops, Data: pkt.data, Interrupt: pkt.interrupt})
+	v, cycles, trapped := nic.handlers.Run(&nic.hctx, spin.Packet{Origin: pkt.origin, Off: pkt.off, Hops: pkt.hops, Data: pkt.data, Interrupt: pkt.interrupt})
 	if v == spin.Rewrite {
 		pkt.rewritten = true
 		nic.stats.PacketsCombined++
 	}
-	if trapped {
+	if trapped && net.tracer != nil {
 		net.tracer.EmitMsg(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", net.cfg.HandlerBudget)
 	}
 	return v, sim.Duration(cycles) * net.cfg.HandlerCycleCost, span, true
@@ -262,7 +261,7 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 // packet's trace attribution.
 func (pkt *packet) crossHop() {
 	nic := pkt.net.nics[pkt.origin]
-	copy(nic.mem[pkt.off:], pkt.data)
+	nic.mem.write(pkt.off, pkt.data)
 	nic.txBacklog += len(pkt.data)
 	pkt.net.inject(pkt)
 }
@@ -317,7 +316,7 @@ func (nic *NIC) writeWord(p *sim.Proc, off int, v uint32, intr bool) {
 	nic.bus.PIOWrite(p, 1)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	copy(nic.mem[off:], b[:])
+	nic.mem.write(off, b[:])
 	nic.send(p, off, b[:], intr, nil)
 }
 
@@ -347,7 +346,7 @@ func (nic *NIC) IssueRead(off, words int, burst bool) sim.Duration {
 // what a read IssueRead booked returns once its stall has elapsed.
 func (nic *NIC) SampleWord(off int) uint32 {
 	nic.checkRange(off, 4)
-	return binary.LittleEndian.Uint32(nic.mem[off:])
+	return nic.mem.word(off)
 }
 
 // SampleWords fills dst with the bank words from off without charging
@@ -355,7 +354,7 @@ func (nic *NIC) SampleWord(off int) uint32 {
 func (nic *NIC) SampleWords(off int, dst []uint32) {
 	nic.checkRange(off, 4*len(dst))
 	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(nic.mem[off+4*i:])
+		dst[i] = nic.mem.word(off + 4*i)
 	}
 }
 
@@ -368,7 +367,7 @@ func (nic *NIC) Write(p *sim.Proc, off int, data []byte) {
 	}
 	nic.checkRange(off, len(data))
 	nic.checkWriter(off, len(data))
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	nic.send(p, off, data, false, func(chunk int) {
 		nic.bus.PIOWrite(p, pci.WordsFor(chunk))
 	})
@@ -384,7 +383,7 @@ func (nic *NIC) WriteDMA(p *sim.Proc, off int, data []byte) {
 	}
 	nic.checkRange(off, len(data))
 	nic.checkWriter(off, len(data))
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	cfg := nic.bus.Config()
 	nic.bus.CountDMABurst(len(data))
 	p.Delay(cfg.DMASetup)
@@ -417,7 +416,7 @@ func (nic *NIC) Read(p *sim.Proc, off int, buf []byte) {
 	}
 	nic.checkRange(off, len(buf))
 	nic.bus.PIORead(p, pci.WordsFor(len(buf)))
-	copy(buf, nic.mem[off:])
+	nic.mem.read(off, buf)
 }
 
 // ReadDMA copies n bytes from the local bank into buf using the DMA
@@ -428,14 +427,16 @@ func (nic *NIC) ReadDMA(p *sim.Proc, off int, buf []byte) {
 	}
 	nic.checkRange(off, len(buf))
 	nic.bus.DMA(p, len(buf))
-	copy(buf, nic.mem[off:])
+	nic.mem.read(off, buf)
 }
 
 // Peek returns bank bytes without charging bus time. It is for tests and
 // invariant checks only, never for modeled software paths.
 func (nic *NIC) Peek(off, n int) []byte {
 	nic.checkRange(off, n)
-	return append([]byte(nil), nic.mem[off:off+n]...)
+	b := make([]byte, n)
+	nic.mem.read(off, b)
+	return b
 }
 
 // EnableInterrupts turns interrupt delivery on or off and installs the

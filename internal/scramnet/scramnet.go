@@ -212,43 +212,6 @@ type packet struct {
 	depart, arrive, proceed, cross func()
 }
 
-// ownerTable tracks, per word offset, which host first wrote it
-// (SingleWriterCheck). A hierarchy shares one table across its rings so
-// the discipline is enforced globally.
-type ownerTable struct {
-	enabled bool
-	m       map[int]int
-}
-
-// assign transfers ownership of the words covering [off, off+size) to
-// writer, overwriting any previous owner. The BillBoard layer uses it
-// when a process lends part of its data partition to a peer (a posted
-// rendezvous window): the discipline stays one-writer-per-word at any
-// instant, but the writer changes hands at well-defined protocol points.
-func (t *ownerTable) assign(writer, off, size int) {
-	if !t.enabled {
-		return
-	}
-	for w := off / 4; w <= (off+size-1)/4; w++ {
-		t.m[w] = writer
-	}
-}
-
-func (t *ownerTable) check(writer, off, size int) {
-	if !t.enabled {
-		return
-	}
-	for w := off / 4; w <= (off+size-1)/4; w++ {
-		if prev, ok := t.m[w]; ok {
-			if prev != writer {
-				panic(fmt.Sprintf("scramnet: single-writer violation: word %#x written by node %d then node %d", w*4, prev, writer))
-			}
-		} else {
-			t.m[w] = writer
-		}
-	}
-}
-
 // Network is a SCRAMNet ring.
 type Network struct {
 	k      *sim.Kernel
@@ -326,7 +289,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n := &Network{
 		k:      k,
 		cfg:    cfg,
-		owner:  &ownerTable{enabled: cfg.SingleWriterCheck, m: map[int]int{}},
+		owner:  newOwnerTable(cfg.SingleWriterCheck, cfg.MemBytes),
 		faults: sim.NewRNG(cfg.Seed + 1),
 		cut:    make([]bool, cfg.Nodes),
 	}
@@ -335,7 +298,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 			net:     n,
 			id:      i,
 			ownerID: i,
-			mem:     make([]byte, cfg.MemBytes),
+			mem:     newBank(cfg.MemBytes),
 			bus:     pci.New(k, cfg.Bus),
 			link:    sim.NewServer(k),
 			txDrain: sim.NewCond(k),

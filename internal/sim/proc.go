@@ -202,22 +202,27 @@ func (c *Cond) remove(p *Proc) bool {
 	return false
 }
 
-// Signal wakes the longest-waiting process, if any.
+// Signal wakes the longest-waiting process, if any, shifting the wait
+// list down in place so its backing array is reused.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters[0] = nil
-	c.waiters = c.waiters[1:]
+	last := len(c.waiters) - 1
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[last] = nil
+	c.waiters = c.waiters[:last]
 	c.k.AfterKind(0, KindProc, p.wake)
 }
 
-// Broadcast wakes every waiting process in FIFO order.
+// Broadcast wakes every waiting process in FIFO order. The wait list
+// keeps its backing array: the wake-ups are events, so no process can
+// rejoin the list before it is emptied.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		c.k.AfterKind(0, KindProc, p.wake)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }

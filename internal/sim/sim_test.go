@@ -314,6 +314,42 @@ func TestDelayAllocs(t *testing.T) {
 	}
 }
 
+// TestCondAllocs pins a warmed-up Cond round trip at zero allocations:
+// Signal and Broadcast empty the wait list in place, so the waiters'
+// next Wait appends into the same backing array.
+func TestCondAllocs(t *testing.T) {
+	for name, wake := range map[string]func(*Cond){
+		"signal":    (*Cond).Signal,
+		"broadcast": (*Cond).Broadcast,
+	} {
+		k := NewKernel()
+		c := NewCond(k)
+		woken := 0
+		for i := 0; i < 2; i++ {
+			k.SpawnDaemon(fmt.Sprint("waiter", i), func(p *Proc) {
+				for {
+					c.Wait(p)
+					woken++
+				}
+			})
+		}
+		k.SpawnDaemon("waker", func(p *Proc) {
+			for {
+				p.Delay(1)
+				wake(c)
+			}
+		})
+		k.RunFor(4)
+		if allocs := testing.AllocsPerRun(100, func() { k.RunFor(1) }); allocs != 0 {
+			t.Errorf("%s/Wait round trip allocates %v objects, want 0", name, allocs)
+		}
+		if woken == 0 {
+			t.Errorf("%s woke no waiter", name)
+		}
+		k.Close()
+	}
+}
+
 func TestRunUntilAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	fired := false

@@ -216,7 +216,7 @@ func (r *Reducer) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
 			return Forward
 		}
 		for i := 0; i < n; i += 4 {
-			c := word(ctx.Bank(r.ContribOff+rel+i, 4))
+			c := ctx.Word(r.ContribOff + rel + i)
 			putWord(pkt.Data[i:], r.st.op.Combine(word(pkt.Data[i:]), c))
 		}
 		r.st.combined += n

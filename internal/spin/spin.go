@@ -85,18 +85,21 @@ type Packet struct {
 	Interrupt bool
 }
 
-// HandlerCtx is the per-transit execution context handed to handlers.
-// The Bank hook is wired by the NIC before each run; handlers must not
-// retain the context across calls.
+// HandlerCtx is the execution context handed to handlers. A NIC keeps
+// one per card: it binds Node and the Word hook once, when its first
+// handler is installed, and sets Now before each run, so a transit
+// allocates nothing. Handlers must not retain the context across calls.
 type HandlerCtx struct {
 	// Node is the transit node the handler executes on.
 	Node int
 	// Now is the virtual time of the transit.
 	Now sim.Time
-	// Bank reads n bytes of the local replicated bank at off without
-	// charging time — handler memory accesses are on-card, not across
-	// the host bus. The returned slice aliases the bank: read-only.
-	Bank func(off, n int) []byte
+	// Word returns the little-endian word at off of the local
+	// replicated bank without charging time — handler memory accesses
+	// are on-card, not across the host bus. It returns a value, never a
+	// view of the bank: the bank is paged, and a page the ring has
+	// never written reads as zeros.
+	Word func(off int) uint32
 
 	spent  int64
 	budget int64

@@ -12,9 +12,9 @@ type verdictFn func(ctx *HandlerCtx, pkt Packet) Verdict
 
 func (f verdictFn) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict { return f(ctx, pkt) }
 
-// bankOf builds a HandlerCtx.Bank hook over a flat byte slice.
-func bankOf(mem []byte) func(off, n int) []byte {
-	return func(off, n int) []byte { return mem[off : off+n] }
+// wordsOf builds a HandlerCtx.Word hook over a flat byte slice.
+func wordsOf(mem []byte) func(off int) uint32 {
+	return func(off int) uint32 { return word(mem[off:]) }
 }
 
 func TestVerdictStrings(t *testing.T) {
@@ -138,7 +138,7 @@ func TestEngineRunOrderAndVerdicts(t *testing.T) {
 	e.Install(0, 16, mk(1, Forward))
 	e.Install(4, 8, mk(2, Rewrite))
 	e.Install(0, 16, mk(3, Forward))
-	ctx := &HandlerCtx{Node: 3, Bank: bankOf(make([]byte, 32))}
+	ctx := &HandlerCtx{Node: 3, Word: wordsOf(make([]byte, 32))}
 	v, cycles, trapped := e.Run(ctx, Packet{Off: 4, Data: make([]byte, 4)})
 	if v != Rewrite || trapped || cycles != 3 {
 		t.Errorf("run: v=%v cycles=%d trapped=%v", v, cycles, trapped)
@@ -191,7 +191,7 @@ func TestEngineBudgetTrapRollsBack(t *testing.T) {
 		return Forward
 	}))
 	data := []byte{1, 2, 3, 4}
-	ctx := &HandlerCtx{Bank: bankOf(make([]byte, 8))}
+	ctx := &HandlerCtx{Word: wordsOf(make([]byte, 8))}
 	v, cycles, trapped := e.Run(ctx, Packet{Off: 0, Data: data})
 	if !trapped || v != Forward {
 		t.Fatalf("v=%v trapped=%v", v, trapped)
@@ -269,7 +269,7 @@ func TestTrapRollsBackReducerState(t *testing.T) {
 		ctx.Charge(1000)
 		return Forward
 	}))
-	ctx := &HandlerCtx{Node: 1, Bank: bankOf(mem)}
+	ctx := &HandlerCtx{Node: 1, Word: wordsOf(mem)}
 
 	hdr := make([]byte, 4)
 	putWord(hdr, HdrWord(OpSumU32, maxB))
@@ -341,7 +341,7 @@ func TestReducerSelfOverrunCommitsNothing(t *testing.T) {
 		HdrOff: hdrOff, VecOff: vecOff, CtrOff: ctrOff,
 		MaxBytes: maxB, ContribOff: conOff,
 	})
-	ctx := &HandlerCtx{Node: 2, Bank: bankOf(mem)}
+	ctx := &HandlerCtx{Node: 2, Word: wordsOf(mem)}
 	hdr := make([]byte, 4)
 	putWord(hdr, HdrWord(OpSumU32, maxB))
 	if _, _, trapped := e.Run(ctx, Packet{Off: hdrOff, Data: hdr}); trapped {
@@ -376,7 +376,7 @@ func TestReducerRound(t *testing.T) {
 		HdrOff: hdrOff, VecOff: vecOff, CtrOff: ctrOff,
 		MaxBytes: maxB, ContribOff: conOff,
 	})
-	ctx := &HandlerCtx{Node: 2, Bank: bankOf(mem)}
+	ctx := &HandlerCtx{Node: 2, Word: wordsOf(mem)}
 	run := func(off int, data []byte) (Verdict, []byte) {
 		v, _, _ := e.Run(ctx, Packet{Off: off, Data: data})
 		return v, data
@@ -439,7 +439,7 @@ func TestTopicFilter(t *testing.T) {
 		Base: 100, SlotBytes: 10, Topics: 4,
 		Subscribed: func(topic int) bool { return topic%2 == 0 },
 	})
-	ctx := &HandlerCtx{Bank: bankOf(make([]byte, 256))}
+	ctx := &HandlerCtx{Word: wordsOf(make([]byte, 256))}
 	for _, c := range []struct {
 		off  int
 		want Verdict

@@ -201,7 +201,10 @@ func (s *Stack) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 	return xport.LoopMcast(p, dsts, data, s.Send)
 }
 
+// deliver copies message m, just popped from the inbox, into buf and
+// hands m back to the inbox.
 func (s *Stack) deliver(p *sim.Proc, m []byte, buf []byte) (int, error) {
+	defer s.in.Release(m)
 	if len(m) > len(buf) {
 		return 0, ErrTruncated
 	}

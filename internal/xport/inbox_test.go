@@ -33,6 +33,44 @@ func TestInboxOutOfOrderFragments(t *testing.T) {
 	}
 }
 
+// TestInboxReleaseReuse checks the inbox's buffer recycling: a
+// released message buffer carries the next message that fits in it,
+// a larger one gets a fresh buffer, and a steady Add/Pop/Release cycle
+// allocates nothing.
+func TestInboxReleaseReuse(t *testing.T) {
+	in := xport.NewInbox(2)
+	in.Add(1, 0, 0, 8, []byte("abcdefgh"))
+	first, _ := in.Pop(1)
+	in.Release(first)
+	in.Add(1, 1, 0, 5, []byte("12345"))
+	got, _ := in.Pop(1)
+	if string(got) != "12345" || &got[0] != &first[0] {
+		t.Fatalf("Pop = %q at %p, want \"12345\" reusing the released buffer at %p", got, &got[0], &first[0])
+	}
+	in.Release(got)
+	in.Add(1, 2, 0, 16, []byte("0123456789abcdef"))
+	if big, _ := in.Pop(1); string(big) != "0123456789abcdef" {
+		t.Fatalf("Pop = %q after outgrowing the released buffer", big)
+	}
+	payload := []byte("steady")
+	id := uint32(3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 3; i++ {
+			in.Add(0, id, 0, len(payload), payload)
+			id++
+		}
+		for i := 0; i < 3; i++ {
+			m, ok := in.Pop(0)
+			if !ok || string(m) != "steady" {
+				t.Fatalf("Pop = %q, %v", m, ok)
+			}
+			in.Release(m)
+		}
+	}); allocs != 0 {
+		t.Fatalf("an Add/Pop/Release cycle allocates %v times, want 0", allocs)
+	}
+}
+
 func TestInboxZeroLengthMessage(t *testing.T) {
 	in := xport.NewInbox(2)
 	if !in.Add(0, 0, 0, 0, nil) {

@@ -24,11 +24,14 @@ type Endpoint interface {
 	MaxMessage() int
 	// Send posts data to dst. It may block (virtual time) for flow
 	// control but returns before the receiver consumes the message.
+	// It reads data until it returns, never after: the caller may reuse
+	// the buffer at once.
 	Send(p *sim.Proc, dst int, data []byte) error
 	// Mcast posts one message to several destinations, one copy per
 	// distinct rank. A list that fails ValidMcast (empty, self or out
 	// of range) fails the call with nothing sent. Substrates without
-	// hardware replication loop over Send (LoopMcast).
+	// hardware replication loop over Send (LoopMcast). data is read
+	// as by Send.
 	Mcast(p *sim.Proc, dsts []int, data []byte) error
 	// Recv blocks for the next in-order message from src. A message
 	// longer than buf is consumed all the same, with an error.
