@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover covercheck verify figures bench sweep timeline soak clean
+.PHONY: all build test race vet lint cover covercheck verify figures bench sweep timeline soak loc clean
 
 all: build
 
@@ -208,6 +208,11 @@ sweep: build
 	fi; \
 	rm -f .sweep.gate.out
 	@echo "sweep tier green: matrix matches BENCH_sweep.json; trend gate catches injected drift"
+
+# Lean metric (ROADMAP item 6): lines of non-test Go outside the
+# nested benchmark/ module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 clean:
 	rm -f cover.out cover.html .cover.*.out \

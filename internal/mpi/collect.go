@@ -34,14 +34,14 @@ func parseColl(msg []byte) (op byte, seq uint16, payload []byte, ok bool) {
 }
 
 // recvColl receives the next multicast fast-path message with the given
-// op and sequence from srcWorld, steering any interleaved point-to-point
+// op and sequence from src, steering any interleaved point-to-point
 // envelopes through the normal engine path. Returns the payload length
-// copied into out. group is the collective's world-rank membership:
-// with a liveness view, the wait is abandoned with a DeadPeerError as
-// soon as any member is confirmed dead (a collective with a dead
-// participant can never complete), which bounds a mid-collective node
-// death by the detector's confirmation window.
-func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq uint16, out []byte) (int, error) {
+// copied into out. The collective spans ranks [0, size): with a
+// liveness view, the wait is abandoned with a DeadPeerError as soon as
+// any member is confirmed dead (a collective with a dead participant
+// can never complete), which bounds a mid-collective node death by the
+// detector's confirmation window.
+func (e *Engine) recvColl(p *sim.Proc, src, size int, op byte, seq uint16, out []byte) (int, error) {
 	// accept consumes msg if it is a fast-path message, returning its
 	// payload length; ok is false for an envelope.
 	accept := func(msg []byte) (int, bool) {
@@ -59,9 +59,9 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 	// A rank running ahead may have parked this message in the engine's
 	// collective queue during general progress (handleRaw queues only
 	// what parseColl accepts).
-	if q := e.collQ[srcWorld]; len(q) > 0 {
+	if q := e.collQ[src]; len(q) > 0 {
 		msg := q[0]
-		e.collQ[srcWorld] = q[1:]
+		e.collQ[src] = q[1:]
 		n, _ := accept(msg)
 		return n, nil
 	}
@@ -69,16 +69,16 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 		// No detector: the transport's own blocking receive (and its
 		// RecvTimeout) is the only bound, exactly as before.
 		for {
-			n, err := e.ep.Recv(p, srcWorld, e.scratch)
+			n, err := e.ep.Recv(p, src, e.scratch)
 			if err != nil {
-				panic(fmt.Sprintf("mpi: collective recv from %d: %v", srcWorld, err))
+				panic(fmt.Sprintf("mpi: collective recv from %d: %v", src, err))
 			}
 			if got, ok := accept(e.scratch[:n]); ok {
 				return got, nil
 			}
 			// A point-to-point envelope overtook the collective on this
 			// stream: process it and keep waiting.
-			e.handleRaw(p, srcWorld, append([]byte(nil), e.scratch[:n]...))
+			e.handleRaw(p, src, append([]byte(nil), e.scratch[:n]...))
 		}
 	}
 	// Liveness-aware wait: poll the stream one probe at a time (the same
@@ -90,21 +90,16 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 	}
 	for {
 		if part, ok := e.partition(); ok {
-			if part.Minority {
+			if part.Minority || unreachableIn(part, size) {
 				return 0, e.partitionErr(part)
 			}
-			for _, w := range group {
-				if part.Unreachable(w) {
-					return 0, e.partitionErr(part)
-				}
-			}
 		}
-		if w := e.deadIn(group); w >= 0 {
+		if w := e.deadIn(size); w >= 0 {
 			return 0, &DeadPeerError{Rank: w}
 		}
-		n, ok, err := e.ep.TryRecv(p, srcWorld, e.scratch)
+		n, ok, err := e.ep.TryRecv(p, src, e.scratch)
 		if err != nil {
-			panic(fmt.Sprintf("mpi: collective recv from %d: %v", srcWorld, err))
+			panic(fmt.Sprintf("mpi: collective recv from %d: %v", src, err))
 		}
 		if !ok {
 			if deadline >= 0 && p.Now() > deadline {
@@ -115,16 +110,16 @@ func (e *Engine) recvColl(p *sim.Proc, srcWorld int, group []int, op byte, seq u
 		if got, ok := accept(e.scratch[:n]); ok {
 			return got, nil
 		}
-		e.handleRaw(p, srcWorld, append([]byte(nil), e.scratch[:n]...))
+		e.handleRaw(p, src, append([]byte(nil), e.scratch[:n]...))
 	}
 }
 
-// othersWorld returns the group's world ranks except comm rank `not`.
-func (c *Comm) othersWorld(not int) []int {
+// others returns every rank except `not`.
+func (c *Comm) others(not int) []int {
 	var out []int
-	for r, w := range c.group {
+	for r := 0; r < c.Size(); r++ {
 		if r != not {
-			out = append(out, w)
+			out = append(out, r)
 		}
 	}
 	return out
@@ -145,7 +140,7 @@ func (c *Comm) bcastMcast(p *sim.Proc, root int, buf []byte) error {
 	}
 	if c.rank == root {
 		p.Delay(e.cfg.Costs.CollOverhead)
-		dsts := c.othersWorld(root)
+		dsts := c.others(root)
 		for i := 0; i < nchunks; i++ {
 			lo := i * chunk
 			hi := minInt(lo+chunk, len(buf))
@@ -158,10 +153,9 @@ func (c *Comm) bcastMcast(p *sim.Proc, root int, buf []byte) error {
 		return nil
 	}
 	p.Delay(e.cfg.Costs.CollOverhead)
-	rootWorld := c.group[root]
 	off := 0
 	for i := 0; i < nchunks; i++ {
-		n, err := e.recvColl(p, rootWorld, c.group, opBcast, seq, buf[off:])
+		n, err := e.recvColl(p, root, c.Size(), opBcast, seq, buf[off:])
 		if err != nil {
 			return err
 		}
@@ -183,16 +177,16 @@ func (c *Comm) barrierMcast(p *sim.Proc) error {
 	p.Delay(e.cfg.Costs.CollOverhead)
 	if c.rank == 0 {
 		for r := 1; r < c.Size(); r++ {
-			if _, err := e.recvColl(p, c.group[r], c.group, opBarrierArrive, seq, nil); err != nil {
+			if _, err := e.recvColl(p, r, c.Size(), opBarrierArrive, seq, nil); err != nil {
 				return err
 			}
 		}
-		return e.ep.Mcast(p, c.othersWorld(0), collHdr(opBarrierRelease, seq))
+		return e.ep.Mcast(p, c.others(0), collHdr(opBarrierRelease, seq))
 	}
-	if err := e.ep.Send(p, c.group[0], collHdr(opBarrierArrive, seq)); err != nil {
+	if err := e.ep.Send(p, 0, collHdr(opBarrierArrive, seq)); err != nil {
 		return err
 	}
-	_, err := e.recvColl(p, c.group[0], c.group, opBarrierRelease, seq, nil)
+	_, err := e.recvColl(p, 0, c.Size(), opBarrierRelease, seq, nil)
 	return err
 }
 

@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -25,14 +23,7 @@ func NewWorld(eps []xport.Endpoint, cfg Config) *World {
 		w.engines = append(w.engines, newEngine(ep, cfg))
 	}
 	for i, eng := range w.engines {
-		group := make([]int, len(eps))
-		for j := range group {
-			group[j] = j
-		}
-		c := &Comm{eng: eng, ctx: 1, group: group, rank: i}
-		eng.comms[1] = c
-		eng.nextCtx = 2
-		w.comms = append(w.comms, c)
+		w.comms = append(w.comms, &Comm{eng: eng, rank: i, size: len(eps)})
 	}
 	return w
 }
@@ -73,40 +64,32 @@ func (w *World) RunSPMD(k *sim.Kernel, body func(p *sim.Proc, c *Comm)) {
 	}
 }
 
-// Comm is a communicator as seen by one rank.
+// Comm is the world communicator (COMM_WORLD) as seen by one rank. It
+// is the only communicator: a rank is the transport rank of its
+// endpoint, so no message carries a translation.
 type Comm struct {
-	eng   *Engine
-	ctx   uint32
-	group []int // communicator rank -> world rank
-	rank  int   // my communicator rank
-	seq   uint32
+	eng  *Engine
+	rank int // my rank
+	size int
+	seq  uint32
 	// Plan generation state (plan.go): the current plan epoch and the
 	// mask it was cut for — suspects at a fencing root, the unreachable
 	// arc on every quorum member.
 	planEpoch    uint32
 	lastPlanMask []byte
+	// gatherBuf receives children's contributions in gather (plan.go),
+	// grown on demand. One Proc drives a Comm, so calls never overlap.
+	gatherBuf []byte
 }
 
-// Rank returns the caller's rank within the communicator.
+// Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.group) }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
-
-func (c *Comm) rankOfWorld(world int) int {
-	for i, w := range c.group {
-		if w == world {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Comm) Size() int { return c.size }
 
 func (c *Comm) checkRank(r int) error {
-	if r < 0 || r >= len(c.group) {
+	if r < 0 || r >= c.size {
 		return ErrBadRank
 	}
 	return nil
@@ -126,29 +109,28 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 	}
 	e := c.eng
 	p.Delay(e.cfg.Costs.SendOverhead)
-	world := c.group[dst]
-	if part, ok := e.partition(); ok && (part.Minority || part.Unreachable(world)) {
+	if part, ok := e.partition(); ok && (part.Minority || part.Unreachable(dst)) {
 		// Fenced: the destination is on the other side of a declared
 		// ring partition (or this rank lost quorum). Fail before
 		// committing billboard buffers — the peer is unreachable until
 		// the fiber is spliced, not dead.
 		return nil, e.partitionErr(part)
 	}
-	if e.peerDead(world) {
+	if e.peerDead(dst) {
 		// Fail before committing billboard buffers to a receiver the
 		// detector already confirmed dead; a false verdict cannot reach
 		// here (the confirmation window is calibrated against it).
-		return nil, &DeadPeerError{Rank: world}
+		return nil, &DeadPeerError{Rank: dst}
 	}
-	req := &Request{eng: e, isSend: true, ctx: c.ctx, tag: tag, dst: world, comm: c}
+	req := &Request{eng: e, isSend: true, tag: tag, dst: dst, comm: c}
 	if len(data) <= e.cfg.EagerMax {
 		// The eager span covers envelope + chunks; the BBP posts they
 		// cause adopt it as their parent via the ambient stack.
-		span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", world, tag, len(data))
+		span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", dst, tag, len(data))
 		e.tracer.PushParent(span)
-		env := envelope{kind: kEager, ctx: c.ctx, tag: int32(tag), total: uint32(len(data))}
-		e.sendControl(p, world, env)
-		e.sendChunks(p, world, data)
+		env := envelope{kind: kEager, tag: int32(tag), total: uint32(len(data))}
+		e.sendControl(p, dst, env)
+		e.sendChunks(p, dst, data)
 		e.tracer.PopParent()
 		e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager-end", span, 0, "total=%d", len(data))
 		e.stats.EagerSent++
@@ -163,10 +145,10 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 	req.id = id
 	req.data = data
 	e.pendSends[id] = req
-	req.span = e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", world, tag, len(data))
-	env := envelope{kind: kRTS, ctx: c.ctx, tag: int32(tag), total: uint32(len(data)), reqID: id}
+	req.span = e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", dst, tag, len(data))
+	env := envelope{kind: kRTS, tag: int32(tag), total: uint32(len(data)), reqID: id}
 	e.tracer.PushParent(req.span)
-	e.sendControl(p, world, env)
+	e.sendControl(p, dst, env)
 	e.tracer.PopParent()
 	e.stats.RndvSent++
 	return req, nil
@@ -182,7 +164,7 @@ func (c *Comm) Irecv(p *sim.Proc, src, tag int, buf []byte) (*Request, error) {
 	}
 	e := c.eng
 	p.Delay(e.cfg.Costs.RecvOverhead)
-	req := &Request{eng: e, ctx: c.ctx, src: src, tag: tag, buf: buf, comm: c}
+	req := &Request{eng: e, src: src, tag: tag, buf: buf, comm: c}
 	p.Delay(e.cfg.Costs.MatchCost)
 	if m := e.matchUnexpected(req); m != nil {
 		switch m.env.kind {
@@ -255,23 +237,6 @@ func (c *Comm) Waitany(p *sim.Proc, reqs []*Request) (int, Status, error) {
 	}
 }
 
-// Probe blocks until a matching message is available without receiving
-// it (MPI_Probe); the returned status gives its source, tag and length.
-func (c *Comm) Probe(p *sim.Proc, src, tag int) (Status, error) {
-	deadline := sim.Time(-1)
-	if c.eng.cfg.WaitTimeout > 0 {
-		deadline = p.Now().Add(c.eng.cfg.WaitTimeout)
-	}
-	for {
-		if ok, st := c.Iprobe(p, src, tag); ok {
-			return st, nil
-		}
-		if deadline >= 0 && p.Now() > deadline {
-			return Status{}, ErrTimeout
-		}
-	}
-}
-
 // Send is a blocking standard-mode send.
 func (c *Comm) Send(p *sim.Proc, dst, tag int, data []byte) error {
 	req, err := c.isend(p, dst, tag, data)
@@ -306,105 +271,4 @@ func (c *Comm) Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag
 		return Status{}, err
 	}
 	return c.eng.wait(p, rreq)
-}
-
-// Iprobe polls for a matching message without receiving it.
-func (c *Comm) Iprobe(p *sim.Proc, src, tag int) (bool, Status) {
-	c.eng.progressOnce(p)
-	for _, m := range c.eng.unexpect {
-		if m.env.ctx != c.ctx {
-			continue
-		}
-		cr := c.rankOfWorld(m.src)
-		if src != AnySource && src != cr {
-			continue
-		}
-		if tag != AnyTag && tag != int(m.env.tag) {
-			continue
-		}
-		return true, Status{Source: cr, Tag: int(m.env.tag), Len: int(m.env.total)}
-	}
-	return false, Status{}
-}
-
-// Dup creates a communicator with the same group and a fresh context.
-// Like every communicator constructor, all members must call it in the
-// same order (MPICH-1's synchronized context-counter scheme).
-func (c *Comm) Dup() *Comm {
-	ctx := c.eng.nextCtx
-	c.eng.nextCtx++
-	nc := &Comm{eng: c.eng, ctx: ctx, group: append([]int(nil), c.group...), rank: c.rank}
-	c.eng.comms[ctx] = nc
-	return nc
-}
-
-// Split partitions the communicator by color; ranks within each new
-// communicator are ordered by (key, old rank). Every member must call
-// Split collectively. A negative color returns nil (MPI_UNDEFINED).
-func (c *Comm) Split(p *sim.Proc, color, key int) (*Comm, error) {
-	// Allgather (color, key) over point-to-point.
-	mine := make([]byte, 8)
-	binary.LittleEndian.PutUint32(mine[0:], uint32(int32(color)))
-	binary.LittleEndian.PutUint32(mine[4:], uint32(int32(key)))
-	all := make([]byte, 8*c.Size())
-	if err := c.allgather(p, mine, all); err != nil {
-		return nil, err
-	}
-	ctx := c.eng.nextCtx
-	c.eng.nextCtx++
-	if color < 0 {
-		return nil, nil
-	}
-	type member struct{ key, oldRank int }
-	var members []member
-	for r := 0; r < c.Size(); r++ {
-		col := int(int32(binary.LittleEndian.Uint32(all[8*r:])))
-		k := int(int32(binary.LittleEndian.Uint32(all[8*r+4:])))
-		if col == color {
-			members = append(members, member{k, r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].oldRank < members[j].oldRank
-	})
-	nc := &Comm{eng: c.eng, ctx: ctx}
-	for i, m := range members {
-		nc.group = append(nc.group, c.group[m.oldRank])
-		if m.oldRank == c.rank {
-			nc.rank = i
-		}
-	}
-	c.eng.comms[ctx] = nc
-	return nc, nil
-}
-
-// allgather gathers Split's equal-size (color, key) records everywhere:
-// nonblocking sends to every peer, then per-peer receives, under
-// Split's private tag.
-func (c *Comm) allgather(p *sim.Proc, send, recvAll []byte) error {
-	n := len(send)
-	copy(recvAll[c.rank*n:], send)
-	var reqs []*Request
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		req, err := c.isend(p, r, tagSplit, send)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		if _, err := c.Recv(p, r, tagSplit, recvAll[r*n:(r+1)*n]); err != nil {
-			return err
-		}
-	}
-	return c.Waitall(p, reqs)
 }

@@ -49,28 +49,6 @@ func TestWaitanyReturnsFirstCompletion(t *testing.T) {
 	})
 }
 
-func TestProbeBlocksUntilMessage(t *testing.T) {
-	run(t, cluster.SCRAMNet, 2, func(p *sim.Proc, c *mpi.Comm) {
-		if c.Rank() == 0 {
-			p.Delay(500 * sim.Microsecond)
-			if err := c.Send(p, 1, 8, []byte{1, 2, 3, 4, 5}); err != nil {
-				t.Error(err)
-			}
-		} else {
-			st, err := c.Probe(p, 0, 8)
-			if err != nil || st.Len != 5 || st.Source != 0 {
-				t.Errorf("Probe = %+v, %v", st, err)
-				return
-			}
-			// Size the buffer from the probe, as MPI programs do.
-			buf := make([]byte, st.Len)
-			if _, err := c.Recv(p, 0, 8, buf); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-}
-
 func TestManySmallIsendsDrainInOrder(t *testing.T) {
 	// A burst of nonblocking sends larger than the BBP slot count
 	// forces sender-side GC inside the MPI stack.
@@ -215,33 +193,6 @@ func TestStressAllToAllOnSCRAMNet(t *testing.T) {
 	})
 }
 
-func TestSplitUndefinedColor(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		color := c.Rank() % 2
-		if c.Rank() == 3 {
-			color = -1 // MPI_UNDEFINED
-		}
-		sub, err := c.Split(p, color, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 3 {
-			if sub != nil {
-				t.Error("undefined color returned a communicator")
-			}
-			return
-		}
-		want := 2
-		if color == 1 {
-			want = 1 // only rank 1 has color 1 (rank 3 dropped out)
-		}
-		if sub.Size() != want {
-			t.Errorf("rank %d: sub size %d want %d", c.Rank(), sub.Size(), want)
-		}
-	})
-}
-
 func TestLargeWorld(t *testing.T) {
 	// 16 ranks on one ring: deeper trees, more polling, longer ring.
 	const nodes = 16
@@ -274,28 +225,6 @@ func TestLargeWorld(t *testing.T) {
 		}
 		if err := c.Barrier(p, mpi.WithAlgorithm(mpi.Mcast)); err != nil {
 			t.Error(err)
-		}
-	})
-}
-
-func TestStatusSourceIsCommRankAfterSplit(t *testing.T) {
-	run(t, cluster.SCRAMNet, 4, func(p *sim.Proc, c *mpi.Comm) {
-		sub, err := c.Split(p, c.Rank()%2, c.Rank())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// In each subcomm, sub-rank 1 (world rank 2 or 3) sends to
-		// sub-rank 0; the status source must be the SUBCOMM rank.
-		if sub.Rank() == 1 {
-			if err := sub.Send(p, 0, 0, []byte{7}); err != nil {
-				t.Error(err)
-			}
-		} else {
-			st, err := sub.Recv(p, mpi.AnySource, 0, make([]byte, 4))
-			if err != nil || st.Source != 1 {
-				t.Errorf("world rank %d: status source %d want 1 (err %v)", c.Rank(), st.Source, err)
-			}
 		}
 	})
 }

@@ -22,8 +22,6 @@ type Engine struct {
 	unexpect  []*inMsg
 	pendSends map[uint32]*Request
 	pendRecvs map[uint32]*Request
-	comms     map[uint32]*Comm
-	nextCtx   uint32
 	// collQ[src] holds multicast fast-path messages that surfaced in
 	// the general progress loop before the collective call consumed
 	// them (a rank running ahead into its next collective).
@@ -172,8 +170,6 @@ func newEngine(ep xport.Endpoint, cfg Config) *Engine {
 		pendSends: map[uint32]*Request{},
 		pendRecvs: map[uint32]*Request{},
 		zombies:   map[uint32]zombieWin{},
-		comms:     map[uint32]*Comm{},
-		nextCtx:   1,
 		collQ:     make([][][]byte, ep.Procs()),
 		scratch:   make([]byte, maxInt(cfg.CollChunk+8, envWinBytes)),
 	}
@@ -319,18 +315,18 @@ func (e *Engine) sendCTS(p *sim.Proc, src int, rts envelope, req *Request) {
 	e.pendRecvs[id] = req
 	req.id = id
 	req.peerID = rts.reqID
-	req.status = Status{Source: e.commRank(rts.ctx, src), Tag: int(rts.tag), Len: int(rts.total)}
+	req.status = Status{Source: src, Tag: int(rts.tag), Len: int(rts.total)}
 	if e.wnd != nil && req.err == nil && rts.total > 0 {
 		if off, ok := e.wnd.ReserveWindow(p, src, int(rts.total)); ok {
 			req.winOff, req.winCap, req.hasWin = off, int(rts.total), true
 			req.winPeer = src
-			cts := envelope{kind: kCTSW, ctx: rts.ctx, tag: rts.tag, total: rts.total,
+			cts := envelope{kind: kCTSW, tag: rts.tag, total: rts.total,
 				reqID: rts.reqID, aux: id, winOff: uint32(off), winCap: rts.total}
 			e.sendControl(p, src, cts)
 			return
 		}
 	}
-	cts := envelope{kind: kCTS, ctx: rts.ctx, tag: rts.tag, total: rts.total, reqID: rts.reqID, aux: id}
+	cts := envelope{kind: kCTS, tag: rts.tag, total: rts.total, reqID: rts.reqID, aux: id}
 	e.sendControl(p, src, cts)
 }
 
@@ -343,7 +339,7 @@ func (e *Engine) handleCTS(p *sim.Proc, src int, env envelope) {
 		return
 	}
 	delete(e.pendSends, env.reqID)
-	hdr := envelope{kind: kRData, ctx: env.ctx, tag: env.tag, total: uint32(len(req.data)), reqID: env.aux}
+	hdr := envelope{kind: kRData, tag: env.tag, total: uint32(len(req.data)), reqID: env.aux}
 	e.tracer.PushParent(req.span)
 	e.sendControl(p, src, hdr)
 	e.sendChunks(p, req.dst, req.data)
@@ -366,7 +362,7 @@ func (e *Engine) handleCTSW(p *sim.Proc, src int, env envelope) {
 		// arrived. Unlike the sequential case the receiver is pinning a
 		// window for us, so reject explicitly: nothing will ever be
 		// written into it and the receiver may reclaim it at once.
-		rej := envelope{kind: kRRej, ctx: env.ctx, tag: env.tag, total: env.total, reqID: env.aux}
+		rej := envelope{kind: kRRej, tag: env.tag, total: env.total, reqID: env.aux}
 		e.trySendControl(p, src, rej)
 		return
 	}
@@ -382,7 +378,7 @@ func (e *Engine) handleCTSW(p *sim.Proc, src int, env envelope) {
 	e.writeWindowed(p, src, req)
 	e.tracer.PopParent()
 	e.stats.RndvZeroCopy++
-	done := envelope{kind: kRDone, ctx: env.ctx, tag: env.tag, total: uint32(len(req.data)),
+	done := envelope{kind: kRDone, tag: env.tag, total: uint32(len(req.data)),
 		reqID: req.peerID, aux: payloadCheck(req.data)}
 	e.trySendControl(p, src, done)
 }
@@ -449,7 +445,7 @@ func (e *Engine) handleRDone(p *sim.Proc, src int, env envelope) {
 	if payloadCheck(req.buf[:n]) != env.aux {
 		req.naks++
 		if req.naks < maxWindowNaks {
-			nak := envelope{kind: kRNak, ctx: env.ctx, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
+			nak := envelope{kind: kRNak, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
 			e.trySendControl(p, src, nak)
 			return
 		}
@@ -461,7 +457,7 @@ func (e *Engine) handleRDone(p *sim.Proc, src int, env envelope) {
 		// pendRecvs to match the kRData announcement.
 		e.wnd.ReleaseWindow(req.winOff, req.winCap)
 		req.hasWin = false
-		fall := envelope{kind: kRFall, ctx: env.ctx, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
+		fall := envelope{kind: kRFall, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
 		e.trySendControl(p, src, fall)
 		return
 	}
@@ -470,7 +466,7 @@ func (e *Engine) handleRDone(p *sim.Proc, src int, env envelope) {
 	delete(e.pendRecvs, env.reqID)
 	// The payload is delivered even if the ack cannot reach a sender
 	// that died after writing it — exactly-once holds locally.
-	ack := envelope{kind: kRAck, ctx: env.ctx, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
+	ack := envelope{kind: kRAck, tag: env.tag, total: env.total, reqID: req.peerID, aux: env.reqID}
 	e.trySendControl(p, src, ack)
 	req.done = true
 	e.stats.Received++
@@ -488,7 +484,7 @@ func (e *Engine) handleRNak(p *sim.Proc, src int, env envelope) {
 	e.tracer.PushParent(req.span)
 	e.writeWindowed(p, src, req)
 	e.tracer.PopParent()
-	done := envelope{kind: kRDone, ctx: env.ctx, tag: env.tag, total: uint32(len(req.data)),
+	done := envelope{kind: kRDone, tag: env.tag, total: uint32(len(req.data)),
 		reqID: req.peerID, aux: payloadCheck(req.data)}
 	e.trySendControl(p, src, done)
 }
@@ -536,7 +532,7 @@ func (e *Engine) handleRFall(p *sim.Proc, src int, env envelope) {
 	if req == nil {
 		return
 	}
-	hdr := envelope{kind: kRData, ctx: env.ctx, tag: env.tag, total: uint32(len(req.data)), reqID: req.peerID}
+	hdr := envelope{kind: kRData, tag: env.tag, total: uint32(len(req.data)), reqID: req.peerID}
 	if !e.trySendControl(p, src, hdr) {
 		// Receiver unreachable (fenced mid-protocol): leave the request
 		// pending so the sender's wait surfaces the death or timeout.
@@ -643,21 +639,20 @@ func (e *Engine) sendChunks(p *sim.Proc, dstWorld int, data []byte) {
 	}
 }
 
+// matches is the one source/tag matching rule: whether receive req
+// accepts a message with envelope env from rank src.
+func (req *Request) matches(env envelope, src int) bool {
+	return (req.src == AnySource || req.src == src) &&
+		(req.tag == AnyTag || req.tag == int(env.tag))
+}
+
 // matchPosted removes and returns the first posted receive matching env.
-func (e *Engine) matchPosted(env envelope, srcWorld int) *Request {
-	cr := e.commRank(env.ctx, srcWorld)
+func (e *Engine) matchPosted(env envelope, src int) *Request {
 	for i, req := range e.posted {
-		if req.ctx != env.ctx {
-			continue
+		if req.matches(env, src) {
+			e.posted = append(e.posted[:i], e.posted[i+1:]...)
+			return req
 		}
-		if req.src != AnySource && req.src != cr {
-			continue
-		}
-		if req.tag != AnyTag && req.tag != int(env.tag) {
-			continue
-		}
-		e.posted = append(e.posted[:i], e.posted[i+1:]...)
-		return req
 	}
 	return nil
 }
@@ -666,41 +661,21 @@ func (e *Engine) matchPosted(env envelope, srcWorld int) *Request {
 // matching a newly posted receive.
 func (e *Engine) matchUnexpected(req *Request) *inMsg {
 	for i, m := range e.unexpect {
-		if m.env.ctx != req.ctx {
-			continue
+		if req.matches(m.env, m.src) {
+			e.unexpect = append(e.unexpect[:i], e.unexpect[i+1:]...)
+			return m
 		}
-		cr := e.commRank(m.env.ctx, m.src)
-		if req.src != AnySource && req.src != cr {
-			continue
-		}
-		if req.tag != AnyTag && req.tag != int(m.env.tag) {
-			continue
-		}
-		e.unexpect = append(e.unexpect[:i], e.unexpect[i+1:]...)
-		return m
 	}
 	return nil
 }
 
-func (e *Engine) complete(req *Request, srcWorld int, env envelope, err error) {
-	req.status = Status{Source: e.commRank(env.ctx, srcWorld), Tag: int(env.tag), Len: int(env.total)}
+func (e *Engine) complete(req *Request, src int, env envelope, err error) {
+	req.status = Status{Source: src, Tag: int(env.tag), Len: int(env.total)}
 	req.err = err
 	req.done = true
 	e.stats.Received++
 }
 
-// commRank translates a world rank to the rank within the communicator
-// identified by ctx.
-func (e *Engine) commRank(ctx uint32, world int) int {
-	c := e.comms[ctx]
-	if c == nil {
-		panic(fmt.Sprintf("mpi: message for unknown context %d", ctx))
-	}
-	return c.rankOfWorld(world)
-}
-
-// peerDead reports whether the failure detector (if any) has confirmed
-// world rank `world` dead.
 // peerDead reports a confirmed-dead verdict about world. A verdict
 // about a peer on the far side of a declared partition does not count:
 // the peer is unreachable, not dead, so window/zombie reclaim must wait
@@ -715,17 +690,27 @@ func (e *Engine) peerDead(world int) bool {
 	return true
 }
 
-// deadIn returns the first world rank in group confirmed dead, or -1.
-func (e *Engine) deadIn(group []int) int {
+// deadIn returns the first of ranks [0, size) confirmed dead, or -1.
+func (e *Engine) deadIn(size int) int {
 	if e.live == nil {
 		return -1
 	}
-	for _, w := range group {
-		if e.peerDead(w) {
-			return w
+	for r := 0; r < size; r++ {
+		if e.peerDead(r) {
+			return r
 		}
 	}
 	return -1
+}
+
+// unreachableIn reports whether part cuts off any of ranks [0, size).
+func unreachableIn(part liveness.PartitionInfo, size int) bool {
+	for r := 0; r < size; r++ {
+		if part.Unreachable(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // partition returns the transport's declared ring partition, if any.
@@ -778,15 +763,13 @@ func (e *Engine) checkPartition(req *Request) error {
 	// abandoned group-wide — otherwise a rank gathered behind a fenced
 	// peer would sit out WaitTimeout instead of failing fast.
 	if req.src != AnySource && (req.tag >= 0 || bytes.Equal(c.lastPlanMask, c.rankMask(part.Unreachable))) {
-		if part.Unreachable(c.group[req.src]) {
+		if part.Unreachable(req.src) {
 			return e.partitionErr(part)
 		}
 		return nil
 	}
-	for _, w := range c.group {
-		if part.Unreachable(w) {
-			return e.partitionErr(part)
-		}
+	if unreachableIn(part, c.Size()) {
+		return e.partitionErr(part)
 	}
 	return nil
 }
@@ -817,12 +800,12 @@ func (e *Engine) checkDead(req *Request) error {
 		return nil
 	}
 	if req.src != AnySource && req.tag >= 0 {
-		if w := c.group[req.src]; e.peerDead(w) {
-			return &DeadPeerError{Rank: w}
+		if e.peerDead(req.src) {
+			return &DeadPeerError{Rank: req.src}
 		}
 		return nil
 	}
-	if w := e.deadIn(c.group); w >= 0 {
+	if w := e.deadIn(c.Size()); w >= 0 {
 		return &DeadPeerError{Rank: w}
 	}
 	return nil

@@ -48,7 +48,6 @@ const (
 	tagBcast   = -100
 	tagBarrier = -101
 	tagReduce  = -102
-	tagSplit   = -107
 	tagPlan    = -113 // re-plan fence record (plan.go)
 )
 
@@ -99,7 +98,7 @@ func (e *PartitionError) Error() string {
 
 // Status describes a completed receive.
 type Status struct {
-	Source int // communicator rank of the sender
+	Source int // rank of the sender
 	Tag    int
 	Len    int
 }
@@ -224,11 +223,13 @@ const (
 	// collMagic prefixes multicast fast-path messages so the engine can
 	// distinguish them from envelopes on the same FIFO stream.
 	collMagic = 0xC0
+	// envCtx is the envelope's context word: MPICH's context id of
+	// COMM_WORLD, the only communicator, so every envelope carries it.
+	envCtx = 1
 )
 
 type envelope struct {
 	kind  byte
-	ctx   uint32
 	tag   int32
 	total uint32
 	reqID uint32
@@ -246,7 +247,7 @@ func encodeEnv(e envelope) []byte {
 	}
 	b := make([]byte, n)
 	b[0] = e.kind
-	binary.LittleEndian.PutUint32(b[4:], e.ctx)
+	binary.LittleEndian.PutUint32(b[4:], envCtx)
 	binary.LittleEndian.PutUint32(b[8:], uint32(e.tag))
 	binary.LittleEndian.PutUint32(b[12:], e.total)
 	binary.LittleEndian.PutUint32(b[16:], e.reqID)
@@ -260,7 +261,8 @@ func encodeEnv(e envelope) []byte {
 
 // decodeEnv is the inverse of encodeEnv. It rejects with ErrProtocol
 // every packet encodeEnv cannot produce: a length other than envBytes
-// (envWinBytes for kCTSW), an unknown kind, or non-zero padding bytes.
+// (envWinBytes for kCTSW), an unknown kind, non-zero padding bytes, or
+// a context word other than envCtx.
 func decodeEnv(b []byte) (envelope, error) {
 	if len(b) != envBytes && !(len(b) == envWinBytes && b[0] == kCTSW) {
 		return envelope{}, fmt.Errorf("%w: %d-byte control packet", ErrProtocol, len(b))
@@ -271,9 +273,11 @@ func decodeEnv(b []byte) (envelope, error) {
 	if b[1]|b[2]|b[3] != 0 {
 		return envelope{}, fmt.Errorf("%w: non-zero envelope padding", ErrProtocol)
 	}
+	if ctx := binary.LittleEndian.Uint32(b[4:]); ctx != envCtx {
+		return envelope{}, fmt.Errorf("%w: context %d", ErrProtocol, ctx)
+	}
 	env := envelope{
 		kind:  b[0],
-		ctx:   binary.LittleEndian.Uint32(b[4:]),
 		tag:   int32(binary.LittleEndian.Uint32(b[8:])),
 		total: binary.LittleEndian.Uint32(b[12:]),
 		reqID: binary.LittleEndian.Uint32(b[16:]),
@@ -313,14 +317,13 @@ type Request struct {
 
 	// Receive state.
 	buf  []byte
-	ctx  uint32
-	src  int // communicator rank or AnySource
+	src  int // sender rank or AnySource
 	tag  int
 	comm *Comm
 
 	// Rendezvous-send state.
 	data []byte
-	dst  int // world rank
+	dst  int // destination rank
 	id   uint32
 	span trace.SpanID // open rndv span, closed when CTS releases the data
 

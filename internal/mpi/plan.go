@@ -89,26 +89,25 @@ func (c *Comm) membership(p *sim.Proc, root int) (plan, error) {
 	return pl, nil
 }
 
-// members returns the comm ranks part leaves reachable from this side,
-// in rank order: the whole group when no partition is declared. The
-// calling rank is always among them.
+// members returns the ranks part leaves reachable from this side, in
+// rank order: every rank when no partition is declared. The calling
+// rank is always among them.
 func (c *Comm) members(part liveness.PartitionInfo) []int {
 	out := make([]int, 0, c.Size())
-	for r, w := range c.group {
-		if !part.Unreachable(w) {
+	for r := 0; r < c.Size(); r++ {
+		if !part.Unreachable(r) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// rankMask renders the members whose world rank satisfies in as a
-// comm-rank bitmask: the shape of both a suspect set and a partition's
-// unreachable arc.
-func (c *Comm) rankMask(in func(world int) bool) []byte {
+// rankMask renders the ranks that satisfy in as a bitmask: the shape
+// of both a suspect set and a partition's unreachable arc.
+func (c *Comm) rankMask(in func(rank int) bool) []byte {
 	mask := make([]byte, (c.Size()+7)/8)
-	for r, w := range c.group {
-		if in(w) {
+	for r := 0; r < c.Size(); r++ {
+		if in(r) {
 			mask[r/8] |= 1 << (r % 8)
 		}
 	}
@@ -195,15 +194,20 @@ func (c *Comm) fence(p *sim.Proc, pl plan) (plan, error) {
 func (c *Comm) gather(p *sim.Proc, pl plan, tag int, op Op, acc []byte) error {
 	pos := slices.Index(pl.order, c.rank)
 	n := len(pl.order)
-	tmp := make([]byte, len(acc))
+	if cap(c.gatherBuf) < len(acc) {
+		c.gatherBuf = make([]byte, len(acc))
+	}
+	tmp := c.gatherBuf[:len(acc)]
 	for mask := 1; mask < n; mask <<= 1 {
 		if pos&mask != 0 {
 			return c.Send(p, pl.order[pos-mask], tag, acc)
 		}
 		if pos+mask < n {
-			if _, err := c.Recv(p, pl.order[pos+mask], tag, tmp); err != nil {
+			st, err := c.Recv(p, pl.order[pos+mask], tag, tmp)
+			if err != nil {
 				return err
 			}
+			clear(tmp[st.Len:]) // a short contribution folds as zeros
 			p.Delay(sim.Duration(len(tmp)) * c.eng.cfg.Costs.CopyPerByte)
 			if op != nil {
 				op(acc, tmp)

@@ -22,15 +22,16 @@ import (
 var pinnedSizes = []int{1, 2, 3, 5, 7, 8}
 
 // pinnedWorld is cluster.NewMPIWorld's SCRAMNet testbed (PIO-only BBP,
-// default MPI configuration).
-func pinnedWorld(t *testing.T, nodes int) (*sim.Kernel, *mpi.World) {
+// default MPI configuration) with an n-rank world. The testbed needs
+// two nodes, so n = 1 is a world over the first of two.
+func pinnedWorld(t *testing.T, n int) (*sim.Kernel, *mpi.World) {
 	t.Helper()
 	k := sim.NewKernel()
-	c, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, PIOOnlyBBP: true})
+	c, err := cluster.New(k, cluster.Options{Nodes: max(n, 2), Net: cluster.SCRAMNet, PIOOnlyBBP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, mpi.NewWorld(c.Endpoints, mpi.DefaultConfig())
+	return k, mpi.NewWorld(c.Endpoints[:n], mpi.DefaultConfig())
 }
 
 // pinnedPayload is rank-independent bytes for a broadcast from root.
@@ -62,23 +63,14 @@ func pinnedSumOK(b []byte, n int) bool {
 }
 
 // runPinned runs body once on every rank of a fresh n-rank world and
-// returns each rank's exit time. The testbed needs two nodes, so n = 1
-// runs body on each rank's own single-member split of a 2-rank world.
+// returns each rank's exit time.
 func runPinned(t *testing.T, n int, body func(p *sim.Proc, cm *mpi.Comm) error) []sim.Time {
 	t.Helper()
-	k, w := pinnedWorld(t, max(n, 2))
+	k, w := pinnedWorld(t, n)
 	defer k.Close()
 	exits := make([]sim.Time, w.Size())
 	w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
-		c := cm
-		if n == 1 {
-			var err error
-			if c, err = cm.Split(p, cm.Rank(), 0); err != nil {
-				t.Errorf("rank %d split: %v", cm.Rank(), err)
-				return
-			}
-		}
-		if err := body(p, c); err != nil {
+		if err := body(p, cm); err != nil {
 			t.Errorf("rank %d: %v", cm.Rank(), err)
 		}
 		exits[cm.Rank()] = p.Now()
@@ -245,20 +237,20 @@ func TestPinnedReplanSchedules(t *testing.T) {
 // pinnedExits holds every rank's exit time, in virtual nanoseconds, per
 // collective run.
 var pinnedExits = map[string][]sim.Time{
-	"allreduce n=1": {64950, 64950},
+	"allreduce n=1": {0},
 	"allreduce n=2": {81040, 97300},
 	"allreduce n=3": {150320, 168550, 137050},
 	"allreduce n=5": {245610, 264550, 265340, 282550, 204550},
 	"allreduce n=7": {276120, 300550, 299840, 318550, 298620, 318550, 287050},
 	"allreduce n=8": {300120, 323800, 322340, 344800, 326130, 350050, 348590, 371050},
-	"barrier n=1":   {64950, 64950},
+	"barrier n=1":   {0},
 	"barrier n=2":   {70600, 82600},
 	"barrier n=3":   {129200, 141850, 113350},
 	"barrier n=5":   {208050, 224350, 223700, 239350, 167350},
 	"barrier n=7":   {232050, 249850, 252200, 267850, 254550, 272350, 240850},
 	"barrier n=8":   {253050, 271600, 270200, 287350, 274050, 292600, 291200, 303100},
 
-	"bcast n=1 root=0": {64950, 64950},
+	"bcast n=1 root=0": {0},
 	"bcast n=2 root=0": {34000, 60150},
 	"bcast n=2 root=1": {60150, 34000},
 	"bcast n=3 root=0": {68000, 94650, 61650},
@@ -285,7 +277,7 @@ var pinnedExits = map[string][]sim.Time{
 	"bcast n=8 root=6": {130150, 167400, 131150, 168150, 161650, 195900, 102000, 134400},
 	"bcast n=8 root=7": {134400, 129400, 165150, 131150, 168150, 160900, 195150, 102000},
 
-	"reduce n=1 root=0": {64950, 64950},
+	"reduce n=1 root=0": {0},
 	"reduce n=2 root=0": {48840, 32200},
 	"reduce n=2 root=1": {32200, 48840},
 	"reduce n=3 root=0": {85920, 32200, 32200},

@@ -159,11 +159,11 @@ func ringOpOf(op Op) spin.RingOp {
 	return ringOpTable[reflect.ValueOf(op).Pointer()]
 }
 
-// nicEligible reports whether the NIC combining substrate is usable
-// for this communicator at all: an in-network transport, and the world
-// communicator (the stream region is laid out for world ranks).
+// nicEligible reports whether the NIC combining substrate is usable at
+// all: an in-network transport. The stream region is laid out by rank,
+// and a Comm's ranks are the transport's.
 func (c *Comm) nicEligible() bool {
-	return c.eng.stream != nil && c.ctx == 1
+	return c.eng.stream != nil
 }
 
 // Barrier blocks until every member arrives. Auto prefers the

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -10,17 +11,18 @@ import (
 // decodeEnv (control envelopes, the 32-byte kCTSW window descriptor
 // included) and parseColl (the multicast fast-path header). Neither may
 // panic; each must reject exactly the inputs its encoder cannot
-// produce; an accepted input must re-encode to the same bytes; and no
-// input may be accepted by both, since handleRaw tells the two apart by
-// trying parseColl first. Its seed corpus is under
-// testdata/fuzz/FuzzMPIWire.
+// produce (an envelope's context word is always envCtx); an accepted
+// input must re-encode to the same bytes; and no input may be accepted
+// by both, since handleRaw tells the two apart by trying parseColl
+// first. Its seed corpus is under testdata/fuzz/FuzzMPIWire.
 func FuzzMPIWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := decodeEnv(data)
 		wellFormed := (len(data) == envBytes && data[0] != kCTSW ||
 			len(data) == envWinBytes && data[0] == kCTSW) &&
 			data[0] >= kEager && data[0] <= kRFall &&
-			data[1]|data[2]|data[3] == 0
+			data[1]|data[2]|data[3] == 0 &&
+			binary.LittleEndian.Uint32(data[4:]) == envCtx
 		switch {
 		case err != nil && !errors.Is(err, ErrProtocol):
 			t.Fatalf("decodeEnv(%x): %v, want an ErrProtocol", data, err)
