@@ -45,7 +45,7 @@ func TestPDUDelivery(t *testing.T) {
 	payload := make([]byte, 5000)
 	sim.NewRNG(3).Bytes(payload)
 	var got []byte
-	n.SetHandler(3, func(src int, frame []byte) { got = frame })
+	n.SetHandler(3, func(src int, frame []byte) { got = append([]byte(nil), frame...) })
 	k.At(0, func() { n.Transmit(1, 3, payload) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

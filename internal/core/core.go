@@ -380,8 +380,10 @@ type System struct {
 	// hbWake is the shared heartbeat tick broadcast: one observer timer
 	// per System wakes every endpoint's liveness daemon, so n daemons
 	// cost one kernel event per period and the ticker stops itself when
-	// only observers remain (see armHbTicker).
+	// only observers remain (see armHbTicker). hbTick is heartbeat,
+	// bound once so that rearming the ticker allocates nothing.
 	hbWake *sim.Cond
+	hbTick func()
 }
 
 // New divides the replicated memory among the hosts and prepares one
@@ -441,6 +443,7 @@ func New(net RingNetwork, cfg Config, opts ...Option) (*System, error) {
 	}
 	if cfg.Liveness.Enabled {
 		s.hbWake = sim.NewCond(net.Kernel())
+		s.hbTick = s.heartbeat
 		s.armHbTicker()
 	}
 	return s, nil

@@ -149,7 +149,7 @@ type liveBuf struct {
 
 	// Retry-extension state, maintained only when Config.Retry.Enabled.
 	seq      uint32   // sequence number the buffer was posted with
-	data     []byte   // payload copy for retransmission
+	data     []byte   // payload copy for retransmission; kept while free
 	posted   sim.Time // time of the last (re)transmission
 	attempts int      // retransmissions so far
 	busy     bool     // a retransmission's writes are in flight: don't free
@@ -237,12 +237,14 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 	if err != nil {
 		return err
 	}
-	e.live[slot] = liveBuf{used: true, off: off, n: len(data), dests: dests}
+	// The retry copy reuses the buffer of the slot's previous payload
+	// copy: a slot is freed only when no retransmission is writing it.
+	lb := &e.live[slot]
+	*lb = liveBuf{used: true, off: off, n: len(data), dests: dests, data: lb.data[:0]}
 	e.sendSeq++
 	if cfg.Retry.Enabled {
-		lb := &e.live[slot]
 		lb.seq = e.sendSeq
-		lb.data = append([]byte(nil), data...)
+		lb.data = append(lb.data, data...)
 		lb.posted = p.Now()
 	}
 	// "post" opens the message's send span (closed by "send-end" after
@@ -255,8 +257,8 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 	if e.sys.tracer != nil {
 		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "post", msg, e.sys.tracer.Parent(), "slot=%d off=%d len=%d dests=%#x seq=%d", slot, off, len(data), dests, e.sendSeq)
 	}
-	e.live[slot].span = span
-	e.live[slot].msg = msg
+	lb.span = span
+	lb.msg = msg
 	pm, pp := e.nic.SetTraceContext(msg, span)
 	defer e.nic.SetTraceContext(pm, pp)
 
@@ -482,7 +484,7 @@ func (e *Endpoint) syncMinUn(p *sim.Proc, force bool) {
 func (e *Endpoint) freeLive(s int, lb *liveBuf) {
 	e.alloc.release(lb.off, lb.n)
 	e.freeSlots = append(e.freeSlots, s)
-	*lb = liveBuf{}
+	*lb = liveBuf{data: lb.data} // the next post reuses the buffer
 }
 
 func putWord(b []byte, v uint32) {

@@ -33,20 +33,23 @@ import (
 	"repro/internal/trace"
 )
 
-// armHbTicker schedules the next shared heartbeat tick. The tick is an
-// observer event: when only observers remain in the kernel the workload
-// has drained, and the ticker lets the simulation end by simply not
-// rearming (the daemons stay blocked on hbWake; they are daemons, so
-// that is not a deadlock).
+// armHbTicker schedules the next shared heartbeat tick, hbTick. The
+// tick is an observer event: when only observers remain in the kernel
+// the workload has drained, and the ticker lets the simulation end by
+// simply not rearming (the daemons stay blocked on hbWake; they are
+// daemons, so that is not a deadlock).
 func (s *System) armHbTicker() {
-	k := s.net.Kernel()
-	k.AfterKind(s.cfg.Liveness.Period, sim.KindObserver, func() {
-		if k.Pending() == 0 {
-			return
-		}
-		s.hbWake.Broadcast()
-		s.armHbTicker()
-	})
+	s.net.Kernel().AfterKind(s.cfg.Liveness.Period, sim.KindObserver, s.hbTick)
+}
+
+// heartbeat is the shared tick: it wakes every endpoint's liveness
+// daemon and rearms, unless the workload has drained.
+func (s *System) heartbeat() {
+	if s.net.Kernel().Pending() == 0 {
+		return
+	}
+	s.hbWake.Broadcast()
+	s.armHbTicker()
 }
 
 // hbState is one endpoint's half of the liveness subsystem: the

@@ -16,7 +16,7 @@ func TestFrameDelivery(t *testing.T) {
 	}
 	var got []byte
 	var from int
-	n.SetHandler(2, func(src int, frame []byte) { from, got = src, frame })
+	n.SetHandler(2, func(src int, frame []byte) { from, got = src, append([]byte(nil), frame...) })
 	k.At(0, func() { n.Transmit(0, 2, []byte("frame-payload")) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

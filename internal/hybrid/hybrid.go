@@ -258,15 +258,22 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 		e.im.highSends.Inc()
 		via = "high"
 	}
-	span := e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, e.tracer.Parent(), "dst=%d len=%d via=%s seq=%d", dst, len(data), via, seq)
-	if proactive {
-		e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "proactive-failover", 0, span, "dst=%d state=%s", dst, e.live.State(dst))
+	// The hot path's trace calls are guarded: boxing their arguments
+	// allocates even when no recorder is installed.
+	var span trace.SpanID
+	if e.tracer != nil {
+		span = e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, e.tracer.Parent(), "dst=%d len=%d via=%s seq=%d", dst, len(data), via, seq)
+		if proactive {
+			e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "proactive-failover", 0, span, "dst=%d state=%s", dst, e.live.State(dst))
+		}
 	}
 	e.tracer.PushParent(span)
 	err := sub.Send(p, dst, msg)
 	e.tracer.PopParent()
 	if err == nil {
-		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "via=%s", via)
+		if e.tracer != nil {
+			e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "via=%s", via)
+		}
 		return nil
 	}
 	// Failover: the sequence tag makes the substrates interchangeable —

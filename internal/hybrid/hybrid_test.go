@@ -378,3 +378,53 @@ func TestMcastValidatesBeforeSequencing(t *testing.T) {
 		})
 	}
 }
+
+// TestHighPathAllocs gates the high-bandwidth path's steady state: once
+// warm, a 64 KiB message over the Myrinet substrate (sixteen fabric
+// frames, reassembled, resequenced and copied out) allocates nothing.
+func TestHighPathAllocs(t *testing.T) {
+	k, c := world(t, 2)
+	defer k.Close()
+	const size = 64 << 10
+	msg := make([]byte, size)
+	sim.NewRNG(5).Bytes(msg)
+	got := 0
+	k.SpawnDaemon("rx", func(p *sim.Proc) {
+		buf := make([]byte, size)
+		for {
+			n, err := c.Endpoints[1].Recv(p, 0, buf)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(buf[:n], msg) {
+				t.Error("payload mismatch")
+				return
+			}
+			got++
+		}
+	})
+	send := k.Spawn("tx", func(p *sim.Proc) {
+		for {
+			p.Park()
+			if err := c.Endpoints[0].Send(p, 1, msg); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}).Resume
+	round := func() {
+		k.At(k.Now(), send)
+		k.RunFor(5 * sim.Millisecond)
+	}
+	const warm = 10
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a 64 KiB Send/Recv allocates %v times, want 0", allocs)
+	}
+	if want := warm + 21; got != want {
+		t.Fatalf("received %d messages, want %d", got, want)
+	}
+}

@@ -221,7 +221,7 @@ func (c *Comm) Reduce(p *sim.Proc, root int, op Op, sendBuf, recvBuf []byte) err
 		return err
 	}
 	acc := append([]byte(nil), sendBuf...)
-	if err := c.gather(p, rotated(c.members(liveness.PartitionInfo{}), root), tagReduce, op, acc); err != nil {
+	if err := c.gather(p, c.rotated(c.members(liveness.PartitionInfo{}), root), tagReduce, op, acc); err != nil {
 		return err
 	}
 	if c.rank == root {

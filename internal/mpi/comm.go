@@ -78,8 +78,13 @@ type Comm struct {
 	planEpoch    uint32
 	lastPlanMask []byte
 	// gatherBuf receives children's contributions in gather (plan.go),
-	// grown on demand. One Proc drives a Comm, so calls never overlap.
+	// and memberBuf and planBuf hold the member list and the plan order
+	// a collective cuts in membership; all grow on demand. One Proc
+	// drives a Comm, so calls never overlap, and no plan outlives its
+	// collective.
 	gatherBuf []byte
+	memberBuf []int
+	planBuf   []int
 }
 
 // Rank returns the caller's rank.

@@ -48,10 +48,13 @@ type plan struct {
 	quorum  bool
 }
 
-// rotated lays members out as a binomial plan rooted at root.
-func rotated(members []int, root int) plan {
+// rotated lays members out as a binomial plan rooted at root. The
+// plan's order reuses the Comm's planBuf: a plan lives only as long as
+// its collective.
+func (c *Comm) rotated(members []int, root int) plan {
 	at := slices.Index(members, root)
-	return plan{order: slices.Concat(members[at:], members[:at]), healthy: len(members)}
+	c.planBuf = append(append(c.planBuf[:0], members[at:]...), members[:at]...)
+	return plan{order: c.planBuf, healthy: len(members)}
 }
 
 // rootless is the root argument of collectives without a payload root
@@ -81,7 +84,7 @@ func (c *Comm) membership(p *sim.Proc, root int) (plan, error) {
 		// can produce it.
 		return plan{}, e.partitionErr(part)
 	}
-	pl := rotated(members, root)
+	pl := c.rotated(members, root)
 	pl.quorum = len(members) < c.Size()
 	if pl.quorum {
 		c.notePlan(p, c.rankMask(part.Unreachable), c.rank == root)
@@ -91,15 +94,16 @@ func (c *Comm) membership(p *sim.Proc, root int) (plan, error) {
 
 // members returns the ranks part leaves reachable from this side, in
 // rank order: every rank when no partition is declared. The calling
-// rank is always among them.
+// rank is always among them. The list reuses the Comm's memberBuf and
+// is valid until the next call.
 func (c *Comm) members(part liveness.PartitionInfo) []int {
-	out := make([]int, 0, c.Size())
+	c.memberBuf = c.memberBuf[:0]
 	for r := 0; r < c.Size(); r++ {
 		if !part.Unreachable(r) {
-			out = append(out, r)
+			c.memberBuf = append(c.memberBuf, r)
 		}
 	}
-	return out
+	return c.memberBuf
 }
 
 // rankMask renders the ranks that satisfy in as a bitmask: the shape

@@ -64,6 +64,9 @@ type API struct {
 	rank   int
 	nextID []uint32
 	in     *xport.Inbox
+	// frame is the one buffer Send writes each fragment into; the
+	// fabric copies it in Transmit (xport.Fabric).
+	frame []byte
 }
 
 // OpenAPI attaches the native API on node rank. The node must not also
@@ -75,6 +78,7 @@ func OpenAPI(net xport.Fabric, rank int, cfg APIConfig) *API {
 		rank:   rank,
 		nextID: make([]uint32, net.Nodes()),
 		in:     xport.NewInbox(net.Nodes()),
+		frame:  make([]byte, net.MTU()),
 	}
 	net.SetHandler(rank, func(src int, frame []byte) {
 		le := binary.LittleEndian
@@ -115,7 +119,7 @@ func (a *API) Send(p *sim.Proc, dst int, data []byte) error {
 		if m > maxPayload {
 			m = maxPayload
 		}
-		frame := make([]byte, fragHdr+m)
+		frame := a.frame[:fragHdr+m]
 		le := binary.LittleEndian
 		le.PutUint32(frame[0:], id)
 		le.PutUint32(frame[4:], uint32(off))

@@ -20,6 +20,13 @@ type Stack struct {
 	in       *xport.Inbox
 	rxWake   *sim.Cond
 	stats    Stats
+	// rxBufs holds the copies of arrived frames: the handler copies each
+	// frame into one (the fabric's slice is valid only during the
+	// handler) and kernelLoop hands it back once it has processed the
+	// frame. txFrame is the buffer every outgoing segment is encoded
+	// into; the fabric copies it in Transmit.
+	rxBufs  xport.Buffers
+	txFrame []byte
 }
 
 type frameIn struct {
@@ -57,7 +64,9 @@ func NewStack(k *sim.Kernel, fab xport.Fabric, node int, cfg Config) *Stack {
 		s.peers = append(s.peers, &peer{txWake: sim.NewCond(k)})
 	}
 	fab.SetHandler(node, func(src int, frame []byte) {
-		s.rxFrames.Push(frameIn{src, frame})
+		buf := s.rxBufs.Get(len(frame))
+		copy(buf, frame)
+		s.rxFrames.Push(frameIn{src, buf})
 	})
 	k.SpawnDaemon(fmt.Sprintf("tcpip-%d", node), s.kernelLoop)
 	return s
@@ -70,47 +79,53 @@ func (s *Stack) kernelLoop(p *sim.Proc) {
 	for {
 		in := s.rxFrames.Pop(p)
 		p.Delay(s.cfg.InterruptCost)
-		h, payload, err := decodeHeader(in.frame)
-		if err != nil {
-			continue // malformed frame: drop
+		s.handle(p, in)
+		s.rxBufs.Put(in.frame)
+	}
+}
+
+// handle runs the protocol processing of one arrived frame.
+func (s *Stack) handle(p *sim.Proc, in frameIn) {
+	h, payload, err := decodeHeader(in.frame)
+	if err != nil {
+		return // malformed frame: drop
+	}
+	pr := s.peers[in.src]
+	switch h.kind {
+	case kindAck:
+		s.stats.AcksRecv++
+		p.Delay(s.cfg.StackPerSegmentRx / 2) // ACK processing is cheaper
+		if int32(h.ack-pr.ackdBytes) > 0 {
+			pr.ackdBytes = h.ack
+			pr.txWake.Broadcast()
 		}
-		pr := s.peers[in.src]
-		switch h.kind {
-		case kindAck:
-			s.stats.AcksRecv++
-			p.Delay(s.cfg.StackPerSegmentRx / 2) // ACK processing is cheaper
-			if int32(h.ack-pr.ackdBytes) > 0 {
-				pr.ackdBytes = h.ack
-				pr.txWake.Broadcast()
-			}
-		case kindData:
-			s.stats.SegmentsRecv++
-			p.Delay(s.cfg.StackPerSegmentRx + sim.Duration(len(payload))*s.cfg.ChecksumPerByte)
-			pr.rcvdBytes += uint32(len(payload))
-			if s.in.Add(in.src, h.msgID, int(h.off), int(h.total), payload) {
-				s.rxWake.Broadcast()
-			}
-			// Cumulative ACK policy. Threshold crossings ACK at once
-			// (they clock the window open). Beyond that, every byte is
-			// eventually acknowledged: immediately when DelayedAck is
-			// zero, else within the delayed-ACK timeout — TCP's
-			// guarantee that a Nagle'd sender can never starve.
-			overThreshold := pr.rcvdBytes-pr.lastAckSent >= uint32(s.cfg.AckEveryBytes)
-			switch {
-			case overThreshold:
-				s.sendAck(in.src, pr)
-			case pr.rcvdBytes == pr.lastAckSent:
-				// Nothing outstanding (duplicate application of an
-				// already-acked range cannot happen on a FIFO fabric).
-			case s.cfg.DelayedAck <= 0:
-				s.sendAck(in.src, pr)
-			case pr.ackTimer == nil:
-				src := in.src
-				pr.ackTimer = s.k.Timer(s.cfg.DelayedAck, sim.KindFabric, func() {
-					pr.ackTimer = nil
-					s.sendAck(src, pr)
-				})
-			}
+	case kindData:
+		s.stats.SegmentsRecv++
+		p.Delay(s.cfg.StackPerSegmentRx + sim.Duration(len(payload))*s.cfg.ChecksumPerByte)
+		pr.rcvdBytes += uint32(len(payload))
+		if s.in.Add(in.src, h.msgID, int(h.off), int(h.total), payload) {
+			s.rxWake.Broadcast()
+		}
+		// Cumulative ACK policy. Threshold crossings ACK at once
+		// (they clock the window open). Beyond that, every byte is
+		// eventually acknowledged: immediately when DelayedAck is
+		// zero, else within the delayed-ACK timeout — TCP's
+		// guarantee that a Nagle'd sender can never starve.
+		overThreshold := pr.rcvdBytes-pr.lastAckSent >= uint32(s.cfg.AckEveryBytes)
+		switch {
+		case overThreshold:
+			s.sendAck(in.src, pr)
+		case pr.rcvdBytes == pr.lastAckSent:
+			// Nothing outstanding (duplicate application of an
+			// already-acked range cannot happen on a FIFO fabric).
+		case s.cfg.DelayedAck <= 0:
+			s.sendAck(in.src, pr)
+		case pr.ackTimer == nil:
+			src := in.src
+			pr.ackTimer = s.k.Timer(s.cfg.DelayedAck, sim.KindFabric, func() {
+				pr.ackTimer = nil
+				s.sendAck(src, pr)
+			})
 		}
 	}
 }
@@ -124,7 +139,8 @@ func (s *Stack) sendAck(src int, pr *peer) {
 	}
 	pr.lastAckSent = pr.rcvdBytes
 	s.stats.AcksSent++
-	s.fab.Transmit(s.node, src, encodeHeader(header{kind: kindAck, ack: pr.rcvdBytes}, nil))
+	s.txFrame = encodeHeader(s.txFrame, header{kind: kindAck, ack: pr.rcvdBytes}, nil)
+	s.fab.Transmit(s.node, src, s.txFrame)
 }
 
 // Rank returns this stack's node number.
@@ -180,7 +196,8 @@ func (s *Stack) Send(p *sim.Proc, dst int, data []byte) error {
 			sim.Duration(seg)*(s.cfg.CopyPerByte+s.cfg.ChecksumPerByte) +
 			s.cfg.DriverTx)
 		h := header{kind: kindData, msgID: msgID, off: uint32(off), total: uint32(total)}
-		s.fab.Transmit(s.node, dst, encodeHeader(h, data[off:off+seg]))
+		s.txFrame = encodeHeader(s.txFrame, h, data[off:off+seg])
+		s.fab.Transmit(s.node, dst, s.txFrame)
 		pr.sentBytes += uint32(seg)
 		s.stats.SegmentsSent++
 		off += seg

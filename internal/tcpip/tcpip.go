@@ -138,8 +138,15 @@ type header struct {
 	ack   uint32 // cumulative payload bytes acknowledged (kindAck)
 }
 
-func encodeHeader(h header, payload []byte) []byte {
-	f := make([]byte, HeaderBytes+len(payload))
+// encodeHeader writes the segment h carrying payload into buf, grown
+// when it is too short, and returns the frame.
+func encodeHeader(buf []byte, h header, payload []byte) []byte {
+	n := HeaderBytes + len(payload)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	f := buf[:n]
+	clear(f[:HeaderBytes])
 	f[0] = h.kind
 	binary.LittleEndian.PutUint32(f[4:], h.msgID)
 	binary.LittleEndian.PutUint32(f[8:], h.off)

@@ -32,13 +32,18 @@ func feWorld(t testing.TB, nodes int, mutate ...func(*Config)) (*sim.Kernel, []*
 }
 
 func TestHeaderRoundtrip(t *testing.T) {
+	// Every segment is encoded into one reused buffer, first filled
+	// with 0xff, and its header must match a fresh encoding's: no stale
+	// byte of an earlier frame may survive.
+	buf := bytes.Repeat([]byte{0xff}, HeaderBytes+255)
 	f := func(kind byte, msgID, off, total, ack uint32, n uint8) bool {
 		payload := make([]byte, n)
 		sim.NewRNG(uint64(msgID)).Bytes(payload)
 		h := header{kind: kind, msgID: msgID, off: off, total: total, ack: ack}
-		frame := encodeHeader(h, payload)
-		got, pl, err := decodeHeader(frame)
-		return err == nil && got == h && bytes.Equal(pl, payload)
+		buf = encodeHeader(buf, h, payload)
+		got, pl, err := decodeHeader(buf)
+		fresh := encodeHeader(nil, h, nil)
+		return err == nil && got == h && bytes.Equal(pl, payload) && bytes.Equal(buf[:HeaderBytes], fresh)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

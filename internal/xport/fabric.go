@@ -15,10 +15,12 @@ type Fabric interface {
 	Nodes() int
 	// MTU is the largest frame payload the fabric accepts.
 	MTU() int
-	// Transmit queues frame from src's NIC to dst's. The fabric owns
-	// the slice afterwards.
+	// Transmit queues frame from src's NIC to dst's. It copies the
+	// frame: the caller may reuse the slice once Transmit returns.
 	Transmit(src, dst int, frame []byte)
 	// SetHandler installs dst-side delivery: fn runs (in event context,
 	// zero CPU charged) when a frame has fully arrived at node's NIC.
+	// The slice fn receives is valid only until fn returns; a handler
+	// that keeps a frame must copy it.
 	SetHandler(node int, fn func(src int, frame []byte))
 }

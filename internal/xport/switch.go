@@ -52,6 +52,29 @@ type Switch struct {
 	handlers []func(src int, frame []byte)
 
 	frames, units, bytes int64
+
+	// free holds the delivered frames Transmit reuses; made counts the
+	// frame objects ever allocated, every one of which is back on free
+	// once the switch is quiescent.
+	free []*frame
+	made int
+}
+
+// frame is one frame in flight from src to dst. Frames are recycled:
+// Transmit takes one from the switch's free list and copies the
+// caller's bytes into data, which keeps its buffer across reuse, and
+// the arrive step returns it once dst's handler has returned. A
+// released frame has a nil s, so a hop step that ran on one would
+// fault at once.
+type frame struct {
+	s        *Switch
+	src, dst int
+	wire     sim.Duration
+	data     []byte
+	// upDone, atSwitch, downDone and arrive are the frame's hop steps,
+	// bound once per frame object so that a hop schedules them without
+	// allocating.
+	upDone, atSwitch, downDone, arrive func()
 }
 
 // NewSwitch builds the LAN on kernel k.
@@ -78,41 +101,72 @@ func (s *Switch) SetHandler(node int, fn func(src int, frame []byte)) {
 	s.handlers[node] = fn
 }
 
-// Transmit sends one frame src→switch→dst.
-func (s *Switch) Transmit(src, dst int, frame []byte) {
-	if len(frame) > s.cfg.MTU {
-		panic(fmt.Sprintf("xport: %d-byte frame exceeds MTU %d", len(frame), s.cfg.MTU))
+// Transmit sends one frame src→switch→dst. It copies frame, so the
+// caller may reuse the slice once Transmit returns.
+func (s *Switch) Transmit(src, dst int, data []byte) {
+	if len(data) > s.cfg.MTU {
+		panic(fmt.Sprintf("xport: %d-byte frame exceeds MTU %d", len(data), s.cfg.MTU))
 	}
-	units := s.cfg.Units(len(frame))
+	units := s.cfg.Units(len(data))
 	s.frames++
 	s.units += int64(units)
-	s.bytes += int64(len(frame))
-	wire := sim.Duration(units) * s.cfg.UnitTime
+	s.bytes += int64(len(data))
+	f := s.newFrame(src, dst, sim.Duration(units)*s.cfg.UnitTime, data)
 	if s.cfg.CutThrough {
 		// Occupy the output link now for contention purposes; delivery
 		// completes when the tail has crossed the input serialization
 		// and the cut-through pipeline.
-		s.down[dst].Serve(wire, nil)
-		s.up[src].Serve(wire, func() {
-			s.k.AfterKind(2*s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, func() { s.deliver(src, dst, frame) })
-		})
-		return
+		s.down[dst].Serve(f.wire, nil)
 	}
-	// The frame is fully at the switch after propagation; it leaves
-	// after the switch latency, re-serialized on the output port.
-	s.up[src].Serve(wire, func() {
-		s.k.AfterKind(s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, func() {
-			s.down[dst].Serve(wire, func() {
-				s.k.AfterKind(s.cfg.PropDelay, sim.KindFabric, func() { s.deliver(src, dst, frame) })
-			})
-		})
-	})
+	s.up[src].Serve(f.wire, f.upDone)
 }
 
-func (s *Switch) deliver(src, dst int, frame []byte) {
-	if h := s.handlers[dst]; h != nil {
-		h(src, frame)
+// newFrame returns a frame of this switch carrying a copy of data,
+// reusing a delivered one when there is one.
+func (s *Switch) newFrame(src, dst int, wire sim.Duration, data []byte) *frame {
+	var f *frame
+	if last := len(s.free) - 1; last >= 0 {
+		f = s.free[last]
+		s.free[last] = nil
+		s.free = s.free[:last]
+	} else {
+		f = &frame{}
+		f.upDone, f.atSwitch, f.downDone, f.arrive = f.upDoneHop, f.atSwitchHop, f.downDoneHop, f.arriveHop
+		s.made++
 	}
+	f.s, f.src, f.dst, f.wire = s, src, dst, wire
+	f.data = append(f.data[:0], data...)
+	return f
+}
+
+// upDoneHop runs when the frame's tail has left src's uplink. A
+// cut-through switch delivers after the pipeline; a store-and-forward
+// one has the frame fully at the switch after propagation and sends it
+// on after the switch latency.
+func (f *frame) upDoneHop() {
+	s := f.s
+	if s.cfg.CutThrough {
+		s.k.AfterKind(2*s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, f.arrive)
+		return
+	}
+	s.k.AfterKind(s.cfg.PropDelay+s.cfg.SwitchLatency, sim.KindFabric, f.atSwitch)
+}
+
+// atSwitchHop re-serializes a stored frame on dst's downlink.
+func (f *frame) atSwitchHop() { f.s.down[f.dst].Serve(f.wire, f.downDone) }
+
+// downDoneHop runs when the frame's tail has left the switch.
+func (f *frame) downDoneHop() { f.s.k.AfterKind(f.s.cfg.PropDelay, sim.KindFabric, f.arrive) }
+
+// arriveHop hands the frame to dst's handler, if any, and returns it to
+// the free list once the handler has returned.
+func (f *frame) arriveHop() {
+	s := f.s
+	if h := s.handlers[f.dst]; h != nil {
+		h(f.src, f.data)
+	}
+	f.s = nil
+	s.free = append(s.free, f)
 }
 
 // Stats returns frames, wire units and payload bytes transmitted.

@@ -3,8 +3,8 @@
 // Ethernet, ATM, Myrinet, and the fault-injection wrapper — must
 // satisfy the same frame-level contract the protocol stacks assume:
 // correct addressing, bit-exact payloads, per-(src,dst) FIFO order,
-// event-driven delivery that advances virtual time, and handler
-// isolation between nodes.
+// event-driven delivery that advances virtual time, handler isolation
+// between nodes, and a Transmit that copies the caller's frame.
 package xporttest
 
 import (
@@ -37,6 +37,7 @@ func FabricContract(t *testing.T, b Builder) {
 	t.Run("FIFO", func(t *testing.T) { contractFIFO(t, b) })
 	t.Run("Isolation", func(t *testing.T) { contractIsolation(t, b) })
 	t.Run("TimeAdvances", func(t *testing.T) { contractTime(t, b) })
+	t.Run("Copy", func(t *testing.T) { contractCopy(t, b) })
 }
 
 // capture installs recording handlers on every node of f.
@@ -185,5 +186,37 @@ func contractTime(t *testing.T, b Builder) {
 	}
 	if !(log[0].at > posted) {
 		t.Fatalf("delivered at %v, posted at %v — zero-latency fabric", log[0].at, posted)
+	}
+}
+
+// contractCopy: Transmit copies the frame, so a caller that overwrites
+// its slice as soon as Transmit returns, with frames of several sizes
+// still in flight, changes none of the bytes delivered.
+func contractCopy(t *testing.T, b Builder) {
+	k := sim.NewKernel()
+	defer k.Close()
+	f := b(k, 2)
+	var log []delivery
+	capture(f, k, &log)
+	buf := make([]byte, f.MTU())
+	var want [][]byte
+	k.Spawn("tx", func(p *sim.Proc) {
+		for i, n := range []int{f.MTU(), 1, f.MTU() / 2, 64} {
+			sim.NewRNG(uint64(i)).Bytes(buf[:n])
+			want = append(want, append([]byte(nil), buf[:n]...))
+			f.Transmit(0, 1, buf[:n])
+		}
+		clear(buf)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != len(want) {
+		t.Fatalf("deliveries: %d, want %d", len(log), len(want))
+	}
+	for i, d := range log {
+		if !bytes.Equal(d.frame, want[i]) {
+			t.Fatalf("frame %d (%d bytes) changed after Transmit returned", i, len(want[i]))
+		}
 	}
 }
