@@ -65,6 +65,11 @@ type Engine struct {
 	zombies map[uint32]zombieWin
 
 	scratch []byte
+	// envBufs holds the buffers control envelopes are encoded into: a
+	// free list, not one buffer, since Send may block in virtual time
+	// while it still reads data (flow control, PIO charges), and
+	// another process of this engine can then send its own envelope.
+	envBufs xport.Buffers
 	stats   EngineStats
 	im      engInstruments
 	tracer  *trace.Recorder
@@ -202,9 +207,6 @@ func maxInt(a, b int) int {
 
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
-
-// Transport returns the underlying channel device.
-func (e *Engine) Transport() xport.Endpoint { return e.ep }
 
 // progressOnce polls every peer for one control packet each and handles
 // whatever arrived. It returns true if anything was processed.
@@ -608,7 +610,7 @@ func minInt(a, b int) int {
 // exactly as the severed fiber would have dropped it, and the caller's
 // blocking wait surfaces the PartitionError.
 func (e *Engine) sendControl(p *sim.Proc, dstWorld int, env envelope) {
-	if err := e.ep.Send(p, dstWorld, encodeEnv(env)); err != nil {
+	if err := e.sendEnv(p, dstWorld, env); err != nil {
 		if part, ok := e.partition(); ok && (part.Minority || part.Unreachable(dstWorld)) {
 			return
 		}
@@ -623,7 +625,15 @@ func (e *Engine) sendControl(p *sim.Proc, dstWorld int, env envelope) {
 // side surfaces the death within the detector's confirmation window —
 // abandoning the request is what reclaims any posted window.
 func (e *Engine) trySendControl(p *sim.Proc, dstWorld int, env envelope) bool {
-	return e.ep.Send(p, dstWorld, encodeEnv(env)) == nil
+	return e.sendEnv(p, dstWorld, env) == nil
+}
+
+// sendEnv encodes env into a buffer from envBufs and sends it. Send
+// reads data only until it returns, so the buffer goes back at once.
+func (e *Engine) sendEnv(p *sim.Proc, dstWorld int, env envelope) error {
+	b := encodeEnv(e.envBufs.Get(envWinBytes)[:0], env)
+	defer e.envBufs.Put(b)
+	return e.ep.Send(p, dstWorld, b)
 }
 
 // sendChunks streams data to dstWorld in channel-size pieces.

@@ -240,21 +240,18 @@ type envelope struct {
 	winCap uint32
 }
 
-func encodeEnv(e envelope) []byte {
-	n := envBytes
+// encodeEnv appends the wire form of e to b: envBytes bytes, or
+// envWinBytes for kCTSW.
+func encodeEnv(b []byte, e envelope) []byte {
+	b = append(b, e.kind, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint32(b, envCtx)
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.tag))
+	b = binary.LittleEndian.AppendUint32(b, e.total)
+	b = binary.LittleEndian.AppendUint32(b, e.reqID)
+	b = binary.LittleEndian.AppendUint32(b, e.aux)
 	if e.kind == kCTSW {
-		n = envWinBytes
-	}
-	b := make([]byte, n)
-	b[0] = e.kind
-	binary.LittleEndian.PutUint32(b[4:], envCtx)
-	binary.LittleEndian.PutUint32(b[8:], uint32(e.tag))
-	binary.LittleEndian.PutUint32(b[12:], e.total)
-	binary.LittleEndian.PutUint32(b[16:], e.reqID)
-	binary.LittleEndian.PutUint32(b[20:], e.aux)
-	if e.kind == kCTSW {
-		binary.LittleEndian.PutUint32(b[24:], e.winOff)
-		binary.LittleEndian.PutUint32(b[28:], e.winCap)
+		b = binary.LittleEndian.AppendUint32(b, e.winOff)
+		b = binary.LittleEndian.AppendUint32(b, e.winCap)
 	}
 	return b
 }

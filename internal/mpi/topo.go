@@ -44,9 +44,6 @@ func CartCreate(c *Comm, dims []int, periodic []bool) (*Cart, error) {
 // Comm returns the underlying communicator.
 func (ct *Cart) Comm() *Comm { return ct.comm }
 
-// Dims returns the grid extents.
-func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
-
 // Coords returns the grid coordinates of a communicator rank.
 func (ct *Cart) Coords(rank int) []int {
 	coords := make([]int, len(ct.dims))

@@ -114,9 +114,6 @@ func (c *HandlerCtx) Charge(cycles int64) {
 	}
 }
 
-// Spent returns the cycles charged so far this transit.
-func (c *HandlerCtx) Spent() int64 { return c.spent }
-
 // Overrun reports whether the charged cycles exceed the packet budget.
 func (c *HandlerCtx) Overrun() bool { return c.spent > c.budget }
 

@@ -128,9 +128,6 @@ type Endpoint struct {
 	o *Oracle
 }
 
-// Inner returns the wrapped endpoint.
-func (e *Endpoint) Inner() xport.Endpoint { return e.Endpoint }
-
 // Send records the payload, then forwards. Only successful sends are
 // recorded: a rejected send (ErrTooLarge, bad rank) never entered the
 // transport.
