@@ -60,7 +60,7 @@ cover:
 #   spin     the handler verdict/budget/rollback semantics the ring
 #            integration and the E12 figures rest on;
 #   trace, metrics
-#            the recorder's sampler/capacity drop split and the metrics
+#            the capped recorder's eviction accounting and the metrics
 #            registry (with the profiler publishing path), which
 #            MayHaveDroppedMsg and the sweep trajectory rest on;
 #   liveness, fault

@@ -97,7 +97,7 @@ func FaultSweep(cfg FaultSweepConfig) []FaultPoint {
 
 // Run measures the loss run with the ring holding the given drop rate
 // for the whole run. opts carries the caller's instrumentation
-// (Metrics, Trace, SampleEvery, SnapshotEvery, Profiler); Run sets
+// (Metrics, Trace, SnapshotEvery, Profiler); Run sets
 // Nodes, Net, BBP and Faults itself. It returns the point and the
 // built cluster, whose snapshot stream (Cluster.Stream) holds the run's
 // captures. A failed run, or one that violates exactly-once in-order

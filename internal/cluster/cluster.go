@@ -88,11 +88,6 @@ type Options struct {
 	// hybrid routers, fault scripts). Like Metrics it charges no
 	// virtual time.
 	Trace *trace.Recorder
-	// SampleEvery, when > 1 and Trace is set, installs a head-based
-	// sampler keeping every n-th message id (trace.NewSampler) on the
-	// recorder; with Metrics also set, the sampler's keep rate is
-	// published as the trace.sampler_keep_permil gauge.
-	SampleEvery int
 	// SnapshotEvery, when positive and Metrics is set, starts a
 	// periodic snapshot stream capturing the full registry every
 	// interval of virtual time (Cluster.Stream).
@@ -177,13 +172,6 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 	c := &Cluster{K: k, Net: opts.Net}
 	if opts.Profiler != nil {
 		k.SetProfiler(opts.Profiler)
-	}
-	if opts.Trace != nil && opts.SampleEvery > 1 && opts.Trace.Sampler() == nil {
-		smp := trace.NewSampler(opts.SampleEvery)
-		opts.Trace.SetSampler(smp)
-		if opts.Metrics != nil {
-			smp.WireGauge(opts.Metrics.Gauge("trace.sampler_keep_permil", metrics.NodeGlobal))
-		}
 	}
 	switch opts.Net {
 	case SCRAMNet:

@@ -20,7 +20,7 @@ type Proc struct {
 	k    *Kernel
 	name string
 	// wake runs the process until it blocks or returns (a no-op once it
-	// has returned); it is the one closure every Delay, Yield and Cond
+	// has returned); it is the one closure every Delay and Cond
 	// wake-up schedules. yield, called from inside the process, suspends
 	// it back to the caller of wake.
 	wake   func()
@@ -113,13 +113,6 @@ func (p *Proc) Delay(d Duration) {
 	}
 	p.k.AfterKind(d, KindProc, p.wake)
 	p.block("delay")
-}
-
-// Yield reschedules the process at the current time behind already-queued
-// events, letting same-timestamp events run first.
-func (p *Proc) Yield() {
-	p.k.AfterKind(0, KindProc, p.wake)
-	p.block("yield")
 }
 
 // Park suspends the process until an event callback calls Resume. Park

@@ -49,33 +49,3 @@ func (r *RNG) Bytes(b []byte) {
 		}
 	}
 }
-
-// Exp returns an exponentially distributed duration with the given mean,
-// computed with a rational approximation of -ln(u) to stay reproducible
-// across floating-point environments (which Go guarantees anyway; the
-// approximation simply avoids math.Log's platform-tuned tables).
-func (r *RNG) Exp(mean Duration) Duration {
-	// Inverse-CDF with u in (0,1]; crude piecewise -ln via bit tricks is
-	// not worth the obscurity, so use the straightforward series on the
-	// mantissa after range reduction by powers of two.
-	u := r.Float64()
-	if u <= 0 {
-		u = 1e-12
-	}
-	// -ln(u) = k*ln2 - ln(m) with u = m * 2^-k, m in [1,2)
-	k := 0
-	for u < 0.5 {
-		u *= 2
-		k++
-	}
-	// ln(m) for m in [1,2) via atanh series: ln(m) = 2*atanh((m-1)/(m+1))
-	x := (u - 1) / (u + 1)
-	x2 := x * x
-	ln := 2 * x * (1 + x2/3 + x2*x2/5 + x2*x2*x2/7 + x2*x2*x2*x2/9)
-	const ln2 = 0.6931471805599453
-	neglog := float64(k)*ln2 - ln
-	if neglog < 0 {
-		neglog = 0
-	}
-	return Duration(neglog * float64(mean))
-}

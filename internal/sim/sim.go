@@ -79,7 +79,7 @@ type Kind uint8
 // Event kinds. KindEvent is the default of At and After; KindObserver
 // marks periodic monitors (metrics streams, heartbeat tickers), which
 // Pending does not count; the rest label model events: a process
-// resume (Delay, Yield, Cond wake, Spawn — including all simulated
+// resume (Delay, Cond wake, Spawn — including all simulated
 // software the process runs before blocking again), a ring hop, a host
 // bus completion, an interrupt dispatch, a switched-fabric frame and a
 // fault-script action.

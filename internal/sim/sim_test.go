@@ -569,20 +569,6 @@ func TestRNGDeterminismAndRange(t *testing.T) {
 	}
 }
 
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(42)
-	const mean = 1000
-	var sum Duration
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Exp(mean)
-	}
-	got := float64(sum) / n
-	if got < 950 || got > 1050 {
-		t.Fatalf("Exp mean = %.1f, want ~%d", got, mean)
-	}
-}
-
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -690,23 +676,6 @@ func TestDaemonPlusStuckProcStillDeadlocks(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	k.Close()
-}
-
-func TestYieldOrdersBehindSameTimeEvents(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	k.Spawn("p", func(p *Proc) {
-		p.Delay(10)
-		k.After(0, func() { order = append(order, "event") })
-		p.Yield()
-		order = append(order, "proc")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "event" || order[1] != "proc" {
-		t.Fatalf("order = %v", order)
-	}
 }
 
 // TestResumeRunsInsideCallback checks that Resume runs a parked process

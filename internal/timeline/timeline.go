@@ -698,11 +698,6 @@ type SweepConfig struct {
 	Rate          float64      // ring packet-drop probability (0 = fault-free)
 	SnapshotEvery sim.Duration // snapshot-stream period
 	TraceCap      int          // 0 = unbounded recorder
-	// SampleEvery > 1 installs a head-based sampler keeping every n-th
-	// message id: sampled messages retain complete span trees for the
-	// whole run, unsampled ids are absent by design (Breakdowns simply
-	// never sees their events — they are not "dropped").
-	SampleEvery int
 }
 
 // DefaultSweepConfig is the E6 fault-sweep loss run with a 100 µs
@@ -739,7 +734,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	pt, c, err := cfg.LossRun.Run(cfg.Rate, cluster.Options{
 		Metrics: metrics.New(), Trace: rec,
-		SnapshotEvery: cfg.SnapshotEvery, SampleEvery: cfg.SampleEvery,
+		SnapshotEvery: cfg.SnapshotEvery,
 	})
 	if err != nil {
 		return nil, err

@@ -24,8 +24,8 @@ func TestCappedRecorderEvictsOldest(t *testing.T) {
 	}
 	var sb strings.Builder
 	r.Render(&sb)
-	if !strings.Contains(sb.String(), "evicted") {
-		t.Fatalf("Render must mention evictions:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "(2 older events evicted by the 3-event cap)") {
+		t.Fatalf("Render must state the evictions and the cap:\n%s", sb.String())
 	}
 }
 

@@ -16,10 +16,7 @@
 //
 // A recorder built with NewCapped keeps only the newest events in a
 // fixed ring, counting what it evicted, so long fault sweeps cannot
-// grow memory without bound. For soak-length runs a head-based Sampler
-// (see sampler.go) complements the cap: instead of complete recent
-// history it keeps complete span trees for every n-th message id,
-// deciding once at id origin with the decision recomputed at every hop.
+// grow memory without bound.
 package trace
 
 import (
@@ -111,9 +108,6 @@ type Recorder struct {
 	drops          int64
 	dropLo, dropHi uint64 // msg-id range seen on evicted events
 	droppedMsg     bool
-
-	smp          *Sampler
-	samplerDrops int64
 }
 
 // New returns an empty, unbounded recorder.
@@ -130,56 +124,8 @@ func NewCapped(n int) *Recorder {
 	return &Recorder{cap: n, evs: make([]Event, 0, n)}
 }
 
-// SetSampler installs (or, with nil, removes) a head-based sampler:
-// message-attributed events whose id the sampler rejects are filtered
-// before they reach the buffer, counted in SamplerDrops — separately
-// from capacity evictions, so MayHaveDroppedMsg keeps meaning "the cap
-// may have eaten this message's events" and never fires for ids that
-// were simply not sampled.
-func (r *Recorder) SetSampler(s *Sampler) {
-	if r == nil {
-		return
-	}
-	r.smp = s
-}
-
-// Sampler returns the installed sampler (nil when unsampled).
-func (r *Recorder) Sampler() *Sampler {
-	if r == nil {
-		return nil
-	}
-	return r.smp
-}
-
-// Sampled reports whether events for msg pass the sampler (always true
-// without one). Callers that do per-message post-processing use it to
-// distinguish absent-by-design ids from genuinely missing data.
-func (r *Recorder) Sampled(msg uint64) bool {
-	if r == nil {
-		return true
-	}
-	return r.smp.Keep(msg)
-}
-
-// SamplerDrops returns how many message-attributed events the sampler
-// filtered (distinct from Drops, the capacity evictions).
-func (r *Recorder) SamplerDrops() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.samplerDrops
-}
-
 // add appends e, evicting the oldest event when capped and full.
 func (r *Recorder) add(e Event) {
-	if e.Msg != 0 && r.smp != nil {
-		keep := r.smp.Keep(e.Msg)
-		r.smp.observe(keep)
-		if !keep {
-			r.samplerDrops++
-			return
-		}
-	}
 	if r.cap > 0 && len(r.evs) == r.cap {
 		old := r.evs[r.start]
 		r.drops++
@@ -321,7 +267,6 @@ func (r *Recorder) Reset() {
 	r.start = 0
 	r.drops = 0
 	r.droppedMsg = false
-	r.samplerDrops = 0
 	r.parents = r.parents[:0]
 }
 
@@ -347,9 +292,6 @@ func (r *Recorder) Render(w io.Writer) {
 	}
 	if d := r.Drops(); d > 0 {
 		fmt.Fprintf(w, "(%d older events evicted by the %d-event cap)\n", d, r.cap)
-	}
-	if d := r.SamplerDrops(); d > 0 {
-		fmt.Fprintf(w, "(%d events filtered by the 1-in-%d sampler)\n", d, r.smp.Every())
 	}
 }
 

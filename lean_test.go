@@ -12,15 +12,6 @@ import (
 	"testing"
 )
 
-// unimported lists the internal packages allowed to have no importer,
-// each with the reason it stays for now. An entry goes when its package
-// is deleted or gains an importer; the test fails until it does.
-var unimported = map[string]string{
-	// ROADMAP item 6 (lean audit): deleted in its own change, one
-	// package per change.
-	"internal/shm": "awaiting deletion under the lean audit",
-}
-
 // TestEveryInternalPackageHasAnImporter keeps the lean audit's rule
 // that every package is reached by something: each directory under
 // internal/ with non-test Go files must be imported by a .go file
@@ -74,17 +65,8 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 	}
 	sort.Strings(pkgs)
 	for _, pkg := range pkgs {
-		_, excepted := unimported[pkg]
-		switch {
-		case !imported[pkg] && !excepted:
+		if !imported[pkg] {
 			t.Errorf("%s has non-test Go files and no importer: reach it from a figure, gate, workload or example, or delete it", pkg)
-		case imported[pkg] && excepted:
-			t.Errorf("%s is listed in unimported but is imported: delete its entry", pkg)
-		}
-	}
-	for pkg := range unimported {
-		if !hasCode[pkg] {
-			t.Errorf("%s is listed in unimported but has no non-test Go files: delete its entry", pkg)
 		}
 	}
 }
