@@ -61,8 +61,8 @@ cover:
 #            integration and the E12 figures rest on;
 #   trace, metrics
 #            the capped recorder's eviction accounting and the metrics
-#            registry (with the profiler publishing path), which
-#            MayHaveDroppedMsg and the sweep trajectory rest on;
+#            registry and snapshot stream, which MayHaveDroppedMsg and
+#            the sweep trajectory rest on;
 #   liveness, fault
 #            the cut-corroborated partition declaration, quorum election
 #            and fence/heal/resync transitions, and the scripted fault

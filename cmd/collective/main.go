@@ -4,8 +4,10 @@
 // Usage:
 //
 //	collective -op bcast [-net ...] [-impl p2p|mcast] [-nodes 4] [-size 512]
-//	collective -op barrier [-net ...] [-impl p2p|mcast] [-nodes 4]
+//	collective -op barrier [-net ...] [-impl p2p|mcast|nic] [-nodes 4]
 //	collective -op bbp-bcast [-nodes 4] [-size 512]   (raw BillBoard API)
+//
+// An -impl the operation does not run exits 2.
 package main
 
 import (
@@ -32,19 +34,16 @@ func main() {
 	}
 	switch *op {
 	case "bcast":
-		bi := bench.BcastP2P
-		if *impl == "mcast" {
-			bi = bench.BcastNative
+		bi, ok := map[string]bench.BcastImpl{"p2p": bench.BcastP2P, "mcast": bench.BcastNative}[*impl]
+		if !ok {
+			badImpl(*op, *impl, "p2p or mcast")
 		}
 		us := bench.MPIBcast(nw, bi, *nodes, *size)
 		fmt.Printf("MPI_Bcast  %-14s %-5s  %d nodes  %5d B  %9.1fµs\n", nw, *impl, *nodes, *size, us)
 	case "barrier":
-		bi := bench.BarrierP2P
-		switch *impl {
-		case "mcast":
-			bi = bench.BarrierNative
-		case "nic":
-			bi = bench.BarrierNIC
+		bi, ok := map[string]bench.BarrierImpl{"p2p": bench.BarrierP2P, "mcast": bench.BarrierNative, "nic": bench.BarrierNIC}[*impl]
+		if !ok {
+			badImpl(*op, *impl, "p2p, mcast or nic")
 		}
 		us := bench.MPIBarrier(cluster.Options{Nodes: *nodes, Net: nw}, bi, bench.Iters).Us
 		fmt.Printf("MPI_Barrier %-14s %-5s  %d nodes  %9.1fµs\n", nw, *impl, *nodes, us)
@@ -55,4 +54,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown op %q\n", *op)
 		os.Exit(2)
 	}
+}
+
+// badImpl rejects an -impl that op does not run.
+func badImpl(op, impl, valid string) {
+	fmt.Fprintf(os.Stderr, "unknown -impl %q for -op %s; %s\n", impl, op, valid)
+	os.Exit(2)
 }

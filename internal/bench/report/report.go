@@ -1020,10 +1020,10 @@ func e14Barrier(nodes int, nic bool, m *metrics.Registry, rec *trace.Recorder) b
 }
 
 // barrierPath runs the traced+instrumented 16-node barrier and reduces
-// it to the E14 critical-path summary. Envelope spans that cover the
-// whole window on every rank (the per-rank "barrier" span and the
-// stream wrappers) are excluded so the attribution lands on the work
-// spans (BBP post/drain, ring inject, spin handler, MPI eager).
+// it to the E14 critical-path summary. The BBP "stream-allreduce" span
+// covers the whole window on every rank, so it is excluded and the
+// attribution lands on the work spans (BBP post/drain, ring inject,
+// spin handler).
 func barrierPath(nic bool) BarrierPath {
 	m := metrics.New()
 	rec := trace.New()
@@ -1031,11 +1031,9 @@ func barrierPath(nic bool) BarrierPath {
 	t0, t1 := run.Start, run.End
 	var work []trace.SpanRec
 	for _, s := range rec.Spans() {
-		switch s.Name {
-		case "barrier", "allreduce-stream", "stream-allreduce":
-			continue
+		if s.Name != "stream-allreduce" {
+			work = append(work, s)
 		}
-		work = append(work, s)
 	}
 	shares := timeline.CriticalPath(work, t0, t1)
 	if len(shares) == 0 {

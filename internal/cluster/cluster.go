@@ -76,6 +76,8 @@ type Options struct {
 	// from the script); the switched fabrics are wrapped with a
 	// fault-injecting layer. A Hybrid cluster faults both substrates
 	// with the same script. Not supported on hierarchical SCRAMNet.
+	// New rejects a script that names a node or segment outside
+	// [0, Nodes) or that fails Script.Validate.
 	Faults *fault.Script
 	// Metrics, when non-nil, instruments every built layer (ring/
 	// hierarchy, host buses, BBP endpoints, fault wrappers, hybrid
@@ -168,6 +170,9 @@ func switched(k *sim.Kernel, c *Cluster, opts Options, l lan) ([]xport.Endpoint,
 func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 	if opts.Nodes < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 nodes, got %d", opts.Nodes)
+	}
+	if err := checkFaults(opts.Faults, opts.Nodes); err != nil {
+		return nil, err
 	}
 	c := &Cluster{K: k, Net: opts.Net}
 	if opts.Profiler != nil {
@@ -291,6 +296,24 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 		c.Stream = metrics.NewStream(k, opts.Metrics, opts.SnapshotEvery)
 	}
 	return c, nil
+}
+
+// checkFaults rejects a script whose fail, repair, cut or splice names a
+// node or ring segment outside [0, nodes), then one whose per-target
+// ordering is unrealizable (fault.Script.Validate).
+func checkFaults(s *fault.Script, nodes int) error {
+	if s == nil {
+		return nil
+	}
+	for _, a := range s.Actions {
+		switch a.Kind {
+		case fault.NodeFail, fault.NodeRepair, fault.LinkCut, fault.LinkSplice:
+			if a.Node < 0 || a.Node >= nodes {
+				return fmt.Errorf("cluster: fault %s at %d names node %d of %d", a.Kind, a.At, a.Node, nodes)
+			}
+		}
+	}
+	return s.Validate()
 }
 
 // NewMPIWorld builds a testbed on net and an MPI world over it. On

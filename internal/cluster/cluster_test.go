@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/scramnet"
 	"repro/internal/sim"
 )
@@ -110,5 +112,36 @@ func TestNewMPIWorldAllNetworks(t *testing.T) {
 		if _, _, err := NewMPIWorld(k, net, 3); err != nil {
 			t.Errorf("%s: %v", net, err)
 		}
+	}
+}
+
+func TestNewRejectsInvalidFaultScripts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		act  fault.Action
+		want string
+	}{
+		{"repair-not-down", fault.Action{At: 10, Kind: fault.NodeRepair, Node: 1}, "repaired at 10 while not down"},
+		{"fail-out-of-range", fault.Action{At: 10, Kind: fault.NodeFail, Node: 9}, "node-fail at 10 names node 9 of 4"},
+		{"fail-negative", fault.Action{At: 10, Kind: fault.NodeFail, Node: -1}, "names node -1 of 4"},
+		{"cut-out-of-range", fault.Action{At: 10, Kind: fault.LinkCut, Node: 4}, "link-cut at 10 names node 4 of 4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, net := range []Network{SCRAMNet, Hybrid, FastEthernet} {
+				s := &fault.Script{Actions: []fault.Action{c.act}}
+				_, err := New(sim.NewKernel(), Options{Nodes: 4, Net: net, Faults: s})
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: err = %v, want one containing %q", net, err, c.want)
+				}
+			}
+		})
+	}
+	ok := &fault.Script{Actions: []fault.Action{
+		{At: 10, Kind: fault.NodeFail, Node: 3},
+		{At: 20, Kind: fault.NodeRepair, Node: 3},
+		{At: 30, Kind: fault.LossStart, Rate: 0.1},
+	}}
+	if _, err := New(sim.NewKernel(), Options{Nodes: 4, Net: SCRAMNet, Faults: ok}); err != nil {
+		t.Fatalf("valid script rejected: %v", err)
 	}
 }

@@ -255,7 +255,7 @@ func (e *Endpoint) post(p *sim.Proc, dests uint32, data []byte) error {
 	// allocates even when no recorder is installed.
 	var span trace.SpanID
 	if e.sys.tracer != nil {
-		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "post", msg, e.sys.tracer.Parent(), "slot=%d off=%d len=%d dests=%#x seq=%d", slot, off, len(data), dests, e.sendSeq)
+		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "post", msg, 0, "slot=%d off=%d len=%d dests=%#x seq=%d", slot, off, len(data), dests, e.sendSeq)
 	}
 	lb.span = span
 	lb.msg = msg

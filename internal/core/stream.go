@@ -115,7 +115,7 @@ func (e *Endpoint) StreamAllreduce(p *sim.Proc, op spin.RingOp, send, recv []byt
 	e.stream.round++
 	r := e.stream.round
 	e.stats.StreamRounds++
-	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "stream-allreduce", 0, e.sys.tracer.Parent(), "round=%d op=%v len=%d", r, op, n)
+	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "stream-allreduce", 0, 0, "round=%d op=%v len=%d", r, op, n)
 	fast, err := e.streamRound(p, op, send, recv[:n], r)
 	if !fast {
 		e.stats.StreamFallbacks++

@@ -114,9 +114,9 @@ func (e *Endpoint) SetMetrics(m *metrics.Registry) {
 }
 
 // SetTracer installs a span recorder on the router (nil disables). The
-// routing decision and any failover become a span parenting the
-// substrate's own send spans. Like SetMetrics it does not reach down
-// into the substrates.
+// routing decision and any failover become a span on the sending node;
+// the substrate's own send spans are not linked to it. Like SetMetrics
+// it does not reach down into the substrates.
 func (e *Endpoint) SetTracer(r *trace.Recorder) { e.tracer = r }
 
 // Stats counts the router's fault-tolerance interventions; SetMetrics
@@ -262,14 +262,12 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 	// allocates even when no recorder is installed.
 	var span trace.SpanID
 	if e.tracer != nil {
-		span = e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, e.tracer.Parent(), "dst=%d len=%d via=%s seq=%d", dst, len(data), via, seq)
+		span = e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, 0, "dst=%d len=%d via=%s seq=%d", dst, len(data), via, seq)
 		if proactive {
 			e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "proactive-failover", 0, span, "dst=%d state=%s", dst, e.live.State(dst))
 		}
 	}
-	e.tracer.PushParent(span)
 	err := sub.Send(p, dst, msg)
-	e.tracer.PopParent()
 	if err == nil {
 		if e.tracer != nil {
 			e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "via=%s", via)
@@ -291,9 +289,7 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 		return err
 	}
 	e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "failover", 0, span, "%s->%s: %v", via, altName, err)
-	e.tracer.PushParent(span)
 	altErr := alt.Send(p, dst, msg)
-	e.tracer.PopParent()
 	if altErr == nil {
 		e.stats.Failovers++
 		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failover via=%s", altName)

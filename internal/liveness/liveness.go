@@ -333,7 +333,7 @@ func (d *Detector) Tick(now sim.Time) {
 			if stall >= d.cfg.SuspectAfter {
 				d.state[node] = Suspect
 				d.stats.Suspects++
-				d.suspectSpn[node] = d.tracer.BeginSpan(now, trace.Live, d.me, "suspect", 0, d.tracer.Parent(),
+				d.suspectSpn[node] = d.tracer.BeginSpan(now, trace.Live, d.me, "suspect", 0, 0,
 					"node=%d inc=%d stall=%v", node, d.inc[node], stall)
 			}
 		case Suspect:
@@ -534,19 +534,4 @@ func (d *Detector) deadCount() int64 {
 		}
 	}
 	return n
-}
-
-// DeadIn returns the lowest-numbered member of group (node ids) that is
-// confirmed Dead, or -1 when all are Alive or merely Suspect. Nil-safe
-// on a nil *Detector.
-func (d *Detector) DeadIn(group []int) int {
-	if d == nil {
-		return -1
-	}
-	for _, node := range group {
-		if node != d.me && node >= 0 && node < d.n && d.state[node] == Dead {
-			return node
-		}
-	}
-	return -1
 }

@@ -180,25 +180,6 @@ func TestResetForgetsVerdicts(t *testing.T) {
 	}
 }
 
-func TestDeadIn(t *testing.T) {
-	cfg := testConfig()
-	d := NewDetector(0, 4, cfg, 0, nil, nil)
-	if got := d.DeadIn([]int{0, 1, 2, 3}); got != -1 {
-		t.Fatalf("DeadIn on healthy cluster = %d", got)
-	}
-	newHarness(d, cfg).feed(30, func(node, p int) bool { return node != 2 })
-	if got := d.DeadIn([]int{0, 1, 2, 3}); got != 2 {
-		t.Fatalf("DeadIn = %d, want 2", got)
-	}
-	if got := d.DeadIn([]int{0, 1, 3}); got != -1 {
-		t.Fatalf("DeadIn excluding the dead node = %d", got)
-	}
-	var nilD *Detector
-	if got := nilD.DeadIn([]int{0, 1}); got != -1 {
-		t.Fatalf("nil DeadIn = %d", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)

@@ -170,11 +170,7 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // ObserveN records n identical observations of v in one step (no-op on
-// nil or n <= 0). It is the bulk-import path for pre-bucketed data —
-// internal/metrics.PublishKernelProfile replays a kernel profile's
-// buckets through it at each bucket's lower bound, so the re-imported
-// sum is quantized to bucket floors while count and bucket shape are
-// exact.
+// nil or n <= 0), exactly as n calls of Observe(v) would.
 func (h *Histogram) ObserveN(v, n int64) {
 	if h == nil || n <= 0 {
 		return

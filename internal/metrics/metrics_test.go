@@ -229,3 +229,36 @@ func TestRollup(t *testing.T) {
 		t.Fatalf("rolled-up bucket mass = %d, want 2", total)
 	}
 }
+
+func TestObserveN(t *testing.T) {
+	h := &Histogram{}
+	h.ObserveN(8, 3)
+	h.ObserveN(1, 2)
+	h.ObserveN(0, 1)
+	h.ObserveN(5, 0)  // no-op
+	h.ObserveN(5, -2) // no-op
+	if h.Count() != 6 {
+		t.Errorf("count = %d, want 6", h.Count())
+	}
+	if h.Sum() != 8*3+1*2 {
+		t.Errorf("sum = %d, want 26", h.Sum())
+	}
+	if h.Min() != 0 || h.Max() != 8 {
+		t.Errorf("min/max = %d/%d, want 0/8", h.Min(), h.Max())
+	}
+	// Equivalent to repeated Observe calls.
+	want := &Histogram{}
+	for i := 0; i < 3; i++ {
+		want.Observe(8)
+	}
+	for i := 0; i < 2; i++ {
+		want.Observe(1)
+	}
+	want.Observe(0)
+	if *h != *want {
+		t.Errorf("ObserveN diverges from repeated Observe:\n got %+v\nwant %+v", *h, *want)
+	}
+
+	var nilH *Histogram
+	nilH.ObserveN(1, 1) // no-op, no panic
+}

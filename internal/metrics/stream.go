@@ -84,15 +84,9 @@ func (s *Stream) Points() []StreamPoint {
 	return s.points
 }
 
-// WriteJSONL writes one compact JSON object per line per capture. The
-// encoding is byte-stable: identical simulations produce identical
-// output (see TestStreamDeterminism).
-func (s *Stream) WriteJSONL(w io.Writer) error {
-	return WritePointsJSONL(w, s.Points())
-}
-
-// WritePointsJSONL encodes any point sequence as JSONL (shared by
-// Stream.WriteJSONL and tools that filtered or merged point streams).
+// WritePointsJSONL writes one compact JSON object per line per point.
+// The encoding is byte-stable: identical simulations produce identical
+// output (see TestStreamJSONLDeterminism).
 func WritePointsJSONL(w io.Writer, points []StreamPoint) error {
 	for _, p := range points {
 		b, err := json.Marshal(p)

@@ -27,7 +27,7 @@ func runStreamed(t *testing.T) ([]StreamPoint, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
+	if err := WritePointsJSONL(&buf, s.Points()); err != nil {
 		t.Fatal(err)
 	}
 	return s.Points(), buf.Bytes()
@@ -89,7 +89,7 @@ func TestStreamNilSafety(t *testing.T) {
 		t.Fatal("nil stream Points() must be nil")
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
+	if err := WritePointsJSONL(&buf, s.Points()); err != nil {
 		t.Fatal(err)
 	}
 	s.Stop()

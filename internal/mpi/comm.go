@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/xport"
 )
 
@@ -43,15 +42,6 @@ func (w *World) Engine(i int) *Engine { return w.engines[i] }
 func (w *World) SetMetrics(m *metrics.Registry) {
 	for _, eng := range w.engines {
 		eng.setMetrics(m)
-	}
-}
-
-// SetTracer installs a span recorder on every engine (nil disables).
-// Like SetMetrics it stops at the ADI layer; install the tracer on the
-// transport separately (cluster.New wires both ends).
-func (w *World) SetTracer(r *trace.Recorder) {
-	for _, eng := range w.engines {
-		eng.setTracer(r)
 	}
 }
 
@@ -129,32 +119,22 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 	}
 	req := &Request{eng: e, isSend: true, tag: tag, dst: dst, comm: c}
 	if len(data) <= e.cfg.EagerMax {
-		// The eager span covers envelope + chunks; the BBP posts they
-		// cause adopt it as their parent via the ambient stack.
-		span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", dst, tag, len(data))
-		e.tracer.PushParent(span)
 		env := envelope{kind: kEager, tag: int32(tag), total: uint32(len(data))}
 		e.sendControl(p, dst, env)
 		e.sendChunks(p, dst, data)
-		e.tracer.PopParent()
-		e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager-end", span, 0, "total=%d", len(data))
 		e.stats.EagerSent++
 		req.done = true
 		return req, nil
 	}
-	// Rendezvous: keep a reference to the payload until CTS arrives. The
-	// span stays open across the RTS/CTS round trip and is closed by
-	// handleCTS once the data chunks have been pushed.
+	// Rendezvous: keep a reference to the payload until CTS arrives;
+	// handleCTS pushes the data chunks and completes the request.
 	id := e.nextReq
 	e.nextReq++
 	req.id = id
 	req.data = data
 	e.pendSends[id] = req
-	req.span = e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv", 0, e.tracer.Parent(), "dst=%d tag=%d total=%d", dst, tag, len(data))
 	env := envelope{kind: kRTS, tag: int32(tag), total: uint32(len(data)), reqID: id}
-	e.tracer.PushParent(req.span)
 	e.sendControl(p, dst, env)
-	e.tracer.PopParent()
 	e.stats.RndvSent++
 	return req, nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/liveness"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/xport"
 )
 
@@ -72,7 +71,6 @@ type Engine struct {
 	envBufs xport.Buffers
 	stats   EngineStats
 	im      engInstruments
-	tracer  *trace.Recorder
 }
 
 // engInstruments are the engine's gauges, keyed by its world rank
@@ -104,11 +102,6 @@ func (e *Engine) setMetrics(m *metrics.Registry) {
 		pipelineDepth: m.Gauge("mpi.pipeline_depth", rank),
 	}
 }
-
-// setTracer installs a trace recorder (nil disables). MPI spans carry
-// no message id of their own — they cover several BBP messages — and
-// instead parent the underlying sends via the recorder's ambient stack.
-func (e *Engine) setTracer(r *trace.Recorder) { e.tracer = r }
 
 // EngineStats counts protocol activity. setMetrics binds each field to
 // the mpi.* counter named beside it, so the two are one count.
@@ -342,11 +335,8 @@ func (e *Engine) handleCTS(p *sim.Proc, src int, env envelope) {
 	}
 	delete(e.pendSends, env.reqID)
 	hdr := envelope{kind: kRData, tag: env.tag, total: uint32(len(req.data)), reqID: env.aux}
-	e.tracer.PushParent(req.span)
 	e.sendControl(p, src, hdr)
 	e.sendChunks(p, req.dst, req.data)
-	e.tracer.PopParent()
-	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv-end", req.span, 0, "total=%d", len(req.data))
 	req.done = true
 }
 
@@ -376,9 +366,7 @@ func (e *Engine) handleCTSW(p *sim.Proc, src int, env envelope) {
 	}
 	req.peerID = env.aux
 	req.winOff, req.winCap = int(env.winOff), int(env.winCap)
-	e.tracer.PushParent(req.span)
 	e.writeWindowed(p, src, req)
-	e.tracer.PopParent()
 	e.stats.RndvZeroCopy++
 	done := envelope{kind: kRDone, tag: env.tag, total: uint32(len(req.data)),
 		reqID: req.peerID, aux: payloadCheck(req.data)}
@@ -407,9 +395,7 @@ func (e *Engine) writeWindowed(p *sim.Proc, dst int, req *Request) {
 			e.im.pipelineDepth.Set(int64(len(inflight)))
 		}
 		p.Delay(e.cfg.Costs.PerChunk)
-		span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv-chunk", 0, req.span, "dst=%d off=%d len=%d", dst, off, m)
 		bound := e.wnd.WriteWindow(p, dst, req.winOff+off, data[off:off+m])
-		e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv-chunk-end", span, 0, "len=%d", m)
 		inflight = append(inflight, bound)
 		e.im.pipelineDepth.Set(int64(len(inflight)))
 		e.stats.ChunksSent++
@@ -483,24 +469,20 @@ func (e *Engine) handleRNak(p *sim.Proc, src int, env envelope) {
 	if req == nil {
 		return
 	}
-	e.tracer.PushParent(req.span)
 	e.writeWindowed(p, src, req)
-	e.tracer.PopParent()
 	done := envelope{kind: kRDone, tag: env.tag, total: uint32(len(req.data)),
 		reqID: req.peerID, aux: payloadCheck(req.data)}
 	e.trySendControl(p, src, done)
 }
 
 // handleRAck completes a windowed send: the receiver has verified the
-// payload, so the data reference can be dropped and the rndv span
-// closed.
+// payload, so the data reference can be dropped.
 func (e *Engine) handleRAck(p *sim.Proc, src int, env envelope) {
 	req := e.pendSends[env.reqID]
 	if req == nil {
 		return
 	}
 	delete(e.pendSends, env.reqID)
-	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv-end", req.span, 0, "total=%d zero-copy", len(req.data))
 	req.done = true
 }
 
@@ -541,10 +523,7 @@ func (e *Engine) handleRFall(p *sim.Proc, src int, env envelope) {
 		return
 	}
 	delete(e.pendSends, env.reqID)
-	e.tracer.PushParent(req.span)
 	e.sendChunks(p, req.dst, req.data)
-	e.tracer.PopParent()
-	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "rndv-end", req.span, 0, "total=%d fallback", len(req.data))
 	req.done = true
 }
 

@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Wildcards for Recv matching.
@@ -322,7 +321,6 @@ type Request struct {
 	data []byte
 	dst  int // destination rank
 	id   uint32
-	span trace.SpanID // open rndv span, closed when CTS releases the data
 
 	// Windowed-rendezvous state (Config.RndvZeroCopy). peerID is the
 	// other side's request id — on the receiver the sender's RTS id

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/liveness"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // plan is one collective's tree. order lists the participating comm
@@ -135,7 +134,6 @@ func (c *Comm) notePlan(p *sim.Proc, mask []byte, atRoot bool) {
 	if atRoot && slices.ContainsFunc(mask, func(b byte) bool { return b != 0 }) {
 		e := c.eng
 		e.stats.CollReplans++
-		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x", c.planEpoch, mask)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/spin"
-	"repro/internal/trace"
 )
 
 // Algorithm selects a collective implementation.
@@ -173,7 +172,6 @@ func (c *Comm) nicEligible() bool {
 // packet was lost mid-round — the degradation verdict is rank-uniform,
 // so every member falls back together.
 func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
-	e := c.eng
 	pl, err := c.membership(p, rootless)
 	if err != nil {
 		return err
@@ -183,8 +181,6 @@ func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
 		auto = NICCombined
 	}
 	algo := pl.algorithm(opts, auto)
-	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=%v size=%d", algo, len(pl.order))
-	e.tracer.PushParent(span)
 	switch algo {
 	case NICCombined:
 		err = c.barrierNIC(p, pl)
@@ -195,8 +191,6 @@ func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
 	default:
 		err = fmt.Errorf("%w: %v barrier", ErrBadAlgorithm, algo)
 	}
-	e.tracer.PopParent()
-	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier-end", span, 0, "err=%v", err)
 	return err
 }
 
@@ -307,11 +301,7 @@ func (c *Comm) allreduceNIC(p *sim.Proc, pl plan, op Op, sendBuf, recv []byte) e
 	e := c.eng
 	ring := ringOpOf(op)
 	p.Delay(e.cfg.Costs.CollOverhead)
-	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "allreduce-stream", 0, e.tracer.Parent(), "op=%v len=%d", ring, len(sendBuf))
-	e.tracer.PushParent(span)
 	done, err := e.stream.StreamAllreduce(p, ring, sendBuf, recv)
-	e.tracer.PopParent()
-	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "allreduce-stream-end", span, 0, "done=%v err=%v", done, err)
 	if err != nil {
 		return err
 	}

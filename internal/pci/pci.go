@@ -205,7 +205,7 @@ func (b *Bus) CountDMABurst(n int) {
 	b.im.dmaBytes.Add(int64(n))
 	b.im.busyNs.Add(int64(n) * int64(b.cfg.DMAPerByte))
 	if b.tracer != nil {
-		b.tracer.EmitMsg(b.k.Now(), trace.Host, b.node, "dma-burst", 0, b.tracer.Parent(), "len=%d", n)
+		b.tracer.EmitMsg(b.k.Now(), trace.Host, b.node, "dma-burst", 0, 0, "len=%d", n)
 	}
 }
 

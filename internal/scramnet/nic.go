@@ -195,7 +195,7 @@ func (nic *NIC) stripApply(pkt *packet) {
 
 // InstallHandler registers an in-network handler (internal/spin) for
 // ring packets overlapping [off, off+n) at this card's transit point,
-// returning an id for UninstallHandler. Handlers run before the local
+// returning the engine's id for it. Handlers run before the local
 // apply and the forward decision, in install order, and their cycle
 // cost is charged in virtual time per Config.HandlerCycleCost /
 // Config.HandlerBudget.
@@ -209,12 +209,6 @@ func (nic *NIC) InstallHandler(off, n int, h spin.Handler) int {
 		nic.hctx = spin.HandlerCtx{Node: nic.id, Word: nic.SampleWord}
 	}
 	return nic.handlers.Install(off, n, h)
-}
-
-// UninstallHandler removes the handler registered under id, reporting
-// whether it was installed.
-func (nic *NIC) UninstallHandler(id int) bool {
-	return nic.handlers != nil && nic.handlers.Uninstall(id)
 }
 
 // HandlerStats returns a copy of the card's spin.* counters (zero when

@@ -153,28 +153,6 @@ func TestHandlerBudgetTrapAtRingLevel(t *testing.T) {
 	}
 }
 
-func TestUninstallHandlerRestoresPlainTransit(t *testing.T) {
-	k, n := newNet(t, 3)
-	id := n.NIC(1).InstallHandler(128, 4, fnHandler(func(ctx *spin.HandlerCtx, pkt spin.Packet) spin.Verdict {
-		return spin.Steer
-	}))
-	if !n.NIC(1).UninstallHandler(id) {
-		t.Fatal("uninstall failed")
-	}
-	k.Spawn("writer", func(p *sim.Proc) {
-		n.NIC(0).WriteWord(p, 128, 0x7)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.NIC(1).Peek(128, 1)[0]; got != 0x7 {
-		t.Errorf("uninstalled handler still steering: byte %#x", got)
-	}
-	if st := n.NIC(1).HandlerStats(); st.HandlersRun != 0 {
-		t.Errorf("uninstalled handler ran: %+v", st)
-	}
-}
-
 func TestDropRateConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
 	for _, r := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -40,8 +40,7 @@ type KindStat struct {
 //
 // The measured values are wall-clock and therefore non-deterministic:
 // a profile must never feed a byte-stable artifact (BENCH_*.json, the
-// snapshot stream). Publish it into a dedicated registry via
-// internal/metrics.PublishKernelProfile, or render it directly.
+// snapshot stream). Read it through Stats or Render.
 type Profiler struct {
 	stats [numKinds]KindStat
 }

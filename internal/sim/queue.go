@@ -43,20 +43,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return v
 }
 
-// PopTimeout is like Pop but gives up after d, reporting ok=false.
-func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
-	deadline := p.Now().Add(d)
-	for len(q.items) == 0 {
-		remain := deadline.Sub(p.Now())
-		if remain <= 0 || !q.nonempty.WaitTimeout(p, remain) {
-			var zero T
-			return zero, false
-		}
-	}
-	v, _ := q.TryPop()
-	return v, true
-}
-
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
 	var zero T

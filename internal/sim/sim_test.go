@@ -390,30 +390,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[string](k)
-	var ok1, ok2 bool
-	k.Spawn("c", func(p *Proc) {
-		_, ok1 = q.PopTimeout(p, 10)
-		v, ok := q.PopTimeout(p, 100)
-		ok2 = ok && v == "hello"
-	})
-	k.Spawn("p", func(p *Proc) {
-		p.Delay(50)
-		q.Push("hello")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok1 {
-		t.Error("first pop should time out")
-	}
-	if !ok2 {
-		t.Error("second pop should succeed")
-	}
-}
-
 func TestServerFIFOBacklog(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k)

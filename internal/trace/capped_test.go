@@ -66,10 +66,8 @@ func TestUnboundedRecorderNeverDrops(t *testing.T) {
 func TestSpansJoinBeginEnd(t *testing.T) {
 	r := New()
 	msg := MsgID(0, 1)
-	outer := r.BeginSpan(10, MPI, 0, "eager", 0, 0, "outer")
-	r.PushParent(outer)
-	inner := r.BeginSpan(20, BBP, 0, "post", msg, r.Parent(), "inner")
-	r.PopParent()
+	outer := r.BeginSpan(10, Hybrid, 0, "route", 0, 0, "outer")
+	inner := r.BeginSpan(20, BBP, 0, "post", msg, outer, "inner")
 	r.EndSpan(30, BBP, 0, "send-end", inner, msg, "done")
 	spans := r.Spans()
 	if len(spans) != 2 {
@@ -92,11 +90,6 @@ func TestNilRecorderSpanMethodsAreSafe(t *testing.T) {
 	}
 	r.EndSpan(1, BBP, 0, "end", id, 0, "x")
 	r.EmitMsg(2, BBP, 0, "i", 1, 0, "x")
-	r.PushParent(7)
-	if r.Parent() != 0 {
-		t.Fatal("nil recorder Parent() must be 0")
-	}
-	r.PopParent()
 	if r.Drops() != 0 || r.MayHaveDroppedMsg(1) || r.Spans() != nil {
 		t.Fatal("nil recorder accessors must return zero values")
 	}
