@@ -123,7 +123,7 @@ func (e *Endpoint) hbTick(p *sim.Proc) {
 	switch {
 	case !up && !hb.sawDown:
 		hb.sawDown = true
-		e.sys.tracer.Emitf(now, trace.Live, e.me, "link-down", "inc=%d", hb.inc)
+		e.sys.tracer.Emit(now, trace.Live, e.me, "link-down", 0, 0, "inc=%d", trace.Int(hb.inc))
 	case up && hb.sawDown:
 		// The link came back after an outage: everything this node
 		// observed (and everything peers observed about it) during the
@@ -135,7 +135,7 @@ func (e *Endpoint) hbTick(p *sim.Proc) {
 		hb.det.Reset(now)
 		hb.det.AddSelfRejoin()
 		hb.incGauge.Set(int64(hb.inc))
-		e.sys.tracer.Emitf(now, trace.Live, e.me, "self-rejoin", "inc=%d", hb.inc)
+		e.sys.tracer.Emit(now, trace.Live, e.me, "self-rejoin", 0, 0, "inc=%d", trace.Int(hb.inc))
 	}
 
 	// Publish, incarnation word first: the ring preserves per-sender
@@ -203,7 +203,7 @@ func (e *Endpoint) partitionResync(p *sim.Proc) {
 		e.syncMinUn(p, true)
 		e.retryWake.Signal()
 	}
-	e.sys.tracer.Emitf(p.Now(), trace.Live, e.me, "partition-resync", "inc=%d slots=%d", hb.inc, slots)
+	e.sys.tracer.Emit(p.Now(), trace.Live, e.me, "partition-resync", 0, 0, "inc=%d slots=%d", trace.Int(hb.inc), trace.Int(slots))
 }
 
 // deadPeer reports whether the detector has confirmed r dead. Safe to

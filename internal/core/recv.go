@@ -61,9 +61,7 @@ func (e *Endpoint) acceptFlags(w *poller, s int, flags, minUn uint32) {
 			seq:  getWord(desc[8:]),
 		}
 		p.Delay(cfg.Costs.RecvBookkeeping)
-		if e.sys.tracer != nil {
-			e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
-		}
+		e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", trace.Int(s), trace.Int(b), trace.Int(m.n), trace.Int(m.seq))
 		e.insertPending(s, m)
 		e.lastSeen[s] ^= 1 << uint(b)
 	}
@@ -134,22 +132,20 @@ scan:
 				// the new occupant until this scan can accept it.
 				e.nic.WriteWord(p, lay.ackSlot(s, e.me, b), floor)
 				e.stats.ReAcks++
-				e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "re-ack", trace.MsgID(s, floor), 0, "sender=%d slot=%d seq=%d", s, b, floor)
+				e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "re-ack", trace.MsgID(s, floor), 0, "sender=%d slot=%d seq=%d", trace.Int(s), trace.Int(b), trace.Int(floor))
 			}
 			continue
 		}
 		if m.n < 0 || m.off < 0 || m.off+m.n > lay.dataSize {
 			// Torn descriptor — some of its packets were lost in flight.
 			e.stats.StaleDescs++
-			e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "torn-desc", "sender=%d slot=%d seq=%d", s, b, m.seq)
+			e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "torn-desc", 0, 0, "sender=%d slot=%d seq=%d", trace.Int(s), trace.Int(b), trace.Int(m.seq))
 			continue
 		}
 		m.prevFloor = floor
 		e.slotSeq[s][b] = m.seq
 		p.Delay(cfg.Costs.RecvBookkeeping)
-		if e.sys.tracer != nil {
-			e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", s, b, m.n, m.seq)
-		}
+		e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "detect", trace.MsgID(s, m.seq), 0, "sender=%d slot=%d len=%d seq=%d", trace.Int(s), trace.Int(b), trace.Int(m.n), trace.Int(m.seq))
 		e.insertPending(s, m)
 	}
 }
@@ -184,10 +180,7 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	// is unchanged. The message id is rebuilt from the descriptor —
 	// causal joins to the sender's spans need nothing on the wire.
 	msg := trace.MsgID(s, m.seq)
-	var span trace.SpanID
-	if e.sys.tracer != nil {
-		span = e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "drain", msg, 0, "sender=%d slot=%d len=%d", s, m.slot, m.n)
-	}
+	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "drain", msg, 0, "sender=%d slot=%d len=%d", trace.Int(s), trace.Int(m.slot), trace.Int(m.n))
 	e.im.recvSize.Observe(int64(m.n))
 	if m.n > 0 && m.n <= len(buf) {
 		src := lay.dataOff(s, m.off)
@@ -211,7 +204,7 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 		e.slotSeq[s][m.slot] = m.prevFloor
 		e.rescan[s] = true
 		e.stats.ChecksumDrops++
-		e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "ck-drop", msg, span, "sender=%d slot=%d seq=%d", s, m.slot, m.seq)
+		e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "ck-drop", msg, span, "sender=%d slot=%d seq=%d", trace.Int(s), trace.Int(m.slot), trace.Int(m.seq))
 		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "drain-abort", span, msg, "checksum")
 		return 0, errChecksum
 	}
@@ -223,14 +216,12 @@ func (e *Endpoint) consume(p *sim.Proc, s int, m message, buf []byte) (int, erro
 	pm, pp := e.nic.SetTraceContext(msg, span)
 	e.ackWrite(p, s, m)
 	e.nic.SetTraceContext(pm, pp)
-	e.sys.tracer.EmitMsg(p.Now(), trace.BBP, e.me, "ack", msg, span, "sender=%d slot=%d", s, m.slot)
+	e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "ack", msg, span, "sender=%d slot=%d", trace.Int(s), trace.Int(m.slot))
 	if truncated {
 		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "drain-abort", span, msg, "truncated")
 		return 0, ErrTruncated
 	}
-	if e.sys.tracer != nil {
-		e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", s, m.slot, m.n)
-	}
+	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "consume", span, msg, "sender=%d slot=%d len=%d", trace.Int(s), trace.Int(m.slot), trace.Int(m.n))
 	e.stats.Received++
 	e.stats.BytesRecv += int64(m.n)
 	return m.n, nil

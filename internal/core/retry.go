@@ -99,7 +99,7 @@ func (e *Endpoint) retryPass(p *sim.Proc) {
 			// The remaining receivers are presumed dead; reclaim the
 			// buffer so the sender is not wedged forever.
 			e.stats.RetryFailures++
-			e.sys.tracer.EmitMsg(now, trace.BBP, e.me, "retry-fail", lb.msg, lb.span, "slot=%d seq=%d attempts=%d", s, lb.seq, lb.attempts)
+			e.sys.tracer.Emit(now, trace.BBP, e.me, "retry-fail", lb.msg, lb.span, "slot=%d seq=%d attempts=%d", trace.Int(s), trace.Int(lb.seq), trace.Int(lb.attempts))
 			e.freeLive(s, lb)
 			continue
 		}
@@ -122,7 +122,7 @@ func (e *Endpoint) retransmit(p *sim.Proc, s int, lb *liveBuf) {
 	e.stats.Retransmits++
 	// Each retransmission is its own span, parented to the original send
 	// span, so a timeline shows attempt N hanging off the message root.
-	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "retransmit", lb.msg, lb.span, "slot=%d seq=%d attempt=%d", s, lb.seq, lb.attempts)
+	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "retransmit", lb.msg, lb.span, "slot=%d seq=%d attempt=%d", trace.Int(s), trace.Int(lb.seq), trace.Int(lb.attempts))
 	pm, pp := e.nic.SetTraceContext(lb.msg, span)
 
 	if lb.n > 0 {
@@ -155,7 +155,7 @@ func (e *Endpoint) retransmit(p *sim.Proc, s int, lb *liveBuf) {
 		}
 	}
 	e.nic.SetTraceContext(pm, pp)
-	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "retransmit-end", span, lb.msg, "slot=%d attempt=%d", s, lb.attempts)
+	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "retransmit-end", span, lb.msg, "slot=%d attempt=%d", trace.Int(s), trace.Int(lb.attempts))
 	lb.posted = p.Now()
 	lb.busy = false
 }

@@ -115,12 +115,12 @@ func (e *Endpoint) StreamAllreduce(p *sim.Proc, op spin.RingOp, send, recv []byt
 	e.stream.round++
 	r := e.stream.round
 	e.stats.StreamRounds++
-	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "stream-allreduce", 0, 0, "round=%d op=%v len=%d", r, op, n)
+	span := e.sys.tracer.BeginSpan(p.Now(), trace.BBP, e.me, "stream-allreduce", 0, 0, "round=%d op=%s len=%d", trace.Int(r), trace.Str(op.String()), trace.Int(n))
 	fast, err := e.streamRound(p, op, send, recv[:n], r)
 	if !fast {
 		e.stats.StreamFallbacks++
 	}
-	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "stream-allreduce-end", span, 0, "round=%d fast=%v err=%v", r, fast, err)
+	e.sys.tracer.EndSpan(p.Now(), trace.BBP, e.me, "stream-allreduce-end", span, 0, "round=%d fast=%s err=%s", trace.Int(r), trace.Bool(fast), trace.Err(err))
 	return fast, err
 }
 
@@ -155,7 +155,7 @@ func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r 
 	w.watchWords(lay.strArrival(0), arr, arrivalSettled)
 	if all, dead := e.arrivals(arr, r); !all {
 		if dead >= 0 {
-			return e.streamAbort(p, r, "rank %d not alive", dead)
+			return e.streamAbort(p, r, "rank %d not alive", trace.Int(dead))
 		}
 		// A rank is unresponsive but not (yet) suspect: the wait timed
 		// out. Publish the fallback verdict and decline like the leaves
@@ -186,7 +186,7 @@ func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r 
 		Add(sim.Duration(ncfg.Nodes) * sim.Duration(ncfg.HandlerBudget) * ncfg.HandlerCycleCost)
 	w.deadline = maskBy
 	if m := w.watchWord(lay.strCtr(), counterSettled); m != want {
-		return e.streamAbort(p, r, "counter %#x != %#x past drain bound", m, want)
+		return e.streamAbort(p, r, "counter %#x != %#x past drain bound", trace.Int(m), trace.Int(want))
 	}
 
 	// Publish: the combined vector is read from the local replica and
@@ -208,8 +208,8 @@ func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r 
 
 // streamAbort publishes a fallback verdict for round r: every non-root
 // reads it from the done word and degrades to the same software tree.
-func (e *Endpoint) streamAbort(p *sim.Proc, r uint32, format string, args ...any) (bool, error) {
-	e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "stream-fallback", format, args...)
+func (e *Endpoint) streamAbort(p *sim.Proc, r uint32, format string, args ...trace.Arg) (bool, error) {
+	e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "stream-fallback", 0, 0, format, args...)
 	e.nic.WriteWord(p, e.sys.lay.strDone(), r<<1|1)
 	return false, nil
 }
@@ -238,7 +238,7 @@ func (e *Endpoint) streamLeaf(p *sim.Proc, recv []byte, r uint32) (bool, error) 
 	if e.initiatorDead() {
 		// The initiator died before publishing a verdict. Degrade; the
 		// software tree then surfaces the death as its own error.
-		e.sys.tracer.Emitf(p.Now(), trace.BBP, e.me, "stream-fallback", "initiator confirmed dead")
+		e.sys.tracer.Emit(p.Now(), trace.BBP, e.me, "stream-fallback", 0, 0, "initiator confirmed dead")
 		return false, nil
 	}
 	return false, ErrTimeout

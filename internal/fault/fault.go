@@ -131,7 +131,7 @@ func (s *Script) Apply(k *sim.Kernel, tgt Target, m *metrics.Registry, rec *trac
 				}
 				m.Counter("fault.injected_events", metrics.NodeGlobal).Inc()
 				m.Counter("fault.injected_"+a.Kind.String(), metrics.NodeGlobal).Inc()
-				rec.Emitf(k.Now(), trace.Fault, metrics.NodeGlobal, a.Kind.String(), "segment=%d", a.Node)
+				rec.Emit(k.Now(), trace.Fault, metrics.NodeGlobal, a.Kind.String(), 0, 0, "segment=%d", trace.Int(a.Node))
 				if a.Kind == LinkCut {
 					lt.CutLink(a.Node)
 				} else {
@@ -145,7 +145,7 @@ func (s *Script) Apply(k *sim.Kernel, tgt Target, m *metrics.Registry, rec *trac
 			}
 			m.Counter("fault.injected_events", metrics.NodeGlobal).Inc()
 			m.Counter("fault.injected_"+a.Kind.String(), node).Inc()
-			rec.Emitf(k.Now(), trace.Fault, node, a.Kind.String(), "node=%d rate=%g", a.Node, a.Rate)
+			rec.Emit(k.Now(), trace.Fault, node, a.Kind.String(), 0, 0, "node=%d rate=%s", trace.Int(a.Node), trace.Str(fmt.Sprintf("%g", a.Rate)))
 			switch a.Kind {
 			case NodeFail:
 				tgt.FailNode(a.Node)

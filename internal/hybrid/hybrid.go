@@ -258,20 +258,13 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 		e.im.highSends.Inc()
 		via = "high"
 	}
-	// The hot path's trace calls are guarded: boxing their arguments
-	// allocates even when no recorder is installed.
-	var span trace.SpanID
-	if e.tracer != nil {
-		span = e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, 0, "dst=%d len=%d via=%s seq=%d", dst, len(data), via, seq)
-		if proactive {
-			e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "proactive-failover", 0, span, "dst=%d state=%s", dst, e.live.State(dst))
-		}
+	span := e.tracer.BeginSpan(p.Now(), trace.Hybrid, e.Rank(), "route", 0, 0, "dst=%d len=%d via=%s seq=%d", trace.Int(dst), trace.Int(len(data)), trace.Str(via), trace.Int(seq))
+	if proactive {
+		e.tracer.Emit(p.Now(), trace.Hybrid, e.Rank(), "proactive-failover", 0, span, "dst=%d state=%s", trace.Int(dst), trace.Str(e.live.State(dst).String()))
 	}
 	err := sub.Send(p, dst, msg)
 	if err == nil {
-		if e.tracer != nil {
-			e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "via=%s", via)
-		}
+		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "via=%s", trace.Str(via))
 		return nil
 	}
 	// Failover: the sequence tag makes the substrates interchangeable —
@@ -285,17 +278,17 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, data []byte) error {
 		altName = "low"
 	}
 	if len(msg) > alt.MaxMessage() {
-		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failed via=%s: %v", via, err)
+		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failed via=%s: %s", trace.Str(via), trace.Err(err))
 		return err
 	}
-	e.tracer.EmitMsg(p.Now(), trace.Hybrid, e.Rank(), "failover", 0, span, "%s->%s: %v", via, altName, err)
+	e.tracer.Emit(p.Now(), trace.Hybrid, e.Rank(), "failover", 0, span, "%s->%s: %s", trace.Str(via), trace.Str(altName), trace.Err(err))
 	altErr := alt.Send(p, dst, msg)
 	if altErr == nil {
 		e.stats.Failovers++
-		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failover via=%s", altName)
+		e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failover via=%s", trace.Str(altName))
 		return nil
 	}
-	e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failed both: %v", err)
+	e.tracer.EndSpan(p.Now(), trace.Hybrid, e.Rank(), "route-end", span, 0, "failed both: %s", trace.Err(err))
 	return err
 }
 

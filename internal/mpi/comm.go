@@ -75,6 +75,10 @@ type Comm struct {
 	gatherBuf []byte
 	memberBuf []int
 	planBuf   []int
+	// laneOne and laneOut are barrierNIC's all-ones contribution and
+	// result lane (select.go), kept here because a local array would
+	// escape into the transport's StreamAllreduce.
+	laneOne, laneOut [4]byte
 }
 
 // Rank returns the caller's rank.
@@ -117,7 +121,7 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 		// here (the confirmation window is calibrated against it).
 		return nil, &DeadPeerError{Rank: dst}
 	}
-	req := &Request{eng: e, isSend: true, tag: tag, dst: dst, comm: c}
+	req := e.newRequest(Request{isSend: true, tag: tag, dst: dst, comm: c})
 	if len(data) <= e.cfg.EagerMax {
 		env := envelope{kind: kEager, tag: int32(tag), total: uint32(len(data))}
 		e.sendControl(p, dst, env)
@@ -149,7 +153,7 @@ func (c *Comm) Irecv(p *sim.Proc, src, tag int, buf []byte) (*Request, error) {
 	}
 	e := c.eng
 	p.Delay(e.cfg.Costs.RecvOverhead)
-	req := &Request{eng: e, src: src, tag: tag, buf: buf, comm: c}
+	req := e.newRequest(Request{src: src, tag: tag, buf: buf, comm: c})
 	p.Delay(e.cfg.Costs.MatchCost)
 	if m := e.matchUnexpected(req); m != nil {
 		switch m.env.kind {
@@ -228,7 +232,7 @@ func (c *Comm) Send(p *sim.Proc, dst, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.eng.wait(p, req)
+	_, err = c.eng.waitFree(p, req)
 	return err
 }
 
@@ -238,7 +242,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int, buf []byte) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return c.eng.wait(p, req)
+	return c.eng.waitFree(p, req)
 }
 
 // Sendrecv exchanges messages with possibly different partners without
@@ -252,8 +256,8 @@ func (c *Comm) Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := c.eng.wait(p, sreq); err != nil {
+	if _, err := c.eng.waitFree(p, sreq); err != nil {
 		return Status{}, err
 	}
-	return c.eng.wait(p, rreq)
+	return c.eng.waitFree(p, rreq)
 }

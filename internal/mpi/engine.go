@@ -17,6 +17,7 @@ type Engine struct {
 	cfg Config
 
 	nextReq   uint32
+	free      []*Request // recycled requests (newRequest, waitFree)
 	posted    []*Request
 	unexpect  []*inMsg
 	pendSends map[uint32]*Request
@@ -825,6 +826,35 @@ func (e *Engine) wait(p *sim.Proc, req *Request) (Status, error) {
 		}
 	}
 	return req.status, req.err
+}
+
+// newRequest returns a request holding r, reusing one from the free
+// list when there is one.
+func (e *Engine) newRequest(r Request) *Request {
+	var req *Request
+	if n := len(e.free); n > 0 {
+		req = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		req = new(Request)
+	}
+	*req = r
+	return req
+}
+
+// waitFree is wait for a request that a blocking call made for itself:
+// once the wait completes it, the request is in no protocol table
+// (posted, pendSends, pendRecvs) and goes back on the free list. A
+// request whose wait abandoned it (timeout, dead peer, partition) is
+// never reused: a late control packet or a handler still draining
+// into it must not find a new operation in its place.
+func (e *Engine) waitFree(p *sim.Proc, req *Request) (Status, error) {
+	st, err := e.wait(p, req)
+	if req.done {
+		*req = Request{}
+		e.free = append(e.free, req)
+	}
+	return st, err
 }
 
 // abandon tears down a request whose wait ended without completion

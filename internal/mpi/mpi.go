@@ -303,9 +303,11 @@ func payloadCheck(b []byte) uint32 {
 	return h
 }
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking operation handle. A request from Isend or
+// Irecv belongs to its caller. Send, Recv, Sendrecv and
+// Cart.SendrecvShift make their own and give each back to the engine's
+// free list once its wait completes it (Engine.waitFree).
 type Request struct {
-	eng    *Engine
 	isSend bool
 	done   bool
 	err    error

@@ -90,6 +90,9 @@ func (pl plan) algorithm(opts []CollectiveOption, auto Algorithm) Algorithm {
 	if pl.quorum {
 		return Tree
 	}
+	if len(opts) == 0 {
+		return auto // skip o: it escapes through fn(&o) below
+	}
 	var o CollectiveOpts
 	for _, fn := range opts {
 		fn(&o)
@@ -215,10 +218,9 @@ func (c *Comm) barrierNIC(p *sim.Proc, pl plan) error {
 	if !c.nicEligible() {
 		return c.barrierTree(p, pl)
 	}
-	var one, out [4]byte
-	binary.LittleEndian.PutUint32(one[:], ^uint32(0))
+	binary.LittleEndian.PutUint32(c.laneOne[:], ^uint32(0))
 	p.Delay(e.cfg.Costs.CollOverhead)
-	done, err := e.stream.StreamAllreduce(p, spin.OpBAND, one[:], out[:])
+	done, err := e.stream.StreamAllreduce(p, spin.OpBAND, c.laneOne[:], c.laneOut[:])
 	if err != nil {
 		return err
 	}

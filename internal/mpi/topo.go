@@ -111,12 +111,12 @@ func (ct *Cart) SendrecvShift(p *sim.Proc, dim, disp, tag int, sendBuf, recvBuf 
 		}
 	}
 	if sreq != nil {
-		if _, err = c.eng.wait(p, sreq); err != nil {
+		if _, err = c.eng.waitFree(p, sreq); err != nil {
 			return false, err
 		}
 	}
 	if rreq != nil {
-		if _, err = c.eng.wait(p, rreq); err != nil {
+		if _, err = c.eng.waitFree(p, rreq); err != nil {
 			return false, err
 		}
 		return true, nil

@@ -204,9 +204,7 @@ func (b *Bus) CountDMABurst(n int) {
 	b.im.dmaBursts.Inc()
 	b.im.dmaBytes.Add(int64(n))
 	b.im.busyNs.Add(int64(n) * int64(b.cfg.DMAPerByte))
-	if b.tracer != nil {
-		b.tracer.EmitMsg(b.k.Now(), trace.Host, b.node, "dma-burst", 0, 0, "len=%d", n)
-	}
+	b.tracer.Emit(b.k.Now(), trace.Host, b.node, "dma-burst", 0, 0, "len=%d", trace.Int(n))
 }
 
 // DMAAsync charges setup on the caller, schedules the burst on the bus,

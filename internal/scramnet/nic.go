@@ -163,9 +163,7 @@ func (nic *NIC) checkRange(off, n int) {
 func (nic *NIC) apply(pkt *packet) {
 	nic.mem.write(pkt.off, pkt.data)
 	nic.stats.PacketsApplied++
-	if nic.net.tracer != nil {
-		nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
-	}
+	nic.net.tracer.Emit(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", trace.Int(pkt.off), trace.Int(len(pkt.data)), trace.Int(pkt.origin))
 	if pkt.interrupt && nic.intrOn && nic.intrHandler != nil {
 		// Capture the handler at vectoring time: the host may disable
 		// or reconfigure interrupts during the dispatch latency, and
@@ -188,9 +186,7 @@ func (nic *NIC) apply(pkt *packet) {
 // (apply events == ring.packets_applied) counts remote applies only.
 func (nic *NIC) stripApply(pkt *packet) {
 	nic.mem.write(pkt.off, pkt.data)
-	if nic.net.tracer != nil {
-		nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Spin, nic.id, "strip-apply", pkt.msg, pkt.span, "off=%#x len=%d", pkt.off, len(pkt.data))
-	}
+	nic.net.tracer.Emit(nic.net.k.Now(), trace.Spin, nic.id, "strip-apply", pkt.msg, pkt.span, "off=%#x len=%d", trace.Int(pkt.off), trace.Int(len(pkt.data)))
 }
 
 // InstallHandler registers an in-network handler (internal/spin) for
@@ -232,16 +228,14 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 	}
 	net := nic.net
 	nic.hctx.Now = net.k.Now()
-	if net.tracer != nil {
-		span = net.tracer.BeginSpan(net.k.Now(), trace.Spin, nic.id, "handler", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
-	}
+	span = net.tracer.BeginSpan(net.k.Now(), trace.Spin, nic.id, "handler", pkt.msg, pkt.span, "off=%#x len=%d from=%d", trace.Int(pkt.off), trace.Int(len(pkt.data)), trace.Int(pkt.origin))
 	v, cycles, trapped := nic.handlers.Run(&nic.hctx, spin.Packet{Origin: pkt.origin, Off: pkt.off, Hops: pkt.hops, Data: pkt.data, Interrupt: pkt.interrupt})
 	if v == spin.Rewrite {
 		pkt.rewritten = true
 		nic.stats.PacketsCombined++
 	}
-	if trapped && net.tracer != nil {
-		net.tracer.EmitMsg(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", net.cfg.HandlerBudget)
+	if trapped {
+		net.tracer.Emit(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", trace.Int(net.cfg.HandlerBudget))
 	}
 	return v, sim.Duration(cycles) * net.cfg.HandlerCycleCost, span, true
 }

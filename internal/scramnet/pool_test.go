@@ -35,7 +35,7 @@ func checkRecycled(t *testing.T, name string, n *Network) {
 func countEnds(r *trace.Recorder, ends map[string]int) {
 	for _, e := range r.Events() {
 		if e.Cat == trace.Ring && e.Name == "pkt-end" {
-			ends[strings.Fields(e.Detail)[0]]++
+			ends[strings.Fields(e.Detail.String())[0]]++
 		}
 	}
 }

@@ -290,7 +290,7 @@ func WriteChromeTrace(w io.Writer, rec *trace.Recorder) error {
 		if e.Kind != trace.Instant {
 			continue
 		}
-		args := map[string]any{"detail": e.Detail}
+		args := map[string]any{"detail": e.Detail.String()}
 		if e.Parent != 0 {
 			args["parent"] = uint64(e.Parent)
 		}

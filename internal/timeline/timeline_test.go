@@ -307,13 +307,13 @@ func TestBreakdownsFromSyntheticEvents(t *testing.T) {
 	rec := trace.New()
 	msg := trace.MsgID(2, 7)
 	post := rec.BeginSpan(100, trace.BBP, 2, "post", msg, 0, "")
-	rec.EmitMsg(150, trace.BBP, 2, "flag-set", msg, post, "")
+	rec.Emit(150, trace.BBP, 2, "flag-set", msg, post, "")
 	rec.EndSpan(160, trace.BBP, 2, "send-end", post, msg, "")
 	rt := rec.BeginSpan(300, trace.BBP, 2, "retransmit", msg, post, "")
 	rec.EndSpan(320, trace.BBP, 2, "retransmit-end", rt, msg, "")
-	rec.EmitMsg(400, trace.BBP, 3, "detect", msg, 0, "")
+	rec.Emit(400, trace.BBP, 3, "detect", msg, 0, "")
 	drain := rec.BeginSpan(400, trace.BBP, 3, "drain", msg, 0, "")
-	rec.EmitMsg(450, trace.BBP, 3, "ack", msg, drain, "")
+	rec.Emit(450, trace.BBP, 3, "ack", msg, drain, "")
 	rec.EndSpan(460, trace.BBP, 3, "consume", drain, msg, "")
 	bds := Breakdowns(rec.Events())
 	if len(bds) != 1 {

@@ -10,7 +10,7 @@ import (
 func TestCappedRecorderEvictsOldest(t *testing.T) {
 	r := NewCapped(3)
 	for i := 0; i < 5; i++ {
-		r.Emitf(sim.Time(i), BBP, 0, "ev", "n=%d", i)
+		r.Emit(sim.Time(i), BBP, 0, "ev", 0, 0, "n=%d", Int(i))
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -32,12 +32,12 @@ func TestCappedRecorderEvictsOldest(t *testing.T) {
 func TestMayHaveDroppedMsgRange(t *testing.T) {
 	r := NewCapped(2)
 	a, b, c := MsgID(0, 5), MsgID(0, 9), MsgID(1, 1)
-	r.EmitMsg(0, BBP, 0, "x", a, 0, "")
-	r.EmitMsg(1, BBP, 0, "x", b, 0, "")
+	r.Emit(0, BBP, 0, "x", a, 0, "")
+	r.Emit(1, BBP, 0, "x", b, 0, "")
 	if r.MayHaveDroppedMsg(a) {
 		t.Fatal("nothing evicted yet, MayHaveDroppedMsg must be false")
 	}
-	r.EmitMsg(2, BBP, 0, "x", c, 0, "") // evicts the event for a
+	r.Emit(2, BBP, 0, "x", c, 0, "") // evicts the event for a
 	if !r.MayHaveDroppedMsg(a) {
 		t.Fatal("event of msg a was evicted, MayHaveDroppedMsg(a) must be true")
 	}
@@ -53,7 +53,7 @@ func TestMayHaveDroppedMsgRange(t *testing.T) {
 func TestUnboundedRecorderNeverDrops(t *testing.T) {
 	r := New()
 	for i := 0; i < 1000; i++ {
-		r.Emit(sim.Time(i), Ring, 0, "e", "")
+		r.Emit(sim.Time(i), Ring, 0, "e", 0, 0, "")
 	}
 	if r.Drops() != 0 || r.MayHaveDroppedMsg(MsgID(0, 1)) {
 		t.Fatal("unbounded recorder must not report drops")
@@ -89,7 +89,7 @@ func TestNilRecorderSpanMethodsAreSafe(t *testing.T) {
 		t.Fatalf("nil recorder BeginSpan = %d, want 0", id)
 	}
 	r.EndSpan(1, BBP, 0, "end", id, 0, "x")
-	r.EmitMsg(2, BBP, 0, "i", 1, 0, "x")
+	r.Emit(2, BBP, 0, "i", 1, 0, "x")
 	if r.Drops() != 0 || r.MayHaveDroppedMsg(1) || r.Spans() != nil {
 		t.Fatal("nil recorder accessors must return zero values")
 	}
