@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover covercheck verify figures bench sweep timeline soak loc clean
+.PHONY: all build test benchtest race vet lint cover covercheck verify figures bench sweep timeline soak loc clean
 
 all: build
 
@@ -95,8 +95,15 @@ covercheck: build
 		fi; \
 	done
 
-verify: lint test race covercheck timeline soak
-	@echo "verify tier green: lint + test + race + covercheck + timeline + soak"
+# The nested benchmark/ module's own tests (determinism, smoke, plan
+# and comparison checks) run here too, since root `go test ./...` never
+# reaches them: a change to the program that breaks the benchmark fails
+# locally rather than only in an A/B run.
+benchtest:
+	cd benchmark && $(GO) test .
+
+verify: lint test benchtest race covercheck timeline soak
+	@echo "verify tier green: lint + test + benchtest + race + covercheck + timeline + soak"
 
 # Robustness soak tier: the multi-seed fault + liveness battery under
 # the race detector. Each seed generates a script mixing loss windows

@@ -106,10 +106,15 @@ func TestSendRecvAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		round()
 	}
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Fatalf("four Send/Recv messages allocate %v times, want 0", allocs)
+	twenty := func() {
+		for i := 0; i < 20; i++ {
+			round()
+		}
 	}
-	if want := 4 * (warm + 21); got != want {
+	if allocs := testing.AllocsPerRun(1, twenty); allocs != 0 {
+		t.Fatalf("twenty rounds of four Send/Recv messages allocate %v times, want 0", allocs)
+	}
+	if want := 4 * (warm + 40); got != want {
 		t.Fatalf("received %d messages, want %d", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/pci"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/xport"
 )
 
 // errChecksum is internal to the retry extension: the payload read back
@@ -323,30 +324,49 @@ func (e *Endpoint) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 // TryRecv is Recv without blocking: it performs one poll and reports
 // ok=false if no message from src is ready.
 func (e *Endpoint) TryRecv(p *sim.Proc, src int, buf []byte) (n int, ok bool, err error) {
+	msg, ok, err := e.tryRecv(p, src, buf, nil)
+	return len(msg), ok, err
+}
+
+// TryTake is TryRecv into a buffer from bufs sized to the message
+// (xport.Taker).
+func (e *Endpoint) TryTake(p *sim.Proc, src int, bufs *xport.Buffers) ([]byte, bool, error) {
+	return e.tryRecv(p, src, nil, bufs)
+}
+
+// tryRecv is the body of TryRecv and TryTake: it consumes the next
+// deliverable message from src, polling once first if none is pending.
+// The message lands in buf or, when bufs is not nil, in bufs.Get of its
+// length, taken between the pop and the payload read; that buffer goes
+// back to bufs if the consume fails.
+func (e *Endpoint) tryRecv(p *sim.Proc, src int, buf []byte, bufs *xport.Buffers) ([]byte, bool, error) {
 	if src == e.me || src < 0 || src >= e.Procs() {
-		return 0, false, ErrBadRank
+		return nil, false, ErrBadRank
 	}
-	tryConsume := func() (int, bool, error, bool) {
-		m, found := e.popPending(src)
-		if !found {
-			return 0, false, nil, false
+	for polled := false; ; polled = true {
+		if m, found := e.popPending(src); found {
+			if bufs != nil {
+				buf = bufs.Get(m.n)
+			}
+			n, err := e.consume(p, src, m, buf)
+			if err == nil {
+				return buf[:n], true, nil
+			}
+			if bufs != nil {
+				bufs.Put(buf)
+			}
+			if err == errChecksum {
+				return nil, false, nil // rolled back; re-detected later
+			}
+			return nil, false, err
 		}
-		n, err := e.consume(p, src, m, buf)
-		if err == errChecksum {
-			return 0, false, nil, true // rolled back; re-detected later
+		if polled {
+			return nil, false, nil
 		}
-		return n, err == nil, err, true
+		w := e.waiter(p, true, -1)
+		e.pollFrom(w, src)
+		e.release(w)
 	}
-	if n, ok, err, done := tryConsume(); done {
-		return n, ok, err
-	}
-	w := e.waiter(p, true, -1)
-	e.pollFrom(w, src)
-	e.release(w)
-	if n, ok, err, done := tryConsume(); done {
-		return n, ok, err
-	}
-	return 0, false, nil
 }
 
 // RecvAny blocks for the next message from any sender (round-robin fair
@@ -422,3 +442,5 @@ func (e *Endpoint) anyPending() bool {
 	}
 	return false
 }
+
+var _ xport.Taker = (*Endpoint)(nil)

@@ -59,7 +59,10 @@ func DefaultConfig() Config {
 // xport.Endpoint itself.
 type Endpoint struct {
 	low, high xport.Endpoint // same rank on both substrates
-	cfg       Config
+	// take is the pair as xport.Takers, low first: poll takes each
+	// message in a buffer from bufs sized to it.
+	take [2]xport.Taker
+	cfg  Config
 
 	// live is the low substrate's membership view (liveness.Provider),
 	// nil when it runs no failure detector. Consulted on every routing
@@ -79,11 +82,11 @@ type Endpoint struct {
 	nextSeq []uint32 // per source: next sequence to release
 	held    []map[uint32][]byte
 	rrNext  int // the source RecvAny tries first
-	scratch []byte
-	// bufs recycles message buffers: Send's header+payload buffer
-	// comes back once the substrate's Send has returned, which has
-	// copied it by then (xport.Endpoint), and a reorder-buffer copy
-	// once release has copied it out.
+	// bufs recycles message buffers, each holding a header and a
+	// payload: Send's comes back once the substrate's Send has
+	// returned, which has copied it by then (xport.Endpoint), and a
+	// taken message once release has copied it out or poll has
+	// discarded it.
 	bufs   xport.Buffers
 	stats  Stats
 	im     hybInstruments
@@ -143,7 +146,7 @@ type Stats struct {
 func (e *Endpoint) Stats() Stats { return e.stats }
 
 // New combines a low-latency and a high-bandwidth endpoint of the same
-// rank and world size.
+// rank and world size. Both must implement xport.Taker.
 func New(low, high xport.Endpoint, cfg Config) (*Endpoint, error) {
 	if low.Rank() != high.Rank() || low.Procs() != high.Procs() {
 		return nil, fmt.Errorf("hybrid: endpoints disagree: rank %d/%d procs %d/%d",
@@ -152,15 +155,23 @@ func New(low, high xport.Endpoint, cfg Config) (*Endpoint, error) {
 	if cfg.Threshold < 0 || cfg.Threshold > low.MaxMessage()-hdrBytes {
 		return nil, fmt.Errorf("hybrid: threshold %d outside the low-latency transport's range", cfg.Threshold)
 	}
+	lowT, ok := low.(xport.Taker)
+	if !ok {
+		return nil, fmt.Errorf("hybrid: low-latency transport %T does not implement xport.Taker", low)
+	}
+	highT, ok := high.(xport.Taker)
+	if !ok {
+		return nil, fmt.Errorf("hybrid: high-bandwidth transport %T does not implement xport.Taker", high)
+	}
 	n := low.Procs()
 	e := &Endpoint{
 		low:     low,
 		high:    high,
+		take:    [2]xport.Taker{lowT, highT},
 		cfg:     cfg,
 		sendSeq: make([]uint32, n),
 		nextSeq: make([]uint32, n),
 		held:    make([]map[uint32][]byte, n),
-		scratch: make([]byte, max(low.MaxMessage(), high.MaxMessage())+hdrBytes),
 	}
 	for i := range e.held {
 		e.held[i] = map[uint32][]byte{}
@@ -339,10 +350,12 @@ func (e *Endpoint) Mcast(p *sim.Proc, dsts []int, data []byte) error {
 }
 
 // poll pulls at most one message from each substrate for src into the
-// reorder buffer.
+// reorder buffer. Each arrives in a buffer from bufs sized to it, header
+// included, and is held as it is; a runt or a duplicate goes straight
+// back.
 func (e *Endpoint) poll(p *sim.Proc, src int) {
-	for _, sub := range []xport.Endpoint{e.low, e.high} {
-		n, ok, err := sub.TryRecv(p, src, e.scratch)
+	for _, sub := range e.take {
+		msg, ok, err := sub.TryTake(p, src, &e.bufs)
 		if err != nil {
 			// A faulted substrate must not take the router down; the
 			// stream heals via the substrate's own recovery or failover.
@@ -352,20 +365,20 @@ func (e *Endpoint) poll(p *sim.Proc, src int) {
 		if !ok {
 			continue
 		}
-		if n < hdrBytes {
+		if len(msg) < hdrBytes {
 			e.stats.SubErrors++
+			e.bufs.Put(msg)
 			continue
 		}
-		seq := binary.LittleEndian.Uint32(e.scratch)
+		seq := binary.LittleEndian.Uint32(msg)
 		if int32(seq-e.nextSeq[src]) < 0 {
 			// Already released: a recovery layer below retransmitted
 			// into a stream the resequencer has moved past.
 			e.stats.Duplicates++
+			e.bufs.Put(msg)
 			continue
 		}
 		p.Delay(e.cfg.ReorderCost)
-		msg := e.bufs.Get(n - hdrBytes)
-		copy(msg, e.scratch[hdrBytes:n])
 		e.held[src][seq] = msg
 		e.im.heldDepth.Set(int64(len(e.held[src])))
 	}
@@ -386,17 +399,19 @@ func (e *Endpoint) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) 
 	return 0, false, nil
 }
 
-// release hands the next in-sequence message from src to the caller.
-// A message longer than buf is consumed all the same, with an error.
+// release hands the payload of the next in-sequence message from src
+// to the caller. A message longer than buf is consumed all the same,
+// with an error.
 func (e *Endpoint) release(src int, msg []byte, buf []byte) (int, bool, error) {
 	delete(e.held[src], e.nextSeq[src])
 	e.nextSeq[src]++
 	defer e.bufs.Put(msg)
-	if len(msg) > len(buf) {
-		return 0, false, fmt.Errorf("hybrid: %d-byte message into %d-byte buffer", len(msg), len(buf))
+	n := len(msg) - hdrBytes
+	if n > len(buf) {
+		return 0, false, fmt.Errorf("hybrid: %d-byte message into %d-byte buffer", n, len(buf))
 	}
-	copy(buf, msg)
-	return len(msg), true, nil
+	copy(buf, msg[hdrBytes:])
+	return n, true, nil
 }
 
 // Recv blocks for the next in-sequence message from src.

@@ -17,8 +17,8 @@ import (
 
 // stubEndpoint is a controllable in-memory substrate for exercising the
 // router's fault paths without a network. Deliveries are a simple FIFO
-// per source; sendErr makes Send fail, recvErr makes TryRecv fail, and
-// runt delivers a frame shorter than the router's header.
+// per source; sendErr makes Send fail, recvErr makes TryRecv and TryTake
+// fail, and a pushed frame shorter than the router's header is a runt.
 type stubEndpoint struct {
 	rank, procs int
 	max         int
@@ -26,6 +26,10 @@ type stubEndpoint struct {
 	sendErr     error
 	recvErr     error
 	delivered   [][]byte // what Send accepted, in order
+	// bufs is the free list the last TryTake took from and taken every
+	// buffer TryTake handed out, in order.
+	bufs  *xport.Buffers
+	taken [][]byte
 }
 
 func newStub(rank, procs, max int) *stubEndpoint {
@@ -74,6 +78,43 @@ func (s *stubEndpoint) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, err
 	return copy(buf, q[0]), true, nil
 }
 
+// TryTake is TryRecv into a buffer from bufs sized to the frame
+// (xport.Taker).
+func (s *stubEndpoint) TryTake(p *sim.Proc, src int, bufs *xport.Buffers) ([]byte, bool, error) {
+	if s.recvErr != nil {
+		return nil, false, s.recvErr
+	}
+	q := s.queues[src]
+	if len(q) == 0 {
+		return nil, false, nil
+	}
+	s.queues[src] = q[1:]
+	msg := bufs.Get(len(q[0]))
+	copy(msg, q[0])
+	s.bufs = bufs
+	s.taken = append(s.taken, msg)
+	return msg, true, nil
+}
+
+// returnedAll fails t unless every buffer s's TryTake handed out is
+// back on the router's free list. It empties the list to look.
+func returnedAll(t *testing.T, s *stubEndpoint) {
+	t.Helper()
+	free := map[*byte]bool{}
+	for {
+		b := s.bufs.Get(0)
+		if cap(b) == 0 {
+			break
+		}
+		free[&b[:1][0]] = true
+	}
+	for i, b := range s.taken {
+		if !free[&b[:1][0]] {
+			t.Errorf("taken buffer %d (%d bytes) is not back on the free list", i, len(b))
+		}
+	}
+}
+
 func (s *stubEndpoint) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 	n, ok, err := s.TryRecv(p, src, buf)
 	if err != nil || !ok {
@@ -86,7 +127,10 @@ func (s *stubEndpoint) RecvAny(p *sim.Proc, buf []byte) (int, int, error) {
 	return 0, 0, errors.New("stub: RecvAny unsupported")
 }
 
-var _ xport.Endpoint = (*stubEndpoint)(nil)
+var (
+	_ xport.Endpoint = (*stubEndpoint)(nil)
+	_ xport.Taker    = (*stubEndpoint)(nil)
+)
 
 // seqFrame builds a routed frame: 4-byte little-endian sequence header
 // plus payload, matching the router's wire format.
@@ -188,6 +232,10 @@ func TestResequencerDiscardsDuplicates(t *testing.T) {
 	if ep.Stats().Duplicates != 1 {
 		t.Fatalf("Duplicates = %d, want 1", ep.Stats().Duplicates)
 	}
+	if len(low.taken) != 3 {
+		t.Fatalf("the router took %d frames, want 3", len(low.taken))
+	}
+	returnedAll(t, low)
 }
 
 func TestPollToleratesSubstrateErrorsAndRunts(t *testing.T) {
@@ -196,30 +244,39 @@ func TestPollToleratesSubstrateErrorsAndRunts(t *testing.T) {
 	low, high, ep := stubPair(t)
 
 	// The high road errors on every poll and the low road delivers a
-	// runt first; the stream must still heal around both.
+	// runt between two messages; the stream must still heal around
+	// both. The runt's buffer goes back to the free list, where the
+	// message after it, no longer than the one before, finds it.
 	high.recvErr = errors.New("stub: receive fault")
-	low.push(1, []byte{1, 2}) // shorter than the 4-byte header
 	low.push(1, seqFrame(0, []byte("ok")))
-	var got string
+	low.push(1, []byte{1, 2}) // shorter than the 4-byte header
+	low.push(1, seqFrame(1, []byte("ok")))
+	var got []string
 	k.Spawn("rx", func(p *sim.Proc) {
 		buf := make([]byte, 16)
-		n, err := ep.Recv(p, 1, buf)
-		if err != nil {
-			t.Errorf("recv: %v", err)
-			return
+		for i := 0; i < 2; i++ {
+			n, err := ep.Recv(p, 1, buf)
+			if err != nil {
+				t.Errorf("recv %d: %v", i, err)
+				return
+			}
+			got = append(got, string(buf[:n]))
 		}
-		got = string(buf[:n])
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "ok" {
+	if len(got) != 2 || got[0] != "ok" || got[1] != "ok" {
 		t.Fatalf("got %q", got)
 	}
 	st := ep.Stats()
 	if st.SubErrors < 2 {
 		t.Fatalf("SubErrors = %d, want >= 2 (faulted polls + runt)", st.SubErrors)
 	}
+	if len(low.taken) != 3 {
+		t.Fatalf("the router took %d frames, want 3", len(low.taken))
+	}
+	returnedAll(t, low)
 }
 
 // TestHybridUnderFaultScript drives a full hybrid cluster — retry-

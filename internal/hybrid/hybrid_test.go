@@ -3,13 +3,17 @@ package hybrid_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func world(t testing.TB, nodes int) (*sim.Kernel, *cluster.Cluster) {
@@ -312,18 +316,124 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	k, c := world(t, 2)
-	defer k.Close()
-	// Mismatched ranks are rejected (endpoint 0 paired with endpoint 1).
-	if _, err := hybrid.New(c.Endpoints[0], c.Endpoints[1], hybrid.DefaultConfig()); err == nil {
-		t.Error("rank mismatch accepted")
+// substrates builds a SCRAMNet and a Myrinet API world of nodes
+// processes on k, the pair cluster.Hybrid routes across.
+func substrates(t testing.TB, k *sim.Kernel, nodes int) (low, high []xport.Endpoint) {
+	t.Helper()
+	lc, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A threshold beyond the low substrate's capacity is rejected.
+	hc, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: cluster.MyrinetAPI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lc.Endpoints, hc.Endpoints
+}
+
+// untaken hides every method of an endpoint but xport.Endpoint's.
+type untaken struct{ xport.Endpoint }
+
+// TestConfigValidation checks each of New's rejections for its own
+// reason, over substrates that pass every other check.
+func TestConfigValidation(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	low, high := substrates(t, k, 2)
 	bad := hybrid.DefaultConfig()
 	bad.Threshold = 1 << 30
-	if _, err := hybrid.New(c.Endpoints[0], c.Endpoints[0], bad); err == nil {
-		t.Error("oversized threshold accepted")
+	negative := hybrid.DefaultConfig()
+	negative.Threshold = -1
+	for _, tc := range []struct {
+		name      string
+		low, high xport.Endpoint
+		cfg       hybrid.Config
+		want      string
+	}{
+		{"rank mismatch", low[0], high[1], hybrid.DefaultConfig(), "endpoints disagree"},
+		{"oversized threshold", low[0], high[0], bad, "threshold"},
+		{"negative threshold", low[0], high[0], negative, "threshold"},
+		{"low without TryTake", untaken{low[0]}, high[0], hybrid.DefaultConfig(), "low-latency transport hybrid_test.untaken does not implement xport.Taker"},
+		{"high without TryTake", low[0], untaken{high[0]}, hybrid.DefaultConfig(), "high-bandwidth transport hybrid_test.untaken does not implement xport.Taker"},
+	} {
+		_, err := hybrid.New(tc.low, tc.high, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := hybrid.New(low[0], high[0], hybrid.DefaultConfig()); err != nil {
+		t.Fatalf("valid pair rejected: %v", err)
+	}
+}
+
+// TestNewAllocs bounds what building one router endpoint allocates: its
+// receive buffers grow with the messages it takes, so the substrates'
+// MaxMessage (1 MiB over Myrinet) must not show up front.
+func TestNewAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	low, high := substrates(t, k, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := hybrid.New(low[0], high[0], hybrid.DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	const limit = 64 << 10
+	t.Logf("New allocated %d bytes; the substrates' MaxMessage is %d and %d", got, low[0].MaxMessage(), high[0].MaxMessage())
+	if got >= limit {
+		t.Fatalf("New allocated %d bytes, want under %d", got, limit)
+	}
+}
+
+// TestLargeMessageOverLowPath raises the threshold to the largest
+// message the ring can carry and sends one after a one-byte message:
+// the router takes it in a buffer sized to it, far larger than any it
+// had taken before, and it crosses the BillBoard Protocol intact.
+func TestLargeMessageOverLowPath(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	low, high := substrates(t, k, 2)
+	cfg := hybrid.DefaultConfig()
+	cfg.Threshold = low[0].MaxMessage() - 4 // the router's 4-byte header
+	var eps [2]*hybrid.Endpoint
+	for i := range eps {
+		var err error
+		if eps[i], err = hybrid.New(low[i], high[i], cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := make([]byte, cfg.Threshold)
+	sim.NewRNG(9).Bytes(big)
+	k.Spawn("tx", func(p *sim.Proc) {
+		for _, m := range [][]byte{{7}, big} {
+			if err := eps[0].Send(p, 1, m); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var got [][]byte
+	k.Spawn("rx", func(p *sim.Proc) {
+		buf := make([]byte, len(big))
+		for i := 0; i < 2; i++ {
+			n, err := eps[1].Recv(p, 0, buf)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, append([]byte(nil), buf[:n]...))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !bytes.Equal(got[0], []byte{7}) || !bytes.Equal(got[1], big) {
+		t.Fatal("payload mismatch over the low-latency path")
+	}
+	if st := low[1].(*core.Endpoint).Stats(); st.Received != 2 || st.BytesRecv != int64(2*4+1+len(big)) {
+		t.Fatalf("the ring delivered %d messages of %d bytes, want both, headers included", st.Received, st.BytesRecv)
 	}
 }
 
@@ -421,10 +531,15 @@ func TestHighPathAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		round()
 	}
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Fatalf("a 64 KiB Send/Recv allocates %v times, want 0", allocs)
+	twenty := func() {
+		for i := 0; i < 20; i++ {
+			round()
+		}
 	}
-	if want := warm + 21; got != want {
+	if allocs := testing.AllocsPerRun(1, twenty); allocs != 0 {
+		t.Fatalf("twenty 64 KiB Send/Recv messages allocate %v times, want 0", allocs)
+	}
+	if want := warm + 40; got != want {
 		t.Fatalf("received %d messages, want %d", got, want)
 	}
 }

@@ -167,15 +167,35 @@ func (a *API) Recv(p *sim.Proc, src int, buf []byte) (int, error) {
 
 // TryRecv polls once for a message from src.
 func (a *API) TryRecv(p *sim.Proc, src int, buf []byte) (int, bool, error) {
+	m, ok, err := a.poll(p, src)
+	if !ok {
+		return 0, false, err
+	}
+	n, err := a.complete(p, m, buf)
+	return n, err == nil, err
+}
+
+// TryTake is TryRecv into a buffer from bufs sized to the message
+// (xport.Taker).
+func (a *API) TryTake(p *sim.Proc, src int, bufs *xport.Buffers) ([]byte, bool, error) {
+	m, ok, err := a.poll(p, src)
+	if !ok {
+		return nil, false, err
+	}
+	buf := bufs.Get(len(m))
+	a.complete(p, m, buf) // buf fits m, so complete cannot fail
+	return buf, true, nil
+}
+
+// poll charges one receive-poll of the NIC and pops the oldest message
+// from src that has completed by then, if any.
+func (a *API) poll(p *sim.Proc, src int) ([]byte, bool, error) {
 	if !a.peer(src) {
-		return 0, false, ErrBadRank
+		return nil, false, ErrBadRank
 	}
 	p.Delay(a.cfg.PollCost)
-	if m, ok := a.in.Pop(src); ok {
-		n, err := a.complete(p, m, buf)
-		return n, err == nil, err
-	}
-	return 0, false, nil
+	m, ok := a.in.Pop(src)
+	return m, ok, nil
 }
 
 // RecvAny blocks for the next message from any source, round-robin.
@@ -208,4 +228,7 @@ func (a *API) recv(p *sim.Proc, src int, buf []byte) (int, int, error) {
 	}
 }
 
-var _ xport.Endpoint = (*API)(nil)
+var (
+	_ xport.Endpoint = (*API)(nil)
+	_ xport.Taker    = (*API)(nil)
+)

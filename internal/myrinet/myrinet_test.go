@@ -2,6 +2,7 @@ package myrinet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -246,6 +247,9 @@ func TestNativeAPIBadArgs(t *testing.T) {
 		if _, _, err := a0.TryRecv(p, 2, nil); err != ErrBadRank {
 			t.Errorf("TryRecv from 2: %v", err)
 		}
+		if msg, ok, err := a0.TryTake(p, 0, &xport.Buffers{}); msg != nil || ok || err != ErrBadRank {
+			t.Errorf("TryTake from self: %v, %v, %v", msg, ok, err)
+		}
 		for _, dsts := range [][]int{nil, {0}, {1, 2}} {
 			if err := a0.Mcast(p, dsts, nil); err != ErrBadRank {
 				t.Errorf("Mcast to %v: %v", dsts, err)
@@ -308,5 +312,69 @@ func TestNativeAPITruncatedRecvConsumes(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTryTakeMatchesTryRecv runs one polling receiver twice, once with
+// TryRecv and once with TryTake, over messages of one to several
+// fabric frames: the two must return at the same virtual times with the
+// same payloads, and TryTake must hand out buffers sized to them.
+func TestTryTakeMatchesTryRecv(t *testing.T) {
+	sizes := []int{0, 5, 4000, 17, 9000, 1, 30000}
+	run := func(take bool) (calls []string, got [][]byte) {
+		k := sim.NewKernel()
+		defer k.Close()
+		sw, _ := xport.NewSwitch(k, DefaultConfig(3))
+		a0 := OpenAPI(sw, 0, DefaultAPIConfig())
+		a1 := OpenAPI(sw, 1, DefaultAPIConfig())
+		k.Spawn("tx", func(p *sim.Proc) {
+			for i, size := range sizes {
+				if err := a0.Send(p, 1, bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		k.Spawn("rx", func(p *sim.Proc) {
+			var bufs xport.Buffers
+			buf := make([]byte, 32<<10)
+			for len(got) < len(sizes) {
+				var msg []byte
+				var ok bool
+				var err error
+				if take {
+					msg, ok, err = a1.TryTake(p, 0, &bufs)
+				} else {
+					var n int
+					n, ok, err = a1.TryRecv(p, 0, buf)
+					msg = buf[:n]
+				}
+				calls = append(calls, fmt.Sprintf("%v ok=%v n=%d err=%v", p.Now(), ok, len(msg), err))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					got = append(got, append([]byte(nil), msg...))
+					if take {
+						bufs.Put(msg)
+					}
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return calls, got
+	}
+	recvCalls, recvGot := run(false)
+	takeCalls, takeGot := run(true)
+	for i, size := range sizes {
+		want := bytes.Repeat([]byte{byte(i + 1)}, size)
+		if i >= len(takeGot) || !bytes.Equal(takeGot[i], want) || !bytes.Equal(recvGot[i], want) {
+			t.Fatalf("message %d differs from what was sent", i)
+		}
+	}
+	if fmt.Sprint(takeCalls) != fmt.Sprint(recvCalls) {
+		t.Fatalf("the receives returned differently:\nTryRecv %v\nTryTake %v", recvCalls, takeCalls)
 	}
 }
