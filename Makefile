@@ -140,6 +140,10 @@ soak: build
 # the snapshot stream, the correlator — end to end on a lossy run. The
 # tier also renders a multicast RecvAny anatomy, which exits nonzero on
 # any trace/metrics/cost-model disagreement, so cmd/anatomy cannot rot.
+# Last come the smoke runs of the tools no other tier runs: cmd/pingpong
+# and a multicast cmd/collective barrier must exit 0 and print their
+# header line, each must refuse `-net bogus` with exit 2 and no panic,
+# and examples/stencil2d must report an identical heat checksum.
 timeline: build
 	@$(GO) run ./cmd/timeline -rate 0.15 -seed 1999 > .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; exit 1; }
@@ -149,8 +153,30 @@ timeline: build
 	@$(GO) run ./cmd/anatomy -mcast -recvany > .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
 		  echo "timeline tier: cmd/anatomy -mcast -recvany found a mismatch"; exit 1; }
+	@rm -rf .smoke && $(GO) build -o .smoke/ ./cmd/pingpong ./cmd/collective
+	@./.smoke/pingpong > .timeline.tmp.out 2>&1 && \
+		grep -q "^one-way latency, scramnet, api layer" .timeline.tmp.out || \
+		{ cat .timeline.tmp.out; rm -rf .timeline.tmp.out .smoke; \
+		  echo "timeline tier: cmd/pingpong failed or printed no header line"; exit 1; }
+	@./.smoke/collective -op barrier -impl mcast -nodes 4 > .timeline.tmp.out 2>&1 && \
+		grep -q "^MPI_Barrier scramnet *mcast *4 nodes" .timeline.tmp.out || \
+		{ cat .timeline.tmp.out; rm -rf .timeline.tmp.out .smoke; \
+		  echo "timeline tier: cmd/collective -op barrier -impl mcast failed or printed no header line"; exit 1; }
+	@for c in pingpong collective; do \
+		./.smoke/$$c -net bogus > .timeline.tmp.out 2>&1; code=$$?; \
+		if [ $$code -ne 2 ] || grep -q "^panic" .timeline.tmp.out || \
+			! grep -q 'unknown network "bogus"' .timeline.tmp.out; then \
+			cat .timeline.tmp.out; rm -rf .timeline.tmp.out .smoke; \
+			echo "timeline tier: cmd/$$c -net bogus did not exit 2 with a usage error (exit $$code)"; exit 1; \
+		fi; \
+	done
+	@rm -rf .smoke
+	@$(GO) run ./examples/stencil2d > .timeline.tmp.out 2>&1 && \
+		grep -q "identical heat checksum" .timeline.tmp.out || \
+		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
+		  echo "timeline tier: examples/stencil2d failed or its checksums differ"; exit 1; }
 	@rm -f .timeline.tmp.out
-	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation; the anatomy cross-check agrees"
+	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation; the anatomy cross-check agrees; cmd/pingpong, cmd/collective and examples/stencil2d run"
 
 # Regenerate every figure and table of the paper's §5, plus the
 # fault-sweep extension.
@@ -224,3 +250,4 @@ loc:
 clean:
 	rm -f cover.out cover.html .cover.*.out \
 		.bench.tmp.json .sweep.tmp.json .sweep.gate.out .timeline.tmp.out
+	rm -rf .smoke

@@ -46,7 +46,3 @@ func DefaultConfig(nodes int) xport.SwitchConfig {
 		CutThrough:    true,
 	}
 }
-
-// CellsFor returns the number of cells an AAL5 PDU of n payload bytes
-// occupies: payload + 8-byte trailer, padded to a 48-byte multiple.
-func CellsFor(n int) int { return DefaultConfig(2).Units(n) }

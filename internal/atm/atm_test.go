@@ -19,15 +19,15 @@ func TestCellsFor(t *testing.T) {
 		1000: 21,
 	}
 	for n, want := range cases {
-		if got := CellsFor(n); got != want {
-			t.Errorf("CellsFor(%d) = %d, want %d", n, got, want)
+		if got := DefaultConfig(2).Units(n); got != want {
+			t.Errorf("Units(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
 
 func TestCellsForProperty(t *testing.T) {
 	f := func(n uint16) bool {
-		c := CellsFor(int(n))
+		c := DefaultConfig(2).Units(int(n))
 		// The PDU with trailer must fit, and c-1 cells must not.
 		return c*48 >= int(n)+8 && (c-1)*48 < int(n)+8
 	}
@@ -54,7 +54,7 @@ func TestPDUDelivery(t *testing.T) {
 		t.Fatal("PDU corrupted in flight")
 	}
 	pdus, cells, _ := n.Stats()
-	if pdus != 1 || cells != int64(CellsFor(5000)) {
+	if pdus != 1 || cells != int64(DefaultConfig(2).Units(5000)) {
 		t.Fatalf("stats = %d PDUs, %d cells", pdus, cells)
 	}
 }
@@ -79,7 +79,7 @@ func TestLatencyScalesWithCells(t *testing.T) {
 		t.Fatalf("10-byte PDU arrival = %d, want 16452 ns", oneCell)
 	}
 	// Cell-pipelined switch: the PDU serializes once end to end.
-	wantDelta := sim.Duration(CellsFor(100)-CellsFor(10)) * cfg.UnitTime
+	wantDelta := sim.Duration(DefaultConfig(2).Units(100)-DefaultConfig(2).Units(10)) * cfg.UnitTime
 	if got := threeCells - oneCell; got != wantDelta {
 		t.Fatalf("latency delta = %d, want %d", got, wantDelta)
 	}

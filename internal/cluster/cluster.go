@@ -185,14 +185,15 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 			if opts.Faults != nil {
 				return nil, fmt.Errorf("cluster: fault scripts are not supported on hierarchical SCRAMNet")
 			}
-			h, err := scramnet.NewHierarchy(k, *opts.Hierarchy)
+			hcfg := *opts.Hierarchy
+			hcfg.Ring.SingleWriterCheck = true
+			h, err := scramnet.NewHierarchy(k, hcfg)
 			if err != nil {
 				return nil, err
 			}
 			if h.Nodes() != opts.Nodes {
 				return nil, fmt.Errorf("cluster: hierarchy has %d hosts, want %d", h.Nodes(), opts.Nodes)
 			}
-			h.SetSingleWriterCheck(true)
 			if opts.Metrics != nil {
 				h.SetMetrics(opts.Metrics)
 			}
@@ -212,11 +213,11 @@ func New(k *sim.Kernel, opts Options) (*Cluster, error) {
 				// exact same packet losses.
 				ringCfg.Seed = opts.Faults.Seed
 			}
+			ringCfg.SingleWriterCheck = true
 			ring, err := scramnet.New(k, ringCfg)
 			if err != nil {
 				return nil, err
 			}
-			ring.SetSingleWriterCheck(true)
 			if opts.Metrics != nil {
 				ring.SetMetrics(opts.Metrics)
 			}

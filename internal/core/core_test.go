@@ -15,11 +15,12 @@ import (
 func world(t testing.TB, nodes int, mutate ...func(*Config)) (*sim.Kernel, *System, []*Endpoint) {
 	t.Helper()
 	k := sim.NewKernel()
-	net, err := scramnet.New(k, scramnet.DefaultConfig(nodes))
+	ringCfg := scramnet.DefaultConfig(nodes)
+	ringCfg.SingleWriterCheck = true
+	net, err := scramnet.New(k, ringCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetSingleWriterCheck(true)
 	cfg := DefaultConfig()
 	for _, m := range mutate {
 		m(&cfg)
@@ -446,11 +447,12 @@ func TestPropertyExactlyOnceInOrderAllPairs(t *testing.T) {
 		const nodes = 4
 		k := sim.NewKernel()
 		defer k.Close()
-		net, err := scramnet.New(k, scramnet.DefaultConfig(nodes))
+		ringCfg := scramnet.DefaultConfig(nodes)
+		ringCfg.SingleWriterCheck = true
+		net, err := scramnet.New(k, ringCfg)
 		if err != nil {
 			return false
 		}
-		net.SetSingleWriterCheck(true)
 		cfg := DefaultConfig()
 		cfg.Buffers = 8
 		sys, err := New(net, cfg)

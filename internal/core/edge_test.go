@@ -104,12 +104,12 @@ func TestBBPRequiresReliableHardware(t *testing.T) {
 	outcome := func() (intact, corrupt, timeouts int) {
 		k := sim.NewKernel()
 		cfg := scramnet.DefaultConfig(2)
-		cfg.DropRate = 0.6
 		cfg.Seed = 3
 		net, err := scramnet.New(k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		net.SetDropRate(0.6)
 		bcfg := DefaultConfig()
 		bcfg.RecvTimeout = 3 * sim.Millisecond
 		sys, err := New(net, bcfg)
@@ -165,11 +165,11 @@ func TestBBPOverVariableModeRing(t *testing.T) {
 		k := sim.NewKernel()
 		cfg := scramnet.DefaultConfig(4)
 		cfg.Mode = mode
+		cfg.SingleWriterCheck = true
 		net, err := scramnet.New(k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetSingleWriterCheck(true)
 		sys, err := New(net, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -323,11 +323,11 @@ func TestGCStressProperty(t *testing.T) {
 		defer k.Close()
 		ringCfg := scramnet.DefaultConfig(3)
 		ringCfg.MemBytes = 16 << 10 // ~5.4 KB per process, ~4.7 KB data
+		ringCfg.SingleWriterCheck = true
 		net, err := scramnet.New(k, ringCfg)
 		if err != nil {
 			return false
 		}
-		net.SetSingleWriterCheck(true)
 		cfg := DefaultConfig()
 		cfg.Buffers = 4
 		sys, err := New(net, cfg)

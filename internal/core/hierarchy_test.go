@@ -14,11 +14,12 @@ import (
 func hierWorld(t testing.TB, leaves, hostsPerLeaf int) (*sim.Kernel, *System, []*Endpoint) {
 	t.Helper()
 	k := sim.NewKernel()
-	h, err := scramnet.NewHierarchy(k, scramnet.DefaultHierarchyConfig(leaves, hostsPerLeaf))
+	hcfg := scramnet.DefaultHierarchyConfig(leaves, hostsPerLeaf)
+	hcfg.Ring.SingleWriterCheck = true
+	h, err := scramnet.NewHierarchy(k, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetSingleWriterCheck(true)
 	sys, err := New(h, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

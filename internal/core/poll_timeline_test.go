@@ -48,11 +48,12 @@ type pollScenario struct {
 func runPollScenario(t *testing.T, sc pollScenario) pollPin {
 	t.Helper()
 	k := sim.NewKernel()
-	net, err := scramnet.New(k, scramnet.DefaultConfig(sc.nodes))
+	ringCfg := scramnet.DefaultConfig(sc.nodes)
+	ringCfg.SingleWriterCheck = true
+	net, err := scramnet.New(k, ringCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetSingleWriterCheck(true)
 	net.SetDropRate(sc.drop)
 	reg := metrics.New()
 	net.SetMetrics(reg)

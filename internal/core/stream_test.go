@@ -17,11 +17,12 @@ import (
 func streamWorld(t testing.TB, nodes int, mutate ...func(*Config)) (*sim.Kernel, *scramnet.Network, *System, []*Endpoint) {
 	t.Helper()
 	k := sim.NewKernel()
-	net, err := scramnet.New(k, scramnet.DefaultConfig(nodes))
+	ringCfg := scramnet.DefaultConfig(nodes)
+	ringCfg.SingleWriterCheck = true
+	net, err := scramnet.New(k, ringCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetSingleWriterCheck(true)
 	cfg := DefaultConfig()
 	cfg.Stream.Enabled = true
 	for _, m := range mutate {
@@ -373,11 +374,11 @@ func TestStreamTrapFallback(t *testing.T) {
 	// header and mask words (2 cycles each) still fit.
 	scfg.Mode = scramnet.VariablePackets
 	scfg.HandlerBudget = 10
+	scfg.SingleWriterCheck = true
 	net, err := scramnet.New(k, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetSingleWriterCheck(true)
 	cfg := DefaultConfig()
 	cfg.Stream.Enabled = true
 	sys, err := New(net, cfg)

@@ -72,9 +72,6 @@ func (f *Fabric) FailNode(i int) { f.down[i] = true }
 // RepairNode restores node i's link.
 func (f *Fabric) RepairNode(i int) { f.down[i] = false }
 
-// NodeFailed reports whether node i's link is currently down.
-func (f *Fabric) NodeFailed(i int) bool { return f.down[i] }
-
 // SetLossRate sets the per-frame drop probability.
 func (f *Fabric) SetLossRate(r float64) { f.loss = r }
 

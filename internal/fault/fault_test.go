@@ -88,11 +88,11 @@ func TestApplyDrivesRing(t *testing.T) {
 	}}
 	s.Apply(k, fault.Ring(c.Ring), nil, nil)
 	k.RunFor(2 * sim.Millisecond)
-	if !c.Ring.NodeFailed(2) {
+	if c.Ring.NIC(2).LinkUp() {
 		t.Fatal("node 2 not bypassed after NodeFail action")
 	}
 	k.RunFor(2 * sim.Millisecond)
-	if c.Ring.NodeFailed(2) {
+	if !c.Ring.NIC(2).LinkUp() {
 		t.Fatal("node 2 still bypassed after NodeRepair action")
 	}
 	k.Close()
@@ -129,9 +129,6 @@ func TestFabricWrapperDropsAndStats(t *testing.T) {
 	send()
 	if got != 1 || ff.Stats().DroppedDown != 1 {
 		t.Fatalf("frame to failed node not dropped: got=%d stats=%+v", got, ff.Stats())
-	}
-	if !ff.NodeFailed(1) || ff.NodeFailed(0) {
-		t.Fatal("NodeFailed bookkeeping wrong")
 	}
 	ff.RepairNode(1)
 	send()

@@ -169,23 +169,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)]++
 }
 
-// ObserveN records n identical observations of v in one step (no-op on
-// nil or n <= 0), exactly as n calls of Observe(v) would.
-func (h *Histogram) ObserveN(v, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count += n
-	h.sum += v * n
-	h.buckets[bucketOf(v)] += n
-}
-
 // Count returns the number of observations (zero on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -216,14 +199,6 @@ func (h *Histogram) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the arithmetic mean (zero before the first observation).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }
 
 // Quantile returns an upper bound for quantile q in [0,1]: the

@@ -23,7 +23,7 @@ func TestNilRegistryIsSafeAndFree(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("nil histogram statistics must read as zero")
 	}
 	s := r.Snapshot()
@@ -104,9 +104,6 @@ func TestHistogramStatistics(t *testing.T) {
 	}
 	if h.Count() != 4 || h.Sum() != 1500 || h.Min() != 100 || h.Max() != 800 {
 		t.Fatalf("stats: count=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.Min(), h.Max())
-	}
-	if m := h.Mean(); m != 375 {
-		t.Fatalf("mean = %v, want 375", m)
 	}
 	if q := h.Quantile(1.0); q != 800 {
 		t.Fatalf("q100 = %d, want the max 800", q)
@@ -228,37 +225,4 @@ func TestRollup(t *testing.T) {
 	if total != 2 {
 		t.Fatalf("rolled-up bucket mass = %d, want 2", total)
 	}
-}
-
-func TestObserveN(t *testing.T) {
-	h := &Histogram{}
-	h.ObserveN(8, 3)
-	h.ObserveN(1, 2)
-	h.ObserveN(0, 1)
-	h.ObserveN(5, 0)  // no-op
-	h.ObserveN(5, -2) // no-op
-	if h.Count() != 6 {
-		t.Errorf("count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 8*3+1*2 {
-		t.Errorf("sum = %d, want 26", h.Sum())
-	}
-	if h.Min() != 0 || h.Max() != 8 {
-		t.Errorf("min/max = %d/%d, want 0/8", h.Min(), h.Max())
-	}
-	// Equivalent to repeated Observe calls.
-	want := &Histogram{}
-	for i := 0; i < 3; i++ {
-		want.Observe(8)
-	}
-	for i := 0; i < 2; i++ {
-		want.Observe(1)
-	}
-	want.Observe(0)
-	if *h != *want {
-		t.Errorf("ObserveN diverges from repeated Observe:\n got %+v\nwant %+v", *h, *want)
-	}
-
-	var nilH *Histogram
-	nilH.ObserveN(1, 1) // no-op, no panic
 }

@@ -204,28 +204,6 @@ func (c *Comm) Waitall(p *sim.Proc, reqs []*Request) error {
 	return nil
 }
 
-// Waitany blocks until some request completes and returns its index.
-func (c *Comm) Waitany(p *sim.Proc, reqs []*Request) (int, Status, error) {
-	if len(reqs) == 0 {
-		return -1, Status{}, ErrProtocol
-	}
-	deadline := sim.Time(-1)
-	if c.eng.cfg.WaitTimeout > 0 {
-		deadline = p.Now().Add(c.eng.cfg.WaitTimeout)
-	}
-	for {
-		for i, r := range reqs {
-			if r.done {
-				return i, r.status, r.err
-			}
-		}
-		c.eng.progressOnce(p)
-		if deadline >= 0 && p.Now() > deadline {
-			return -1, Status{}, ErrTimeout
-		}
-	}
-}
-
 // Send is a blocking standard-mode send.
 func (c *Comm) Send(p *sim.Proc, dst, tag int, data []byte) error {
 	req, err := c.isend(p, dst, tag, data)
@@ -246,18 +224,28 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int, buf []byte) (Status, error) {
 }
 
 // Sendrecv exchanges messages with possibly different partners without
-// deadlocking.
+// deadlocking. Either partner may be ProcNull, as in MPI_Sendrecv: no
+// transfer happens in that direction, and a null receive returns
+// Status{Source: ProcNull}.
 func (c *Comm) Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag int, buf []byte) (Status, error) {
-	rreq, err := c.Irecv(p, src, recvTag, buf)
-	if err != nil {
-		return Status{}, err
+	var rreq *Request
+	if src != ProcNull {
+		var err error
+		if rreq, err = c.Irecv(p, src, recvTag, buf); err != nil {
+			return Status{}, err
+		}
 	}
-	sreq, err := c.isend(p, dst, sendTag, data)
-	if err != nil {
-		return Status{}, err
+	if dst != ProcNull {
+		sreq, err := c.isend(p, dst, sendTag, data)
+		if err != nil {
+			return Status{}, err
+		}
+		if _, err := c.eng.waitFree(p, sreq); err != nil {
+			return Status{}, err
+		}
 	}
-	if _, err := c.eng.waitFree(p, sreq); err != nil {
-		return Status{}, err
+	if rreq == nil {
+		return Status{Source: ProcNull}, nil
 	}
 	return c.eng.waitFree(p, rreq)
 }

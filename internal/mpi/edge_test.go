@@ -11,44 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestWaitanyReturnsFirstCompletion(t *testing.T) {
-	run(t, cluster.SCRAMNet, 3, func(p *sim.Proc, c *mpi.Comm) {
-		switch c.Rank() {
-		case 0:
-			buf1 := make([]byte, 8)
-			buf2 := make([]byte, 8)
-			r1, err := c.Irecv(p, 1, 0, buf1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			r2, err := c.Irecv(p, 2, 0, buf2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			// Rank 2 sends much earlier: its request must win.
-			idx, st, err := c.Waitany(p, []*mpi.Request{r1, r2})
-			if err != nil || idx != 1 || st.Source != 2 {
-				t.Errorf("Waitany = (%d, %+v, %v), want index 1 from rank 2", idx, st, err)
-			}
-			if _, err := c.Wait(p, r1); err != nil {
-				t.Error(err)
-			}
-		case 1:
-			p.Delay(3 * sim.Millisecond)
-			if err := c.Send(p, 0, 0, []byte{1}); err != nil {
-				t.Error(err)
-			}
-		case 2:
-			p.Delay(100 * sim.Microsecond)
-			if err := c.Send(p, 0, 0, []byte{2}); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-}
-
 func TestManySmallIsendsDrainInOrder(t *testing.T) {
 	// A burst of nonblocking sends larger than the BBP slot count
 	// forces sender-side GC inside the MPI stack.
@@ -140,21 +102,52 @@ func TestCollectivesOnAllTransports(t *testing.T) {
 
 func TestRendezvousBidirectionalExchange(t *testing.T) {
 	// Symmetric large-message Sendrecv: both sides in rendezvous at
-	// once — the pattern that deadlocks naive blocking protocols.
+	// once — the pattern that deadlocks naive blocking protocols. The
+	// one-way inputs name a ProcNull partner, so one rank only sends
+	// and the other only receives; the null receive must report
+	// Status{Source: ProcNull} and leave its buffer untouched.
 	const size = 64 << 10
-	run(t, cluster.FastEthernet, 2, func(p *sim.Proc, c *mpi.Comm) {
-		peer := 1 - c.Rank()
-		out := bytes.Repeat([]byte{byte(c.Rank() + 1)}, size)
-		in := make([]byte, size)
-		st, err := c.Sendrecv(p, peer, 0, out, peer, 0, in)
-		if err != nil || st.Len != size {
-			t.Errorf("rank %d: %+v %v", c.Rank(), st, err)
-			return
-		}
-		if in[0] != byte(peer+1) || in[size-1] != byte(peer+1) {
-			t.Errorf("rank %d got wrong payload", c.Rank())
-		}
-	})
+	for _, tc := range []struct {
+		name  string
+		sends [2]bool // whether rank r sends to its peer
+	}{
+		{"both", [2]bool{true, true}},
+		{"0to1", [2]bool{true, false}},
+		{"1to0", [2]bool{false, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, cluster.FastEthernet, 2, func(p *sim.Proc, c *mpi.Comm) {
+				me, peer := c.Rank(), 1-c.Rank()
+				dst, src := mpi.ProcNull, mpi.ProcNull
+				if tc.sends[me] {
+					dst = peer
+				}
+				if tc.sends[peer] {
+					src = peer
+				}
+				out := bytes.Repeat([]byte{byte(me + 1)}, size)
+				in := make([]byte, size)
+				st, err := c.Sendrecv(p, dst, 0, out, src, 0, in)
+				if err != nil {
+					t.Errorf("rank %d: %v", me, err)
+					return
+				}
+				if src == mpi.ProcNull {
+					if st != (mpi.Status{Source: mpi.ProcNull}) || in[0] != 0 || in[size-1] != 0 {
+						t.Errorf("rank %d null receive: %+v, in[0]=%d", me, st, in[0])
+					}
+					return
+				}
+				if st.Source != peer || st.Len != size {
+					t.Errorf("rank %d: %+v", me, st)
+					return
+				}
+				if in[0] != byte(peer+1) || in[size-1] != byte(peer+1) {
+					t.Errorf("rank %d got wrong payload", me)
+				}
+			})
+		})
+	}
 }
 
 func TestStressAllToAllOnSCRAMNet(t *testing.T) {

@@ -94,32 +94,13 @@ func (ct *Cart) Shift(dim, disp int) (src, dst int) {
 	return src, dst
 }
 
-// SendrecvShift exchanges halo buffers along a Cartesian shift,
-// handling ProcNull neighbors (no transfer in that direction).
+// SendrecvShift exchanges halo buffers along a Cartesian shift: Shift
+// names the partners and Sendrecv skips a ProcNull one. received
+// reports whether recvBuf was filled.
 func (ct *Cart) SendrecvShift(p *sim.Proc, dim, disp, tag int, sendBuf, recvBuf []byte) (received bool, err error) {
 	src, dst := ct.Shift(dim, disp)
-	c := ct.comm
-	var rreq, sreq *Request
-	if src != ProcNull {
-		if rreq, err = c.Irecv(p, src, tag, recvBuf); err != nil {
-			return false, err
-		}
+	if _, err = ct.comm.Sendrecv(p, dst, tag, sendBuf, src, tag, recvBuf); err != nil {
+		return false, err
 	}
-	if dst != ProcNull {
-		if sreq, err = c.isend(p, dst, tag, sendBuf); err != nil {
-			return false, err
-		}
-	}
-	if sreq != nil {
-		if _, err = c.eng.waitFree(p, sreq); err != nil {
-			return false, err
-		}
-	}
-	if rreq != nil {
-		if _, err = c.eng.waitFree(p, rreq); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
+	return src != ProcNull, nil
 }

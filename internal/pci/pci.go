@@ -138,7 +138,9 @@ func (b *Bus) PIOWrite(p *sim.Proc, words int) {
 // IssueRead books a words-long PIO read on the bus without blocking and
 // returns the CPU's stall until the data arrives: one aligned burst
 // (see Config.PIOReadBurstWord) when burst is set, words single-word
-// round trips otherwise. PIORead and PIOReadBurst are IssueRead plus a
+// round trips otherwise. Burst words are counted separately from
+// single-word reads — pci.pio_read_words keeps its §7 meaning of "reads
+// that each cost a full bus round trip". PIORead is IssueRead plus a
 // Delay of the stall; an event-driven poller instead schedules its
 // sample of the device at the end of the stall.
 func (b *Bus) IssueRead(words int, burst bool) sim.Duration {
@@ -172,14 +174,6 @@ func (b *Bus) BurstReadCost(words int) sim.Duration {
 		return 0
 	}
 	return b.cfg.PIOReadWord + sim.Duration(words-1)*b.cfg.PIOReadBurstWord
-}
-
-// PIOReadBurst charges one aligned multi-word read burst (see
-// Config.PIOReadBurstWord). Burst words are counted separately from
-// single-word reads — pci.pio_read_words keeps its §7 meaning of "reads
-// that each cost a full bus round trip".
-func (b *Bus) PIOReadBurst(p *sim.Proc, words int) {
-	p.Delay(b.IssueRead(words, true))
 }
 
 // DMA performs a blocking DMA transfer of n bytes between host memory and

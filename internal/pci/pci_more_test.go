@@ -108,7 +108,7 @@ func TestReadStallsBehindDMA(t *testing.T) {
 						stall = b.IssueRead(c.words, c.burst)
 						k.AfterKind(stall, sim.KindProc, func() { issued = k.Now() })
 					case c.burst:
-						b.PIOReadBurst(p, c.words)
+						p.Delay(b.IssueRead(c.words, true))
 						blocking = p.Now()
 					default:
 						b.PIORead(p, c.words)

@@ -23,7 +23,8 @@ func TestDropRateZeroLosesNothing(t *testing.T) {
 }
 
 func TestDropRateLosesAndCounts(t *testing.T) {
-	k, n := newNet(t, 4, func(c *Config) { c.DropRate = 0.5; c.Seed = 7 })
+	k, n := newNet(t, 4, func(c *Config) { c.Seed = 7 })
+	n.SetDropRate(0.5)
 	k.Spawn("w", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			n.NIC(0).WriteWord(p, i*4, 0xFFFFFFFF)
@@ -50,7 +51,8 @@ func TestDropRateLosesAndCounts(t *testing.T) {
 
 func TestFaultsDeterministic(t *testing.T) {
 	lost := func() int64 {
-		k, n := newNet(t, 4, func(c *Config) { c.DropRate = 0.3; c.Seed = 42 })
+		k, n := newNet(t, 4, func(c *Config) { c.Seed = 42 })
+		n.SetDropRate(0.3)
 		k.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
 				n.NIC(0).WriteWord(p, i*4, 1)
@@ -77,7 +79,7 @@ func TestPacketsLostCounterMatchesStats(t *testing.T) {
 		inject func(*Network)
 	}{
 		{"bypassed-origin", func(*Config) {}, func(n *Network) { n.FailNode(0) }},
-		{"crc-drop", func(c *Config) { c.DropRate = 0.5; c.Seed = 7 }, func(*Network) {}},
+		{"crc-drop", func(c *Config) { c.Seed = 7 }, func(n *Network) { n.SetDropRate(0.5) }},
 		{"broken-ring", func(c *Config) { c.DualRing = false }, func(n *Network) { n.CutLink(1) }},
 	} {
 		k, n := newNet(t, 4, tc.cfg)

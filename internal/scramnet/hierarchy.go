@@ -168,9 +168,6 @@ func (h *Hierarchy) SetTracer(r *trace.Recorder) {
 	}
 }
 
-// SetSingleWriterCheck toggles the global single-writer assertion.
-func (h *Hierarchy) SetSingleWriterCheck(on bool) { h.owner.enabled = on }
-
 // Quiescent reports whether no packets are in flight on any ring.
 func (h *Hierarchy) Quiescent() bool {
 	if !h.backbone.Quiescent() {

@@ -126,8 +126,13 @@ func TestHierarchyLatencyExceedsFlatRing(t *testing.T) {
 }
 
 func TestHierarchySingleWriterCheckGlobal(t *testing.T) {
-	k, h := newHier(t, 2, 2)
-	h.SetSingleWriterCheck(true)
+	k := sim.NewKernel()
+	cfg := DefaultHierarchyConfig(2, 2)
+	cfg.Ring.SingleWriterCheck = true
+	h, err := NewHierarchy(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	panicked := false
 	k.Spawn("w0", func(p *sim.Proc) { h.NIC(0).WriteWord(p, 0, 1) }) // leaf 0
 	k.Spawn("w2", func(p *sim.Proc) {                                // leaf 1

@@ -96,9 +96,10 @@ func (nic *NIC) Bus() *pci.Bus { return nic.bus }
 func (nic *NIC) LinkUp() bool { return !nic.failed }
 
 // RingCuts returns the number of severed ring segments the card's ring
-// status register reports (Network.CutSegments). Hosts sample it
-// alongside LinkUp as the hardware evidence that distinguishes a
-// partitioned peer from a dead one.
+// status register reports. Each arc of a partitioned ring borders both
+// cuts, so the count is arc-local knowledge: hosts sample it alongside
+// LinkUp as the hardware evidence that distinguishes a partitioned
+// peer from a dead one.
 func (nic *NIC) RingCuts() int { return nic.net.cuts }
 
 // NetworkConfig returns the configuration of the ring this card sits
@@ -190,12 +191,11 @@ func (nic *NIC) stripApply(pkt *packet) {
 }
 
 // InstallHandler registers an in-network handler (internal/spin) for
-// ring packets overlapping [off, off+n) at this card's transit point,
-// returning the engine's id for it. Handlers run before the local
-// apply and the forward decision, in install order, and their cycle
-// cost is charged in virtual time per Config.HandlerCycleCost /
-// Config.HandlerBudget.
-func (nic *NIC) InstallHandler(off, n int, h spin.Handler) int {
+// ring packets overlapping [off, off+n) at this card's transit point.
+// Handlers run before the local apply and the forward decision, in
+// install order, and their cycle cost is charged in virtual time per
+// Config.HandlerCycleCost / Config.HandlerBudget.
+func (nic *NIC) InstallHandler(off, n int, h spin.Handler) {
 	nic.checkRange(off, n)
 	if nic.handlers == nil {
 		nic.handlers = spin.NewEngine(nic.ownerID, nic.net.cfg.HandlerBudget)
@@ -204,7 +204,7 @@ func (nic *NIC) InstallHandler(off, n int, h spin.Handler) int {
 		}
 		nic.hctx = spin.HandlerCtx{Node: nic.id, Word: nic.SampleWord}
 	}
-	return nic.handlers.Install(off, n, h)
+	nic.handlers.Install(off, n, h)
 }
 
 // HandlerStats returns a copy of the card's spin.* counters (zero when
@@ -385,7 +385,7 @@ func (nic *NIC) WriteDMA(p *sim.Proc, off int, data []byte) {
 // at the word-aligned offset off, as one burst read transaction. The
 // card satisfies a small aligned window from a single internal fetch,
 // so the host pays one non-posted round trip plus one bus data phase
-// per additional word (pci.Bus.PIOReadBurst) — the wide-read poll path.
+// per additional word (pci.Bus.BurstReadCost) — the wide-read poll path.
 // Arbitrary-length payload reads (Read) go through the non-prefetchable
 // aperture and stay word-priced; this operation is only for fixed
 // control windows such as a receiver's MESSAGE-flag region.

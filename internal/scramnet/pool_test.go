@@ -50,9 +50,9 @@ func lifecycleRing(t *testing.T, mode Mode, dual bool, ends map[string]int) {
 	k, n := newNet(t, 6, func(c *Config) {
 		c.Mode = mode
 		c.DualRing = dual
-		c.DropRate = 0.05
 		c.Seed = 7
 	})
+	n.SetDropRate(0.05)
 	r := trace.New()
 	n.SetTracer(r)
 	n.NIC(1).InstallHandler(64, 12, fnHandler(func(ctx *spin.HandlerCtx, pkt spin.Packet) spin.Verdict {

@@ -84,8 +84,13 @@ func TestDoubleCutSegmentsRing(t *testing.T) {
 	k, n := newNet(t, 4)
 	n.CutLink(1)
 	n.CutLink(3)
-	if n.CutSegments() != 2 {
-		t.Fatalf("CutSegments = %d, want 2", n.CutSegments())
+	for i := 0; i < 4; i++ {
+		if got := n.NIC(i).RingCuts(); got != 2 {
+			t.Fatalf("NIC(%d).RingCuts = %d, want 2", i, got)
+		}
+		if want := i == 1 || i == 3; n.LinkCut(i) != want {
+			t.Fatalf("LinkCut(%d) = %v, want %v", i, n.LinkCut(i), want)
+		}
 	}
 	k.Spawn("w0", func(p *sim.Proc) { n.NIC(0).WriteWord(p, 0, 0xa) })
 	k.Spawn("w2", func(p *sim.Proc) { n.NIC(2).WriteWord(p, 4, 0xb) })
@@ -126,8 +131,11 @@ func TestSpliceRestoresDelivery(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.CutSegments() != 0 {
-		t.Fatalf("CutSegments = %d after splice, want 0", n.CutSegments())
+	if got := n.NIC(2).RingCuts(); got != 0 {
+		t.Fatalf("RingCuts = %d after splice, want 0", got)
+	}
+	if n.LinkCut(1) || n.LinkCut(3) {
+		t.Fatal("LinkCut reports a spliced segment as severed")
 	}
 	for _, i := range []int{2, 3} {
 		if n.NIC(i).Peek(0, 4)[0] == 1 {
@@ -158,39 +166,48 @@ func TestSingleRingCutLosesDownstream(t *testing.T) {
 	}
 }
 
-// TestRouteBrokenRing covers the routing probe's error paths: a severed
-// single ring reports the cut, and a dual ring whose every node is
-// bypassed reports a broken ring instead of spinning forever (the bug
-// the bounded walk fixed).
+// TestRouteBrokenRing covers the forwarding decision's error paths: a
+// severed single ring reports the cut, and a dual ring whose every node
+// is bypassed reports a broken ring instead of spinning forever (the
+// bug the bounded walk fixed).
 func TestRouteBrokenRing(t *testing.T) {
 	_, single := newNet(t, 4, func(c *Config) { c.DualRing = false })
 	single.CutLink(2)
-	if _, err := single.Route(2); err == nil {
-		t.Fatal("single-ring cut: Route returned no error")
+	if _, _, _, _, err := single.route(2); err == nil {
+		t.Fatal("single-ring cut: route returned no error")
 	} else {
 		var bre *BrokenRingError
 		if !errors.As(err, &bre) || !bre.Cut {
 			t.Fatalf("single-ring cut: err = %v, want BrokenRingError{Cut: true}", err)
+		}
+		if want := "scramnet: ring broken at node 2: severed segment with no secondary path"; err.Error() != want {
+			t.Fatalf("single-ring cut: err = %q, want %q", err, want)
 		}
 	}
 
 	_, dual := newNet(t, 4)
 	for i := 0; i < 4; i++ {
 		dual.FailNode(i)
+		if dual.NIC(i).LinkUp() {
+			t.Fatalf("NIC(%d).LinkUp after FailNode", i)
+		}
 	}
-	if _, err := dual.Route(0); err == nil {
-		t.Fatal("all-bypassed dual ring: Route returned no error (would spin)")
+	if _, _, _, _, err := dual.route(0); err == nil {
+		t.Fatal("all-bypassed dual ring: route returned no error (would spin)")
 	} else {
 		var bre *BrokenRingError
 		if !errors.As(err, &bre) || bre.Cut {
 			t.Fatalf("all-bypassed: err = %v, want BrokenRingError{Cut: false}", err)
 		}
+		if want := "scramnet: ring broken at node 0: no live station reachable"; err.Error() != want {
+			t.Fatalf("all-bypassed: err = %q, want %q", err, want)
+		}
 	}
 
-	// Healthy ring: the probe agrees with plain successor stepping.
+	// Healthy ring: the decision agrees with plain successor stepping.
 	_, ok := newNet(t, 4)
-	if next, err := ok.Route(1); err != nil || next != 2 {
-		t.Fatalf("healthy Route(1) = %d, %v; want 2, nil", next, err)
+	if next, _, _, _, err := ok.route(1); err != nil || next != 2 {
+		t.Fatalf("healthy route(1) = %d, %v; want 2, nil", next, err)
 	}
 }
 

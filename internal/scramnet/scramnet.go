@@ -93,14 +93,7 @@ type Config struct {
 	// SingleWriterCheck, when set, panics if two different nodes ever
 	// write the same word — the BillBoard Protocol's core discipline.
 	SingleWriterCheck bool
-	// DropRate injects hardware faults: the probability (0..1) that an
-	// injected packet is corrupted in flight and discarded by the CRC
-	// check at its first hop. SCRAMNet hardware detects but does not
-	// retransmit; the BillBoard Protocol inherits that assumption, so
-	// under injected faults receives time out (tested) rather than
-	// deliver corrupt data. Deterministic via Seed.
-	DropRate float64
-	// Seed drives the fault-injection generator.
+	// Seed drives the fault-injection generator (Network.SetDropRate).
 	Seed uint64
 	// HandlerCycleCost is the virtual-time cost of one in-network
 	// handler cycle (internal/spin) at a ring transit point. Zero
@@ -151,11 +144,6 @@ func (c *Config) validate() error {
 	}
 	if c.TxFIFOBytes < 4 {
 		return fmt.Errorf("scramnet: TX FIFO %d too small", c.TxFIFOBytes)
-	}
-	// The comparison is written to also reject NaN, which satisfies
-	// neither bound.
-	if !(c.DropRate >= 0 && c.DropRate <= 1) {
-		return fmt.Errorf("scramnet: DropRate %v outside [0,1]", c.DropRate)
 	}
 	if c.HandlerCycleCost < 0 {
 		return fmt.Errorf("scramnet: negative HandlerCycleCost %v", c.HandlerCycleCost)
@@ -221,10 +209,12 @@ type Network struct {
 	tracer *trace.Recorder
 	faults *sim.RNG
 	im     netInstruments
+	// dropRate is the in-flight corruption probability (SetDropRate).
+	dropRate float64
 
 	// cut[i] marks ring segment i — the fiber pair between node i and
 	// node (i+1)%Nodes — as severed; cuts is the count of severed
-	// segments (the ring status register, see CutSegments).
+	// segments (the ring status register, see NIC.RingCuts).
 	cut  []bool
 	cuts int
 
@@ -325,8 +315,7 @@ func (n *Network) NIC(i int) *NIC { return n.nics[i] }
 // route to another live station: a severed segment on a single ring, a
 // dead node breaking a single ring, or (with DualRing) every node
 // bypassed. The forwarding path drops the packet and closes its span
-// with "ring-broken"; probes can call Route to ask the same question
-// without traffic.
+// with "ring-broken".
 type BrokenRingError struct {
 	From int  // node the packet could not progress past
 	Cut  bool // a severed segment (vs. a dead node / fully bypassed ring)
@@ -399,14 +388,6 @@ func (n *Network) route(from int) (next, hops, wrap, byp int, err error) {
 	// A full revolution of advances found no live station: every node
 	// is bypassed and the packet has nowhere to land.
 	return 0, 0, 0, 0, &BrokenRingError{From: from}
-}
-
-// Route exposes the forwarding decision for probes and tests: the next
-// station a packet leaving node from would reach, or a
-// *BrokenRingError when the topology leaves it none.
-func (n *Network) Route(from int) (next int, err error) {
-	next, _, _, _, err = n.route(from)
-	return next, err
 }
 
 // wireTime returns the serialization time of pkt on one link.
@@ -502,7 +483,7 @@ func (pkt *packet) departHop() {
 			n.release(pkt)
 			return
 		}
-		if n.cfg.DropRate > 0 && n.faults.Float64() < n.cfg.DropRate {
+		if n.dropRate > 0 && n.faults.Float64() < n.dropRate {
 			// Corrupted in flight: the next hop's CRC check discards it.
 			src.stats.PacketsLost++
 			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "crc-drop")
@@ -599,13 +580,6 @@ func (pkt *packet) proceedHop() {
 	nic.link.Serve(n.wireTime(pkt), pkt.depart)
 }
 
-// SetSingleWriterCheck toggles the single-writer assertion at run time;
-// the BillBoard Protocol layer turns it on to validate its discipline.
-func (n *Network) SetSingleWriterCheck(on bool) {
-	n.cfg.SingleWriterCheck = on
-	n.owner.enabled = on
-}
-
 // FailNode marks node i failed. With DualRing the node is optically
 // bypassed and the rest of the ring keeps replicating; with a single
 // ring, packets are lost when they reach the break.
@@ -620,9 +594,6 @@ func (n *Network) RepairNode(i int) {
 	n.nics[i].failed = false
 	n.im.nodeRepairs.Inc()
 }
-
-// NodeFailed reports whether node i is currently bypassed.
-func (n *Network) NodeFailed(i int) bool { return n.nics[i].failed }
 
 // CutLink severs ring segment i — the fiber pair between node i and
 // node (i+1)%Nodes, taking out both the primary and the co-routed
@@ -655,18 +626,16 @@ func (n *Network) SpliceLink(i int) {
 // LinkCut reports whether segment i is currently severed.
 func (n *Network) LinkCut(i int) bool { return n.cut[i] }
 
-// CutSegments returns the number of currently severed segments — the
-// ring status register every card can read. Each arc of a partitioned
-// ring borders both cuts, so the count is arc-local knowledge: failure
-// detectors use it as hardware corroboration when deciding whether an
-// unresponsive arc of peers is dead or merely unreachable.
-func (n *Network) CutSegments() int { return n.cuts }
-
-// SetDropRate adjusts the in-flight corruption probability at run time.
-// Fault-injection scripts use it to open and close transient loss
-// windows; the generator stream (Config.Seed) is unaffected. Rates
-// outside [0,1] are clamped — a drop probability can be nothing else,
-// and a scripted sweep that overshoots must saturate, not corrupt the
+// SetDropRate injects hardware faults: r is the probability that an
+// injected packet is corrupted in flight and discarded by the CRC check
+// at its first hop (zero, the default, injects none). SCRAMNet hardware
+// detects but does not retransmit; the BillBoard Protocol inherits that
+// assumption, so under injected faults receives time out rather than
+// deliver corrupt data. The draws come from the generator seeded by
+// Config.Seed, so a run is deterministic; fault-injection scripts call
+// SetDropRate to open and close transient loss windows. Rates outside
+// [0,1] are clamped — a drop probability can be nothing else, and a
+// scripted sweep that overshoots must saturate, not corrupt the
 // comparison against the RNG (NaN clamps to 0).
 func (n *Network) SetDropRate(r float64) {
 	if !(r >= 0) {
@@ -674,7 +643,7 @@ func (n *Network) SetDropRate(r float64) {
 	} else if r > 1 {
 		r = 1
 	}
-	n.cfg.DropRate = r
+	n.dropRate = r
 }
 
 // Quiescent reports whether no packets are in flight anywhere (all link

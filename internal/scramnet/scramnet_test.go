@@ -132,6 +132,27 @@ func TestSingleWriterCheckPanics(t *testing.T) {
 	if !panicked {
 		t.Error("expected single-writer panic")
 	}
+	// An explicit hand-over makes node 1 the word's writer and node 0 the
+	// intruder.
+	n.NIC(0).AssignOwner(1, 0, 4)
+	panicked = false
+	k.Spawn("w1-owner", func(p *sim.Proc) { n.NIC(1).WriteWord(p, 0, 3) })
+	k.Spawn("w0-intruder", func(p *sim.Proc) {
+		p.Delay(100 * sim.Microsecond)
+		func() {
+			defer func() { panicked = recover() != nil }()
+			n.NIC(0).WriteWord(p, 0, 4)
+		}()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !panicked {
+		t.Error("expected single-writer panic after the hand-over")
+	}
+	if got := n.NIC(2).Peek(0, 4)[0]; got != 3 {
+		t.Errorf("assigned owner's write not replicated: %#x", got)
+	}
 }
 
 func TestBoundedVisibilityLatency(t *testing.T) {
@@ -200,6 +221,9 @@ func TestVariableModeThroughputHigher(t *testing.T) {
 func TestDualRingBypassKeepsReplicating(t *testing.T) {
 	k, n := newNet(t, 4)
 	n.FailNode(1)
+	if n.NIC(1).LinkUp() || !n.NIC(0).LinkUp() {
+		t.Fatal("LinkUp does not follow FailNode")
+	}
 	k.Spawn("writer", func(p *sim.Proc) { n.NIC(0).WriteWord(p, 0, 42) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -153,31 +153,13 @@ func TestHandlerBudgetTrapAtRingLevel(t *testing.T) {
 	}
 }
 
-func TestDropRateConfigValidation(t *testing.T) {
-	k := sim.NewKernel()
-	for _, r := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		cfg := DefaultConfig(3)
-		cfg.DropRate = r
-		if _, err := New(k, cfg); err == nil {
-			t.Errorf("DropRate %v accepted, want error", r)
-		}
-	}
-	for _, r := range []float64{0, 0.5, 1} {
-		cfg := DefaultConfig(3)
-		cfg.DropRate = r
-		if _, err := New(k, cfg); err != nil {
-			t.Errorf("DropRate %v rejected: %v", r, err)
-		}
-	}
-}
-
 func TestSetDropRateClamps(t *testing.T) {
 	_, n := newNet(t, 3)
 	for _, c := range []struct{ in, want float64 }{
 		{-0.5, 0}, {1.5, 1}, {math.NaN(), 0}, {math.Inf(1), 1}, {math.Inf(-1), 0}, {0.25, 0.25},
 	} {
 		n.SetDropRate(c.in)
-		if got := n.Config().DropRate; got != c.want {
+		if got := n.dropRate; got != c.want {
 			t.Errorf("SetDropRate(%v): got %v want %v", c.in, got, c.want)
 		}
 	}
@@ -209,10 +191,8 @@ func TestHandlerDeterminism(t *testing.T) {
 		stats []spin.Stats
 	}
 	run := func() result {
-		k, n := newNet(t, 5, func(c *Config) {
-			c.DropRate = 0.3
-			c.Seed = 77
-		})
+		k, n := newNet(t, 5, func(c *Config) { c.Seed = 77 })
+		n.SetDropRate(0.3)
 		for i := 1; i < 5; i++ {
 			i := i
 			n.NIC(i).InstallHandler(128, 64, fnHandler(func(ctx *spin.HandlerCtx, pkt spin.Packet) spin.Verdict {

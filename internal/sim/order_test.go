@@ -76,7 +76,7 @@ func (h *orderHarness) schedule(d Duration) {
 	case 0:
 		h.k.At(ev.t, fn)
 	case 1:
-		h.k.After(d, fn)
+		h.k.AfterKind(d, KindEvent, fn)
 	case 2:
 		h.k.AtKind(ev.t, KindRing, fn)
 	case 3:

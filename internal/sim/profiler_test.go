@@ -11,7 +11,7 @@ func workload(k *Kernel) *int {
 	fired := new(int)
 	bump := func() { *fired++ }
 	k.At(10, bump)
-	k.After(25, bump)
+	k.AfterKind(25, KindEvent, bump)
 	k.AtKind(40, KindRing, bump)
 	k.AfterKind(55, KindBus, bump)
 	var tick func()
@@ -131,7 +131,7 @@ func TestProfilerCanceledNotCounted(t *testing.T) {
 	k.SetProfiler(prof)
 	tm := k.Timer(10, KindRing, func() { t.Error("canceled event fired") })
 	tm.Stop()
-	k.After(20, func() {})
+	k.AfterKind(20, KindEvent, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -238,16 +238,13 @@ func (k *Kernel) delay(d Duration) Time {
 // past.
 func (k *Kernel) At(t Time, fn func()) { k.push(t, KindEvent, fn, nil) }
 
-// After schedules fn to run d from now.
-func (k *Kernel) After(d Duration, fn func()) { k.push(k.delay(d), KindEvent, fn, nil) }
-
 // AtKind schedules fn like At with a kind. When a Profiler is
 // installed, the event's wall-clock execution cost is attributed to
 // kind; KindObserver also hides the event from Pending. The kind
 // changes nothing else — ordering and the virtual clock are untouched.
 func (k *Kernel) AtKind(t Time, kind Kind, fn func()) { k.push(t, kind, fn, nil) }
 
-// AfterKind schedules fn like After, with a kind.
+// AfterKind schedules fn to run d from now, with a kind (see AtKind).
 func (k *Kernel) AfterKind(d Duration, kind Kind, fn func()) { k.push(k.delay(d), kind, fn, nil) }
 
 // Timer schedules fn like AfterKind and returns a handle that can

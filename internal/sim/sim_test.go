@@ -49,7 +49,7 @@ func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	k.At(10, func() {
-		k.After(5, func() { fired++ })
+		k.AfterKind(5, KindEvent, func() { fired++ })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("expected panic scheduling a negative delay")
 		}
 	}()
-	k.After(-1, func() {})
+	k.AfterKind(-1, KindEvent, func() {})
 }
 
 // TestKindNames pins the kind names the profiler reports: the metrics

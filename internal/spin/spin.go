@@ -141,7 +141,6 @@ type TrapAware interface {
 
 // rng is one installed handler's offset range.
 type rng struct {
-	id      int
 	off, n  int
 	handler Handler
 }
@@ -153,7 +152,6 @@ type rng struct {
 type Engine struct {
 	node    int
 	budget  int64
-	nextID  int
 	ranges  []rng
 	stats   Stats
 	scratch []byte    // rollback snapshot, reused across transits
@@ -194,31 +192,16 @@ func (e *Engine) SetMetrics(m *metrics.Registry) {
 // Stats returns a copy of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Install registers h for packets overlapping [off, off+n) and returns
-// an id for Uninstall. Handlers run in install order; ranges may
-// overlap.
-func (e *Engine) Install(off, n int, h Handler) int {
+// Install registers h for packets overlapping [off, off+n). Handlers
+// run in install order; ranges may overlap.
+func (e *Engine) Install(off, n int, h Handler) {
 	if off < 0 || n <= 0 {
 		panic(fmt.Sprintf("spin: bad handler range [%d,%d)", off, off+n))
 	}
 	if h == nil {
 		panic("spin: nil handler")
 	}
-	e.nextID++
-	e.ranges = append(e.ranges, rng{id: e.nextID, off: off, n: n, handler: h})
-	return e.nextID
-}
-
-// Uninstall removes the handler registered under id, reporting whether
-// it was installed.
-func (e *Engine) Uninstall(id int) bool {
-	for i := range e.ranges {
-		if e.ranges[i].id == id {
-			e.ranges = append(e.ranges[:i], e.ranges[i+1:]...)
-			return true
-		}
-	}
-	return false
+	e.ranges = append(e.ranges, rng{off: off, n: n, handler: h})
 }
 
 // Covers reports whether any installed range overlaps [off, off+n) —

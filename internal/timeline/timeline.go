@@ -376,11 +376,12 @@ func RunAnatomy(cfg AnatomyConfig) (*AnatomyResult, error) {
 	if cfg.Profiler != nil {
 		k.SetProfiler(cfg.Profiler)
 	}
-	ring, err := scramnet.New(k, scramnet.DefaultConfig(cfg.Nodes))
+	ringCfg := scramnet.DefaultConfig(cfg.Nodes)
+	ringCfg.SingleWriterCheck = true
+	ring, err := scramnet.New(k, ringCfg)
 	if err != nil {
 		return nil, err
 	}
-	ring.SetSingleWriterCheck(true)
 	rec := trace.New()
 	if cfg.TraceCap > 0 {
 		rec = trace.NewCapped(cfg.TraceCap)

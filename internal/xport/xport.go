@@ -81,10 +81,12 @@ func LoopMcast(p *sim.Proc, dsts []int, data []byte, send func(p *sim.Proc, dst 
 // into a buffer sized for the largest message it could ever see.
 type Taker interface {
 	// TryTake is TryRecv at exactly TryRecv's virtual cost, except that
-	// the message lands in bufs.Get(n), taken once its length n is known
-	// and before any payload is copied. On ok the caller owns msg and
-	// hands it back with bufs.Put; otherwise msg is nil, and a buffer
-	// taken for a message that failed has gone back to bufs.
+	// the message arrives in a buffer of its own length: one from
+	// bufs.Get(n), taken once its length n is known, or the
+	// implementation's own, given in exchange for one of bufs'. On ok
+	// the caller owns msg and hands it back with bufs.Put; otherwise msg
+	// is nil, and a buffer taken for a message that failed has gone back
+	// to bufs.
 	TryTake(p *sim.Proc, src int, bufs *Buffers) (msg []byte, ok bool, err error)
 }
 
