@@ -115,7 +115,9 @@ verify: lint test benchtest race covercheck timeline soak
 # same package, as does the multi-seed partition/heal battery (ISSUE
 # 10): scripted double cuts must fence the minority, complete majority
 # collectives over the quorum, and deliver exactly-once across the
-# heal. The tier then runs three 10 s fuzz passes. FuzzKernelOrder
+# heal. The tier then runs three 10 s fuzz passes, each minimizing a
+# new input for at most 1 s so that the pass keeps fuzzing (the 60 s
+# default would spend most of the 10 s minimizing). FuzzKernelOrder
 # decodes its input into At/AfterKind/Timer+Stop/Serve/RunUntil calls
 # and checks every execution against a reference sort by (t, seq).
 # FuzzMPIWire feeds arbitrary bytes to the MPI engine's wire decoders
@@ -128,9 +130,9 @@ verify: lint test benchtest race covercheck timeline soak
 # reference.
 soak: build
 	$(GO) test -race -count=1 -run 'TestSoak|TestLossWindowsNeverKill|TestMPIBarrierDeadPeer|TestFlappingNode|TestPartitionSoak|TestMPIPartitionErrors|TestPartitionFenceAndHeal|TestSingleCutNoMPIErrors' ./internal/liveness
-	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzMPIWire$$' -fuzztime 10s ./internal/mpi
-	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s ./internal/scramnet
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMPIWire$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scramnet
 	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order, the MPI wire decoders and the paged bank survive 10 s of fuzzing each"
 
 # Observability smoke tier: replay the E6 fault-sweep point at 15% loss
@@ -143,7 +145,9 @@ soak: build
 # Last come the smoke runs of the tools no other tier runs: cmd/pingpong
 # and a multicast cmd/collective barrier must exit 0 and print their
 # header line, each must refuse `-net bogus` with exit 2 and no panic,
-# and examples/stencil2d must report an identical heat checksum.
+# examples/quickstart, paramdist, pubsub and telemetry must exit 0 and
+# print their first line, and examples/stencil2d must report an
+# identical heat checksum.
 timeline: build
 	@$(GO) run ./cmd/timeline -rate 0.15 -seed 1999 > .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; exit 1; }
@@ -153,7 +157,8 @@ timeline: build
 	@$(GO) run ./cmd/anatomy -mcast -recvany > .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
 		  echo "timeline tier: cmd/anatomy -mcast -recvany found a mismatch"; exit 1; }
-	@rm -rf .smoke && $(GO) build -o .smoke/ ./cmd/pingpong ./cmd/collective
+	@rm -rf .smoke && $(GO) build -o .smoke/ ./cmd/pingpong ./cmd/collective \
+		./examples/quickstart ./examples/paramdist ./examples/pubsub ./examples/telemetry
 	@./.smoke/pingpong > .timeline.tmp.out 2>&1 && \
 		grep -q "^one-way latency, scramnet, api layer" .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -rf .timeline.tmp.out .smoke; \
@@ -170,13 +175,22 @@ timeline: build
 			echo "timeline tier: cmd/$$c -net bogus did not exit 2 with a usage error (exit $$code)"; exit 1; \
 		fi; \
 	done
+	@for ex in 'quickstart:node 0: posted a unicast and a 3-way multicast' \
+		'paramdist:master/worker parameter distribution: 4 ranks' \
+		'pubsub:8 topics × 25 rounds published' \
+		'telemetry:t=20ms: node 2 failed'; do \
+		name=$${ex%%:*}; want=$${ex#*:}; \
+		./.smoke/$$name > .timeline.tmp.out 2>&1 && head -n 1 .timeline.tmp.out | grep -qF "$$want" || \
+			{ cat .timeline.tmp.out; rm -rf .timeline.tmp.out .smoke; \
+			  echo "timeline tier: examples/$$name failed or its first line is not \"$$want\""; exit 1; }; \
+	done
 	@rm -rf .smoke
 	@$(GO) run ./examples/stencil2d > .timeline.tmp.out 2>&1 && \
 		grep -q "identical heat checksum" .timeline.tmp.out || \
 		{ cat .timeline.tmp.out; rm -f .timeline.tmp.out; \
 		  echo "timeline tier: examples/stencil2d failed or its checksums differ"; exit 1; }
 	@rm -f .timeline.tmp.out
-	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation; the anatomy cross-check agrees; cmd/pingpong, cmd/collective and examples/stencil2d run"
+	@echo "timeline tier green: span/snapshot streams correlate retry storms with bus saturation; the anatomy cross-check agrees; cmd/pingpong, cmd/collective and every example run"
 
 # Regenerate every figure and table of the paper's §5, plus the
 # fault-sweep extension.

@@ -8,19 +8,56 @@ import (
 // These benchmarks measure the simulator itself (real CPU time), since
 // every reproduction result is bottlenecked by kernel event throughput.
 
-func BenchmarkKernelEventDispatch(b *testing.B) {
+// BenchmarkKernelSteadyState measures one event in the heap the
+// workloads run: about 20 live entries. Sixteen chains of plain events
+// of mixed kinds and two Servers, each with a backlog of one to three
+// jobs, reschedule their successor from inside every event, at delays
+// drawn once from a seeded table that includes same-instant ties. One
+// op is one executed event.
+func BenchmarkKernelSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
-	var t Time
-	count := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t += 10
-		k.At(t, func() { count++ })
+	var delays [256]Duration
+	rng := NewRNG(1)
+	for i := range delays {
+		delays[i] = Duration(rng.Intn(8) * 100)
 	}
-	k.Run()
-	if count != b.N {
-		b.Fatalf("ran %d of %d events", count, b.N)
+	left, next := b.N, 0
+	delay := func() Duration {
+		next++
+		return delays[next&(len(delays)-1)]
+	}
+	kinds := [...]Kind{KindProc, KindRing, KindEvent, KindProc, KindBus, KindObserver, KindProc, KindFabric}
+	for i := 0; i < 16; i++ {
+		kind := kinds[i%len(kinds)]
+		var fn func()
+		fn = func() {
+			if left > 0 {
+				left--
+				k.AfterKind(delay(), kind, fn)
+			}
+		}
+		k.AfterKind(delay(), kind, fn)
+	}
+	for i := 0; i < 2; i++ {
+		s := NewServer(k)
+		var done func()
+		done = func() {
+			if left > 0 {
+				left--
+				s.Serve(delay()+50, done)
+			}
+		}
+		for j := 0; j <= i+1; j++ {
+			s.Serve(delay()+50, done)
+		}
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if left != 0 {
+		b.Fatalf("%d events left unscheduled", left)
 	}
 }
 
