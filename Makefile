@@ -127,13 +127,17 @@ verify: lint test benchtest race covercheck timeline soak
 # FuzzBank runs write, apply and read sequences against the paged
 # replicated bank, with page-crossing spans and reads of untouched pages,
 # and checks every read and both banks of a two-node ring against a flat
-# reference.
+# reference. FuzzScriptValidate decodes its input into a fault script:
+# Validate may not panic on it, and a script that Validate and
+# cluster.New accept must run 3 ms of retry, liveness and live traffic
+# on a 4-node ring without panicking.
 soak: build
 	$(GO) test -race -count=1 -run 'TestSoak|TestLossWindowsNeverKill|TestMPIBarrierDeadPeer|TestFlappingNode|TestPartitionSoak|TestMPIPartitionErrors|TestPartitionFenceAndHeal|TestSingleCutNoMPIErrors' ./internal/liveness
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMPIWire$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scramnet
-	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order, the MPI wire decoders and the paged bank survive 10 s of fuzzing each"
+	$(GO) test -run '^$$' -fuzz '^FuzzScriptValidate$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fault
+	@echo "soak tier green: liveness battery survives scripted faults under -race; the kernel's pop order, the MPI wire decoders, the paged bank and fault scripts survive 10 s of fuzzing each"
 
 # Observability smoke tier: replay the E6 fault-sweep point at 15% loss
 # with span tracing and snapshot streaming on, and require cmd/timeline

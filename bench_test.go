@@ -7,6 +7,7 @@ package repro_test
 //-clock numbers; the virtual metrics are the reproduction results.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -454,4 +455,78 @@ func BenchmarkAblation_EagerVsRendezvous_32K(b *testing.B) {
 	}
 	b.ReportMetric(eager, "eager-vus")
 	b.ReportMetric(rndv, "rndv-vus")
+}
+
+// noSweep is a BBP endpoint with only xport.Sweeper hidden (the Sweep
+// field shadows the promoted method), so MPI's progress loop falls back
+// to xport.LoopSweep over TryRecv.
+type noSweep struct {
+	*core.Endpoint
+	Sweep struct{}
+}
+
+// Ablation: MPI progress sweeps run by the BBP poller (xport.Sweeper)
+// vs one TryRecv per peer from the process (xport.LoopSweep). One op is
+// a warmed 64-byte Allreduce on 8 SCRAMNet ranks (without the stream
+// extension, Auto runs the software tree); both variants
+// run the same events, so ns/op is the host cost of the process
+// switches the poller saves.
+func BenchmarkMPIProgress(b *testing.B) {
+	for _, hide := range []bool{false, true} {
+		name := "sweeper"
+		if hide {
+			name = "generic"
+		}
+		b.Run(name, func(b *testing.B) {
+			const nodes = 8
+			k := sim.NewKernel()
+			defer k.Close()
+			c, err := cluster.New(k, cluster.Options{Nodes: nodes, Net: cluster.SCRAMNet, PIOOnlyBBP: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eps := make([]xport.Endpoint, nodes)
+			for i, ep := range c.Endpoints {
+				eps[i] = ep
+				if hide {
+					eps[i] = noSweep{Endpoint: ep.(*core.Endpoint)}
+				}
+			}
+			w := mpi.NewWorld(eps, mpi.DefaultConfig())
+			done := 0
+			var resume []func()
+			for i := 0; i < nodes; i++ {
+				cm := w.Comm(i)
+				send, recv := make([]byte, 64), make([]byte, 64)
+				resume = append(resume, k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+					for {
+						p.Park()
+						if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
+							b.Error(err)
+							return
+						}
+						done++
+					}
+				}).Resume)
+			}
+			round := func() {
+				for _, r := range resume {
+					k.At(k.Now(), r)
+				}
+				k.RunFor(2 * sim.Millisecond)
+			}
+			for i := 0; i < 50; i++ {
+				round()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.StopTimer()
+			if want := nodes * (50 + b.N); done != want {
+				b.Fatalf("%d rank completions, want %d", done, want)
+			}
+		})
+	}
 }

@@ -183,10 +183,10 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 	return c.eng.wait(p, req)
 }
 
-// Test progresses once and reports whether req completed.
+// Test makes one progress sweep and reports whether req completed.
 func (c *Comm) Test(p *sim.Proc, req *Request) (bool, Status, error) {
 	if !req.done {
-		c.eng.progressOnce(p)
+		c.eng.progress(p, stopAtWrap)
 	}
 	if req.done {
 		return true, req.status, req.err

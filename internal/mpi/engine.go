@@ -64,6 +64,12 @@ type Engine struct {
 	// (sweepZombies).
 	zombies map[uint32]zombieWin
 
+	// sweep is the transport's xport.Sweeper, or xport.LoopSweep over
+	// its TryRecv when it has none: progress's one way to poll the peers.
+	sweep func(p *sim.Proc, from int, buf []byte, stop func() bool) (src, n int, err error)
+	// freeStops are the waitStops no wait holds (wait).
+	freeStops []*waitStop
+
 	scratch []byte
 	// envBufs holds the buffers control envelopes are encoded into: a
 	// free list, not one buffer, since Send may block in virtual time
@@ -189,6 +195,13 @@ func newEngine(ep xport.Endpoint, cfg Config) *Engine {
 	if sr, ok := ep.(xport.StreamReducer); ok && sr.StreamMax() > 0 {
 		e.stream = sr
 	}
+	if sw, ok := ep.(xport.Sweeper); ok {
+		e.sweep = sw.Sweep
+	} else {
+		e.sweep = func(p *sim.Proc, from int, buf []byte, stop func() bool) (int, int, error) {
+			return xport.LoopSweep(p, ep, from, buf, stop)
+		}
+	}
 	return e
 }
 
@@ -201,29 +214,6 @@ func maxInt(a, b int) int {
 
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
-
-// progressOnce polls every peer for one control packet each and handles
-// whatever arrived. It returns true if anything was processed.
-func (e *Engine) progressOnce(p *sim.Proc) bool {
-	if len(e.zombies) > 0 {
-		e.sweepZombies()
-	}
-	any := false
-	for s := 0; s < e.ep.Procs(); s++ {
-		if s == e.ep.Rank() {
-			continue
-		}
-		n, ok, err := e.ep.TryRecv(p, s, e.scratch)
-		if err != nil {
-			panic(fmt.Sprintf("mpi: transport error polling rank %d: %v", s, err))
-		}
-		if ok {
-			e.handleRaw(p, s, e.scratch[:n])
-			any = true
-		}
-	}
-	return any
-}
 
 // handleRaw dispatches one arrived transport message: an envelope or a
 // multicast fast-path message (data chunks are always drained
@@ -669,7 +659,7 @@ func (e *Engine) complete(req *Request, src int, env envelope, err error) {
 // peerDead reports a confirmed-dead verdict about world. A verdict
 // about a peer on the far side of a declared partition does not count:
 // the peer is unreachable, not dead, so window/zombie reclaim must wait
-// for the heal (checkPartition surfaces those peers as PartitionError).
+// for the heal (fenced surfaces those peers as PartitionError).
 func (e *Engine) peerDead(world int) bool {
 	if e.live == nil || world < 0 || world == e.ep.Rank() || e.live.State(world) != liveness.Dead {
 		return false
@@ -713,34 +703,30 @@ func (e *Engine) partition() (liveness.PartitionInfo, bool) {
 
 // partitionErr counts and builds the error for an operation fenced by
 // part. Callers decide whether part applies (minority side, or a
-// majority operation naming an unreachable peer).
+// majority operation naming an unreachable peer); only a process that
+// is about to return the error calls it.
 func (e *Engine) partitionErr(part liveness.PartitionInfo) error {
 	e.stats.PartitionErrors++
 	return &PartitionError{Minority: part.Minority, Peers: append([]int(nil), part.Peers...)}
 }
 
-// checkPartition decides whether req is fenced by a declared partition:
-// everything on the minority side, and any majority operation that
-// depends on an unreachable peer (a send or specific receive naming
-// one, or a group operation spanning one). Returns nil when no
-// partition is declared or req only touches the quorum.
-func (e *Engine) checkPartition(req *Request) error {
+// fenced decides whether req is fenced by a declared partition, and
+// returns that partition: everything on the minority side, and any
+// majority operation that depends on an unreachable peer (a send or
+// specific receive naming one, or a group operation spanning one). It is
+// false when no partition is declared or req only touches the quorum.
+// It changes no state, so a stop predicate may call it.
+func (e *Engine) fenced(req *Request) (liveness.PartitionInfo, bool) {
 	part, ok := e.partition()
-	if !ok {
-		return nil
-	}
-	if part.Minority {
-		return e.partitionErr(part)
+	if !ok || part.Minority {
+		return part, ok
 	}
 	if req.isSend {
-		if part.Unreachable(req.dst) {
-			return e.partitionErr(part)
-		}
-		return nil
+		return part, part.Unreachable(req.dst)
 	}
 	c := req.comm
 	if c == nil {
-		return nil
+		return part, false
 	}
 	// A specific-source receive is judged by its named peer alone when
 	// the operation was planned around this partition: user
@@ -753,52 +739,103 @@ func (e *Engine) checkPartition(req *Request) error {
 	// abandoned group-wide — otherwise a rank gathered behind a fenced
 	// peer would sit out WaitTimeout instead of failing fast.
 	if req.src != AnySource && (req.tag >= 0 || bytes.Equal(c.lastPlanMask, c.rankMask(part.Unreachable))) {
-		if part.Unreachable(req.src) {
-			return e.partitionErr(part)
-		}
-		return nil
+		return part, part.Unreachable(req.src)
 	}
-	if unreachableIn(part, c.Size()) {
+	return part, unreachableIn(part, c.Size())
+}
+
+// deadPeer returns the confirmed-dead peer that keeps req from
+// completing, or -1. A send or a specific-source user receive depends on
+// exactly one peer; an AnySource receive or an internal-tag (collective
+// tree) operation is abandoned when any group member dies, because the
+// collective as a whole can never complete — failing fast here is what
+// turns a would-be distributed hang into an error on every survivor. It
+// changes no state.
+func (e *Engine) deadPeer(req *Request) int {
+	if e.live == nil {
+		return -1
+	}
+	if req.isSend {
+		if e.peerDead(req.dst) {
+			return req.dst
+		}
+		return -1
+	}
+	c := req.comm
+	if c == nil {
+		return -1
+	}
+	if req.src != AnySource && req.tag >= 0 {
+		if e.peerDead(req.src) {
+			return req.src
+		}
+		return -1
+	}
+	return e.deadIn(c.Size())
+}
+
+// checkDead returns the error that ends a wait on req which can no
+// longer complete under the current membership view, or nil. A declared
+// partition is checked first: an unreachable peer must surface as
+// PartitionError, never as the terminal DeadPeerError.
+func (e *Engine) checkDead(req *Request) error {
+	if part, ok := e.fenced(req); ok {
 		return e.partitionErr(part)
+	}
+	if r := e.deadPeer(req); r >= 0 {
+		return &DeadPeerError{Rank: r}
 	}
 	return nil
 }
 
-// checkDead decides whether req can still complete under the current
-// membership view. A send or a specific-source user receive depends on
-// exactly one peer; an AnySource receive or an internal-tag (collective
-// tree) operation is abandoned when any group member dies, because the
-// collective as a whole can never complete — failing fast here is what
-// turns a would-be distributed hang into an error on every survivor.
-// A declared partition is checked first: an unreachable peer must
-// surface as PartitionError, never as the terminal DeadPeerError.
-func (e *Engine) checkDead(req *Request) error {
-	if err := e.checkPartition(req); err != nil {
-		return err
+// progress is the engine's one progress loop, behind wait and Test: it
+// sweeps the peers (xport.LoopSweep, or the transport's Sweeper) and
+// handles each message it finds, until stop ends a sweep at its wrap
+// past the last peer. stop must change no state: a Sweeper may call it
+// outside the process.
+func (e *Engine) progress(p *sim.Proc, stop func() bool) {
+	if len(e.zombies) > 0 {
+		e.sweepZombies()
 	}
-	if e.live == nil {
-		return nil
-	}
-	if req.isSend {
-		if e.peerDead(req.dst) {
-			return &DeadPeerError{Rank: req.dst}
+	for from := 0; ; {
+		src, n, err := e.sweep(p, from, e.scratch, stop)
+		if err != nil {
+			panic(fmt.Sprintf("mpi: transport error polling rank %d: %v", src, err))
 		}
-		return nil
-	}
-	c := req.comm
-	if c == nil {
-		return nil
-	}
-	if req.src != AnySource && req.tag >= 0 {
-		if e.peerDead(req.src) {
-			return &DeadPeerError{Rank: req.src}
+		if src < 0 {
+			return
 		}
-		return nil
+		e.handleRaw(p, src, e.scratch[:n])
+		from = src + 1
 	}
-	if w := e.deadIn(c.Size()); w >= 0 {
-		return &DeadPeerError{Rank: w}
+}
+
+// stopAtWrap ends a progress loop at its first wrap: one sweep, as Test
+// makes.
+func stopAtWrap() bool { return true }
+
+// waitStop is the state of one wait's stop predicate. fn is its method
+// stops, bound once when the engine first makes the waitStop, so a wait
+// allocates nothing for its predicate; the engine keeps a free list of
+// them, one per process waiting at once.
+type waitStop struct {
+	e        *Engine
+	p        *sim.Proc
+	req      *Request
+	deadline sim.Time
+	fn       func() bool
+}
+
+// stops reports whether the wait must look at its request between
+// sweeps: it completed, zombie windows wait to be swept, it can no
+// longer complete, or its deadline has passed.
+func (w *waitStop) stops() bool {
+	e := w.e
+	if w.req.done || len(e.zombies) > 0 || (w.deadline >= 0 && w.p.Now() > w.deadline) {
+		return true
 	}
-	return nil
+	_, fenced := e.fenced(w.req)
+	return fenced || e.deadPeer(w.req) >= 0
 }
 
 // wait progresses until req completes or the wait timeout expires (a
@@ -807,12 +844,24 @@ func (e *Engine) checkDead(req *Request) error {
 // instead; anything already delivered completes first (progress runs
 // before the verdict check).
 func (e *Engine) wait(p *sim.Proc, req *Request) (Status, error) {
-	deadline := sim.Time(-1)
+	var w *waitStop
+	if n := len(e.freeStops); n > 0 {
+		w = e.freeStops[n-1]
+		e.freeStops = e.freeStops[:n-1]
+	} else {
+		w = &waitStop{e: e}
+		w.fn = w.stops
+	}
+	defer func() {
+		w.p, w.req = nil, nil
+		e.freeStops = append(e.freeStops, w)
+	}()
+	w.p, w.req, w.deadline = p, req, sim.Time(-1)
 	if e.cfg.WaitTimeout > 0 {
-		deadline = p.Now().Add(e.cfg.WaitTimeout)
+		w.deadline = p.Now().Add(e.cfg.WaitTimeout)
 	}
 	for !req.done {
-		e.progressOnce(p)
+		e.progress(p, w.fn)
 		if req.done {
 			break
 		}
@@ -820,7 +869,7 @@ func (e *Engine) wait(p *sim.Proc, req *Request) (Status, error) {
 			e.abandon(req)
 			return Status{}, err
 		}
-		if deadline >= 0 && p.Now() > deadline {
+		if w.deadline >= 0 && p.Now() > w.deadline {
 			e.abandon(req)
 			return Status{}, ErrTimeout
 		}

@@ -122,7 +122,7 @@ func maskBit(mask []byte, r int) bool { return mask[r/8]&(1<<(r%8)) != 0 }
 // notePlan records mask (suspects or the unreachable arc) as the comm's
 // plan generation: a changed mask bumps the epoch, and at the
 // collective's root a non-empty one counts as a re-plan
-// (Stats().CollReplans, mpi.coll_replans). checkPartition compares
+// (Stats().CollReplans, mpi.coll_replans). fenced compares
 // lastPlanMask with the declared partition to tell a quorum collective
 // from one that straddled the declaration.
 func (c *Comm) notePlan(p *sim.Proc, mask []byte, atRoot bool) {

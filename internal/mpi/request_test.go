@@ -53,32 +53,41 @@ func gateRounds(t *testing.T, k *sim.Kernel, w *mpi.World, body func(p *sim.Proc
 }
 
 // TestEagerSendRecvAllocs gates a warmed eager Send/Recv pair: the
-// requests come from the engine's free list, so it allocates nothing.
+// requests come from the engine's free list and each wait's stop
+// predicate from its own, so it allocates nothing, with a wait deadline
+// (the default WaitTimeout) or without one.
 func TestEagerSendRecvAllocs(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Close()
-	_, w, err := cluster.NewMPIWorld(k, cluster.SCRAMNet, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, buf := bytes.Repeat([]byte{7}, 64), make([]byte, 64)
-	rounds := 0
-	allocs := gateRounds(t, k, w, func(p *sim.Proc, c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(p, 1, 3, msg)
-		}
-		clear(buf)
-		if st, err := c.Recv(p, 0, 3, buf); err != nil || st.Len != len(msg) || !bytes.Equal(buf, msg) {
-			return fmt.Errorf("recv: %+v %v", st, err)
-		}
-		rounds++
-		return nil
-	})
-	if allocs != 0 {
-		t.Fatalf("twenty eager Send/Recv pairs allocate %v times, want 0", allocs)
-	}
-	if want := warmRounds + 40; rounds != want {
-		t.Fatalf("received %d messages, want %d", rounds, want)
+	for _, timeout := range []sim.Duration{mpi.DefaultConfig().WaitTimeout, 0} {
+		t.Run(fmt.Sprintf("WaitTimeout=%v", timeout), func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Close()
+			c, err := cluster.New(k, cluster.Options{Nodes: 2, Net: cluster.SCRAMNet, PIOOnlyBBP: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := mpi.DefaultConfig()
+			cfg.WaitTimeout = timeout
+			w := mpi.NewWorld(c.Endpoints, cfg)
+			msg, buf := bytes.Repeat([]byte{7}, 64), make([]byte, 64)
+			rounds := 0
+			allocs := gateRounds(t, k, w, func(p *sim.Proc, c *mpi.Comm) error {
+				if c.Rank() == 0 {
+					return c.Send(p, 1, 3, msg)
+				}
+				clear(buf)
+				if st, err := c.Recv(p, 0, 3, buf); err != nil || st.Len != len(msg) || !bytes.Equal(buf, msg) {
+					return fmt.Errorf("recv: %+v %v", st, err)
+				}
+				rounds++
+				return nil
+			})
+			if allocs != 0 {
+				t.Fatalf("twenty eager Send/Recv pairs allocate %v times, want 0", allocs)
+			}
+			if want := warmRounds + 40; rounds != want {
+				t.Fatalf("received %d messages, want %d", rounds, want)
+			}
+		})
 	}
 }
 
