@@ -96,6 +96,21 @@ func (s *stubEndpoint) TryTake(p *sim.Proc, src int, bufs *xport.Buffers) ([]byt
 	return msg, true, nil
 }
 
+// Probe returns a step that costs nothing and lands seen at once, so
+// that the process takes every probe (xport.Prober).
+func (s *stubEndpoint) Probe(land func(seen bool)) xport.Probe { return stubProbe{s, land} }
+
+type stubProbe struct {
+	s    *stubEndpoint
+	land func(seen bool)
+}
+
+func (pr stubProbe) Issue(p *sim.Proc, src int) { pr.land(true) }
+
+func (pr stubProbe) Take(p *sim.Proc, src int, bufs *xport.Buffers) ([]byte, bool, error) {
+	return pr.s.TryTake(p, src, bufs)
+}
+
 // returnedAll fails t unless every buffer s's TryTake handed out is
 // back on the router's free list. It empties the list to look.
 func returnedAll(t *testing.T, s *stubEndpoint) {
@@ -130,6 +145,7 @@ func (s *stubEndpoint) RecvAny(p *sim.Proc, buf []byte) (int, int, error) {
 var (
 	_ xport.Endpoint = (*stubEndpoint)(nil)
 	_ xport.Taker    = (*stubEndpoint)(nil)
+	_ xport.Prober   = (*stubEndpoint)(nil)
 )
 
 // seqFrame builds a routed frame: 4-byte little-endian sequence header

@@ -334,6 +334,13 @@ func substrates(t testing.TB, k *sim.Kernel, nodes int) (low, high []xport.Endpo
 // untaken hides every method of an endpoint but xport.Endpoint's.
 type untaken struct{ xport.Endpoint }
 
+// unprobed hides every method of an endpoint but xport.Endpoint's and
+// TryTake.
+type unprobed struct {
+	xport.Endpoint
+	xport.Taker
+}
+
 // TestConfigValidation checks each of New's rejections for its own
 // reason, over substrates that pass every other check.
 func TestConfigValidation(t *testing.T) {
@@ -355,6 +362,8 @@ func TestConfigValidation(t *testing.T) {
 		{"negative threshold", low[0], high[0], negative, "threshold"},
 		{"low without TryTake", untaken{low[0]}, high[0], hybrid.DefaultConfig(), "low-latency transport hybrid_test.untaken does not implement xport.Taker"},
 		{"high without TryTake", low[0], untaken{high[0]}, hybrid.DefaultConfig(), "high-bandwidth transport hybrid_test.untaken does not implement xport.Taker"},
+		{"low without Probe", unprobed{low[0], low[0].(xport.Taker)}, high[0], hybrid.DefaultConfig(), "low-latency transport hybrid_test.unprobed does not implement xport.Prober"},
+		{"high without Probe", low[0], unprobed{high[0], high[0].(xport.Taker)}, hybrid.DefaultConfig(), "high-bandwidth transport hybrid_test.unprobed does not implement xport.Prober"},
 	} {
 		_, err := hybrid.New(tc.low, tc.high, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

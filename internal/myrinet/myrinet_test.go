@@ -3,6 +3,7 @@ package myrinet
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -376,5 +377,129 @@ func TestTryTakeMatchesTryRecv(t *testing.T) {
 	}
 	if fmt.Sprint(takeCalls) != fmt.Sprint(recvCalls) {
 		t.Fatalf("the receives returned differently:\nTryRecv %v\nTryTake %v", recvCalls, takeCalls)
+	}
+}
+
+// TestSweepMatchesLoopSweep runs one sweeping receiver twice, once with
+// the API's Sweep (its poller runs the idle polls) and once with
+// xport.LoopSweep over TryRecv: the two must return at the same virtual
+// times with the same messages and errors, after the same executed
+// events. Each sweep stops at the first wrap past a deadline 200 µs
+// after it started, and the next starts just past the sender the last
+// one returned; one message is too long for the receive buffer.
+func TestSweepMatchesLoopSweep(t *testing.T) {
+	sizes := []int{8, 6000, 0, 300, 70000, 12}
+	run := func(fast bool) (calls []string) {
+		k := sim.NewKernel()
+		defer k.Close()
+		sw, _ := xport.NewSwitch(k, DefaultConfig(4))
+		apis := make([]*API, 4)
+		for i := range apis {
+			apis[i] = OpenAPI(sw, i, DefaultAPIConfig())
+		}
+		for _, src := range []int{0, 2, 3} {
+			k.Spawn(fmt.Sprintf("tx%d", src), func(p *sim.Proc) {
+				p.Delay(sim.Duration(src) * 40 * sim.Microsecond)
+				for i, n := range sizes {
+					if err := apis[src].Send(p, 1, bytes.Repeat([]byte{byte(src<<4 | i)}, n)); err != nil {
+						t.Error(err)
+					}
+					p.Delay(sim.Duration(100+50*src) * sim.Microsecond)
+				}
+			})
+		}
+		rx := apis[1]
+		k.Spawn("rx", func(p *sim.Proc) {
+			buf := make([]byte, 64<<10)
+			var deadline sim.Time
+			stop := func() bool { return p.Now() > deadline }
+			for from, got := 0, 0; got < 3*len(sizes) && len(calls) < 500; {
+				deadline = p.Now().Add(200 * sim.Microsecond)
+				var src, n int
+				var err error
+				if fast {
+					src, n, err = rx.Sweep(p, from, buf, stop)
+				} else {
+					src, n, err = xport.LoopSweep(p, rx, from, buf, stop)
+				}
+				calls = append(calls, fmt.Sprintf("%v src=%d n=%d err=%v %x", p.Now(), src, n, err, buf[:min(n, 4)]))
+				from = src + 1
+				if src >= 0 {
+					got++
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return append(calls, fmt.Sprintf("end %v executed=%d", k.Now(), k.Executed()))
+	}
+	fast, loop := run(true), run(false)
+	if all := fmt.Sprint(fast); !strings.Contains(all, "src=-1") || !strings.Contains(all, "into 65536-byte buffer") {
+		t.Fatalf("want a stopped sweep and a truncated message: %v", fast)
+	}
+	if fmt.Sprint(fast) != fmt.Sprint(loop) {
+		t.Fatalf("the sweeps returned differently:\nLoopSweep %v\nSweep     %v", loop, fast)
+	}
+}
+
+// TestProbeMatchesTryTake runs the API's probe step on a Poller focused
+// on one sender that stops at every wrap, which makes each receive one
+// TryTake, and checks it against TryTake itself: the same receives at
+// the same times, and the same clock and events, with the default poll
+// cost and with none (the receiver then starts once everything has
+// arrived, since a free poll of an empty inbox never advances time).
+func TestProbeMatchesTryTake(t *testing.T) {
+	sizes := []int{0, 5, 4000, 17, 9000}
+	for _, pollCost := range []sim.Duration{DefaultAPIConfig().PollCost, 0} {
+		run := func(probe bool) (calls []string) {
+			k := sim.NewKernel()
+			defer k.Close()
+			cfg := DefaultAPIConfig()
+			cfg.PollCost = pollCost
+			sw, _ := xport.NewSwitch(k, DefaultConfig(3))
+			a0 := OpenAPI(sw, 0, cfg)
+			a1 := OpenAPI(sw, 1, cfg)
+			k.Spawn("tx", func(p *sim.Proc) {
+				for i, size := range sizes {
+					if err := a0.Send(p, 1, bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			k.Spawn("rx", func(p *sim.Proc) {
+				if pollCost == 0 {
+					p.Delay(5 * sim.Millisecond)
+				}
+				var bufs xport.Buffers
+				pl := xport.NewPoller(1, 3, nil, a1)
+				stop := func() bool { return true }
+				for got := 0; got < len(sizes); {
+					var msg []byte
+					var ok bool
+					var err error
+					if probe {
+						pl.Start(p, 0, 1, 0, stop, -1)
+						if s, step := pl.Wait(); s >= 0 {
+							msg, ok, err = pl.Step(step).Take(p, s, &bufs)
+						}
+					} else {
+						msg, ok, err = a1.TryTake(p, 0, &bufs)
+					}
+					calls = append(calls, fmt.Sprintf("%v ok=%v n=%d err=%v", p.Now(), ok, len(msg), err))
+					if ok {
+						got++
+						bufs.Put(msg)
+					}
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return append(calls, fmt.Sprintf("end %v executed=%d", k.Now(), k.Executed()))
+		}
+		if probe, take := run(true), run(false); fmt.Sprint(probe) != fmt.Sprint(take) {
+			t.Fatalf("poll cost %v: the receives returned differently:\nTryTake %v\nprobe   %v", pollCost, take, probe)
+		}
 	}
 }

@@ -71,6 +71,9 @@ func (in *Inbox) Pop(src int) ([]byte, bool) {
 	return m, true
 }
 
+// Ready reports whether a completed message from src waits for Pop.
+func (in *Inbox) Ready(src int) bool { return len(in.done[src]) > 0 }
+
 // PopAny is Pop from the first source with a completed message, trying
 // sources round-robin from just past the one it served last.
 func (in *Inbox) PopAny() (src int, data []byte, ok bool) {
