@@ -25,9 +25,10 @@ type polledRun struct {
 }
 
 // pollRing sends takeSizes from node 0 to node 1 of a 4-node SCRAMNet
-// cluster built with bbp and script, while node 1 polls with TryTake
-// when take is set and with TryRecv otherwise.
-func pollRing(t *testing.T, bbp core.Config, script *fault.Script, take bool) polledRun {
+// cluster built with bbp and script, while node 1 polls with TryRecv,
+// TryTake or, for "probe", the endpoint's probe step on an xport.Poller
+// focused on node 0 that stops at every wrap (one TryTake a receive).
+func pollRing(t *testing.T, bbp core.Config, script *fault.Script, how string) polledRun {
 	t.Helper()
 	k := sim.NewKernel()
 	defer k.Close()
@@ -49,13 +50,21 @@ func pollRing(t *testing.T, bbp core.Config, script *fault.Script, take bool) po
 	k.Spawn("rx", func(p *sim.Proc) {
 		var bufs xport.Buffers
 		buf := make([]byte, 16<<10)
+		pl := xport.NewPoller(1, 4, nil, rx)
+		stop := func() bool { return true }
 		for len(r.got) < len(takeSizes) {
 			var msg []byte
 			var ok bool
 			var err error
-			if take {
+			switch how {
+			case "take":
 				msg, ok, err = rx.TryTake(p, 0, &bufs)
-			} else {
+			case "probe":
+				pl.Start(p, 0, 1, 0, stop, -1)
+				if s, step := pl.Wait(); s >= 0 {
+					msg, ok, err = pl.Step(step).Take(p, s, &bufs)
+				}
+			default:
 				var n int
 				n, ok, err = rx.TryRecv(p, 0, buf)
 				msg = buf[:n]
@@ -67,7 +76,7 @@ func pollRing(t *testing.T, bbp core.Config, script *fault.Script, take bool) po
 			}
 			if ok {
 				r.got = append(r.got, append([]byte(nil), msg...))
-				if take {
+				if how != "recv" {
 					bufs.Put(msg)
 				}
 			}
@@ -82,27 +91,31 @@ func pollRing(t *testing.T, bbp core.Config, script *fault.Script, take bool) po
 	return r
 }
 
-// TestTryTakeMatchesTryRecv runs one polling receiver twice, once with
-// TryRecv and once with TryTake: the two must return at the same
-// virtual times with the same payloads and leave every counter equal,
-// on a clean ring and through a loss window whose checksum failures
-// send a taken buffer back.
+// TestTryTakeMatchesTryRecv runs one polling receiver three times, with
+// TryRecv, with TryTake and with the probe step (xport.Probe) run by a
+// Poller: all must return at the same virtual times with the same
+// payloads and leave every counter equal, on a clean ring, on the burst
+// poll path, and through a loss window whose checksum failures send a
+// taken buffer back.
 func TestTryTakeMatchesTryRecv(t *testing.T) {
 	retry := core.DefaultConfig()
 	retry.Retry = core.DefaultRetryConfig()
+	burst := core.DefaultConfig()
+	burst.BurstPoll = core.BurstOn
 	for _, tc := range []struct {
 		name   string
 		bbp    core.Config
 		script *fault.Script
 	}{
 		{"clean", core.DefaultConfig(), nil},
+		{"burst", burst, nil},
 		{"lossy retry", retry, &fault.Script{Seed: 2, Actions: []fault.Action{
 			{At: sim.Time(0).Add(20 * sim.Microsecond), Kind: fault.LossStart, Rate: 0.1},
 			{At: sim.Time(0).Add(150 * sim.Microsecond), Kind: fault.LossStop},
 		}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recv, take := pollRing(t, tc.bbp, tc.script, false), pollRing(t, tc.bbp, tc.script, true)
+			recv, take, probe := pollRing(t, tc.bbp, tc.script, "recv"), pollRing(t, tc.bbp, tc.script, "take"), pollRing(t, tc.bbp, tc.script, "probe")
 			if len(take.got) != len(takeSizes) {
 				t.Fatalf("TryTake delivered %d messages, want %d", len(take.got), len(takeSizes))
 			}
@@ -111,11 +124,11 @@ func TestTryTakeMatchesTryRecv(t *testing.T) {
 					t.Fatalf("message %d differs from what was sent", i)
 				}
 			}
-			if fmt.Sprint(take.calls) != fmt.Sprint(recv.calls) {
-				t.Fatalf("the receives returned differently:\nTryRecv %v\nTryTake %v", recv.calls, take.calls)
+			if fmt.Sprint(take.calls) != fmt.Sprint(recv.calls) || fmt.Sprint(probe.calls) != fmt.Sprint(recv.calls) {
+				t.Fatalf("the receives returned differently:\nTryRecv %v\nTryTake %v\nprobe   %v", recv.calls, take.calls, probe.calls)
 			}
-			if fmt.Sprint(take.stats) != fmt.Sprint(recv.stats) {
-				t.Fatalf("counters differ:\nTryRecv %+v\nTryTake %+v", recv.stats, take.stats)
+			if fmt.Sprint(take.stats) != fmt.Sprint(recv.stats) || fmt.Sprint(probe.stats) != fmt.Sprint(recv.stats) {
+				t.Fatalf("counters differ:\nTryRecv %+v\nTryTake %+v\nprobe   %+v", recv.stats, take.stats, probe.stats)
 			}
 			if tc.script != nil && take.stats[1].ChecksumDrops == 0 {
 				t.Fatal("the loss window caused no checksum drop at the receiver")
