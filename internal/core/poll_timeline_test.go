@@ -404,6 +404,86 @@ func TestPollTimelinePinned(t *testing.T) {
 			want: pollPin{Executed: 266, Now: 46895, Polls: 50, PollWords: 50, PIOReadWords: 65, PIOWriteWords: 3, BusyNs: 42700, Threshold: 16, WordNs: 760, Result: "b 8/<nil>@19750 a 8/<nil>@30950 b 8/<nil>@44300"},
 		},
 		{
+			// MsgAvail with messages from two senders already queued
+			// still polls every sender.
+			name: "msgavail-word-pending", nodes: 4, rx: 2,
+			mut: func(c *Config) { c.BurstPoll = BurstOff },
+			spawn: func(t *testing.T, k *sim.Kernel, eps []*Endpoint, res *string) {
+				sendAt(t, k, eps, 0, 2, 4, 5*us)
+				sendAt(t, k, eps, 3, 2, 4, 6*us)
+				sendAt(t, k, eps, 1, 2, 4, 30*us)
+				k.Spawn("rx", func(p *sim.Proc) {
+					p.Delay(15 * us)
+					for i := 0; i < 3; i++ {
+						record(res, "avail %v@%d", eps[2].MsgAvail(p), p.Now())
+					}
+					buf := make([]byte, 8)
+					for i := 0; i < 3; i++ {
+						s, n, err := eps[2].RecvAny(p, buf)
+						record(res, "any %d:%d/%v@%d", s, n, err, p.Now())
+					}
+				})
+			},
+			want: pollPin{Executed: 224, Now: 43360, Polls: 21, PollWords: 21, PIOReadWords: 33, PIOWriteWords: 3, BusyNs: 21900, Threshold: 20, WordNs: 650, Result: "avail true@21750 avail true@24000 avail true@26250 any 0:4/<nil>@27050 any 3:4/<nil>@27850 any 1:4/<nil>@39900"},
+		},
+		{
+			// The poll that crosses the deadline detects the message:
+			// Recv times out with it queued, and the next Recv takes
+			// it without a poll.
+			name: "recv-deadline-detect", nodes: 2, rx: 1,
+			mut: func(c *Config) { c.RecvTimeout = 20 * us },
+			spawn: func(t *testing.T, k *sim.Kernel, eps []*Endpoint, res *string) {
+				sendAt(t, k, eps, 0, 1, 8, 13*us)
+				k.Spawn("rx", func(p *sim.Proc) {
+					buf := make([]byte, 16)
+					for i := 0; i < 2; i++ {
+						n, err := eps[1].Recv(p, 0, buf)
+						record(res, "%d/%v@%d", n, err, p.Now())
+					}
+				})
+			},
+			want: pollPin{Executed: 90, Now: 23430, Polls: 24, PollWords: 24, PIOReadWords: 29, PIOWriteWords: 1, BusyNs: 19000, Threshold: 20, WordNs: 650, Result: "0/bbp: operation timed out@20250 8/<nil>@21700"},
+		},
+		{
+			name: "recvany-deadline-detect", nodes: 3, rx: 1,
+			mut: func(c *Config) { c.RecvTimeout = 20 * us },
+			spawn: func(t *testing.T, k *sim.Kernel, eps []*Endpoint, res *string) {
+				sendAt(t, k, eps, 2, 1, 8, 13*us)
+				k.Spawn("rx", func(p *sim.Proc) {
+					buf := make([]byte, 16)
+					for i := 0; i < 2; i++ {
+						s, n, err := eps[1].RecvAny(p, buf)
+						record(res, "any %d:%d/%v@%d", s, n, err, p.Now())
+					}
+				})
+			},
+			want: pollPin{Executed: 102, Now: 24925, Polls: 23, PollWords: 69, BurstPolls: 23, BurstPollWords: 69, PIOReadWords: 5, PIOReadBursts: 23, PIOReadBurstWords: 69, PIOWriteWords: 1, BusyNs: 19730, Threshold: 20, WordNs: 650, Result: "any 0:0/bbp: operation timed out@20880 any 2:8/<nil>@22330"},
+		},
+		{
+			name: "interrupt-timeout-retry", nodes: 3, rx: 1,
+			mut: func(c *Config) {
+				c.InterruptDriven = true
+				c.RecvTimeout = 30 * us
+				c.Retry = DefaultRetryConfig()
+			},
+			spawn: func(t *testing.T, k *sim.Kernel, eps []*Endpoint, res *string) {
+				sendAt(t, k, eps, 0, 1, 8, 10*us)
+				sendAt(t, k, eps, 2, 1, 8, 70*us)
+				k.Spawn("rx", func(p *sim.Proc) {
+					buf := make([]byte, 16)
+					for i := 0; i < 2; i++ {
+						n, err := eps[1].Recv(p, 0, buf)
+						record(res, "%d/%v@%d", n, err, p.Now())
+					}
+					for i := 0; i < 2; i++ {
+						s, n, err := eps[1].RecvAny(p, buf)
+						record(res, "any %d:%d/%v@%d", s, n, err, p.Now())
+					}
+				})
+			},
+			want: pollPin{Executed: 195, Now: 174050, Polls: 3, PollWords: 18, BurstPolls: 3, BurstPollWords: 18, PIOReadWords: 164, PIOReadBursts: 3, PIOReadBurstWords: 18, PIOWriteWords: 2, BusyNs: 109300, Threshold: 20, WordNs: 650, Result: "0/bbp: operation timed out@78385 8/<nil>@79835 any 0:0/bbp: operation timed out@133035 any 2:8/<nil>@134485"},
+		},
+		{
 			name: "stream-rounds", nodes: 4, rx: 0,
 			mut: func(c *Config) { c.Stream.Enabled = true },
 			spawn: func(t *testing.T, k *sim.Kernel, eps []*Endpoint, res *string) {
