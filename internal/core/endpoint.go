@@ -77,9 +77,11 @@ type Endpoint struct {
 	burstAllOK bool
 	burstOneOK bool
 	// pollers holds the idle pollers (poll.go) that waiting processes
-	// take and return, and sweepers the idle xport.Pollers of Sweep.
-	pollers  []*poller
-	sweepers *xport.Pollers
+	// take and return; sweepers and passes hold the idle xport.Pollers
+	// of Sweep, over TryTake's probe step, and of the blocking receives,
+	// over the pass step.
+	pollers          []*poller
+	sweepers, passes *xport.Pollers
 
 	// adapt is the adaptive receive-DMA threshold estimator (adaptive.go).
 	adapt adaptiveState
@@ -342,10 +344,7 @@ func (e *Endpoint) popFreeSlot() int {
 // collection is first done ... and then a buffer is allocated").
 func (e *Endpoint) allocate(p *sim.Proc, n int) (slot, off int, err error) {
 	cfg := e.sys.cfg
-	deadline := sim.Time(-1)
-	if cfg.RecvTimeout > 0 {
-		deadline = p.Now().Add(cfg.RecvTimeout)
-	}
+	deadline := e.deadline(p)
 	for {
 		if len(e.freeSlots) > 0 {
 			if o, ok := e.alloc.alloc(n); ok {

@@ -8,8 +8,9 @@ import (
 )
 
 // idleReceiver builds a world of nodes endpoints whose last one blocks
-// in recv with nothing ever sent, and runs it into its idle poll loop.
-func idleReceiver(t testing.TB, nodes int, mut func(*Config), recv func(p *sim.Proc, e *Endpoint)) *sim.Kernel {
+// in recv with nothing ever sent, runs it into its idle poll loop, and
+// returns the kernel and that endpoint.
+func idleReceiver(t testing.TB, nodes int, mut func(*Config), recv func(p *sim.Proc, e *Endpoint)) (*sim.Kernel, *Endpoint) {
 	t.Helper()
 	k, _, eps := world(t, nodes, func(c *Config) {
 		c.RecvTimeout = 0
@@ -17,34 +18,47 @@ func idleReceiver(t testing.TB, nodes int, mut func(*Config), recv func(p *sim.P
 			mut(c)
 		}
 	})
-	k.Spawn("rx", func(p *sim.Proc) { recv(p, eps[nodes-1]) })
+	e := eps[nodes-1]
+	k.Spawn("rx", func(p *sim.Proc) { recv(p, e) })
 	k.RunFor(10 * sim.Microsecond)
-	return k
+	return k, e
 }
 
+// The blocked receives of the idle-poll gates: Recv from rank 0,
+// RecvAny, and a loop of MsgAvail calls.
+var (
+	idleRecv     = func(p *sim.Proc, e *Endpoint) { e.Recv(p, 0, nil) }
+	idleRecvAny  = func(p *sim.Proc, e *Endpoint) { e.RecvAny(p, nil) }
+	idleMsgAvail = func(p *sim.Proc, e *Endpoint) {
+		for !e.MsgAvail(p) {
+		}
+	}
+)
+
 // TestIdlePollAllocs pins idle polling — Recv's focused per-word poll,
-// RecvAny's burst and per-word sweeps, and the retry extension's
-// two-word poll — at zero allocations: each run covers several idle
-// poll iterations.
+// RecvAny's burst and per-word passes, the retry extension's two-word
+// poll, and MsgAvail's passes, each taking a poller per call — at zero
+// allocations: each run covers several idle poll iterations.
 func TestIdlePollAllocs(t *testing.T) {
-	recv := func(p *sim.Proc, e *Endpoint) { e.Recv(p, 0, nil) }
-	recvAny := func(p *sim.Proc, e *Endpoint) { e.RecvAny(p, nil) }
+	burstOff := func(c *Config) { c.BurstPoll = BurstOff }
 	for _, c := range []struct {
 		name  string
 		nodes int
 		mut   func(*Config)
 		recv  func(p *sim.Proc, e *Endpoint)
 	}{
-		{"recv-word", 2, nil, recv},
-		{"recvany-burst", 4, nil, recvAny},
-		{"recvany-word", 4, func(c *Config) { c.BurstPoll = BurstOff }, recvAny},
+		{"recv-word", 2, nil, idleRecv},
+		{"recvany-burst", 4, nil, idleRecvAny},
+		{"recvany-word", 4, burstOff, idleRecvAny},
 		{"retry-word", 2, func(c *Config) {
 			c.Retry = DefaultRetryConfig()
 			c.BurstPoll = BurstOff
-		}, recv},
+		}, idleRecv},
+		{"msgavail-burst", 4, nil, idleMsgAvail},
+		{"msgavail-word", 4, burstOff, idleMsgAvail},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			k := idleReceiver(t, c.nodes, c.mut, c.recv)
+			k, _ := idleReceiver(t, c.nodes, c.mut, c.recv)
 			defer k.Close()
 			if allocs := testing.AllocsPerRun(100, func() { k.RunFor(5 * sim.Microsecond) }); allocs != 0 {
 				t.Fatalf("idle polling allocates %v objects per run, want 0", allocs)
@@ -53,16 +67,32 @@ func TestIdlePollAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkIdleRecvPoll measures the host cost of one idle poll
-// iteration of a blocked Recv on the per-word path: the PollOverhead
-// step plus one flag read that sees no change.
+// BenchmarkIdleRecvPoll measures the host cost of one idle poll of a
+// blocked receive: the PollOverhead step plus a flag read that sees no
+// change, per-word for Recv on two nodes and one burst of the flag
+// region for RecvAny and MsgAvail on four.
 func BenchmarkIdleRecvPoll(b *testing.B) {
-	k := idleReceiver(b, 2, nil, func(p *sim.Proc, e *Endpoint) { e.Recv(p, 0, nil) })
-	defer k.Close()
-	period := DefaultCosts().PollOverhead + pci.DefaultConfig().PIOReadWord
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.RunFor(sim.Duration(b.N) * period)
+	for _, c := range []struct {
+		name  string
+		nodes int
+		recv  func(p *sim.Proc, e *Endpoint)
+	}{
+		{"recv-word", 2, idleRecv},
+		{"recvany-burst", 4, idleRecvAny},
+		{"msgavail-burst", 4, idleMsgAvail},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			k, e := idleReceiver(b, c.nodes, nil, c.recv)
+			defer k.Close()
+			read := pci.DefaultConfig().PIOReadWord
+			if c.nodes > 2 {
+				read = e.nic.Bus().BurstReadCost(e.burstWords)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.RunFor(sim.Duration(b.N) * (DefaultCosts().PollOverhead + read))
+		})
+	}
 }
 
 // TestSendRecvAllocs pins a warmed-up BBP message at zero allocations:

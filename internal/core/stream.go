@@ -145,11 +145,7 @@ func (e *Endpoint) streamRound(p *sim.Proc, op spin.RingOp, send, recv []byte, r
 func (e *Endpoint) streamRoot(p *sim.Proc, op spin.RingOp, send, recv []byte, r uint32) (bool, error) {
 	lay, cfg := e.sys.lay, e.sys.cfg
 	n := len(send)
-	deadline := sim.Time(-1)
-	if cfg.RecvTimeout > 0 {
-		deadline = p.Now().Add(cfg.RecvTimeout)
-	}
-	w := e.waiter(p, false, deadline)
+	w := e.waiter(p, e.deadline(p))
 	defer e.release(w)
 	arr := e.stream.arrBuf
 	w.watchWords(lay.strArrival(0), arr, arrivalSettled)
@@ -217,12 +213,8 @@ func (e *Endpoint) streamAbort(p *sim.Proc, r uint32, format string, args ...tra
 // streamLeaf is a non-root's side of a round: wait for rank 0's done
 // word, then either read the published result or report the fallback.
 func (e *Endpoint) streamLeaf(p *sim.Proc, recv []byte, r uint32) (bool, error) {
-	lay, cfg := e.sys.lay, e.sys.cfg
-	deadline := sim.Time(-1)
-	if cfg.RecvTimeout > 0 {
-		deadline = p.Now().Add(cfg.RecvTimeout)
-	}
-	w := e.waiter(p, false, deadline)
+	lay := e.sys.lay
+	w := e.waiter(p, e.deadline(p))
 	defer e.release(w)
 	if d := w.watchWord(lay.strDone(), doneSettled); d>>1 == r {
 		if d&1 != 0 {

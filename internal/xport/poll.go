@@ -54,7 +54,7 @@ type Poller struct {
 	ready     func(s int) bool
 
 	// The sweep visits sender (base+i) mod procs for i = 0, 1, ...,
-	// skipping me; at i = span it calls stop, or when stop is nil
+	// skipping me; at i = span it calls stop, when there is one, and
 	// checks the deadline, and starts again at i = 0. s below is the
 	// sender at i.
 	base, span, i int
@@ -120,11 +120,11 @@ func (w *Poller) Step(i int) Probe { return w.steps[i] }
 
 // Start aims the poller's sweep for process p and starts it: it visits
 // (base+i) mod procs for i = from, from+1, ..., skipping the process's
-// own rank, and at i = span asks stop whether to end (when stop is nil,
-// whether the clock has passed deadline, where -1 is never) before it
-// starts again at i = 0. stop must change no state, since the poller
-// calls it outside the process. LoopSweep's order is base 0 and span
-// procs; a receive focused on src is base src and span 1.
+// own rank, and at i = span ends when stop, if not nil, says so or the
+// clock has passed deadline (-1 is never), before it starts again at
+// i = 0. stop must change no state, since the poller calls it outside
+// the process. LoopSweep's order is base 0 and span procs; a receive
+// focused on src is base src and span 1.
 func (w *Poller) Start(p *sim.Proc, base, span, from int, stop func() bool, deadline sim.Time) {
 	w.p, w.base, w.span, w.i, w.s = p, base, span, from-1, base+from-1
 	w.stop, w.deadline = stop, deadline
@@ -183,12 +183,9 @@ func (w *Poller) advance() {
 	w.steps[0].Issue(w.p, w.s)
 }
 
-// stops is the sweep's verdict at a wrap.
+// stops is the sweep's verdict at a wrap: stop, or the deadline passed.
 func (w *Poller) stops() bool {
-	if w.stop != nil {
-		return w.stop()
-	}
-	return w.deadline >= 0 && w.p.Now() > w.deadline
+	return w.stop != nil && w.stop() || w.deadline >= 0 && w.p.Now() > w.deadline
 }
 
 // land is every step's land callback: a seen sample settles the sweep,

@@ -113,9 +113,10 @@ func (w *pollWorld) poll(p *sim.Proc, pls *xport.Pollers, base, span, from int, 
 
 // TestPollerMatchesProcessLoop runs the same receives twice, once on a
 // Poller and once as process-run loops over tryRecv: LoopSweep's order
-// with a stop, a round-robin pass from a base with a deadline, and a
-// focused receive with a deadline. The probes, the returns and their
-// times, the clock and the executed events must all be equal.
+// with a stop, a round-robin pass from a base with a deadline, a
+// focused receive with a deadline, and LoopSweep's order with both a
+// stop and a deadline, each ending it once. The probes, the returns and
+// their times, the clock and the executed events must all be equal.
 func TestPollerMatchesProcessLoop(t *testing.T) {
 	run := func(poller bool) []string {
 		w := newPollWorld()
@@ -161,6 +162,24 @@ func TestPollerMatchesProcessLoop(t *testing.T) {
 						break
 					}
 				}
+			}
+			// LoopSweep's order with a stop and a deadline: the stop
+			// ends the first sweep, the deadline the second.
+			for _, end := range []struct {
+				wraps int
+				after sim.Duration
+			}{{2, sim.Millisecond}, {100, 15 * sim.Microsecond}} {
+				wraps, deadline := 0, p.Now().Add(end.after)
+				stop := func() bool { wraps++; return wraps == end.wraps }
+				var s int
+				if poller {
+					s = w.poll(p, pl, 0, 4, 0, stop, deadline)
+				} else {
+					s, _, _ = xport.LoopSweep(p, loopEP{w: w, me: 1, procs: 4}, 0, nil, func() bool {
+						return stop() || p.Now() > deadline
+					})
+				}
+				note(fmt.Sprintf("stop+deadline wraps=%d", wraps), s)
 			}
 		})
 		if err := w.k.Run(); err != nil {
