@@ -324,30 +324,30 @@ func newLayout(nprocs, buffers, ackWords, memBytes int, retry, hb bool, strMax i
 	return l, nil
 }
 
-func (l layout) base(i int) int        { return l.hbBytes + l.strBytes + i*l.partSize }
-func (l layout) msgFlags(i, s int) int { return l.base(i) + 4*s }
-func (l layout) minUn(i, s int) int    { return l.base(i) + 4*l.nprocs + 4*s }
-func (l layout) ackFlags(i, r int) int { return l.base(i) + l.ackBase + 4*l.ackWords*r }
-func (l layout) ackSlot(i, r, b int) int {
+func (l *layout) base(i int) int        { return l.hbBytes + l.strBytes + i*l.partSize }
+func (l *layout) msgFlags(i, s int) int { return l.base(i) + 4*s }
+func (l *layout) minUn(i, s int) int    { return l.base(i) + 4*l.nprocs + 4*s }
+func (l *layout) ackFlags(i, r int) int { return l.base(i) + l.ackBase + 4*l.ackWords*r }
+func (l *layout) ackSlot(i, r, b int) int {
 	return l.ackFlags(i, r) + 4*b
 }
-func (l layout) desc(i, b int) int      { return l.base(i) + l.descBase + descSize*b }
-func (l layout) dataBase(i int) int     { return l.base(i) + l.ctrlSize }
-func (l layout) dataOff(i, rel int) int { return l.dataBase(i) + rel }
+func (l *layout) desc(i, b int) int      { return l.base(i) + l.descBase + descSize*b }
+func (l *layout) dataBase(i int) int     { return l.base(i) + l.ctrlSize }
+func (l *layout) dataOff(i, rel int) int { return l.dataBase(i) + rel }
 
 // Stream-region accessors (meaningful only when strBytes > 0). The
 // region sits between the heartbeat table and the partitions:
 // per-node contribution areas, per-node arrival words (contiguous, so
 // the initiator reads all of them in one burst), then the
 // initiator-owned control block.
-func (l layout) strContrib(i int) int { return l.hbBytes + i*l.strMax }
-func (l layout) strArrival(i int) int { return l.hbBytes + l.nprocs*l.strMax + 4*i }
-func (l layout) strCtl() int          { return l.hbBytes + l.nprocs*(l.strMax+4) }
-func (l layout) strHdr() int          { return l.strCtl() }
-func (l layout) strCtr() int          { return l.strCtl() + 4 }
-func (l layout) strVec() int          { return l.strCtl() + 8 }
-func (l layout) strDone() int         { return l.strCtl() + 8 + l.strMax }
-func (l layout) strResult() int       { return l.strCtl() + 12 + l.strMax }
+func (l *layout) strContrib(i int) int { return l.hbBytes + i*l.strMax }
+func (l *layout) strArrival(i int) int { return l.hbBytes + l.nprocs*l.strMax + 4*i }
+func (l *layout) strCtl() int          { return l.hbBytes + l.nprocs*(l.strMax+4) }
+func (l *layout) strHdr() int          { return l.strCtl() }
+func (l *layout) strCtr() int          { return l.strCtl() + 4 }
+func (l *layout) strVec() int          { return l.strCtl() + 8 }
+func (l *layout) strDone() int         { return l.strCtl() + 8 + l.strMax }
+func (l *layout) strResult() int       { return l.strCtl() + 12 + l.strMax }
 
 // hbSlotSize is the per-node heartbeat table entry: beat word +
 // incarnation word.
@@ -355,8 +355,8 @@ const hbSlotSize = 8
 
 // hbBeat/hbInc address node i's heartbeat pair in the global table.
 // Both words are written only by node i.
-func (l layout) hbBeat(i int) int { return hbSlotSize * i }
-func (l layout) hbInc(i int) int  { return hbSlotSize*i + 4 }
+func (l *layout) hbBeat(i int) int { return hbSlotSize * i }
+func (l *layout) hbInc(i int) int  { return hbSlotSize*i + 4 }
 
 // RingNetwork is the replicated-memory hardware the protocol runs on: a
 // flat SCRAMNet ring (*scramnet.Network) or a bridged ring-of-rings
