@@ -38,6 +38,11 @@ func (b *byteChooser) Intn(n int) int {
 // numServers is how many Servers the harness books jobs on.
 const numServers = 3
 
+// wheelHorizon is how far ahead of the clock the kernel keeps an event
+// near; the harness aims delays, service times and RunUntil slices at
+// both sides of it.
+const wheelHorizon Duration = 16384
+
 // orderHarness drives a kernel with a random mix of scheduling calls
 // and checks every execution against the reference model.
 type orderHarness struct {
@@ -61,6 +66,31 @@ func newOrderHarness(t testing.TB, rng chooser) *orderHarness {
 		h.servers[i] = NewServer(h.k)
 	}
 	return h
+}
+
+// delay draws a delay, a service time or a RunUntil slice. Half are
+// the short ones most model events use (0-70 ns); the rest sit at the
+// horizon's edge (horizon-2 .. horizon+1), on quarter-horizon
+// multiples, anywhere up to three horizons, or exactly at the time of
+// a recent event that is still ahead, so that an event scheduled far
+// and events scheduled near tie in time and only their keys order
+// them.
+func (h *orderHarness) delay() Duration {
+	switch h.rng.Intn(8) {
+	case 4:
+		return wheelHorizon - 2 + Duration(h.rng.Intn(4))
+	case 5:
+		return Duration(h.rng.Intn(13)) * wheelHorizon / 4
+	case 6:
+		return Duration(h.rng.Intn(48))*wheelHorizon/16 + Duration(h.rng.Intn(256))
+	case 7:
+		if n := len(h.evs); n > 0 {
+			if ev := h.evs[n-1-h.rng.Intn(min(n, 64))]; ev.t >= h.k.Now() {
+				return ev.t.Sub(h.k.Now())
+			}
+		}
+	}
+	return Duration(h.rng.Intn(8) * 10)
 }
 
 // schedule issues one random scheduling call, of a random kind, at
@@ -155,19 +185,18 @@ func (h *orderHarness) fire(ev *refEvent) {
 	// ring link's departure books the next station's link.
 	if ev.server > 0 && h.budget > 0 && h.rng.Intn(2) == 0 {
 		h.budget--
-		h.serve(ev.server-1, Duration(h.rng.Intn(4)*10))
+		h.serve(ev.server-1, h.delay())
 	}
 	for n := h.rng.Intn(3); n > 0 && h.budget > 0; n-- {
 		h.budget--
-		h.schedule(Duration(h.rng.Intn(5) * 10))
+		h.schedule(h.delay())
 	}
 	if h.rng.Intn(3) == 0 {
 		h.cancelOne()
 	}
 }
 
-// cancelOne stops a random cancelable event; Stop must report whether
-// the event was still live.
+// cancelOne stops a random cancelable event.
 func (h *orderHarness) cancelOne() {
 	var timers []*refEvent
 	for _, ev := range h.evs {
@@ -178,7 +207,12 @@ func (h *orderHarness) cancelOne() {
 	if len(timers) == 0 {
 		return
 	}
-	ev := timers[h.rng.Intn(len(timers))]
+	h.stop(timers[h.rng.Intn(len(timers))])
+}
+
+// stop stops a cancelable event; Stop must report whether the event
+// was still live.
+func (h *orderHarness) stop(ev *refEvent) {
 	if got, want := ev.timer.Stop(), ev.live(); got != want {
 		h.t.Fatalf("Stop of (t=%d seq=%d) = %v, want %v", ev.t, ev.seq, got, want)
 	}
@@ -200,9 +234,11 @@ func (h *orderHarness) checkKinds(when string) {
 }
 
 // run schedules an initial mix (with a burst of back-to-back jobs on
-// every server, the shape of a DMA burst booking a link), runs it in
-// RunUntil slices that cut through the backlogs, then to the end, and
-// checks the execution against the reference sort by (t, seq).
+// every server, the shape of a DMA burst booking a link, and a backlog
+// of quarter-horizon jobs that spans the horizon), runs it in RunUntil
+// slices that cut through the backlogs, scheduling more after each,
+// then to the end, and checks the execution against the reference sort
+// by (t, seq).
 func (h *orderHarness) run() {
 	t := h.t
 	for i := range h.servers {
@@ -210,34 +246,42 @@ func (h *orderHarness) run() {
 			h.serve(i, Duration(h.rng.Intn(3)*10))
 		}
 	}
+	for n := h.rng.Intn(9); n > 0; n-- {
+		h.serve(h.rng.Intn(numServers), wheelHorizon/4-1+Duration(h.rng.Intn(3)))
+	}
 	for i := 0; i < 40; i++ {
-		h.schedule(Duration(h.rng.Intn(8) * 10))
+		h.schedule(h.delay())
 	}
 	// A cancelable event far past everything else, canceled before the
 	// run: the final clock must not reach it.
-	far := &refEvent{t: 1 << 40, seq: h.seq}
-	h.seq++
-	far.timer = h.k.Timer(Duration(far.t), KindEvent, func() { h.fire(far) })
-	h.evs = append(h.evs, far)
-	far.timer.Stop()
-	far.canceled = true
+	far := h.timer(1 << 40)
+	h.stop(far)
+	// A cancelable event past the horizon, stopped after the first
+	// slice unless that slice reached it.
+	late := h.timer(wheelHorizon + Duration(h.rng.Intn(64)))
 
-	horizon := Time(0)
-	for i := 0; i < 5; i++ {
-		horizon = h.k.Now().Add(Duration(h.rng.Intn(60)))
-		h.k.RunUntil(horizon)
-		if h.k.Now() != horizon {
-			t.Fatalf("RunUntil(%d) left Now = %d", horizon, h.k.Now())
+	until := Time(0)
+	for i := 0; i < 6; i++ {
+		until = h.k.Now().Add(h.delay())
+		h.k.RunUntil(until)
+		if h.k.Now() != until {
+			t.Fatalf("RunUntil(%d) left Now = %d", until, h.k.Now())
 		}
 		for _, ev := range h.evs {
-			if ev.live() && ev.t <= horizon {
-				t.Fatalf("RunUntil(%d) left (t=%d seq=%d) unfired", horizon, ev.t, ev.seq)
+			if ev.live() && ev.t <= until {
+				t.Fatalf("RunUntil(%d) left (t=%d seq=%d) unfired", until, ev.t, ev.seq)
 			}
 		}
 		if got, want := h.k.Pending(), h.pending(); got != want {
-			t.Fatalf("Pending = %d after RunUntil(%d), reference %d", got, horizon, want)
+			t.Fatalf("Pending = %d after RunUntil(%d), reference %d", got, until, want)
 		}
-		h.checkKinds(fmt.Sprintf("after RunUntil(%d)", horizon))
+		h.checkKinds(fmt.Sprintf("after RunUntil(%d)", until))
+		if i == 0 {
+			h.stop(late)
+		}
+		for n := h.rng.Intn(3); n > 0; n-- {
+			h.schedule(h.delay())
+		}
 	}
 	if err := h.k.Run(); err != nil {
 		t.Fatal(err)
@@ -253,7 +297,7 @@ func (h *orderHarness) run() {
 	if len(h.fired) != len(want) {
 		t.Fatalf("fired %d events, reference %d", len(h.fired), len(want))
 	}
-	end := horizon
+	end := until
 	for i, ev := range want {
 		if h.fired[i] != ev {
 			t.Fatalf("execution %d = (t=%d seq=%d), reference (t=%d seq=%d)",
@@ -273,6 +317,15 @@ func (h *orderHarness) run() {
 		t.Fatalf("Pending = %d after Run", h.k.Pending())
 	}
 	h.checkKinds("after Run")
+}
+
+// timer schedules a plain cancelable event d from now.
+func (h *orderHarness) timer(d Duration) *refEvent {
+	ev := &refEvent{t: h.k.Now().Add(d), seq: h.seq}
+	h.seq++
+	ev.timer = h.k.Timer(d, KindEvent, func() { h.fire(ev) })
+	h.evs = append(h.evs, ev)
+	return ev
 }
 
 // TestPopOrderMatchesReference pins the kernel's execution order to a
