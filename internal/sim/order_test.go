@@ -41,7 +41,7 @@ const numServers = 3
 // wheelHorizon is how far ahead of the clock the kernel keeps an event
 // near; the harness aims delays, service times and RunUntil slices at
 // both sides of it.
-const wheelHorizon Duration = 16384
+const wheelHorizon = Duration(wheelSize)
 
 // orderHarness drives a kernel with a random mix of scheduling calls
 // and checks every execution against the reference model.
@@ -333,7 +333,10 @@ func (h *orderHarness) timer(d Duration) *refEvent {
 // AfterKind and cancelable events of every kind, Server jobs (zero service,
 // nil callbacks, backlogs booked from outside and from inside their
 // own server's completions), events scheduled from inside callbacks,
-// mid-run cancels and RunUntil slices. Canceled events never fire and
+// mid-run cancels and RunUntil slices, with delays, service times and
+// slices on both sides of the wheel's horizon: far events that tie in
+// time with near ones, Server backlogs that span the horizon and
+// cancelable events stopped while far. Canceled events never fire and
 // never advance the clock, and Pending always equals the reference
 // count of live non-observer events, queued server jobs included. An
 // installed Profiler charges each executed event to the kind it was

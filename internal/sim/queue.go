@@ -56,14 +56,14 @@ func (q *Queue[T]) Peek() (T, bool) {
 // arriving while the server is busy queue behind it in virtual time. It
 // is implemented without a process. Serve computes the completion time
 // and keeps the job in the server's own backlog; only the backlog's
-// head sits in the kernel's heap, and its completion inserts the next
-// job. A link that books a hundred departures at once therefore costs
-// the heap one entry, not a hundred.
+// head sits in the kernel's event queue, and its completion inserts
+// the next job. A link that books a hundred departures at once
+// therefore costs the queue one entry, not a hundred.
 type Server struct {
 	k         *Kernel
 	busyUntil Time
 	// jobs is a ring buffer of the jobs with a callback, in completion
-	// order: jobs[head] is in the kernel's heap, the n-1 after it wait
+	// order: jobs[head] is in the kernel's queue, the n-1 after it wait
 	// for it to complete. Its length is a power of two, at least the
 	// largest backlog so far.
 	jobs    []job
@@ -74,7 +74,7 @@ type Server struct {
 }
 
 // job is one queued completion, keyed as the event Serve would have
-// scheduled: its finish time and the heap key taken at Serve.
+// scheduled: its finish time and the queue key taken at Serve.
 type job struct {
 	t    Time
 	key  uint64
@@ -95,7 +95,7 @@ func NewServer(k *Kernel) *Server {
 // A job with a callback takes the kernel's next sequence number at the
 // call, exactly as At would. Finish times never decrease along a
 // server's backlog and sequence numbers only grow, so the jobs complete
-// in the (t, seq) order they would have as separate heap events.
+// in the (t, seq) order they would have as separate events.
 func (s *Server) Serve(service Duration, done func()) Time {
 	if service < 0 {
 		panic("sim: negative service time")
@@ -135,7 +135,7 @@ func (s *Server) grow() {
 }
 
 // completeHead runs the head job's completion: it moves the next job
-// into the heap under that job's own (t, seq), then calls the head's
+// into the queue under that job's own (t, seq), then calls the head's
 // callback, which may Serve again.
 func (s *Server) completeHead() {
 	j := s.jobs[s.head]

@@ -17,21 +17,27 @@
 // simulation bit-for-bit reproducible.
 //
 // Scheduling is fire-and-forget: At, AtKind and AfterKind store the
-// event by value in the kernel's heap and return nothing, so a
-// steady-state simulation schedules without allocating. A heap entry is
-// 24 bytes: the time, the callback and one key that packs the sequence
-// number shifted left by 8 over the event's Kind, which caps a kernel at
-// 2^56 scheduled events. Only Kernel.Timer returns a handle, for the few
-// callers that cancel; a flag bit in the key marks its event, and the
-// handle waits in a side table keyed by sequence number. A
-// Server keeps the jobs queued behind it in its own backlog, and only
-// the job at the head of each backlog is in the heap; every queued job
-// keeps the (time, sequence) key it took at Server.Serve, so it runs
-// exactly where a separately scheduled event would.
+// event by value in the kernel's event queue and return nothing, so a
+// steady-state simulation schedules without allocating. Each event
+// carries its time, its callback and one key that packs the sequence
+// number shifted left by 8 over the event's Kind, which caps a kernel
+// at 2^56 scheduled events. The queue is a calendar queue (Brown,
+// CACM 1988) in two tiers: an event less than 2^14 ns ahead goes on a
+// wheel of one slot per nanosecond, in a list of the events of that
+// exact time ordered by key, and a later one waits in a 4-ary heap;
+// pop takes the earlier by (time, key) of the wheel's first occupied
+// slot and the heap's top. Only Kernel.Timer returns a handle, for the
+// few callers that cancel; a flag bit in the key marks its event, and
+// the handle waits in a side table keyed by sequence number. A Server
+// keeps the jobs queued behind it in its own backlog, and only the job
+// at the head of each backlog is in the queue; every queued job keeps
+// the (time, sequence) key it took at Server.Serve, so it runs exactly
+// where a separately scheduled event would.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -108,7 +114,7 @@ func (k Kind) String() string { return kindNames[k] }
 // events (At, After and their Kind variants) have no handle.
 type Timer struct {
 	// armed is true until the event fires or is stopped; a stopped
-	// event stays in the heap and is skipped when popped.
+	// event stays in the queue and is skipped when popped.
 	armed bool
 }
 
@@ -122,15 +128,22 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// entry is one scheduled event, held by value in the kernel's heap. key
-// is the event's unique scheduling sequence number shifted left by
-// seqShift over its Kind, plus timerBit for a cancelable event, so
-// ordering by key is ordering by sequence. This caps sequence numbers
-// at 2^56.
+// entry is one event in the far heap, held by value. key is the
+// event's unique scheduling sequence number shifted left by seqShift
+// over its Kind, plus timerBit for a cancelable event, so ordering by
+// key is ordering by sequence. This caps sequence numbers at 2^56.
 type entry struct {
 	t   Time
 	key uint64
 	fn  func()
+}
+
+// node is one event on the wheel: its entry, the index in Kernel.nodes
+// of the next event of its slot (0 at the slot's end) and, in a slot's
+// first node, the index of the slot's last.
+type node struct {
+	entry
+	next, last int32
 }
 
 const (
@@ -139,7 +152,19 @@ const (
 	kindMask = timerBit - 1
 )
 
-// less is the heap order, a total order on (t, key): it is 1 when
+// The event queue's geometry. An event less than wheelSize ns ahead of
+// the clock when it is scheduled goes on the wheel, in slot t mod
+// wheelSize; the others wait in the far heap. The clock only grows and
+// nothing is scheduled in the past, so every wheel event lies in
+// [now, now+wheelSize): a slot holds events of one exact time, and the
+// slots read circularly from the clock's hold them in time order.
+const (
+	wheelSize = 1 << 14
+	wheelMask = wheelSize - 1
+	occWords  = wheelSize / 64
+)
+
+// less is the queue order, a total order on (t, key): it is 1 when
 // (t1, k1) < (t2, k2) as unsigned 128-bit numbers (virtual times are
 // never negative), read off the borrow without a branch.
 func less(t1 Time, k1 uint64, t2 Time, k2 uint64) uint64 {
@@ -153,14 +178,27 @@ func less(t1 Time, k1 uint64, t2 Time, k2 uint64) uint64 {
 type Kernel struct {
 	now Time
 	seq uint64
-	// events is a 4-ary min-heap ordered by less on (t, key): the
-	// children of i are 4i+1 .. 4i+4.
-	events []entry
-	// timers holds the handle of each cancelable event in the heap, by
+	// The event queue has two tiers, popped together by less on
+	// (t, key). On the wheel, heads[s] indexes the first node of slot
+	// s's list, which is ordered by key; bit s of occ is set while slot
+	// s is occupied, and bit w of sum while occ[w] is nonzero. nodes
+	// holds the wheel's nodes (node 0 is unused, so index 0 means none),
+	// free lists the unused ones through next, and near counts the
+	// wheel's events.
+	heads [wheelSize]int32
+	occ   [occWords]uint64
+	sum   [occWords / 64]uint64
+	nodes []node
+	free  int32
+	near  int
+	// far is a 4-ary min-heap by less of the events scheduled at least
+	// wheelSize ahead: the children of i are 4i+1 .. 4i+4.
+	far []entry
+	// timers holds the handle of each queued cancelable event, by
 	// sequence number.
 	timers map[uint64]*Timer
 	// queued counts the Server jobs waiting behind their server's head
-	// job, which is the only one of a server's jobs in the heap.
+	// job, which is the only one of a server's jobs in the queue.
 	queued   int
 	procs    []*Proc
 	live     int
@@ -174,7 +212,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{timers: make(map[uint64]*Timer)}
+	return &Kernel{timers: make(map[uint64]*Timer), nodes: make([]node, 1)}
 }
 
 // Now returns the current virtual time.
@@ -190,13 +228,56 @@ func (k *Kernel) push(t Time, low uint64, fn func()) uint64 {
 	return seq
 }
 
-// insert adds an event to the heap under the key it already carries: a
-// Server's queued job enters with the sequence number it took at Serve.
+// insert queues an event under the key it already carries: a Server's
+// queued job enters with the sequence number it took at Serve. On the
+// wheel, an event of push carries the largest key so far and appends
+// at its slot's tail; only a Server job walks the slot's list.
 func (k *Kernel) insert(t Time, key uint64, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
-	h := append(k.events, entry{})
+	if t-k.now >= wheelSize {
+		k.insertFar(t, key, fn)
+		return
+	}
+	i := k.free
+	if i != 0 {
+		k.free = k.nodes[i].next
+		k.nodes[i] = node{entry: entry{t, key, fn}, last: i}
+	} else {
+		i = int32(len(k.nodes))
+		k.nodes = append(k.nodes, node{entry: entry{t, key, fn}, last: i})
+	}
+	k.near++
+	s := int(t) & wheelMask
+	h := k.heads[s]
+	if h == 0 {
+		k.heads[s] = i
+		w := s >> 6
+		k.occ[w] |= 1 << (s & 63)
+		k.sum[w>>6] |= 1 << (w & 63)
+		return
+	}
+	switch hn := &k.nodes[h]; {
+	case key > k.nodes[hn.last].key:
+		k.nodes[hn.last].next = i
+		hn.last = i
+	case key < hn.key:
+		k.nodes[i].next, k.nodes[i].last = h, hn.last
+		k.heads[s] = i
+	default: // a Server job under the key it took at Serve
+		p := h
+		for k.nodes[k.nodes[p].next].key < key {
+			p = k.nodes[p].next
+		}
+		k.nodes[i].next = k.nodes[p].next
+		k.nodes[p].next = i
+	}
+}
+
+// insertFar adds an event to the far heap.
+func (k *Kernel) insertFar(t Time, key uint64, fn func()) {
+	h := append(k.far, entry{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -207,23 +288,85 @@ func (k *Kernel) insert(t Time, key uint64, fn func()) {
 		i = p
 	}
 	h[i] = entry{t, key, fn}
-	k.events = h
+	k.far = h
 }
 
-// pop removes the earliest event and returns its time, key and
-// callback.
-func (k *Kernel) pop() (Time, uint64, func()) {
-	h := k.events
-	top := h[0]
+// pop dequeues the earliest queued event if it is due at or before
+// until and returns its time, key and callback; ok is false when no
+// event is due.
+func (k *Kernel) pop(until Time) (t Time, key uint64, fn func(), ok bool) {
+	if k.near > 0 {
+		s := k.firstSlot()
+		i := k.heads[s]
+		n := &k.nodes[i]
+		if len(k.far) == 0 || less(n.t, n.key, k.far[0].t, k.far[0].key) == 1 {
+			if n.t > until {
+				return 0, 0, nil, false
+			}
+			t, key, fn = n.t, n.key, n.fn
+			if k.heads[s] = n.next; n.next != 0 {
+				k.nodes[n.next].last = n.last
+			} else {
+				w := s >> 6
+				if k.occ[w] &^= 1 << (s & 63); k.occ[w] == 0 {
+					k.sum[w>>6] &^= 1 << (w & 63)
+				}
+			}
+			n.fn, n.next = nil, k.free
+			k.free = i
+			k.near--
+			return t, key, fn, true
+		}
+	} else if len(k.far) == 0 {
+		return 0, 0, nil, false
+	}
+	if t, key = k.far[0].t, k.far[0].key; t > until {
+		return 0, 0, nil, false
+	}
+	return t, key, k.popFar(), true
+}
+
+// firstSlot returns the wheel's first occupied slot at or after the
+// clock's, circularly: the slot of the wheel's earliest event. The
+// wheel must not be empty.
+func (k *Kernel) firstSlot() int {
+	s := int(k.now) & wheelMask
+	w := s >> 6
+	if m := k.occ[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	if w = k.nextWord(w + 1); w < 0 {
+		w = k.nextWord(0)
+	}
+	return w<<6 | bits.TrailingZeros64(k.occ[w])
+}
+
+// nextWord returns the first nonzero occupancy word at or after w, or
+// -1 when there is none.
+func (k *Kernel) nextWord(w int) int {
+	mask := ^uint64(0) << (w & 63)
+	for i := w >> 6; i < len(k.sum); i++ {
+		if m := k.sum[i] & mask; m != 0 {
+			return i<<6 | bits.TrailingZeros64(m)
+		}
+		mask = ^uint64(0)
+	}
+	return -1
+}
+
+// popFar removes the far heap's top event and returns its callback.
+func (k *Kernel) popFar() func() {
+	h := k.far
+	fn := h[0].fn
 	n := len(h) - 1
 	last := h[n]
 	h[n] = entry{}
 	h = h[:n]
-	k.events = h
+	k.far = h
 	if n > 0 {
 		h[siftDown(h, last.t, last.key)] = last
 	}
-	return top.t, top.key, top.fn
+	return fn
 }
 
 // siftDown moves the hole at h[0] down to where an entry keyed (t, key)
@@ -292,11 +435,14 @@ func (k *Kernel) SetProfiler(p *Profiler) { k.prof = p }
 // cmd/anatomy -profile cross-checks.
 func (k *Kernel) Executed() int64 { return k.executed }
 
-// step executes the next pending event. It reports false when no events
-// remain.
-func (k *Kernel) step() bool {
-	for len(k.events) > 0 {
-		t, key, fn := k.pop()
+// step executes the next live event due at or before until. It
+// reports false when no such event remains.
+func (k *Kernel) step(until Time) bool {
+	for {
+		t, key, fn, ok := k.pop(until)
+		if !ok {
+			return false
+		}
 		if key&timerBit != 0 && !k.disarm(key) {
 			continue
 		}
@@ -311,7 +457,6 @@ func (k *Kernel) step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // disarm retires the handle of a popped cancelable event and reports
@@ -346,7 +491,7 @@ func (e *DeadlockError) Error() string {
 // processes are still blocked when the queue drains, and nil when every
 // spawned process has terminated.
 func (k *Kernel) Run() error {
-	for k.step() {
+	for k.step(math.MaxInt64) {
 	}
 	return k.checkDeadlock()
 }
@@ -355,8 +500,7 @@ func (k *Kernel) Run() error {
 // clock to exactly t. Blocked processes are not a deadlock here: the
 // caller may schedule more work and resume.
 func (k *Kernel) RunUntil(t Time) {
-	for k.peekLive() && k.events[0].t <= t {
-		k.step()
+	for k.step(t) {
 	}
 	if t > k.now {
 		k.now = t
@@ -365,19 +509,6 @@ func (k *Kernel) RunUntil(t Time) {
 
 // RunFor runs the simulation for d virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
-
-// peekLive discards canceled events from the top of the heap and
-// reports whether a live one remains there.
-func (k *Kernel) peekLive() bool {
-	for len(k.events) > 0 {
-		if k.runs(k.events[0].key) {
-			return true
-		}
-		_, key, _ := k.pop()
-		k.disarm(key)
-	}
-	return false
-}
 
 // Pending counts scheduled, non-canceled, non-observer events still to
 // run, Server jobs queued behind their server's head included. A
@@ -389,9 +520,19 @@ func (k *Kernel) peekLive() bool {
 // schedule with KindObserver for this to hold.
 func (k *Kernel) Pending() int {
 	n := k.queued
-	for i := range k.events {
-		if key := k.events[i].key; Kind(key&kindMask) != KindObserver && k.runs(key) {
+	count := func(key uint64) {
+		if Kind(key&kindMask) != KindObserver && k.runs(key) {
 			n++
+		}
+	}
+	for i := range k.far {
+		count(k.far[i].key)
+	}
+	for w, m := range k.occ {
+		for ; m != 0; m &= m - 1 {
+			for i := k.heads[w<<6|bits.TrailingZeros64(m)]; i != 0; i = k.nodes[i].next {
+				count(k.nodes[i].key)
+			}
 		}
 	}
 	return n
