@@ -22,15 +22,19 @@ func (q *Queue[T]) Push(v T) {
 	q.nonempty.Signal()
 }
 
-// TryPop removes and returns the head item without blocking.
+// TryPop removes and returns the head item without blocking. It
+// copies the rest down in place, so the buffer keeps its capacity and
+// a warmed queue's Push does not allocate.
 func (q *Queue[T]) TryPop() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	n := len(q.items)
+	if n == 0 {
 		return zero, false
 	}
 	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
+	copy(q.items, q.items[1:])
+	q.items[n-1] = zero
+	q.items = q.items[:n-1]
 	return v, true
 }
 

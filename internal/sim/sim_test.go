@@ -365,6 +365,30 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	k.Close()
 }
 
+// TestQueuePushPopAllocs checks that a warmed queue's push/pop cycles
+// reuse its buffer: TryPop keeps the buffer's capacity, so Push never
+// reallocates in steady state.
+func TestQueuePushPopAllocs(t *testing.T) {
+	q := NewQueue[int](NewKernel())
+	round := func() {
+		for i := 0; i < 8; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < 8; i++ {
+			if v, ok := q.TryPop(); !ok || v != i {
+				t.Fatalf("TryPop = %d, %v; want %d, true", v, ok, i)
+			}
+		}
+		if _, ok := q.TryPop(); ok {
+			t.Fatal("TryPop of an empty queue reported an item")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("warmed push/pop round: %v allocations, want 0", allocs)
+	}
+}
+
 func TestQueueFIFO(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k)
