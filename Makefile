@@ -100,8 +100,10 @@ covercheck: build
 # and comparison checks) run here too, since root `go test ./...` never
 # reaches them: a change to the program that breaks the benchmark fails
 # locally rather than only in an A/B run.
+# Each internal/sim benchmark row also runs once: tier-1 compiles benchmarks but never runs them.
 benchtest:
 	cd benchmark && $(GO) test .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 
 verify: lint test benchtest race covercheck timeline soak
 	@echo "verify tier green: lint + test + benchtest + race + covercheck + timeline + soak"

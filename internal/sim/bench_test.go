@@ -8,19 +8,60 @@ import (
 // These benchmarks measure the simulator itself (real CPU time), since
 // every reproduction result is bottlenecked by kernel event throughput.
 
-// BenchmarkKernelSteadyState measures one event in the heap the
-// workloads run: about 20 live entries. Sixteen chains of plain events
-// of mixed kinds and two Servers, each with a backlog of one to three
-// jobs, reschedule their successor from inside every event, at delays
-// drawn once from a seeded table that includes same-instant ties. One
-// op is one executed event.
+// BenchmarkKernelSteadyState measures one event of the kernel under
+// the traffic its queue serves. Chains of plain events of mixed kinds
+// and two Servers, each with a backlog of one to three jobs,
+// reschedule their successor from inside every event, at delays drawn
+// once per row from a seeded table. One op is one executed event. The
+// rows:
+//
+//   - uniform: 16 chains, delays of 0-700 ns in steps of 100 ns, so
+//     same-instant ties are common; about 20 live entries.
+//   - workload-mix: 16 chains, delays shaped like the benchmark
+//     workloads' own: 90% under 2 µs, 5% at 2-4 µs, 4% at 8-16 µs and
+//     1% past the wheel's horizon.
+//   - far: uniform, but one delay in ten lies one to two horizons
+//     ahead.
+//   - deep: uniform with 256 chains, so about 260 events are pending.
 func BenchmarkKernelSteadyState(b *testing.B) {
+	uniform := func(r *RNG) Duration { return Duration(r.Intn(8) * 100) }
+	rows := []struct {
+		name   string
+		chains int
+		delay  func(r *RNG) Duration
+	}{
+		{"uniform", 16, uniform},
+		{"workload-mix", 16, func(r *RNG) Duration {
+			switch p := r.Intn(100); {
+			case p < 90:
+				return Duration(r.Intn(80) * 25)
+			case p < 95:
+				return 2000 + Duration(r.Intn(80)*25)
+			case p < 99:
+				return 8000 + Duration(r.Intn(8000))
+			}
+			return wheelSize + Duration(r.Intn(3*wheelSize))
+		}},
+		{"far", 16, func(r *RNG) Duration {
+			if r.Intn(10) == 0 {
+				return wheelSize + Duration(r.Intn(wheelSize))
+			}
+			return uniform(r)
+		}},
+		{"deep", 256, uniform},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) { steadyState(b, row.chains, row.delay) })
+	}
+}
+
+func steadyState(b *testing.B, chains int, draw func(r *RNG) Duration) {
 	b.ReportAllocs()
 	k := NewKernel()
 	var delays [256]Duration
 	rng := NewRNG(1)
 	for i := range delays {
-		delays[i] = Duration(rng.Intn(8) * 100)
+		delays[i] = draw(rng)
 	}
 	left, next := b.N, 0
 	delay := func() Duration {
@@ -28,7 +69,7 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 		return delays[next&(len(delays)-1)]
 	}
 	kinds := [...]Kind{KindProc, KindRing, KindEvent, KindProc, KindBus, KindObserver, KindProc, KindFabric}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < chains; i++ {
 		kind := kinds[i%len(kinds)]
 		var fn func()
 		fn = func() {
