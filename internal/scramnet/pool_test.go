@@ -188,7 +188,7 @@ func newRevolver(t testing.TB) *revolver {
 			n.NIC(0).WriteWord(p, 64, rv.v)
 		}
 	}).Resume
-	rv.revolve() // warm up: the packet, the link backlogs and the heap
+	rv.revolve() // warm up: the packet, the link backlogs and the event queue
 	return rv
 }
 

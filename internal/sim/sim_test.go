@@ -299,7 +299,7 @@ func TestProcPanicReachesRun(t *testing.T) {
 }
 
 // TestDelayAllocs pins the cost of one Delay round trip at zero
-// allocations: the wake-up is a value entry in the kernel's heap.
+// allocations: the wake-up is a value entry in the kernel's event queue.
 func TestDelayAllocs(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
